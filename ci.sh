@@ -6,9 +6,10 @@
 # spec validation for the shipped example campaign specs, and three
 # end-to-end smokes: a mini spec-driven campaign must emit a metrics
 # snapshot that passes the schema validator, re-running it with -resume
-# over the completed results file must execute zero cases, and the
-# observability surface (trace-event export, live status endpoint,
-# black-box dumps) must produce valid, loadable artifacts. Any failure
+# over the completed results file must simulate zero cases (its cache
+# reports 0 misses), and the observability surface (trace-event export,
+# live status endpoint, black-box dumps) must produce valid, loadable
+# artifacts. A short fuzz pass covers the resume decoder. Any failure
 # fails the gate.
 set -eux
 
@@ -29,6 +30,9 @@ go run ./cmd/uavlint -unused-suppressions -json ./... >"$tmpdir/lint.json" || {
 go test ./...
 go test -race ./internal/telemetry/ ./internal/sweep/ ./internal/uspace/ ./internal/core/ ./internal/sim/ ./internal/obs/
 go test -run XXX -bench Micro -benchtime=1x -benchmem .
+# Short fuzz pass over the resume decoder (seed corpus under
+# internal/core/testdata/fuzz): no panic, and a writer round trip.
+go test -run XXX -fuzz FuzzLoadPartialResults -fuzztime 10s ./internal/core/
 
 # Example campaign specs stay loadable and compilable.
 go run ./cmd/campaign -validate-spec examples/specs/paper-850.json
@@ -47,11 +51,11 @@ go run ./cmd/campaign -compare-results "$tmpdir/hexa.json,$tmpdir/hexa_scalar.js
 
 # Observability + resume smoke: run one mission's gyro cases with
 # metrics capture, validate the snapshot schema, then resume over the
-# completed results file — zero cases may execute.
+# completed results file — every case is a cache hit, zero simulate.
 go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results.json" -metrics-out "$tmpdir/metrics.json"
 go run ./cmd/campaign -validate-metrics "$tmpdir/metrics.json"
 go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results.json" -resume | tee "$tmpdir/resume.log"
-grep -q 'resume: .* 0 to run' "$tmpdir/resume.log"
+grep -q 'resume from .*: [1-9][0-9]* hits, 0 misses' "$tmpdir/resume.log"
 
 # Batch-vs-scalar equivalence smoke: the slice above ran through the
 # default lockstep batch path; re-run it with scalar forks and require
@@ -83,7 +87,7 @@ go test -run 'TestStatusEndpointMidRun' ./cmd/campaign/
 # duration cells.
 go build -o "$tmpdir/campaignd" ./cmd/campaignd
 "$tmpdir/campaignd" -addr 127.0.0.1:0 -addr-file "$tmpdir/campaignd.addr" \
-	-store "$tmpdir/store" -out-dir "$tmpdir/campaignd-out" -worker-procs 2 -q &
+	-store "$tmpdir/store" -out-dir "$tmpdir/campaignd-out" -q &
 CAMPAIGND_PID=$!
 for _ in $(seq 1 100); do
 	[ -s "$tmpdir/campaignd.addr" ] && break

@@ -27,9 +27,9 @@
 //
 // With -store, fingerprint-stored cases replay from the shared
 // content-addressed result store (the same store campaignd serves)
-// instead of simulating; -resume is the results-file special case of
-// the same mechanism. The historical -subset alias was removed; use
-// -select "id=*SUBSTR*".
+// instead of simulating. -resume is the same mechanism over the -out
+// file: its prior results seed the runner's cache. The historical
+// -subset alias was removed; use -select "id=*SUBSTR*".
 package main
 
 import (
@@ -300,45 +300,51 @@ func run() int {
 		runner.Cache = resultStore
 	}
 
-	// Resume: split the compiled plan against the prior results file.
-	// (The -resume/-out combination was validated right after flag
-	// parsing, before any compile work.)
-	var reused []core.CaseResult
+	// Resume: the prior results file becomes the runner's cache, so its
+	// clean, still-fingerprint-valid results replay and only missing,
+	// stale, errored, or hashless cases simulate. With -store, the prior
+	// results are offered to the store instead (Put refuses errored and
+	// hashless results, which Store would latch as a persistence error).
+	// The -resume/-out combination was validated right after flag
+	// parsing, before any compile work.
+	resumeNote := ""
 	if *resume {
 		prior, truncated, err := core.LoadPartialResultsFile(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "campaign:", err)
 			return 1
 		}
-		plan := core.PlanResume(cases, prior)
-		reused = plan.Reused
-		note := ""
 		if truncated {
-			note = " (file was truncated mid-write)"
+			resumeNote = " (truncated mid-write)"
 		}
-		fmt.Printf("campaign: resume: %d cases cached, %d stale, %d errored, %d to run%s\n",
-			len(plan.Reused), plan.Stale, plan.Errored, len(plan.Run), note)
-		cases = plan.Run
+		if resultStore == nil {
+			runner.Cache = core.NewMemoryCache(prior)
+		} else {
+			for _, cr := range prior {
+				if cr.Err == "" && cr.Case.Hash != "" {
+					resultStore.Store(cr)
+				}
+			}
+		}
 	}
-	fmt.Printf("campaign: %s: %d cases to run, seed %d\n", s, len(cases), s.Seed)
-	hdr := resultsHeader(s, runner)
+	fmt.Printf("campaign: %s: %d cases, seed %d\n", s, len(cases), s.Seed)
+	hdr := runner.ResultsHeader(s.Hash())
 
 	// Span tracer: one campaign root, the runner fills in the stage /
-	// prefix / batch / case tree. Cache hits from -resume become closed
-	// cache-hit case spans so the span count still matches the results.
+	// prefix / batch / case tree, with closed cache-hit case spans for
+	// replayed results so the span count still matches the results.
 	var (
 		tracer    *obs.Tracer
 		traceRoot obs.SpanID
 	)
 	if *traceOut != "" {
-		tracer = obs.NewTracer(clock, 2*(len(cases)+len(reused))+64)
+		tracer = obs.NewTracer(clock, 2*len(cases)+64)
 		traceRoot = tracer.Start("campaign", 0,
 			obs.StrAttr("spec", hdr.SpecHash),
 			obs.StrAttr("rng", hdr.RNGPolicy),
 			obs.StrAttr("mode", hdr.RunnerMode),
 			obs.NumAttr("batch_width", float64(hdr.BatchWidth)),
-			obs.NumAttr("cases", float64(len(cases)+len(reused))))
-		core.MarkCachedCases(tracer, traceRoot, reused)
+			obs.NumAttr("cases", float64(len(cases))))
 		runner.Trace = tracer
 		runner.TraceRoot = traceRoot
 	}
@@ -346,20 +352,15 @@ func run() int {
 	// Live status endpoint: snapshot + SSE over the same registry the
 	// runner updates, plus /metrics and pprof. Binds (and fails) now.
 	if *statusAddr != "" {
-		effWorkers := *workers
-		if effWorkers <= 0 {
-			effWorkers = runtime.GOMAXPROCS(0)
-		}
 		src := core.NewStatusSource(reg, core.StatusConfig{
-			Total:      len(cases) + len(reused),
+			Total:      len(cases),
 			SpecHash:   hdr.SpecHash,
 			RNGPolicy:  hdr.RNGPolicy,
 			RunnerMode: hdr.RunnerMode,
 			BatchWidth: hdr.BatchWidth,
-			Workers:    effWorkers,
+			Workers:    hdr.Workers,
 			Clock:      clock,
 		})
-		src.AddCached(len(reused))
 		closeStatus, err := serveStatus(*statusAddr, reg, src)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -370,10 +371,10 @@ func run() int {
 
 	// Stream results to disk as cases finish: the runner strips the heavy
 	// per-case payloads from its retained slice once the writer owns them,
-	// bounding resident memory at the in-flight cases. On resume the
-	// reused results are re-written first so the file stays complete.
-	// The black-box dumper shares the same OnResult hook — it needs the
-	// full Diagnostics block, which only exists before the strip.
+	// bounding resident memory at the in-flight cases. Cache hits (the
+	// prior file's results on resume) stream first, so the file stays
+	// complete. The black-box dumper shares the same OnResult hook — it
+	// needs the full Diagnostics block, which only exists before the strip.
 	var (
 		stream    *core.ResultsFileWriter
 		streamErr error
@@ -386,14 +387,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "campaign: opening results stream: %v\n", err)
 			return 1
 		}
-		if err := stream.WriteHeader(hdr); err != nil && streamErr == nil {
-			streamErr = err
-		}
-		for _, cr := range reused {
-			if err := stream.Write(cr); err != nil && streamErr == nil {
-				streamErr = err
-			}
-		}
+		streamErr = stream.WriteHeader(hdr)
 	}
 	if stream != nil || *blackboxDir != "" {
 		runner.OnResult = func(res core.CaseResult) {
@@ -429,7 +423,11 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	results := runner.RunAll(ctx, cases)
-	results = append(reused, results...)
+	if *resume {
+		fmt.Printf("campaign: resume from %s%s: %d hits, %d misses\n", *out, resumeNote,
+			reg.Counter("campaign_cache_hits_total").Value(),
+			reg.Counter("campaign_cache_misses_total").Value())
+	}
 
 	var failures int
 	for _, r := range results {
@@ -549,28 +547,6 @@ func ensureParentDir(flagName, path string) error {
 		return fmt.Errorf("campaign: %s: creating parent directory: %w", flagName, err)
 	}
 	return nil
-}
-
-// resultsHeader captures how this run was configured — the metadata the
-// results file leads with so downstream comparisons never cross execution
-// modes silently.
-func resultsHeader(s spec.CampaignSpec, r *core.Runner) core.ResultsHeader {
-	pol, _ := mathx.ParseNormPolicy(r.Config.RNGPolicy)
-	mode, width := "scalar", 0
-	if r.Batch {
-		mode = "batch"
-		width = r.BatchWidth
-		if width <= 0 {
-			width = core.DefaultBatchWidth
-		}
-	}
-	return core.ResultsHeader{
-		SpecHash:   s.Hash(),
-		RNGPolicy:  pol.String(),
-		RunnerMode: mode,
-		BatchWidth: width,
-		Workers:    r.Workers,
-	}
 }
 
 // compareResultsFiles loads two results files ("a.json,b.json"), pairs

@@ -1,21 +1,18 @@
-// Command campaignd is the sharded multi-process campaign service: an
-// HTTP coordinator over the content-addressed result store
-// (internal/store). POST a CampaignSpec to /run and the daemon compiles
-// it, looks every fingerprinted case up in the store, shards the
-// miss-set into prefix-coherent units (one mission's forkable cases
-// stay together, so checkpoint-and-fork and lockstep batching apply
-// inside each worker), fans the units out to a local pool of -worker
-// subprocesses speaking JSON over stdin/stdout, and streams the merged
-// results — cache hits replayed byte-identically, fresh results as they
-// land — into one well-formed results file. Submitting an overlapping
-// spec later simulates only the complement.
+// Command campaignd is a thin HTTP front over the campaign runner and
+// the content-addressed result store (internal/store). POST a
+// CampaignSpec to /run and the daemon compiles it, attaches
+// fingerprints, and runs it on an in-process core.Runner whose cache is
+// the store — the same execution path as cmd/campaign -store. Cache
+// hits replay byte-identically, misses simulate over a GOMAXPROCS
+// worker pool and are stored back, and every result streams into one
+// well-formed results file. Submitting an overlapping spec later
+// simulates only the complement.
 //
 // Usage:
 //
 //	campaignd [-addr 127.0.0.1:8383] [-store out/store] [-out-dir out/campaignd]
-//	campaignd [-worker-procs N] [-worker-threads M] [-addr-file PATH] [-prune-bytes B]
+//	campaignd [-addr-file PATH] [-prune-bytes B]
 //	campaignd -submit spec.json [-addr HOST:PORT]   (client: POST and print the summary)
-//	campaignd -worker                               (internal: worker subprocess)
 //
 // Endpoints: POST /run (synchronous; returns a runSummary), GET /status
 // (current campaign snapshot incl. cache-hit ratio), GET /store/stats,
@@ -32,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"time"
 
 	"uavres/internal/spec"
@@ -49,42 +45,14 @@ func run() int {
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (lets scripts use -addr with port 0)")
 		storeDir   = flag.String("store", "out/store", "content-addressed result store directory")
 		outDir     = flag.String("out-dir", "out/campaignd", "directory for merged per-run results files")
-		procs      = flag.Int("worker-procs", 0, "worker subprocesses (0 = a small pool sized from the CPU count)")
-		threads    = flag.Int("worker-threads", 0, "simulation threads per worker process (0 = CPU count / processes)")
 		pruneBytes = flag.Int64("prune-bytes", 0, "if > 0, prune the store oldest-first down to this byte budget at startup")
-		worker     = flag.Bool("worker", false, "run as a worker subprocess: JSON protocol on stdin/stdout (internal)")
 		submit     = flag.String("submit", "", "client mode: POST this CampaignSpec file to the daemon at -addr, print the summary, exit")
 		quiet      = flag.Bool("q", false, "suppress per-run progress output")
 	)
 	flag.Parse()
 
-	if *worker {
-		if err := workerMain(context.Background(), os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
 	if *submit != "" {
 		return submitRun(*addr, *submit)
-	}
-
-	nproc := *procs
-	if nproc < 1 {
-		nproc = runtime.NumCPU() / 2
-		if nproc < 1 {
-			nproc = 1
-		}
-		if nproc > 4 {
-			nproc = 4
-		}
-	}
-	nthread := *threads
-	if nthread < 1 {
-		nthread = runtime.NumCPU() / nproc
-		if nthread < 1 {
-			nthread = 1
-		}
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -113,7 +81,7 @@ func run() int {
 	startAt := time.Now()
 	clock := func() float64 { return time.Since(startAt).Seconds() }
 
-	srvr := newServer(st, *outDir, nproc, nthread, *quiet, clock)
+	srvr := newServer(st, *outDir, *quiet, clock)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaignd: -addr: %v\n", err)
@@ -127,8 +95,8 @@ func run() int {
 		}
 	}
 	stats := st.Stats()
-	fmt.Printf("campaignd: serving on http://%s (store %s: %d objects, %d bytes; %d worker procs x %d threads)\n",
-		bound, *storeDir, stats.Objects, stats.Bytes, nproc, nthread)
+	fmt.Printf("campaignd: serving on http://%s (store %s: %d objects, %d bytes)\n",
+		bound, *storeDir, stats.Objects, stats.Bytes)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

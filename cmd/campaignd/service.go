@@ -1,18 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sync"
 
 	"uavres/internal/core"
-	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/obs"
 	"uavres/internal/sim"
@@ -20,30 +19,22 @@ import (
 	"uavres/internal/store"
 )
 
-// unitsPerProc oversubscribes the unit count relative to the worker
-// pool so a shard that drew the slow prefix groups does not leave the
-// other processes idle at the tail of the campaign.
-const unitsPerProc = 4
+// errBadSpec marks a spec that parses but cannot run: a client error.
+var errBadSpec = errors.New("campaignd: bad spec")
 
-// server is the campaign coordinator: it owns the result store, the
-// worker pool configuration, and the one-at-a-time campaign slot.
+// server is the campaign front: it owns the result store and the
+// one-at-a-time campaign slot, and hands each campaign to a core.Runner.
 type server struct {
-	st      *store.Store
-	outDir  string
-	procs   int
-	threads int
-	quiet   bool
-	clock   obs.Clock
+	st     *store.Store
+	outDir string
+	quiet  bool
+	clock  obs.Clock
 
 	// reg is the daemon-lifetime registry (/metrics): store gauges plus
 	// cross-campaign totals. Each campaign gets its own registry for the
 	// /status source so ratios reset per run.
 	reg       *obs.Registry
 	campaigns *obs.Counter
-
-	// spawn starts one protocol peer; tests swap in in-process workers,
-	// the daemon uses startWorkerProc (re-exec this binary with -worker).
-	spawn func(workerInit) (*workerProc, error)
 
 	runMu sync.Mutex // serializes campaigns: one at a time
 
@@ -52,15 +43,13 @@ type server struct {
 	seq int
 }
 
-func newServer(st *store.Store, outDir string, procs, threads int, quiet bool, clock obs.Clock) *server {
+func newServer(st *store.Store, outDir string, quiet bool, clock obs.Clock) *server {
 	reg := obs.NewRegistry()
 	st.RegisterMetrics(reg)
 	return &server{
-		st: st, outDir: outDir, procs: procs, threads: threads,
-		quiet: quiet, clock: clock,
+		st: st, outDir: outDir, quiet: quiet, clock: clock,
 		reg:       reg,
 		campaigns: reg.Counter("campaignd_campaigns_total"),
-		spawn:     startWorkerProc,
 	}
 }
 
@@ -95,9 +84,6 @@ type runSummary struct {
 	CacheHits     int     `json:"cache_hits"`
 	CacheMisses   int     `json:"cache_misses"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
-	Units         int     `json:"units"`
-	WorkerProcs   int     `json:"worker_procs"`
-	WorkerThreads int     `json:"worker_threads"`
 	Failures      int     `json:"failures"`
 	ResultsPath   string  `json:"results_path"`
 	WallSeconds   float64 `json:"wall_seconds"`
@@ -125,9 +111,14 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.runMu.Unlock()
-	sum, err := s.runCampaign(cs)
+	// The campaign stops scheduling cases once the client goes away.
+	sum, err := s.runCampaign(r.Context(), cs)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		code := http.StatusInternalServerError
+		if errors.Is(err, errBadSpec) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	writeJSON(w, http.StatusOK, sum)
@@ -141,20 +132,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// runCampaign executes one spec: compile, fingerprint, partition
-// against the store, fan the miss-set out to worker processes in
-// prefix-coherent units, and stream the merged results (hits first,
-// fresh as they land) into one well-formed results file.
-func (s *server) runCampaign(cs spec.CampaignSpec) (runSummary, error) {
+// runCampaign executes one spec on an in-process core.Runner whose
+// cache is the store: hits replay from it, misses simulate and are
+// stored back, and every result streams into one results file.
+func (s *server) runCampaign(ctx context.Context, cs spec.CampaignSpec) (runSummary, error) {
 	start := s.clock()
 	s.campaigns.Add(1)
 
 	cases, err := cs.Compile(mission.Valencia())
 	if err != nil {
-		return runSummary{}, err
+		return runSummary{}, fmt.Errorf("%w: %v", errBadSpec, err)
 	}
 	if len(cases) == 0 {
-		return runSummary{}, errors.New("campaignd: spec selects no cases")
+		return runSummary{}, fmt.Errorf("%w: it selects no cases", errBadSpec)
 	}
 	// Same override layering as cmd/campaign with default flags, so
 	// fingerprints — and therefore store hits — agree across entry points.
@@ -162,36 +152,22 @@ func (s *server) runCampaign(cs spec.CampaignSpec) (runSummary, error) {
 	cs.Overrides.Apply(&cfg)
 	spec.AttachFingerprints(cases, cfg)
 
-	// Partition against the store. Get already rejects corrupt or
-	// foreign-fingerprint objects; the ID check guards against the
-	// (astronomically unlikely) hash collision across case IDs.
-	results := make([]core.CaseResult, len(cases))
-	byID := make(map[string]int, len(cases))
-	var hitIdx []int
-	var miss []core.Case
-	for i, c := range cases {
-		byID[c.ID] = i
-		if res, ok, err := s.st.Get(c.Hash); err == nil && ok && res.Case.ID == c.ID && res.Err == "" {
-			results[i] = res
-			hitIdx = append(hitIdx, i)
-			continue
-		}
-		miss = append(miss, c)
-	}
-
 	// Per-campaign registry + status source: /status reports this run's
 	// counters and cache ratio from zero.
 	creg := obs.NewRegistry()
-	creg.Counter("campaign_cache_hits_total").Add(int64(len(hitIdx)))
-	creg.Counter("campaign_cache_misses_total").Add(int64(len(miss)))
-	creg.Counter("campaign_cases_cached_total").Add(int64(len(hitIdx)))
+	runner := core.NewRunner()
+	runner.Config = cfg
+	runner.Cache = s.st
+	runner.Obs = creg
+	runner.Clock = s.clock
+	hdr := runner.ResultsHeader(cs.Hash())
 	src := core.NewStatusSource(creg, core.StatusConfig{
 		Total:      len(cases),
-		SpecHash:   cs.Hash(),
-		RNGPolicy:  rngPolicyName(cfg),
-		RunnerMode: "batch",
-		BatchWidth: core.DefaultBatchWidth,
-		Workers:    s.procs * s.threads,
+		SpecHash:   hdr.SpecHash,
+		RNGPolicy:  hdr.RNGPolicy,
+		RunnerMode: hdr.RunnerMode,
+		BatchWidth: hdr.BatchWidth,
+		Workers:    hdr.Workers,
 		Clock:      s.clock,
 	})
 	s.mu.Lock()
@@ -207,80 +183,13 @@ func (s *server) runCampaign(cs spec.CampaignSpec) (runSummary, error) {
 	if err != nil {
 		return runSummary{}, err
 	}
-	var streamErr error
-	write := func(res core.CaseResult) {
+	streamErr := stream.WriteHeader(hdr)
+	runner.OnResult = func(res core.CaseResult) {
 		if err := stream.Write(res); err != nil && streamErr == nil {
 			streamErr = err
 		}
 	}
-	hdr := core.ResultsHeader{
-		SpecHash:   cs.Hash(),
-		RNGPolicy:  rngPolicyName(cfg),
-		RunnerMode: "batch",
-		BatchWidth: core.DefaultBatchWidth,
-		Workers:    s.procs * s.threads,
-	}
-	if err := stream.WriteHeader(hdr); err != nil && streamErr == nil {
-		streamErr = err
-	}
-	// Replayed hits are written with their full stored payloads — byte
-	// for byte what a cold run would have streamed — then stripped from
-	// the retained slice to bound resident memory.
-	for _, i := range hitIdx {
-		write(results[i])
-		results[i].Result.Trajectory = nil
-		results[i].Result.Diagnostics = nil
-	}
-
-	shards := core.ShardCases(miss, s.procs*unitsPerProc)
-	units := make([]workerUnit, len(shards))
-	for i, sh := range shards {
-		units[i] = workerUnit{Seq: i, Cases: sh}
-	}
-	if !s.quiet {
-		fmt.Printf("campaignd: run %d: %d cases, %d cache hits, %d to simulate in %d units over %d workers\n",
-			seq, len(cases), len(hitIdx), len(miss), len(units), s.procs)
-	}
-
-	// deliver merges one unit's finished results under a single lock:
-	// stream write, store put, campaign counters, payload strip.
-	errsCounter := creg.Counter("campaign_case_errors_total")
-	casesCounter := creg.Counter("campaign_cases_total")
-	var deliverMu sync.Mutex
-	deliver := func(batch []core.CaseResult) {
-		deliverMu.Lock()
-		defer deliverMu.Unlock()
-		for _, res := range batch {
-			write(res)
-			if res.Err == "" && res.Case.Hash != "" {
-				s.st.Store(res)
-			}
-			casesCounter.Add(1)
-			if res.Err != "" {
-				errsCounter.Add(1)
-			} else if c := outcomeCounter(creg, res.Result.Outcome); c != nil {
-				c.Add(1)
-			}
-			i, ok := byID[res.Case.ID]
-			if !ok {
-				if streamErr == nil {
-					streamErr = fmt.Errorf("campaignd: worker returned unknown case %q", res.Case.ID)
-				}
-				continue
-			}
-			res.Result.Trajectory = nil
-			res.Result.Diagnostics = nil
-			results[i] = res
-		}
-	}
-
-	if err := s.fanOut(workerInit{
-		Config: cfg, Workers: s.threads, Checkpoint: true, Batch: true,
-	}, units, deliver); err != nil {
-		stream.Close()
-		return runSummary{}, err
-	}
-
+	results := runner.RunAll(ctx, cases)
 	if err := stream.Close(); streamErr == nil {
 		streamErr = err
 	}
@@ -301,193 +210,21 @@ func (s *server) runCampaign(cs spec.CampaignSpec) (runSummary, error) {
 	}
 	st := s.st.Stats()
 	sum := runSummary{
-		Name:          cs.Name,
-		SpecHash:      cs.Hash(),
-		Cases:         len(cases),
-		CacheHits:     len(hitIdx),
-		CacheMisses:   len(miss),
-		Units:         len(units),
-		WorkerProcs:   s.procs,
-		WorkerThreads: s.threads,
-		Failures:      failures,
-		ResultsPath:   path,
-		WallSeconds:   s.clock() - start,
-		StoreObjects:  st.Objects,
-		StoreBytes:    st.Bytes,
+		Name:         cs.Name,
+		SpecHash:     cs.Hash(),
+		Cases:        len(cases),
+		CacheHits:    int(creg.Counter("campaign_cache_hits_total").Value()),
+		CacheMisses:  int(creg.Counter("campaign_cache_misses_total").Value()),
+		Failures:     failures,
+		ResultsPath:  path,
+		WallSeconds:  s.clock() - start,
+		StoreObjects: st.Objects,
+		StoreBytes:   st.Bytes,
 	}
-	if len(cases) > 0 {
-		sum.CacheHitRatio = float64(len(hitIdx)) / float64(len(cases))
-	}
+	sum.CacheHitRatio = float64(sum.CacheHits) / float64(len(cases))
 	if !s.quiet {
 		fmt.Printf("campaignd: run %d done: %d/%d from cache (%.0f%%), %d failures, %.2fs → %s\n",
 			seq, sum.CacheHits, sum.Cases, 100*sum.CacheHitRatio, failures, sum.WallSeconds, path)
 	}
 	return sum, nil
-}
-
-// fanOut drives the worker pool over the unit queue. Every unit is
-// accounted for exactly once: finished units deliver their results, a
-// failed worker's in-flight unit delivers per-case errors, and units no
-// surviving worker could claim are drained into errors at the end. A
-// total fan-out failure (no worker ever started) is the only hard error.
-func (s *server) fanOut(init workerInit, units []workerUnit, deliver func([]core.CaseResult)) error {
-	if len(units) == 0 {
-		return nil
-	}
-	unitCh := make(chan workerUnit, len(units))
-	for _, u := range units {
-		unitCh <- u
-	}
-	close(unitCh)
-
-	var wg sync.WaitGroup
-	started := 0
-	var startErr error
-	for p := 0; p < s.procs; p++ {
-		wp, err := s.spawn(init)
-		if err != nil {
-			if startErr == nil {
-				startErr = err
-			}
-			continue
-		}
-		started++
-		wg.Add(1)
-		go func(wp *workerProc) {
-			defer wg.Done()
-			defer wp.close()
-			for unit := range unitCh {
-				batch, err := wp.do(unit)
-				if err != nil {
-					deliver(errResults(unit, err))
-					return // the worker is presumed broken; stop feeding it
-				}
-				deliver(batch)
-			}
-		}(wp)
-	}
-	if started == 0 {
-		return fmt.Errorf("campaignd: no worker process started: %w", startErr)
-	}
-	wg.Wait()
-	// If every worker died early, the closed channel still holds units.
-	for unit := range unitCh {
-		deliver(errResults(unit, errors.New("no worker available")))
-	}
-	return nil
-}
-
-// errResults converts a unit the pool could not run into per-case error
-// results, so the results file and failure count stay complete.
-func errResults(u workerUnit, err error) []core.CaseResult {
-	out := make([]core.CaseResult, len(u.Cases))
-	for i, c := range u.Cases {
-		out[i] = core.CaseResult{Case: c, Err: fmt.Sprintf("campaignd: unit %d: %v", u.Seq, err)}
-	}
-	return out
-}
-
-// workerProc is one protocol peer: a -worker subprocess, or an
-// in-process loop in tests.
-type workerProc struct {
-	enc     *json.Encoder
-	dec     *json.Decoder
-	closeFn func()
-}
-
-// startWorkerProc launches one -worker subprocess (this binary
-// re-executed) and completes the init/ready handshake.
-func startWorkerProc(init workerInit) (*workerProc, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe, "-worker")
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	wp := &workerProc{
-		enc: json.NewEncoder(stdin),
-		dec: json.NewDecoder(stdout),
-		closeFn: func() {
-			stdin.Close()
-			_ = cmd.Wait()
-		},
-	}
-	if err := wp.handshake(init); err != nil {
-		wp.close()
-		return nil, err
-	}
-	return wp, nil
-}
-
-// handshake sends init and waits for the ready ack.
-func (wp *workerProc) handshake(init workerInit) error {
-	if err := wp.enc.Encode(workerRequest{Init: &init}); err != nil {
-		return fmt.Errorf("campaignd: sending init: %w", err)
-	}
-	var ready workerResponse
-	if err := wp.dec.Decode(&ready); err != nil {
-		return fmt.Errorf("campaignd: waiting for ready: %w", err)
-	}
-	if !ready.Ready {
-		return fmt.Errorf("campaignd: worker refused init: %s", ready.Err)
-	}
-	return nil
-}
-
-// do runs one unit through the worker, blocking until its results come
-// back (one unit in flight per worker by design).
-func (wp *workerProc) do(u workerUnit) ([]core.CaseResult, error) {
-	if err := wp.enc.Encode(workerRequest{Unit: &u}); err != nil {
-		return nil, err
-	}
-	var resp workerResponse
-	if err := wp.dec.Decode(&resp); err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	if resp.Seq != u.Seq {
-		return nil, fmt.Errorf("out-of-order response: got seq %d, want %d", resp.Seq, u.Seq)
-	}
-	return resp.Results, nil
-}
-
-func (wp *workerProc) close() {
-	if wp.closeFn != nil {
-		wp.closeFn()
-	}
-}
-
-// outcomeCounter maps an outcome to its campaign counter (nil for the
-// zero outcome of errored cases).
-func outcomeCounter(reg *obs.Registry, o sim.Outcome) *obs.Counter {
-	switch o {
-	case sim.OutcomeCompleted:
-		return reg.Counter("campaign_outcome_completed_total")
-	case sim.OutcomeCrash:
-		return reg.Counter("campaign_outcome_crash_total")
-	case sim.OutcomeFailsafe:
-		return reg.Counter("campaign_outcome_failsafe_total")
-	case sim.OutcomeTimeout:
-		return reg.Counter("campaign_outcome_timeout_total")
-	}
-	return nil
-}
-
-// rngPolicyName resolves the config's RNG policy to its canonical name.
-func rngPolicyName(cfg sim.Config) string {
-	pol, _ := mathx.ParseNormPolicy(cfg.RNGPolicy)
-	return pol.String()
 }

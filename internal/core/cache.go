@@ -4,10 +4,11 @@ package core
 // Runner consults before scheduling any simulation. A case whose
 // content hash (Case.Hash, see internal/spec.Fingerprint) resolves to a
 // stored result is returned as a cache hit without touching a worker;
-// every freshly simulated result is offered back through Store. The
-// canonical implementation is internal/store's content-addressed
-// on-disk store; -resume's results-file replay is the degenerate
-// in-memory form.
+// every freshly simulated result is offered back through Store. There
+// are two implementations: internal/store's content-addressed on-disk
+// store, and NewMemoryCache, which cmd/campaign -resume seeds with the
+// prior results file so a resumed run replays what the file already
+// holds and simulates only the rest.
 //
 // Lookup must be safe for concurrent use with Store only if the caller
 // makes it so: the Runner performs all lookups up front on one
@@ -24,8 +25,8 @@ type ResultCache interface {
 	Store(res CaseResult)
 }
 
-// memoryCache is the trivial map-backed ResultCache used by tests and by
-// resume-style replay of an in-memory result set.
+// memoryCache is the map-backed ResultCache behind -resume and the
+// runner tests.
 type memoryCache struct {
 	byHash map[string]CaseResult
 }

@@ -128,8 +128,9 @@ func TestRunnerCachePartialHits(t *testing.T) {
 	}
 }
 
-// TestRunnerCacheRejectsMismatches: stale entries — wrong ID for the
-// hash, errored results, hashless cases — never replay.
+// TestRunnerCacheRejectsMismatches: unusable entries never replay:
+// wrong ID for the hash, errored results (a resumed file's cancelled
+// cases), and hashless cases (files written before fingerprints).
 func TestRunnerCacheRejectsMismatches(t *testing.T) {
 	cases := hashedCases()
 	prior := []CaseResult{
@@ -180,5 +181,39 @@ func TestRunnerCacheHitSpans(t *testing.T) {
 	}
 	if hits != len(cases) {
 		t.Errorf("cache-hit case spans = %d, want %d", hits, len(cases))
+	}
+}
+
+// storeRecorder is a ResultCache that remembers every Store offer.
+type storeRecorder struct {
+	ResultCache
+	offered []CaseResult
+}
+
+func (c *storeRecorder) Store(res CaseResult) {
+	c.offered = append(c.offered, res)
+	c.ResultCache.Store(res)
+}
+
+// TestRunnerCacheSkipsErroredResults: a fresh result that recorded an
+// execution error (here an unknown mission) is returned and counted but
+// never offered to the cache, so no later run can replay it.
+func TestRunnerCacheSkipsErroredResults(t *testing.T) {
+	good := hashedCases()[0]
+	bad := Case{ID: "bad", MissionID: 99, Seed: 1, Hash: "h-bad"}
+	cache := &storeRecorder{ResultCache: NewMemoryCache(nil)}
+	reg := obs.NewRegistry()
+	r := cachedRunner(reg)
+	r.Cache = cache
+	results := r.RunAll(context.Background(), []Case{good, bad})
+
+	if results[0].Err != "" || results[1].Err == "" {
+		t.Fatalf("want good case clean and bad case errored: %+v", results)
+	}
+	if got := reg.Counter("campaign_case_errors_total").Value(); got != 1 {
+		t.Errorf("case errors = %d, want 1", got)
+	}
+	if len(cache.offered) != 1 || cache.offered[0].Case.ID != good.ID {
+		t.Errorf("cache was offered %+v, want only %s", cache.offered, good.ID)
 	}
 }

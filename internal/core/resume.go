@@ -103,47 +103,3 @@ func lineAt(data []byte, offset int64) int {
 	}
 	return 1 + bytes.Count(data[:offset], []byte{'\n'})
 }
-
-// ResumePlan partitions a compiled campaign against prior results: which
-// cases still need to execute and which prior results carry forward.
-type ResumePlan struct {
-	// Run holds the cases to execute, in compiled order.
-	Run []Case
-	// Reused holds the prior results carried forward, in compiled order.
-	Reused []CaseResult
-	// Stale counts prior entries invalidated by a fingerprint mismatch
-	// (the spec or the code-relevant config changed under them).
-	Stale int
-	// Errored counts prior entries re-run because they recorded an
-	// execution error (including cancellation) instead of an outcome.
-	Errored int
-}
-
-// PlanResume compares compiled cases against prior results by case ID
-// and content hash. A prior result is reused only when its recorded
-// fingerprint equals the compiled case's — both non-empty — and it
-// completed without an execution error; everything else re-runs. Prior
-// results for cases no longer in the plan are dropped.
-func PlanResume(cases []Case, prior []CaseResult) ResumePlan {
-	byID := make(map[string]CaseResult, len(prior))
-	for _, cr := range prior {
-		byID[cr.Case.ID] = cr // duplicates: last write wins, like the file
-	}
-	var p ResumePlan
-	for _, c := range cases {
-		old, seen := byID[c.ID]
-		switch {
-		case !seen:
-			p.Run = append(p.Run, c)
-		case old.Err != "":
-			p.Errored++
-			p.Run = append(p.Run, c)
-		case c.Hash == "" || old.Case.Hash != c.Hash:
-			p.Stale++
-			p.Run = append(p.Run, c)
-		default:
-			p.Reused = append(p.Reused, old)
-		}
-	}
-	return p
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -33,74 +34,126 @@ func hashedCases() []Case {
 	return cases
 }
 
-// TestResumeRunsOnlyMissingCases: a partial results file leads to only
-// the missing cases executing, asserted through the runner's own
-// campaign_cases_total metric.
+// TestResumeRunsOnlyMissingCases: a results file cut off mid-element
+// resumes through the ordinary cache path (LoadPartialResults feeds
+// NewMemoryCache, RunAll replays what the file holds). Only the missing
+// cases and the one whose fingerprint moved simulate, and the resumed
+// file holds the same results as the uninterrupted run.
 func TestResumeRunsOnlyMissingCases(t *testing.T) {
 	cases := hashedCases()
+	newRunner := func() *Runner {
+		r := NewRunner()
+		r.Missions = shortScenario()
+		r.Workers = 2
+		r.Obs = obs.NewRegistry()
+		return r
+	}
+	// run executes cases on r, streaming them into a results file, and
+	// returns the file plus the byte offset at which each element ends.
+	run := func(r *Runner, cases []Case) ([]byte, []int) {
+		var buf bytes.Buffer
+		w := NewResultsWriter(&buf)
+		if err := w.WriteHeader(r.ResultsHeader("resume-test")); err != nil {
+			t.Fatal(err)
+		}
+		var ends []int
+		r.OnResult = func(res CaseResult) { // called from runner workers
+			if err := w.Write(res); err != nil {
+				t.Error(err)
+			}
+			ends = append(ends, buf.Len())
+		}
+		r.RunAll(context.Background(), cases)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), ends
+	}
 
-	// First pass: run everything, keep the streamed results.
-	r := NewRunner()
-	r.Missions = shortScenario()
-	r.Workers = 2
-	full := r.RunAll(context.Background(), cases)
-	for _, cr := range full {
-		if cr.Err != "" {
-			t.Fatalf("first pass case %s errored: %s", cr.Case.ID, cr.Err)
+	full, ends := run(newRunner(), cases)
+	want, truncated, err := LoadPartialResults(bytes.NewReader(full))
+	if err != nil || truncated || len(want) != len(cases) {
+		t.Fatalf("full run: %d results, truncated=%v, err=%v", len(want), truncated, err)
+	}
+
+	// The process died halfway through writing the third case.
+	cut := full[:(ends[1]+ends[2])/2]
+	prior, truncated, err := LoadPartialResults(bytes.NewReader(cut))
+	if err != nil || !truncated || len(prior) != 2 {
+		t.Fatalf("cut file: %d results, truncated=%v, err=%v", len(prior), truncated, err)
+	}
+
+	// The config changed under the first recorded case: its fingerprint
+	// moved, so its prior result is stale and must re-run.
+	stale := prior[0].Case.ID
+	resumed := append([]Case(nil), cases...)
+	for i := range resumed {
+		if resumed[i].ID == stale {
+			resumed[i].Hash += "-v2"
+		}
+	}
+	for i := range want {
+		if want[i].Case.ID == stale {
+			want[i].Case.Hash += "-v2"
 		}
 	}
 
-	// Simulate an interrupted campaign: the file holds only two results.
-	partial := full[:2]
-	plan := PlanResume(cases, partial)
-	if len(plan.Reused) != 2 || len(plan.Run) != 2 {
-		t.Fatalf("resume plan: %d reused, %d to run, want 2/2", len(plan.Reused), len(plan.Run))
+	r := newRunner()
+	r.Cache = NewMemoryCache(prior)
+	out, _ := run(r, resumed)
+	if got := r.Obs.Counter("campaign_cases_total").Value(); got != 3 {
+		t.Errorf("resume simulated %d cases, want 3 (2 missing + 1 stale)", got)
 	}
-	if plan.Run[0].ID != "f2" || plan.Run[1].ID != "f3" {
-		t.Fatalf("resume runs %q, %q; want f2, f3", plan.Run[0].ID, plan.Run[1].ID)
-	}
-
-	// Second pass executes exactly the missing cases: runner metrics are
-	// the witness.
-	r2 := NewRunner()
-	r2.Missions = shortScenario()
-	r2.Obs = obs.NewRegistry()
-	rerun := r2.RunAll(context.Background(), plan.Run)
-	if got := r2.Obs.Counter("campaign_cases_total").Value(); got != 2 {
-		t.Fatalf("resume executed %d cases, want 2", got)
-	}
-	// The re-run is bit-identical to the first pass (same seeds, same
-	// config): resume cannot change verdicts.
-	for i, cr := range rerun {
-		orig := full[2+i]
-		if cr.Result.Outcome != orig.Result.Outcome || cr.Result.FlightDurationSec != orig.Result.FlightDurationSec {
-			t.Errorf("%s: resumed result differs: %+v vs %+v", cr.Case.ID, cr.Result, orig.Result)
-		}
+	if got := r.Obs.Counter("campaign_cache_hits_total").Value(); got != 1 {
+		t.Errorf("resume replayed %d cases, want 1", got)
 	}
 
-	// A completed file resumes to zero work.
-	done := PlanResume(cases, full)
-	if len(done.Run) != 0 || len(done.Reused) != len(cases) {
-		t.Fatalf("complete file: %d to run, %d reused", len(done.Run), len(done.Reused))
+	got, truncated, err := LoadPartialResults(bytes.NewReader(out))
+	if err != nil || truncated {
+		t.Fatalf("resumed file: truncated=%v, err=%v", truncated, err)
 	}
+	SortByID(got)
+	SortByID(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed results differ from the uninterrupted run:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// completedPrior records every case as a clean completed result, the
+// shape a finished results file resumes from.
+func completedPrior(cases []Case) []CaseResult {
+	prior := make([]CaseResult, len(cases))
+	for i, c := range cases {
+		prior[i] = CaseResult{Case: c, Result: sim.Result{Outcome: sim.OutcomeCompleted}}
+	}
+	return prior
+}
+
+// resumeFrom runs cases with prior results as the resume cache and
+// returns the results plus the runner's registry.
+func resumeFrom(cases []Case, prior []CaseResult) ([]CaseResult, *obs.Registry) {
+	reg := obs.NewRegistry()
+	r := cachedRunner(reg)
+	r.Cache = NewMemoryCache(prior)
+	return r.RunAll(context.Background(), cases), reg
 }
 
 // TestResumeStaleHashReruns: a prior result whose fingerprint no longer
 // matches the compiled case is re-executed, not reused.
 func TestResumeStaleHashReruns(t *testing.T) {
 	cases := hashedCases()
-	prior := make([]CaseResult, len(cases))
-	for i, c := range cases {
-		prior[i] = CaseResult{Case: c, Result: sim.Result{Outcome: sim.OutcomeCompleted}}
-	}
+	prior := completedPrior(cases)
 	// The config changed under f1: its compiled hash moved.
 	cases[1].Hash = "h-f1-v2"
-	plan := PlanResume(cases, prior)
-	if plan.Stale != 1 || len(plan.Run) != 1 || plan.Run[0].ID != "f1" {
-		t.Fatalf("stale plan: stale=%d run=%v", plan.Stale, ids(plan.Run))
+	results, reg := resumeFrom(cases, prior)
+	if got := reg.Counter("campaign_cases_total").Value(); got != 1 {
+		t.Fatalf("stale resume simulated %d cases, want 1", got)
 	}
-	if len(plan.Reused) != 3 {
-		t.Fatalf("reused %d, want 3", len(plan.Reused))
+	if got := reg.Counter("campaign_cache_hits_total").Value(); got != 3 {
+		t.Fatalf("reused %d, want 3", got)
+	}
+	if got := results[1]; got.Case.ID != "f1" || got.Case.Hash != "h-f1-v2" || got.Err != "" {
+		t.Errorf("f1 not re-run under its new fingerprint: %+v", got.Case)
 	}
 }
 
@@ -108,17 +161,17 @@ func TestResumeStaleHashReruns(t *testing.T) {
 // files, hand-built cases) everything re-runs.
 func TestResumeNeverTrustsHashlessCases(t *testing.T) {
 	cases := hashedCases()
-	prior := make([]CaseResult, len(cases))
-	for i, c := range cases {
-		prior[i] = CaseResult{Case: c, Result: sim.Result{Outcome: sim.OutcomeCompleted}}
-	}
+	prior := completedPrior(cases)
 	for i := range cases {
 		cases[i].Hash = ""
 		prior[i].Case.Hash = ""
 	}
-	plan := PlanResume(cases, prior)
-	if len(plan.Run) != len(cases) {
-		t.Fatalf("hashless resume reused %d cases", len(plan.Reused))
+	_, reg := resumeFrom(cases, prior)
+	if got := reg.Counter("campaign_cache_hits_total").Value(); got != 0 {
+		t.Fatalf("hashless resume reused %d cases", got)
+	}
+	if got := reg.Counter("campaign_cases_total").Value(); got != int64(len(cases)) {
+		t.Fatalf("hashless resume simulated %d cases, want %d", got, len(cases))
 	}
 }
 
@@ -130,21 +183,16 @@ func TestResumeErroredCasesRerun(t *testing.T) {
 		{Case: cases[0], Result: sim.Result{Outcome: sim.OutcomeCompleted}},
 		{Case: cases[1], Err: "cancelled"},
 	}
-	plan := PlanResume(cases, prior)
-	if plan.Errored != 1 {
-		t.Fatalf("errored = %d, want 1", plan.Errored)
+	results, reg := resumeFrom(cases, prior)
+	if got := reg.Counter("campaign_cache_hits_total").Value(); got != 1 {
+		t.Fatalf("reused %d, want 1", got)
 	}
-	if got := ids(plan.Run); len(got) != 3 || got[0] != "f1" {
-		t.Fatalf("run = %v, want f1 first", got)
+	if got := reg.Counter("campaign_cases_total").Value(); got != 3 {
+		t.Fatalf("simulated %d cases, want 3", got)
 	}
-}
-
-func ids(cs []Case) []string {
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.ID
+	if results[1].Case.ID != "f1" || results[1].Err != "" {
+		t.Errorf("errored f1 not re-run cleanly: %+v", results[1])
 	}
-	return out
 }
 
 // writeResults streams results exactly as cmd/campaign does.
@@ -297,4 +345,48 @@ func TestLoadPartialResultsCorrupt(t *testing.T) {
 	if _, _, err := LoadPartialResults(strings.NewReader(`{"a":1}`)); err == nil {
 		t.Error("non-array document accepted")
 	}
+}
+
+// FuzzLoadPartialResults feeds arbitrary bytes to the resume decoder,
+// the only way a results file reaches the runner's cache. Any input
+// loads or fails with an error, never a panic; whatever loads carries a
+// case ID on every result and survives a ResultsWriter round trip.
+//
+// omitempty writes an empty slice or map exactly like an absent one, so
+// a first load may hold an empty value the writer drops (the
+// empty-slice seed). The round trip is therefore pinned on the
+// writer's own output: re-writing it reproduces the file byte for byte,
+// and loading it again gives DeepEqual results.
+func FuzzLoadPartialResults(f *testing.F) {
+	load := func(t *testing.T, text string) []CaseResult {
+		t.Helper()
+		results, truncated, err := LoadPartialResults(strings.NewReader(text))
+		if err != nil || truncated {
+			t.Fatalf("re-written results do not load: truncated=%v, err=%v", truncated, err)
+		}
+		return results
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		results, _, err := LoadPartialResults(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, cr := range results {
+			if cr.Case.ID == "" {
+				t.Fatalf("result %d has no case ID", i)
+			}
+		}
+		text := writeResults(t, results, true)
+		canonical := load(t, text)
+		if len(canonical) != len(results) {
+			t.Fatalf("round trip kept %d of %d results", len(canonical), len(results))
+		}
+		again := writeResults(t, canonical, true)
+		if again != text {
+			t.Fatalf("re-writing changed the file:\n%s\nvs\n%s", text, again)
+		}
+		if reloaded := load(t, again); !reflect.DeepEqual(reloaded, canonical) {
+			t.Fatalf("round trip changed the results:\nbefore %+v\nafter  %+v", canonical, reloaded)
+		}
+	})
 }

@@ -262,8 +262,7 @@ func (r *Runner) runAllCached(ctx context.Context, cases []Case) []CaseResult {
 		r.Obs.Counter("campaign_cache_hits_total").Add(int64(len(hitIdx)))
 		r.Obs.Counter("campaign_cache_misses_total").Add(int64(len(miss)))
 		// Cache hits are finished cases that never ran: the status
-		// endpoint's done count folds them in through the same counter
-		// -resume replay uses.
+		// endpoint's done count folds them in through this counter.
 		r.Obs.Counter("campaign_cases_cached_total").Add(int64(len(hitIdx)))
 	}
 	if r.Trace != nil && len(hitIdx) > 0 {
@@ -271,7 +270,7 @@ func (r *Runner) runAllCached(ctx context.Context, cases []Case) []CaseResult {
 		for j, i := range hitIdx {
 			hits[j] = results[i]
 		}
-		MarkCachedCases(r.Trace, r.TraceRoot, hits)
+		markCachedCases(r.Trace, r.TraceRoot, hits)
 	}
 	// Hits flow through the streaming consumer and the progress callback
 	// first — in input order — so a results file stays complete and the
@@ -314,12 +313,18 @@ func (r *Runner) runAllCached(ctx context.Context, cases []Case) []CaseResult {
 	return results
 }
 
+// poolSize is the worker count RunAll schedules over before clamping to
+// the case count: Workers, or GOMAXPROCS when unset.
+func (r *Runner) poolSize() int {
+	if r.Workers > 0 {
+		return r.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // runAll is the cache-free execution path.
 func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := r.poolSize()
 	if workers > len(cases) {
 		workers = len(cases)
 	}
@@ -459,33 +464,29 @@ func casePrefixKey(c Case) prefixKey {
 	}
 }
 
-// sortPrefixKeys orders prefix keys by the lessPrefixKey total order that
-// makes prefix scheduling independent of map iteration order.
+// sortPrefixKeys orders prefix keys by (mission, seed, airframe, family,
+// scope, start), the total order that makes prefix scheduling
+// independent of map iteration order.
 func sortPrefixKeys(keys []prefixKey) {
 	sort.Slice(keys, func(i, j int) bool {
-		return lessPrefixKey(keys[i], keys[j])
+		a, b := keys[i], keys[j]
+		if a.missionID != b.missionID {
+			return a.missionID < b.missionID
+		}
+		if a.seed != b.seed {
+			return a.seed < b.seed
+		}
+		if a.airframe != b.airframe {
+			return a.airframe < b.airframe
+		}
+		if a.actuator != b.actuator {
+			return !a.actuator // sensor prefixes before actuator prefixes
+		}
+		if a.scope != b.scope {
+			return a.scope < b.scope
+		}
+		return a.start < b.start
 	})
-}
-
-// lessPrefixKey is the (mission, seed, airframe, family, scope, start)
-// total order shared by prefix scheduling and shard assignment.
-func lessPrefixKey(a, b prefixKey) bool {
-	if a.missionID != b.missionID {
-		return a.missionID < b.missionID
-	}
-	if a.seed != b.seed {
-		return a.seed < b.seed
-	}
-	if a.airframe != b.airframe {
-		return a.airframe < b.airframe
-	}
-	if a.actuator != b.actuator {
-		return !a.actuator // sensor prefixes before actuator prefixes
-	}
-	if a.scope != b.scope {
-		return a.scope < b.scope
-	}
-	return a.start < b.start
 }
 
 // prepareCheckpoints simulates one shared prefix per group of two or more
@@ -700,6 +701,20 @@ func (r *Runner) runCaseTraced(c Case, cp *sim.Checkpoint, tc traceCtx) (CaseRes
 	annotateCaseOutcome(tc.tr, span, res)
 	tc.tr.End(span)
 	return res, forked
+}
+
+// markCachedCases emits one closed cache-hit case span per replayed
+// result under parent, so the per-case span count equals the case count
+// in the results file whether a case ran or came from the cache. Only
+// clean results are ever replayed, so each carries a real outcome.
+func markCachedCases(tr *obs.Tracer, parent obs.SpanID, results []CaseResult) {
+	for _, res := range results {
+		id := tr.Start("case", parent,
+			obs.StrAttr("id", res.Case.ID),
+			obs.BoolAttr("cache_hit", true),
+			obs.StrAttr("outcome", res.Result.Outcome.String()))
+		tr.End(id)
+	}
 }
 
 // annotateCaseOutcome records a finished case's classification on its span.

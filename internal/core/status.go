@@ -43,7 +43,7 @@ type Status struct {
 // StatusConfig carries the static facts a StatusSource reports alongside
 // the live counters.
 type StatusConfig struct {
-	// Total is the campaign's case count including resume-cached cases.
+	// Total is the campaign's case count, cache hits included.
 	Total      int
 	SpecHash   string
 	RNGPolicy  string
@@ -112,11 +112,6 @@ func NewStatusSource(reg *obs.Registry, cfg StatusConfig) *StatusSource {
 	}
 }
 
-// AddCached records n resume-cache hits (cases finished without running).
-func (s *StatusSource) AddCached(n int) {
-	s.cached.Add(int64(n))
-}
-
 // Snapshot renders the current status. ETA assumes the remaining cases
 // cost the observed mean case-seconds each, spread across the worker
 // pool — the same wall-time split the case_seconds histogram records —
@@ -162,26 +157,4 @@ func (s *StatusSource) Snapshot() Status {
 		st.ETASeconds = float64(remaining) * st.MeanCaseSeconds / float64(s.cfg.Workers)
 	}
 	return st
-}
-
-// MarkCachedCases emits one closed cache-hit case span per reused result
-// under parent, so a resumed campaign's trace still carries every case:
-// per-case span count equals the case count in the results file whether
-// a case ran or was replayed from the resume cache.
-func MarkCachedCases(tr *obs.Tracer, parent obs.SpanID, results []CaseResult) {
-	for _, res := range results {
-		id := tr.Start("case", parent,
-			obs.StrAttr("id", res.Case.ID),
-			obs.BoolAttr("cache_hit", true),
-			obs.StrAttr("outcome", cachedOutcome(res)))
-		tr.End(id)
-	}
-}
-
-// cachedOutcome labels a reused result for its cache-hit span.
-func cachedOutcome(res CaseResult) string {
-	if res.Err != "" {
-		return "error"
-	}
-	return res.Result.Outcome.String()
 }

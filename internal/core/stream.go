@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"uavres/internal/mathx"
 )
 
 // ResultsWriter streams campaign results as an incrementally written JSON
@@ -49,6 +51,29 @@ type ResultsHeader struct {
 	BatchWidth int `json:"batch_width,omitempty"`
 	// Workers is the pool size the campaign ran with.
 	Workers int `json:"workers,omitempty"`
+}
+
+// ResultsHeader describes how r runs a campaign, for the results file
+// to lead with: the RNG policy, the runner mode and batch width, and
+// the worker pool size. specHash identifies the compiled campaign.
+func (r *Runner) ResultsHeader(specHash string) ResultsHeader {
+	// An unknown policy is already an error for every case it would
+	// simulate (sim.Config validation), so the header need not repeat it.
+	pol, _ := mathx.ParseNormPolicy(r.Config.RNGPolicy)
+	h := ResultsHeader{
+		SpecHash:   specHash,
+		RNGPolicy:  pol.String(),
+		RunnerMode: "scalar",
+		Workers:    r.poolSize(),
+	}
+	if r.Batch {
+		h.RunnerMode = "batch"
+		h.BatchWidth = r.BatchWidth
+		if h.BatchWidth <= 0 {
+			h.BatchWidth = DefaultBatchWidth
+		}
+	}
+	return h
 }
 
 // resultsElement is the read-side shape of one array element: either a

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"uavres/internal/obs"
+	"uavres/internal/sim"
 )
 
 // tickClock is a goroutine-safe deterministic clock: every read advances
@@ -135,32 +136,38 @@ func TestRunnerTraceBatchVsScalar(t *testing.T) {
 	}
 }
 
-// TestMarkCachedCases: resume-cache hits must still appear as case spans,
-// marked cache_hit, so span count keeps matching the results file.
+// TestMarkCachedCases: cache hits must still appear as closed case
+// spans, marked cache_hit with their outcome, so span count keeps
+// matching the results file.
 func TestMarkCachedCases(t *testing.T) {
 	tr := obs.NewTracer(tickClock(), 16)
 	root := tr.Start("campaign", 0)
 	reused := batchCases()[:3]
 	results := make([]CaseResult, len(reused))
 	for i, c := range reused {
-		results[i] = CaseResult{Case: c}
+		results[i] = CaseResult{Case: c, Result: sim.Result{Outcome: sim.OutcomeCompleted}}
 	}
-	results[2].Err = "boom"
-	MarkCachedCases(tr, root, results)
+	markCachedCases(tr, root, results)
 	var hits int
 	for _, v := range tr.Spans() {
 		if v.Name != "case" {
 			continue
 		}
 		hits++
-		var cached bool
+		if v.Open || v.Parent != root {
+			t.Errorf("cached case span not a closed child of the campaign: %+v", v)
+		}
+		var cached, outcome bool
 		for _, a := range v.Attrs {
-			if a.Key == "cache_hit" && a.Str == "true" {
+			switch {
+			case a.Key == "cache_hit" && a.Str == "true":
 				cached = true
+			case a.Key == "outcome" && a.Str == sim.OutcomeCompleted.String():
+				outcome = true
 			}
 		}
-		if !cached {
-			t.Errorf("cached case span missing cache_hit attr: %+v", v)
+		if !cached || !outcome {
+			t.Errorf("cached case span missing cache_hit or outcome attr: %+v", v)
 		}
 	}
 	if hits != len(reused) {
@@ -178,8 +185,17 @@ func TestStatusSourceSnapshot(t *testing.T) {
 	r.Obs = reg
 	r.Clock = tickClock()
 	cases := batchCases()
+	for i := range cases {
+		cases[i].Hash = "h-" + cases[i].ID
+	}
+	// The first two cases come from the cache: done without running.
+	var prior []CaseResult
+	for _, c := range cases[:2] {
+		prior = append(prior, CaseResult{Case: c, Result: sim.Result{Outcome: sim.OutcomeCompleted}})
+	}
+	r.Cache = NewMemoryCache(prior)
 	src := NewStatusSource(reg, StatusConfig{
-		Total:      len(cases) + 2, // pretend 2 cases came from the resume cache
+		Total:      len(cases),
 		SpecHash:   "abc",
 		RunnerMode: "batch",
 		BatchWidth: DefaultBatchWidth,
@@ -192,12 +208,11 @@ func TestStatusSourceSnapshot(t *testing.T) {
 		t.Errorf("idle snapshot not idle: %+v", idle)
 	}
 
-	src.AddCached(2)
 	results := r.RunAll(context.Background(), cases)
 
 	st := src.Snapshot()
-	if st.CasesDone != int64(len(results)+2) || st.CasesCached != 2 {
-		t.Errorf("done=%d cached=%d, want %d/2", st.CasesDone, st.CasesCached, len(results)+2)
+	if st.CasesDone != int64(len(results)) || st.CasesCached != 2 {
+		t.Errorf("done=%d cached=%d, want %d/2", st.CasesDone, st.CasesCached, len(results))
 	}
 	if !st.Done {
 		t.Errorf("status not done: %+v", st)
@@ -208,8 +223,9 @@ func TestStatusSourceSnapshot(t *testing.T) {
 	if st.MeanCaseSeconds <= 0 {
 		t.Errorf("mean case seconds = %v, want > 0 with a ticking clock", st.MeanCaseSeconds)
 	}
+	// Outcome counters cover simulated cases; hits are not re-counted.
 	var completed int64
-	for _, res := range results {
+	for _, res := range results[2:] {
 		if res.Err == "" && res.Result.Outcome.Completed() {
 			completed++
 		}

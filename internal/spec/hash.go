@@ -26,9 +26,10 @@ type fingerprintPayload struct {
 }
 
 // Fingerprint digests one case plus the effective simulation config
-// into the stable content hash recorded in campaign_results.json and
-// compared by core.PlanResume. The case's own Hash field is excluded
-// (it is the output, not an input).
+// into the stable content hash recorded in campaign_results.json: the
+// key a core.ResultCache (the result store, or -resume's prior results
+// file) looks cases up by. The case's own Hash field is excluded (it is
+// the output, not an input).
 func Fingerprint(c core.Case, cfg sim.Config) string {
 	c.Hash = ""
 	payload, err := json.Marshal(fingerprintPayload{Version: Version, Case: c, Config: cfg})

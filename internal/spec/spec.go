@@ -10,7 +10,7 @@
 // Specs are plain JSON, so an experiment is reviewable, diffable, and
 // hashable: Fingerprint digests one case plus the code-relevant sim
 // config into the content hash that drives cached/resumable campaigns
-// (core.PlanResume).
+// (core.ResultCache).
 package spec
 
 import (
