@@ -9,7 +9,14 @@ package uavres
 //	go test -bench=Table -benchtime=1x     # Tables II-IV
 //	go test -bench=Fig -benchtime=1x       # Figures 3-5
 //	go test -bench=Ablation -benchtime=1x  # design-choice ablations
-//	go test -bench=Micro                   # substrate micro-benchmarks
+//	go test -bench=Micro                   # micros outside the sim tick
+//
+// The per-layer micros of the sim tick (physics, sensing, EKF, control,
+// bubble, fault injection, mitigation, RNG, ten-second flight) live in
+// benchsuite/micro, the one registry the campaign benchmark prices its
+// call counts with; `bash benchsuite/run.sh --trace 1` prints them. Their
+// allocs/op are pinned by AllocsPerRun tests in each package: zero per
+// kernel, a ceiling for the ten-second flight.
 
 import (
 	"context"
@@ -17,18 +24,13 @@ import (
 	"testing"
 	"time"
 
-	"uavres/internal/bubble"
-	"uavres/internal/control"
 	"uavres/internal/core"
-	"uavres/internal/ekf"
 	"uavres/internal/faultinject"
 	"uavres/internal/lint"
 	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/mitigation"
 	"uavres/internal/obs"
-	"uavres/internal/physics"
-	"uavres/internal/sensors"
 	"uavres/internal/sim"
 	"uavres/internal/telemetry"
 )
@@ -414,21 +416,6 @@ func BenchmarkMitigation(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroMitigation measures the pipeline's per-sample overhead —
-// it must be deployable at the 250 Hz IMU rate.
-func BenchmarkMicroMitigation(b *testing.B) {
-	p, err := mitigation.NewPipeline(mitigation.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := sensors.IMUSample{Accel: mathx.V3(0.01, -0.02, -9.81), Gyro: mathx.V3(0.02, 0, 0.01)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Accel.X += 1e-9 // defeat the stuck guard: nominal streams are noisy
-		_, _ = p.Apply(s)
-	}
-}
-
 // BenchmarkUavlint lints the repository's own internal/ tree with the
 // full analyzer suite, so the static-analysis gate's cost shows up in
 // the perf trajectory alongside the simulation hot paths. The runner is
@@ -450,131 +437,7 @@ func BenchmarkUavlint(b *testing.B) {
 	}
 }
 
-// --- Substrate micro-benchmarks ---
-
-// BenchmarkMicroPhysicsStep measures one rigid-body integration step.
-func BenchmarkMicroPhysicsStep(b *testing.B) {
-	body, err := physics.NewBody(physics.DefaultParams(), physics.CalmWind())
-	if err != nil {
-		b.Fatal(err)
-	}
-	hover := physics.DefaultParams().HoverThrustFraction()
-	body.SetMotorCommands(physics.Rotors{hover, hover, hover, hover})
-	st := body.State()
-	st.Pos.Z = -20
-	body.SetState(st)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body.Step(0.002)
-	}
-}
-
-// BenchmarkMicroEKFPredict measures one 15-state EKF prediction on the
-// exact per-step covariance path (k=1, comparable across report history).
-func BenchmarkMicroEKFPredict(b *testing.B) {
-	cfg := ekf.DefaultConfig()
-	cfg.CovarianceDecimation = 1
-	f := ekf.New(cfg)
-	s := sensors.IMUSample{Accel: mathx.V3(0, 0, -physics.Gravity)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.T = float64(i) * 0.004
-		f.Predict(s, 0.004)
-	}
-}
-
-// BenchmarkMicroEKFPredictDecimated measures one prediction under the
-// default decimated covariance path (k=4): three cheap transition
-// compositions amortized against one heavier flush.
-func BenchmarkMicroEKFPredictDecimated(b *testing.B) {
-	f := ekf.New(ekf.DefaultConfig())
-	s := sensors.IMUSample{Accel: mathx.V3(0, 0, -physics.Gravity)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.T = float64(i) * 0.004
-		f.Predict(s, 0.004)
-	}
-}
-
-// BenchmarkMicroEKFFuseGPS measures one GPS fusion (6 scalar updates).
-func BenchmarkMicroEKFFuseGPS(b *testing.B) {
-	f := ekf.New(ekf.DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.FuseGPS(sensors.GPSSample{T: float64(i) * 0.2, Valid: true})
-	}
-}
-
-// BenchmarkMicroInjectorApply measures fault-corruption overhead per IMU
-// sample inside the fault window.
-func BenchmarkMicroInjectorApply(b *testing.B) {
-	j, err := faultinject.New(faultinject.Injection{
-		Primitive: faultinject.Random, Target: faultinject.TargetIMU,
-		Start: 0, Duration: time.Hour, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := sensors.IMUSample{T: 1, Accel: mathx.V3(0, 0, -9.8)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = j.Apply(s)
-	}
-}
-
-// BenchmarkMicroMixerAllocate measures control allocation.
-func BenchmarkMicroMixerAllocate(b *testing.B) {
-	m := physics.NewMixer(physics.DefaultParams())
-	for i := 0; i < b.N; i++ {
-		_ = m.Allocate(14.7, mathx.V3(0.1, -0.1, 0.01))
-	}
-}
-
-// BenchmarkMicroIMUSampleVote measures the 250 Hz sensing step: sampling
-// all three redundant IMUs plus the cross-unit outlier vote.
-func BenchmarkMicroIMUSampleVote(b *testing.B) {
-	imus, err := sensors.NewRedundantIMUs(3, sensors.DefaultIMUSpec(), mathx.NewRand(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]sensors.IMUSample, 0, 3)
-	accel := mathx.V3(0, 0, -physics.Gravity)
-	gyro := mathx.V3(0.01, -0.02, 0.005)
-	cfg := sim.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		all := imus.SampleAllInto(buf, float64(i)*0.004, accel, gyro)
-		_ = sensors.VoteOutlier(all, imus.Primary(), cfg.VoteAccelTol, cfg.VoteGyroTol)
-	}
-}
-
-// BenchmarkMicroControlUpdate measures one full cascade pass (position,
-// velocity, attitude, and rate loops down to rotor commands).
-func BenchmarkMicroControlUpdate(b *testing.B) {
-	ctl := control.New(control.DefaultGains(), physics.DefaultParams(), 0.004)
-	est := control.Estimate{Att: mathx.QuatIdentity(), Vel: mathx.V3(1, 0, 0), Pos: mathx.V3(0, 0, -20)}
-	sp := control.Setpoint{Pos: mathx.V3(50, 10, -25), Yaw: 0.3, CruiseSpeed: 8, MaxClimb: 3, MaxDescend: 2}
-	gyro := mathx.V3(0.01, -0.02, 0.005)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = ctl.Update(0.004, est, gyro, sp)
-	}
-}
-
-// BenchmarkMicroBubbleObserve measures one tracker observation (nearest
-// point on route + dynamic outer bubble).
-func BenchmarkMicroBubbleObserve(b *testing.B) {
-	m := mission.Valencia()[4]
-	tr, err := bubble.NewTracker(m, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := mathx.V3(2100, 900, -15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Observe(float64(i), p, 3.3)
-	}
-}
+// --- Micro-benchmarks outside the sim tick (telemetry, RNG policy, obs) ---
 
 // BenchmarkMicroCodecRoundTrip measures telemetry encode+decode.
 func BenchmarkMicroCodecRoundTrip(b *testing.B) {
@@ -594,18 +457,6 @@ func BenchmarkMicroCodecRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroNormFloat64Polar measures one normal deviate under the
-// default Marsaglia polar sampler (two deviates per acceptance, one
-// cached as the spare).
-func BenchmarkMicroNormFloat64Polar(b *testing.B) {
-	r := mathx.NewRandPolicy(1, mathx.NormPolar)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.NormFloat64()
-	}
-}
-
 // BenchmarkMicroNormFloat64Ziggurat measures one normal deviate under the
 // 128-layer ziggurat sampler (inside-rectangle fast path ~98% of draws).
 func BenchmarkMicroNormFloat64Ziggurat(b *testing.B) {
@@ -614,21 +465,6 @@ func BenchmarkMicroNormFloat64Ziggurat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.NormFloat64()
-	}
-}
-
-// BenchmarkMicroSimTenSeconds measures ten full simulated vehicle-seconds
-// (physics + sensing + EKF + control + monitoring) per iteration — the
-// cost unit behind the campaign's wall-clock time.
-func BenchmarkMicroSimTenSeconds(b *testing.B) {
-	cfg := sim.DefaultConfig()
-	cfg.MaxSimTime = 10 // the mission cannot finish in 10 s: fixed work
-	m := mission.Valencia()[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg, m, nil, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -226,3 +226,23 @@ func TestTrackerDefaultInterval(t *testing.T) {
 		t.Error("sampled faster than the default 1 s cadence")
 	}
 }
+
+// TestTrackerObserveAllocFree pins a sampling observation (dynamic outer
+// bubble plus nearest point on the route) at zero allocations per op: the
+// tracker runs once per simulated second of every case.
+func TestTrackerObserveAllocFree(t *testing.T) {
+	tr, err := NewTracker(mission.Valencia()[4], 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mathx.V3(2100, 900, -15)
+	now := 0.0
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := tr.Observe(now, p, 3.3); !ok {
+			t.Fatal("observation not sampled")
+		}
+		now++
+	}); n != 0 {
+		t.Errorf("Tracker.Observe allocates %v per op, want 0", n)
+	}
+}

@@ -261,3 +261,16 @@ func TestControllerOutputAlwaysValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUpdateAllocFree pins one full cascade pass (position, velocity,
+// attitude and rate loops down to rotor commands) at zero allocations
+// per op.
+func TestUpdateAllocFree(t *testing.T) {
+	ctl := New(DefaultGains(), physics.DefaultParams(), 0.004)
+	est := Estimate{Att: mathx.QuatIdentity(), Vel: mathx.V3(1, 0, 0), Pos: mathx.V3(0, 0, -20)}
+	sp := Setpoint{Pos: mathx.V3(50, 10, -25), Yaw: 0.3, CruiseSpeed: 8, MaxClimb: 3, MaxDescend: 2}
+	gyro := mathx.V3(0.01, -0.02, 0.005)
+	if n := testing.AllocsPerRun(100, func() { _, _ = ctl.Update(0.004, est, gyro, sp) }); n != 0 {
+		t.Errorf("Controller.Update allocates %v per op, want 0", n)
+	}
+}

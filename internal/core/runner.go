@@ -410,6 +410,11 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 
 feed:
 	for _, u := range units {
+		// select picks at random among ready cases, so check first: a
+		// cancelled context must never schedule another unit.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case <-ctx.Done():
 			break feed
@@ -576,6 +581,9 @@ func (r *Runner) prepareCheckpoints(ctx context.Context, cases []Case, workers i
 		}()
 	}
 	for _, k := range keys {
+		if ctx.Err() != nil {
+			break // as in RunAll's feed loop: never schedule after cancel
+		}
 		select {
 		case <-ctx.Done():
 		case keyCh <- k:

@@ -240,3 +240,22 @@ func TestStatusSourceSnapshot(t *testing.T) {
 		t.Errorf("active gauges nonzero after run: %+v", st)
 	}
 }
+
+// TestStatusSnapshotAllocFree pins one live-status render — the cost each
+// /status request and SSE tick puts on a running campaign — at zero
+// allocations per op.
+func TestStatusSnapshotAllocFree(t *testing.T) {
+	reg := obs.NewRegistry()
+	src := NewStatusSource(reg, StatusConfig{
+		Total: 850, RunnerMode: "batch", BatchWidth: DefaultBatchWidth, Workers: 8,
+	})
+	reg.Counter("campaign_cases_total").Add(425)
+	reg.Histogram("campaign_case_seconds", nil).Observe(0.2)
+	if n := testing.AllocsPerRun(100, func() {
+		if st := src.Snapshot(); st.CasesTotal != 850 {
+			t.Fatal("bad snapshot")
+		}
+	}); n != 0 {
+		t.Errorf("StatusSource.Snapshot allocates %v per op, want 0", n)
+	}
+}

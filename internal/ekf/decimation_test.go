@@ -239,4 +239,8 @@ func TestFuseAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { f.FuseGravity(s) }); n != 0 {
 		t.Errorf("FuseGravity allocates %v per op, want 0", n)
 	}
+	gps := sensors.GPSSample{T: 0.2, Valid: true}
+	if n := testing.AllocsPerRun(100, func() { f.FuseGPS(gps) }); n != 0 {
+		t.Errorf("FuseGPS allocates %v per op, want 0", n)
+	}
 }

@@ -329,3 +329,22 @@ func TestScopeStrings(t *testing.T) {
 		t.Error("scope strings wrong")
 	}
 }
+
+// TestApplyAllocFree pins corrupting one IMU sample inside the fault
+// window at zero allocations per op.
+func TestApplyAllocFree(t *testing.T) {
+	j, err := New(Injection{
+		Primitive: Random, Target: TargetIMU,
+		Start: 0, Duration: time.Hour, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sample(1)
+	if n := testing.AllocsPerRun(100, func() { _ = j.Apply(s) }); n != 0 {
+		t.Errorf("Injector.Apply allocates %v per op, want 0", n)
+	}
+	if j.AppliedSamples() == 0 {
+		t.Error("no sample fell inside the fault window")
+	}
+}

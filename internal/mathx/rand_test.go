@@ -237,3 +237,14 @@ func TestChildInheritsPolicy(t *testing.T) {
 		t.Fatalf("polar child policy lost")
 	}
 }
+
+// TestNormFloat64AllocFree pins one normal deviate at zero allocations
+// per op under both sampling policies.
+func TestNormFloat64AllocFree(t *testing.T) {
+	for _, p := range []NormPolicy{NormPolar, NormZiggurat} {
+		r := NewRandPolicy(1, p)
+		if n := testing.AllocsPerRun(1000, func() { _ = r.NormFloat64() }); n != 0 {
+			t.Errorf("NormFloat64 under %v allocates %v per op, want 0", p, n)
+		}
+	}
+}

@@ -97,30 +97,22 @@ func (m Mission) PlannedDuration(climbRate, descendRate float64) float64 {
 	return m.AltitudeM/climbRate + m.PathLength()/m.CruiseSpeedMS + m.AltitudeM/descendRate
 }
 
-// cruisePath returns the polyline flown at cruise altitude.
-func (m Mission) cruisePath() []mathx.Vec3 {
-	path := make([]mathx.Vec3, 0, len(m.Waypoints)+1)
-	path = append(path, mathx.V3(m.Start.X, m.Start.Y, -m.AltitudeM))
-	path = append(path, m.Waypoints...)
-	return path
-}
-
 // CrossTrackDistance returns the distance from p to the nearest point of
 // the planned 3D route (takeoff column, cruise legs, and landing column
 // included). Bubble violations are deviations beyond the bubble radius
-// from this assigned volume.
+// from this assigned volume. The route is walked in place: the bubble
+// tracker calls this on every observation, so it must not allocate.
 func (m Mission) CrossTrackDistance(p mathx.Vec3) float64 {
-	best := math.Inf(1)
 	// Takeoff column from start to cruise altitude.
 	liftTop := mathx.V3(m.Start.X, m.Start.Y, -m.AltitudeM)
-	best = math.Min(best, distToSegment(p, m.Start, liftTop))
-	// Cruise legs.
-	path := m.cruisePath()
-	for i := 0; i+1 < len(path); i++ {
-		best = math.Min(best, distToSegment(p, path[i], path[i+1]))
+	best := distToSegment(p, m.Start, liftTop)
+	// Cruise legs: liftTop → each waypoint in turn.
+	last := liftTop
+	for _, wp := range m.Waypoints {
+		best = math.Min(best, distToSegment(p, last, wp))
+		last = wp
 	}
 	// Landing column under the final waypoint.
-	last := path[len(path)-1]
 	ground := mathx.V3(last.X, last.Y, 0)
 	best = math.Min(best, distToSegment(p, last, ground))
 	return best

@@ -262,3 +262,19 @@ func minMax(xs []float64) (lo, hi float64) {
 	}
 	return lo, hi
 }
+
+// TestApplyAllocFree pins the 250 Hz pipeline pass at zero allocations
+// per op.
+func TestApplyAllocFree(t *testing.T) {
+	p, err := NewPipeline(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sample(mathx.V3(0.01, -0.02, -9.81), mathx.V3(0.02, 0, 0.01))
+	if n := testing.AllocsPerRun(100, func() {
+		s.Accel.X += 1e-9 // nominal streams are noisy: keep the stuck guard quiet
+		_, _ = p.Apply(s)
+	}); n != 0 {
+		t.Errorf("Pipeline.Apply allocates %v per op, want 0", n)
+	}
+}

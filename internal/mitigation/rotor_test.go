@@ -216,3 +216,19 @@ func TestRotorFDIConfig(t *testing.T) {
 		t.Error("tolerance >= 1 accepted")
 	}
 }
+
+// TestRotorObserveAllocFree pins one healthy FDI cycle on a hexa-x at
+// zero allocations per op.
+func TestRotorObserveAllocFree(t *testing.T) {
+	p := physics.DefaultParams()
+	p.Layout = physics.HexaX
+	n := p.Layout.Rotors()
+	m := NewRotorMonitor(Config{}.RotorDefaults(), n, p.MotorTau, testDt)
+	var cmd physics.Rotors
+	for i := 0; i < n; i++ {
+		cmd[i] = p.HoverThrustFraction()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = m.Observe(cmd, cmd) }); allocs != 0 {
+		t.Errorf("RotorMonitor.Observe allocates %v per op, want 0", allocs)
+	}
+}

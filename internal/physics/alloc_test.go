@@ -32,3 +32,28 @@ func TestWindStepAllocFree(t *testing.T) {
 		t.Errorf("Wind.Step allocates %v per op, want 0", n)
 	}
 }
+
+// TestMixerAllocateAllocFree pins control allocation at zero allocations
+// per op on every airframe, plus the reconfigured allocator rotor FDI
+// hands the controller after condemning a hexa-x rotor.
+func TestMixerAllocateAllocFree(t *testing.T) {
+	torque := mathx.V3(0.1, -0.1, 0.01)
+	for _, layout := range Airframes() {
+		p := DefaultParams()
+		p.Layout = layout
+		m := NewMixer(p)
+		if n := testing.AllocsPerRun(100, func() { _ = m.Allocate(14.7, torque) }); n != 0 {
+			t.Errorf("%v Mixer.Allocate allocates %v per op, want 0", layout, n)
+		}
+	}
+	p := DefaultParams()
+	p.Layout = HexaX
+	weights := Rotors{0, 1, 1, 1, 1, 1}
+	a, err := NewMixer(p).ReconfiguredAllocator(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.Allocate(14.7, torque) }); n != 0 {
+		t.Errorf("reconfigured Allocator.Allocate allocates %v per op, want 0", n)
+	}
+}

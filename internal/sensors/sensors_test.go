@@ -347,3 +347,24 @@ func TestMagRate(t *testing.T) {
 		t.Errorf("mag fires = %d, want ~40", fires)
 	}
 }
+
+// TestSampleVoteAllocFree pins the 250 Hz sensing step — sampling all
+// three redundant units into a reused buffer plus the cross-unit vote —
+// at zero allocations per op.
+func TestSampleVoteAllocFree(t *testing.T) {
+	imus, err := NewRedundantIMUs(3, DefaultIMUSpec(), mathx.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]IMUSample, 0, 3)
+	accel := mathx.V3(0, 0, -physics.Gravity)
+	gyro := mathx.V3(0.01, -0.02, 0.005)
+	now := 0.0
+	if n := testing.AllocsPerRun(100, func() {
+		all := imus.SampleAllInto(buf, now, accel, gyro)
+		_ = VoteOutlier(all, imus.Primary(), 3, 0.3)
+		now += 0.004
+	}); n != 0 {
+		t.Errorf("SampleAllInto + VoteOutlier allocates %v per op, want 0", n)
+	}
+}

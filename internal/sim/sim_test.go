@@ -507,3 +507,22 @@ func TestGeoAuthoredMissionFlies(t *testing.T) {
 		t.Errorf("geo mission outcome = %v (%s%s)", res.Outcome, res.FailsafeCause, res.CrashReason)
 	}
 }
+
+// TestTenSecondRunAllocCeiling caps the allocations of ten simulated
+// vehicle-seconds of a gold flight: the per-tick kernels allocate nothing
+// (each package pins its own at zero), so what remains is per-run setup.
+// 104 is the count measured under go1.24.0. A per-tick allocation adds
+// thousands; even one per bubble observation (1 Hz) adds ten.
+func TestTenSecondRunAllocCeiling(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxSimTime = 10 // the mission cannot finish in 10 s: fixed work
+	m := mission.Valencia()[0]
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := Run(cfg, m, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 104 {
+		t.Errorf("10 s sim.Run allocates %v per run, want <= 104", n)
+	}
+}
