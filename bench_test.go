@@ -1,15 +1,15 @@
 package uavres
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation section on a reduced-but-representative slice (benchmarks
-// must finish in minutes; the full 850-case campaign lives in
-// cmd/campaign). Each Benchmark prints the same rows the paper reports
-// and exposes the headline quantities as benchmark metrics.
+// The benchmark harness runs the design-choice ablations the paper calls
+// out and the micros outside the sim tick, logging their rows and
+// exposing the headline quantities as benchmark metrics.
 //
-//	go test -bench=Table -benchtime=1x     # Tables II-IV
-//	go test -bench=Fig -benchtime=1x       # Figures 3-5
 //	go test -bench=Ablation -benchtime=1x  # design-choice ablations
 //	go test -bench=Micro                   # micros outside the sim tick
+//
+// The paper's tables and figures are not benchmarks: cmd/report and
+// cmd/figures render them, and tier-1 tests compare both with committed
+// output (RESULTS.md, cmd/figures/testdata/figures.txt).
 //
 // The per-layer micros of the sim tick (physics, sensing, EKF, control,
 // bubble, fault injection, mitigation, RNG, ten-second flight) live in
@@ -19,7 +19,6 @@ package uavres
 // kernel, a ceiling for the ten-second flight.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -34,176 +33,6 @@ import (
 	"uavres/internal/sim"
 	"uavres/internal/telemetry"
 )
-
-// benchSlice runs the campaign restricted to the given missions.
-func benchSlice(b *testing.B, missions []mission.Mission) []core.CaseResult {
-	b.Helper()
-	runner := core.NewRunner()
-	runner.Missions = missions
-	cases := core.Plan(missions, 1)
-	results := runner.RunAll(context.Background(), cases)
-	for _, r := range results {
-		if r.Err != "" {
-			b.Fatalf("case %s: %s", r.Case.ID, r.Err)
-		}
-	}
-	return results
-}
-
-// BenchmarkTableII regenerates the paper's Table II (metrics grouped by
-// injection duration) on a two-mission slice: mission 4 (straight
-// courier) and mission 5 (turning courier).
-func BenchmarkTableII(b *testing.B) {
-	ms := mission.Valencia()[3:5]
-	for i := 0; i < b.N; i++ {
-		results := benchSlice(b, ms)
-		if i == b.N-1 {
-			b.Log("\n" + core.RenderTableII(results))
-			rows := core.ByDuration(results)
-			b.ReportMetric(rows[0].CompletedPct, "completed2s_%")
-			b.ReportMetric(rows[len(rows)-1].CompletedPct, "completed30s_%")
-			b.ReportMetric(core.GoldStats(results).DurationSec, "gold_duration_s")
-		}
-	}
-}
-
-// BenchmarkTableIII regenerates the paper's Table III (metrics grouped by
-// the 21 fault types) on the same slice.
-func BenchmarkTableIII(b *testing.B) {
-	ms := mission.Valencia()[3:5]
-	for i := 0; i < b.N; i++ {
-		results := benchSlice(b, ms)
-		if i == b.N-1 {
-			b.Log("\n" + core.RenderTableIII(results))
-			rows := core.ByFault(results)
-			if acc, exists := core.Find(rows, "Acc Zeros"); exists {
-				b.ReportMetric(acc.CompletedPct, "accZeros_%")
-			}
-			if gyro, exists := core.Find(rows, "Gyro Min"); exists {
-				b.ReportMetric(gyro.CompletedPct, "gyroMin_%")
-			}
-		}
-	}
-}
-
-// BenchmarkTableIV regenerates the paper's Table IV (failure analysis by
-// duration and by component).
-func BenchmarkTableIV(b *testing.B) {
-	ms := mission.Valencia()[3:5]
-	for i := 0; i < b.N; i++ {
-		results := benchSlice(b, ms)
-		if i == b.N-1 {
-			b.Log("\n" + core.RenderTableIV(results))
-			comp := core.ByComponent(results)
-			for _, row := range comp {
-				b.ReportMetric(row.FailedPct, row.Label+"_failed_%")
-			}
-		}
-	}
-}
-
-// figureRun executes one of the paper's figure scenarios and summarizes
-// the trajectory.
-func figureRun(b *testing.B, m mission.Mission, inj faultinject.Injection) sim.Result {
-	b.Helper()
-	cfg := sim.DefaultConfig()
-	cfg.RecordTrajectory = true
-	cfg.Seed = 42
-	res, err := sim.Run(cfg, m, &inj, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-func logTrajectory(b *testing.B, m mission.Mission, res sim.Result) {
-	b.Helper()
-	b.Logf("%s on mission %d: outcome=%v (%s%s) after %.1f s",
-		res.Label(), m.ID, res.Outcome, res.FailsafeCause, res.CrashReason, res.FlightDurationSec)
-	var maxDev float64
-	for _, p := range res.Trajectory {
-		if d := m.CrossTrackDistance(p.TruePos); d > maxDev {
-			maxDev = d
-		}
-	}
-	b.Logf("max deviation from assigned volume: %.1f m over %d trajectory points",
-		maxDev, len(res.Trajectory))
-	// Print the figure's "series": a sparse trail around the injection.
-	for _, p := range res.Trajectory {
-		if p.T >= 85 && int(p.T)%3 == 0 {
-			b.Logf("  t=%5.1fs pos=(%7.1f, %7.1f) alt=%5.1fm tilt=%5.1f°",
-				p.T, p.TruePos.X, p.TruePos.Y, -p.TruePos.Z, p.TiltDeg)
-		}
-	}
-}
-
-// BenchmarkFig3 reproduces Figure 3: a fixed (random constant) value
-// injected into the accelerometer of the fastest drone (mission 10,
-// 25 km/h) for 30 s mid-leg — the paper observes the drone leaving its
-// trajectory and crashing.
-func BenchmarkFig3(b *testing.B) {
-	m := mission.Valencia()[9]
-	inj := faultinject.Injection{
-		Primitive: faultinject.FixedValue, Target: faultinject.TargetAccel,
-		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 2,
-	}
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		res = figureRun(b, m, inj)
-	}
-	logTrajectory(b, m, res)
-	if res.Outcome != sim.OutcomeCrash {
-		b.Errorf("Fig. 3 outcome = %v, paper reports a crash", res.Outcome)
-	}
-	b.ReportMetric(res.FlightDurationSec, "flight_s")
-}
-
-// BenchmarkFig4 reproduces Figure 4: random values injected into the
-// gyrometer for 30 s just before a waypoint (mission 5's turn) — the
-// paper observes the drone failing to stabilize for the turn and
-// engaging failsafe.
-func BenchmarkFig4(b *testing.B) {
-	m := mission.Valencia()[4]
-	inj := faultinject.Injection{
-		Primitive: faultinject.Random, Target: faultinject.TargetGyro,
-		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 4,
-	}
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		res = figureRun(b, m, inj)
-	}
-	logTrajectory(b, m, res)
-	if res.Outcome != sim.OutcomeFailsafe {
-		b.Errorf("Fig. 4 outcome = %v, paper reports failsafe", res.Outcome)
-	}
-	b.ReportMetric(res.FlightDurationSec, "flight_s")
-}
-
-// BenchmarkFig5 reproduces Figure 5: random values injected into the
-// whole IMU for 30 s — the paper observes a fast, violent crash since
-// neither sensor can stabilize the vehicle.
-func BenchmarkFig5(b *testing.B) {
-	m := mission.Valencia()[4]
-	inj := faultinject.Injection{
-		Primitive: faultinject.Random, Target: faultinject.TargetIMU,
-		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 5,
-	}
-	var res sim.Result
-	for i := 0; i < b.N; i++ {
-		res = figureRun(b, m, inj)
-	}
-	logTrajectory(b, m, res)
-	// The paper's run impacted the ground; ours is terminated by the
-	// failure detector ~2.4 s after onset while tumbling. Both are a
-	// quick violent loss of the vehicle — assert that shape.
-	if res.Outcome == sim.OutcomeCompleted {
-		b.Error("Fig. 5 scenario completed; the paper reports a violent crash")
-	}
-	if res.FlightDurationSec > 120 {
-		b.Errorf("Fig. 5 failure at %.1f s; the paper reports a very quick loss", res.FlightDurationSec)
-	}
-	b.ReportMetric(res.FlightDurationSec, "flight_s")
-}
 
 // BenchmarkAblationRateSource is the factorial fault-path ablation: where
 // does gyro-fault damage enter — the raw-gyro rate loop, the EKF, or

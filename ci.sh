@@ -1,20 +1,25 @@
 #!/usr/bin/env sh
 # Full CI gate: build, vet, simulation-aware lint, tests (the per-package
 # AllocsPerRun guards among them pin every sim-tick kernel at 0
-# allocs/op), the race detector over the concurrent packages (broker,
-# tracker, campaign runner, metrics registry), a one-iteration smoke of
-# the root micro-benchmarks, the campaign benchmark's own vet and tests
-# (it compiles against this tree and its traced mini-grid test runs
-# every benchsuite/micro body), spec validation for the shipped example
-# campaign specs, and three end-to-end smokes: a mini spec-driven
-# campaign must emit a metrics snapshot that passes the schema
-# validator, re-running it with -resume over the completed results file
-# must simulate zero cases (its cache reports 0 misses), and the
-# observability surface (trace-event export, live status endpoint,
-# black-box dumps) must produce valid, loadable artifacts. A short fuzz
-# pass covers the resume decoder. Any failure fails the gate. Timing is
-# gated by the campaign benchmark (BENCHMARK.json, benchsuite/run.sh),
-# which compares interleaved runs on one host; this script gates none.
+# allocs/op; internal/paperdata flies the 850-case paper campaign and
+# byte-compares its report with the committed RESULTS.md, and
+# cmd/figures compares the figure outcomes with
+# cmd/figures/testdata/figures.txt), the race detector over the
+# concurrent packages (broker, tracker, campaign runner, metrics
+# registry), a one-iteration smoke of the root micro-benchmarks, the
+# campaign benchmark's own vet and tests (it compiles against this tree
+# and its traced mini-grid test runs every benchsuite/micro body), spec
+# validation for the shipped example campaign specs, and three
+# end-to-end smokes: a mini spec-driven campaign must emit a metrics
+# snapshot that passes the schema validator, re-running it with -resume
+# over the completed results file must simulate zero cases (its cache
+# reports 0 misses), cmd/report over it must render verdicts without the
+# paper-grid shape checks, and the observability surface (trace-event
+# export, live status endpoint, black-box dumps) must produce valid,
+# loadable artifacts. A short fuzz pass covers the resume decoder. Any
+# failure fails the gate. Timing is gated by the campaign benchmark
+# (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
+# one host; this script gates none.
 set -eux
 
 tmpdir=$(mktemp -d)
@@ -63,6 +68,15 @@ go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results.jso
 go run ./cmd/campaign -validate-metrics "$tmpdir/metrics.json"
 go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results.json" -resume | tee "$tmpdir/resume.log"
 grep -q 'resume from .*: [1-9][0-9]* hits, 0 misses' "$tmpdir/resume.log"
+
+# The one report renderer over that slice: tables and per-case verdicts,
+# but no paper shape checks, which apply only to the paper grid.
+go run ./cmd/report -in "$tmpdir/results.json" -out "$tmpdir/report.md"
+grep -q '^## Per-case verdicts' "$tmpdir/report.md"
+if grep -q 'shape checks' "$tmpdir/report.md"; then
+	echo "ci: report over a slice has a shape-check section" >&2
+	exit 1
+fi
 
 # Batch-vs-scalar equivalence smoke: the slice above ran through the
 # default lockstep batch path; re-run it with scalar forks and require

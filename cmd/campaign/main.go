@@ -1,11 +1,12 @@
 // Command campaign compiles a declarative campaign spec and executes it
 // on the shared engine. The default spec is the paper's full
 // fault-injection campaign — 21 injection types x 10 Valencia missions x
-// 4 durations plus 10 gold runs (850 cases) — and regenerates Tables
-// I-IV. Results stream to JSON as cases finish, each stamped with a
-// content hash, so an interrupted or partially re-configured campaign
-// resumes with -resume by executing only the missing or invalidated
-// cases.
+// 4 durations plus 10 gold runs (850 cases). On the paper grid it prints
+// how many of the paper's shape checks hold; cmd/report renders the
+// tables and per-case verdicts from the results file. Results stream to
+// JSON as cases finish, each stamped with a content hash, so an
+// interrupted or partially re-configured campaign resumes with -resume
+// by executing only the missing or invalidated cases.
 //
 // Usage:
 //
@@ -23,7 +24,6 @@
 //	campaign -validate-metrics metrics.json
 //	campaign [-trace-out trace.json] [-status-addr :8080] [-blackbox-dir out/blackbox]
 //	campaign -validate-trace trace.json
-//	campaign -print-faultmodel
 //
 // With -store, fingerprint-stored cases replay from the shared
 // content-addressed result store (the same store campaignd serves)
@@ -78,7 +78,6 @@ func run() int {
 		rngPolicy  = flag.String("rng", "", "environment RNG policy: polar (the default sampler) | ziggurat (overrides the spec's rng_policy when set explicitly; the injector stream stays polar either way)")
 		batch      = flag.Bool("batch", true, "step each checkpoint group's forks in lockstep batches (false = one scalar fork per case)")
 		batchWidth = flag.Int("batch-width", 0, "max forks per lockstep batch (0 = the built-in default)")
-		faultmodel = flag.Bool("print-faultmodel", false, "print Table I (the fault model) and exit")
 		printSpec  = flag.Bool("print-spec", false, "print the effective campaign spec as JSON and exit")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 
@@ -118,10 +117,6 @@ func run() int {
 		return 1
 	}
 
-	if *faultmodel {
-		fmt.Print(core.RenderFaultModel())
-		return 0
-	}
 	if *compareResults != "" {
 		return compareResultsFiles(*compareResults)
 	}
@@ -241,8 +236,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "campaign: no cases selected")
 		return 1
 	}
-	ablation := s.Matrix.Scope != "" && s.Matrix.Scope != "all"
-	if ablation {
+	if s.Matrix.Scope != "" && s.Matrix.Scope != "all" {
 		fmt.Println("campaign: redundancy ablation — faults strike only IMU unit 0")
 	}
 
@@ -448,16 +442,8 @@ func run() int {
 		}
 	}
 
-	fmt.Println()
-	fmt.Println(core.RenderTableII(results))
-	fmt.Println(core.RenderTableIII(results))
-	fmt.Println(core.RenderTableIV(results))
-	if multiAirframe(results) {
-		fmt.Println(core.RenderAirframeTable(results))
-	}
-	if *specPath == "" && len(selectors) == 0 && !ablation {
-		// Shape comparison is only meaningful on the paper's full setup.
-		fmt.Println(paperdata.Render(paperdata.Compare(results)))
+	if paperdata.IsPaperGrid(results) {
+		fmt.Println(paperdata.Summary(paperdata.Compare(results)))
 	}
 
 	if stream != nil {
@@ -468,7 +454,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "campaign: saving results: %v\n", streamErr)
 			return 1
 		}
-		fmt.Printf("results written to %s\n", *out)
+		fmt.Printf("results written to %s (tables and verdicts: go run ./cmd/report -in %s)\n", *out, *out)
 	}
 	if *blackboxDir != "" {
 		if bboxErr != nil {
@@ -612,14 +598,4 @@ func compareResultsFiles(pair string) int {
 	}
 	fmt.Printf("campaign: %d cases bit-identical\n", len(ra))
 	return 0
-}
-
-// multiAirframe reports whether the results span more than one rotor
-// layout — only then is the redundancy table worth printing unasked.
-func multiAirframe(results []core.CaseResult) bool {
-	seen := map[string]bool{}
-	for _, cr := range results {
-		seen[cr.Case.Airframe] = true
-	}
-	return len(seen) > 1
 }

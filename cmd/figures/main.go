@@ -9,7 +9,12 @@
 //     (paper: cannot stabilize for the turn, failsafe),
 //   - fig5_imu_random.svg — IMU Random, 30 s (paper: fast violent loss),
 //
-// plus altitude companions for figures 3-5.
+// plus altitude companions for figures 3-5. Each figure prints one line:
+// the measured outcome, the outcome the paper reports, and whether the
+// two agree ("holds") or not ("DIVERGES"). The output is deterministic;
+// testdata/figures.txt holds it, regenerated with
+//
+//	go run ./cmd/figures -outdir figures > cmd/figures/testdata/figures.txt
 //
 // Usage:
 //
@@ -19,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -30,26 +36,30 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	outdir := flag.String("outdir", "figures", "output directory for SVGs")
+	flag.Parse()
+	if err := render(*outdir, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
 }
 
 type figureSpec struct {
 	name      string
 	missionIx int
 	inj       faultinject.Injection
-	simSeed   int64
+	// paper is the outcome the paper reports for the figure; holds says
+	// whether a measured run shows it.
+	paper string
+	holds func(sim.Result) bool
 }
 
-func run() int {
-	outdir := flag.String("outdir", "figures", "output directory for SVGs")
-	flag.Parse()
-
-	if err := os.MkdirAll(*outdir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		return 1
+// render flies every figure's scenario, writes its SVGs into outdir and
+// prints one line per figure to w.
+func render(outdir string, w io.Writer) error {
+	if err := os.MkdirAll(outdir, 0o755); err != nil {
+		return err
 	}
-	missions := mission.Valencia()
-
 	specs := []figureSpec{
 		{
 			name: "fig3_acc_fixed", missionIx: 9,
@@ -57,7 +67,8 @@ func run() int {
 				Primitive: faultinject.FixedValue, Target: faultinject.TargetAccel,
 				Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 2,
 			},
-			simSeed: 42,
+			paper: "crash",
+			holds: func(res sim.Result) bool { return res.Outcome == sim.OutcomeCrash },
 		},
 		{
 			name: "fig4_gyro_random", missionIx: 4,
@@ -65,58 +76,58 @@ func run() int {
 				Primitive: faultinject.Random, Target: faultinject.TargetGyro,
 				Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 4,
 			},
-			simSeed: 42,
+			paper: "failsafe",
+			holds: func(res sim.Result) bool { return res.Outcome == sim.OutcomeFailsafe },
 		},
 		{
+			// The paper's vehicle hit the ground; here the failure
+			// detector usually wins that race. Both are a quick, violent
+			// loss of the vehicle, which is the shape checked.
 			name: "fig5_imu_random", missionIx: 4,
 			inj: faultinject.Injection{
 				Primitive: faultinject.Random, Target: faultinject.TargetIMU,
 				Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 5,
 			},
-			simSeed: 42,
+			paper: "lost within 120 s",
+			holds: func(res sim.Result) bool { return !res.Outcome.Completed() && res.FlightDurationSec <= 120 },
 		},
 	}
+	missions := mission.Valencia()
+	cfg := sim.DefaultConfig()
+	cfg.Seed = 42
+	cfg.RecordTrajectory = true
 
 	for _, spec := range specs {
 		m := missions[spec.missionIx]
-		cfg := sim.DefaultConfig()
-		cfg.Seed = spec.simSeed
-		cfg.RecordTrajectory = true
 		res, err := sim.Run(cfg, m, &spec.inj, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
+			return err
 		}
-		fmt.Printf("%s: %s on mission %d -> %v (%s%s) at %.1f s\n",
+		fmt.Fprintf(w, "%s: %s on mission %d -> %v (%s%s) at %.1f s, %.1f s after onset; paper: %s %s\n",
 			spec.name, spec.inj.Label(), m.ID, res.Outcome,
-			res.FailsafeCause, res.CrashReason, res.FlightDurationSec)
+			res.FailsafeCause, res.CrashReason, res.FlightDurationSec,
+			res.FlightDurationSec-spec.inj.Start.Seconds(), spec.paper, verdict(spec.holds(res)))
 
-		trajPath := filepath.Join(*outdir, spec.name+".svg")
-		if err := writeFigure(trajPath, func(f *os.File) error {
-			return plot.TrajectoryFigure(f, m, res, spec.inj.Start.Seconds())
+		start, end := spec.inj.Start.Seconds(), (spec.inj.Start + spec.inj.Duration).Seconds()
+		if err := writeFigure(filepath.Join(outdir, spec.name+".svg"), func(f *os.File) error {
+			return plot.TrajectoryFigure(f, m, res, start)
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
+			return err
 		}
-		altPath := filepath.Join(*outdir, spec.name+"_alt.svg")
-		if err := writeFigure(altPath, func(f *os.File) error {
-			return plot.AltitudeFigure(f, res,
-				spec.inj.Start.Seconds(), (spec.inj.Start + spec.inj.Duration).Seconds())
+		if err := writeFigure(filepath.Join(outdir, spec.name+"_alt.svg"), func(f *os.File) error {
+			return plot.AltitudeFigure(f, res, start, end)
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
+			return err
 		}
 	}
 
-	// Figure 2: bubble layers over time during a survivable fault (Acc
-	// Zeros deviates far but completes, exercising both layers).
+	// Figure 2: bubble layers over time during an accelerometer fault
+	// that drives the vehicle through both layers.
 	m := missions[4]
 	inj := faultinject.Injection{
 		Primitive: faultinject.Zeros, Target: faultinject.TargetAccel,
 		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 6,
 	}
-	cfg := sim.DefaultConfig()
-	cfg.Seed = 42
 	var times, devs, inner, outer []float64
 	res, err := sim.Run(cfg, m, &inj, func(tel sim.Telemetry) {
 		times = append(times, tel.T)
@@ -125,29 +136,29 @@ func run() int {
 		outer = append(outer, tel.Bubble.OuterRadius)
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		return 1
+		return err
 	}
-	fmt.Printf("fig2_bubble: %s on mission %d -> %v, %d/%d violations\n",
-		inj.Label(), m.ID, res.Outcome, res.InnerViolations, res.OuterViolations)
-	bubblePath := filepath.Join(*outdir, "fig2_bubble.svg")
-	if err := writeFigure(bubblePath, func(f *os.File) error {
+	fmt.Fprintf(w, "fig2_bubble: %s on mission %d -> %v, %d/%d violations; paper: both layers crossed %s\n",
+		inj.Label(), m.ID, res.Outcome, res.InnerViolations, res.OuterViolations,
+		verdict(res.InnerViolations > 0 && res.OuterViolations > 0))
+	return writeFigure(filepath.Join(outdir, "fig2_bubble.svg"), func(f *os.File) error {
 		return plot.BubbleFigure(f, times, devs, inner, outer)
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		return 1
-	}
-
-	fmt.Printf("figures written to %s/\n", *outdir)
-	return 0
+	})
 }
 
-func writeFigure(path string, render func(*os.File) error) error {
+func verdict(holds bool) string {
+	if holds {
+		return "holds"
+	}
+	return "DIVERGES"
+}
+
+func writeFigure(path string, draw func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = render(f)
+	err = draw(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -1,7 +1,7 @@
-// Command report builds the full Markdown analysis report from saved
-// campaign results: the paper's Tables II-IV, the paper-vs-measured shape
-// comparison, and the secondary breakdowns (per-mission, per-speed,
-// failure latency, outcome composition).
+// Command report renders the campaign report from saved campaign
+// results (paperdata.Report): Table I, the measured Tables II-IV, the
+// paper-vs-measured shape checks when the results are the paper grid,
+// the secondary analysis, and one verdict line per case.
 //
 // Usage:
 //
@@ -12,11 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"uavres/internal/analysis"
 	"uavres/internal/core"
-	"uavres/internal/mission"
 	"uavres/internal/paperdata"
 )
 
@@ -36,30 +33,12 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		return 1
 	}
-
-	var b strings.Builder
-	b.WriteString("# IMU fault-injection campaign report\n\n")
-	fmt.Fprintf(&b, "Input: %s (%d cases)\n\n", *in, len(results))
-
-	b.WriteString("## Paper tables (measured)\n\n```\n")
-	b.WriteString(core.RenderTableII(results))
-	b.WriteString("\n")
-	b.WriteString(core.RenderTableIII(results))
-	b.WriteString("\n")
-	b.WriteString(core.RenderTableIV(results))
-	b.WriteString("```\n\n")
-
-	b.WriteString("## Paper-vs-measured shape checks\n\n```\n")
-	b.WriteString(paperdata.Render(paperdata.Compare(results)))
-	b.WriteString("```\n\n")
-
-	b.WriteString(analysis.RenderMarkdown(results, mission.Valencia()))
-
+	report := paperdata.Report(results)
 	if *out == "" {
-		fmt.Print(b.String())
+		fmt.Print(report)
 		return 0
 	}
-	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		return 1
 	}

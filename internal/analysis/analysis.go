@@ -234,7 +234,8 @@ func RenderMarkdown(results []core.CaseResult, missions []mission.Mission) strin
 	for k := range comp {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return comp[keys[i]] > comp[keys[j]] })
+	sort.Strings(keys) // ties in count keep name order
+	sort.SliceStable(keys, func(i, j int) bool { return comp[keys[i]] > comp[keys[j]] })
 	for _, k := range keys {
 		fmt.Fprintf(&b, "- %s: %d\n", k, comp[k])
 	}

@@ -150,7 +150,7 @@ func LoadResultsWithHeader(r io.Reader) (*ResultsHeader, []CaseResult, error) {
 }
 
 // SaveResultsFile and LoadResultsFile are the file-path conveniences the
-// campaign and tables commands share.
+// campaign and report commands share.
 func SaveResultsFile(path string, results []CaseResult) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -90,10 +90,11 @@ func (k *EventKind) UnmarshalJSON(data []byte) error {
 
 // Event is one timestamped trace record. Detail must be a static or
 // pre-built string on hot paths (no formatting at append time); Value
-// carries an optional kind-specific quantity.
+// carries an optional kind-specific quantity. The zero Kind, which only
+// an event decoded without a kind has, is omitted so it decodes back.
 type Event struct {
 	T      float64   `json:"t"`
-	Kind   EventKind `json:"kind"`
+	Kind   EventKind `json:"kind,omitempty"`
 	Detail string    `json:"detail,omitempty"`
 	Value  float64   `json:"value,omitempty"`
 }

@@ -109,4 +109,8 @@ func TestEventJSONShape(t *testing.T) {
 	if back != e {
 		t.Errorf("round trip = %+v", back)
 	}
+	// An event decoded without a kind re-encodes without one.
+	if data, _ := json.Marshal(Event{T: 1}); string(data) != `{"t":1}` {
+		t.Errorf("kindless event JSON = %s", data)
+	}
 }

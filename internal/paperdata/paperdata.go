@@ -1,8 +1,9 @@
 // Package paperdata holds the numbers published in the paper's evaluation
-// tables and compares a campaign's measured results against them. The
-// reproduction targets the paper's qualitative shape — orderings, trends,
-// crossover points — not its absolute values, and the comparison report
-// checks exactly those shape properties.
+// tables, compares a campaign's measured results against them, and
+// renders the one campaign report (Report). The reproduction targets the
+// paper's qualitative shape — orderings, trends, crossover points — not
+// its absolute values, and the comparison checks exactly those shape
+// properties.
 package paperdata
 
 import (
@@ -239,16 +240,23 @@ func maxDuration(rows []core.GroupStats) float64 {
 	return m
 }
 
-// Render writes the comparison as a readable report, shape checks first.
-func Render(checks []Check) string {
-	var b strings.Builder
-	passed := 0
+// Summary is the one-line verdict over a set of shape checks,
+// "paper shape checks: N/M hold".
+func Summary(checks []Check) string {
+	held := 0
 	for _, c := range checks {
 		if c.Holds {
-			passed++
+			held++
 		}
 	}
-	fmt.Fprintf(&b, "paper-vs-measured shape checks: %d/%d hold\n\n", passed, len(checks))
+	return fmt.Sprintf("paper shape checks: %d/%d hold", held, len(checks))
+}
+
+// render writes the comparison as a readable report, the summary first.
+func render(checks []Check) string {
+	var b strings.Builder
+	b.WriteString(Summary(checks))
+	b.WriteString("\n\n")
 	for _, c := range checks {
 		mark := "PASS"
 		if !c.Holds {
@@ -259,9 +267,9 @@ func Render(checks []Check) string {
 	return b.String()
 }
 
-// SideBySide renders measured rows next to the published rows for one
+// sideBySide renders measured rows next to the published rows for one
 // metric table (matching rows by label).
-func SideBySide(published []Row, measured []core.GroupStats) string {
+func sideBySide(published []Row, measured []core.GroupStats) string {
 	idx := map[string]core.GroupStats{}
 	for _, m := range measured {
 		idx[m.Label] = m

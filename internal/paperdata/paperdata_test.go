@@ -141,7 +141,7 @@ func TestCompareDetectsViolatedShape(t *testing.T) {
 }
 
 func TestRenderReport(t *testing.T) {
-	out := Render(Compare(synthetic(true, 100)))
+	out := render(Compare(synthetic(true, 100)))
 	if !strings.Contains(out, "shape checks:") {
 		t.Errorf("report missing summary: %q", out[:60])
 	}
@@ -158,7 +158,7 @@ func TestSideBySide(t *testing.T) {
 		{Label: "Gold Run", CompletedPct: 100, DurationSec: 473},
 		{Label: "2 seconds", CompletedPct: 27.1, DurationSec: 197},
 	}
-	out := SideBySide(TableII(), measured)
+	out := sideBySide(TableII(), measured)
 	if !strings.Contains(out, "Gold Run") || !strings.Contains(out, "491.26") {
 		t.Errorf("side-by-side missing published row:\n%s", out)
 	}

@@ -6,8 +6,8 @@
 // The library bundles a 6-DOF quadrotor simulator, PX4-style cascaded
 // flight controller, error-state EKF, sensor models, the paper's
 // seven-primitive IMU fault injector, the two-layer U-space bubble
-// system, and a campaign runner that regenerates the paper's Tables
-// II-IV.
+// system, and a campaign runner whose report regenerates the paper's
+// Tables I-IV.
 //
 // Quick start — fly one fault-free mission:
 //
@@ -28,7 +28,7 @@
 // Reproduce the paper's full 850-case campaign:
 //
 //	results := uavres.RunCampaign(ctx, uavres.CampaignOptions{})
-//	fmt.Print(uavres.TableII(results))
+//	fmt.Print(uavres.Report(results))
 package uavres
 
 import (
@@ -39,6 +39,7 @@ import (
 	"uavres/internal/faultinject"
 	"uavres/internal/mission"
 	"uavres/internal/mitigation"
+	"uavres/internal/paperdata"
 	"uavres/internal/physics"
 	"uavres/internal/sim"
 	"uavres/internal/spec"
@@ -262,17 +263,9 @@ func RunCases(ctx context.Context, opts CampaignOptions, cases []Case) []CaseRes
 	return runner.RunAll(ctx, cases)
 }
 
-// TableI renders the paper's fault model table.
-func TableI() string { return core.RenderFaultModel() }
-
-// TableII renders the duration-grouped summary (paper Table II).
-func TableII(results []CaseResult) string { return core.RenderTableII(results) }
-
-// TableIII renders the fault-grouped summary (paper Table III).
-func TableIII(results []CaseResult) string { return core.RenderTableIII(results) }
-
-// TableIV renders the failure analysis (paper Table IV).
-func TableIV(results []CaseResult) string { return core.RenderTableIV(results) }
+// Report renders the campaign report: Tables I-IV, the paper shape
+// checks on the paper grid, the secondary analysis and per-case verdicts.
+func Report(results []CaseResult) string { return paperdata.Report(results) }
 
 // GoldStats aggregates the fault-free reference runs.
 func GoldStats(results []CaseResult) GroupStats { return core.GoldStats(results) }

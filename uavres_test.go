@@ -127,19 +127,12 @@ func TestRunCampaignSubsetAndPersistence(t *testing.T) {
 		t.Errorf("loaded %d results", len(loaded))
 	}
 
-	// The tables render from either live or loaded results.
-	t2 := TableII(loaded)
-	if !strings.Contains(t2, "Gold Run") {
-		t.Errorf("table II = %q", t2)
-	}
-	if !strings.Contains(TableIII(loaded), "Gyro") {
-		t.Error("table III missing Gyro rows")
-	}
-	if !strings.Contains(TableIV(loaded), "Failsafe") {
-		t.Error("table IV missing failsafe column")
-	}
-	if !strings.Contains(TableI(), "Acoustic attack") {
-		t.Error("table I missing fault class")
+	// The report renders from either live or loaded results.
+	report := Report(loaded)
+	for _, want := range []string{"Acoustic attack", "TABLE II:", "Gold Run", "TABLE III:", "Gyro", "TABLE IV:", "Failsafe"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q", want)
+		}
 	}
 	gold := GoldStats(loaded)
 	if gold.N != 1 || gold.CompletedPct != 100 {
