@@ -84,6 +84,14 @@ fi
 go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results_scalar.json" -batch=false
 go run ./cmd/campaign -compare-results "$tmpdir/results.json,$tmpdir/results_scalar.json"
 
+# Primary-switch smoke: under primary scope, redundancy voting switches
+# mission 5's primary IMU mid-flight. Those forks stay in the lockstep
+# batch and read the shared IMU draws by count; they must still match
+# scalar forks bit for bit.
+go run ./cmd/campaign -scope primary -select mission=5,target=gyro -q -out "$tmpdir/primary.json"
+go run ./cmd/campaign -scope primary -select mission=5,target=gyro -q -out "$tmpdir/primary_scalar.json" -batch=false
+go run ./cmd/campaign -compare-results "$tmpdir/primary.json,$tmpdir/primary_scalar.json"
+
 # Tracing + black-box smoke: mission 1's accelerometer cases include
 # crash and containment-violation outcomes, so this run must emit a
 # valid trace-event JSON (one case span per case), black-box dumps, and

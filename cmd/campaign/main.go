@@ -28,8 +28,8 @@
 // With -store, fingerprint-stored cases replay from the shared
 // content-addressed result store (the same store campaignd serves)
 // instead of simulating. -resume is the same mechanism over the -out
-// file: its prior results seed the runner's cache. The historical
-// -subset alias was removed; use -select "id=*SUBSTR*".
+// file: its prior results seed the runner's cache. To select by ID
+// substring, use -select "id=*SUBSTR*".
 package main
 
 import (
@@ -68,7 +68,6 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "campaign base seed (overrides the spec's seed when set explicitly)")
 		out        = flag.String("out", "campaign_results.json", "JSON results output path (empty = skip)")
 		specPath   = flag.String("spec", "", "campaign spec JSON path (empty = the built-in paper-850 spec)")
-		subset     = flag.String("subset", "", "REMOVED: use -select \"id=*SUBSTR*\"")
 		storeDir   = flag.String("store", "", "content-addressed result store directory: fingerprint-stored cases return as cache hits, fresh results are stored back (shared with campaignd)")
 		resume     = flag.Bool("resume", false, "load the -out results file and run only the missing, stale, or errored cases")
 		checkpoint = flag.Bool("checkpoint", true, "share pre-injection prefixes between cases (checkpoint-and-fork; false = simulate every case straight through)")
@@ -106,10 +105,6 @@ func run() int {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	if *subset != "" || explicit["subset"] {
-		fmt.Fprintln(os.Stderr, "campaign: -subset was removed; use -select \"id=*SUBSTR*\"")
-		return 1
-	}
 	// -resume replays the -out file; with no file there is nothing to
 	// resume from. Fail before any compile or output prep happens.
 	if *resume && *out == "" {

@@ -736,8 +736,8 @@ func annotateCaseOutcome(tr *obs.Tracer, span obs.SpanID, res CaseResult) {
 
 // runBatchChunk forks every case in the chunk from the shared checkpoint
 // and steps them in lockstep (sim.Batch). Any failure — an invalid fork or
-// a mid-run detach error — reports !ok and the caller falls back to the
-// scalar path; a batch never produces partial results.
+// a mid-run IMU draw-window error — reports !ok and the caller falls back
+// to the scalar path; a batch never produces partial results.
 func (r *Runner) runBatchChunk(cases []Case, unit []int, cp *sim.Checkpoint) ([]CaseResult, bool) {
 	if cp == nil {
 		return nil, false
@@ -750,7 +750,7 @@ func (r *Runner) runBatchChunk(cases []Case, unit []int, cp *sim.Checkpoint) ([]
 	if err != nil {
 		return nil, false
 	}
-	simResults, _, err := b.Run()
+	simResults, err := b.Run()
 	if err != nil {
 		return nil, false
 	}

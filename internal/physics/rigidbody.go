@@ -258,15 +258,6 @@ func (b *Body) Step(dt float64) {
 // world-frame wind velocity, consuming exactly the deviates Step would.
 func (b *Body) StepWind(dt float64) mathx.Vec3 { return b.wind.Step(dt) }
 
-// AdoptWind copies the wind-process state (gust, mean, noise stream) from
-// another body. The batch runner uses it when detaching a fork from
-// lockstep: the donor's wind is exactly the state the fork's own would
-// hold after the same number of steps, so the fork can resume stepping
-// its own wind bit-identically.
-func (b *Body) AdoptWind(from *Body) error {
-	return b.wind.Restore(from.wind.Snapshot())
-}
-
 // StepWithWind is Step with an externally advanced wind sample: identical
 // dynamics, no draw from the body's own wind process.
 func (b *Body) StepWithWind(dt float64, windNED mathx.Vec3) {

@@ -56,7 +56,9 @@ func (m *IMU) Due(t float64) bool { return m.tick.Due(t) }
 // DrawNoise and composed by SampleWith. Splitting the draw from the
 // composition lets the batch runner share one unit's deviates across every
 // lockstep fork (the noise is additive to ground truth, so it is
-// independent of each fork's diverged state).
+// independent of each fork's diverged state). A unit draws exactly one
+// IMUNoise per sample, so a fork's k-th sample consumes the k-th draw
+// whenever it falls: the batch shares draws by count, not by tick.
 type IMUNoise struct {
 	Accel mathx.Vec3
 	Gyro  mathx.Vec3
@@ -200,11 +202,6 @@ func (r *RedundantIMUs) Exhausted(switches int) bool { return switches >= len(r.
 // Due reports whether the primary unit is due to sample at time t.
 func (r *RedundantIMUs) Due(t float64) bool { return r.units[r.primary].Due(t) }
 
-// Sample measures through the primary unit.
-func (r *RedundantIMUs) Sample(t float64, trueAccel, trueGyro mathx.Vec3) IMUSample {
-	return r.units[r.primary].Sample(t, trueAccel, trueGyro)
-}
-
 // Unit returns unit i for inspection.
 func (r *RedundantIMUs) Unit(i int) *IMU { return r.units[i] }
 
@@ -286,27 +283,6 @@ func (r *RedundantIMUs) DrawNoiseInto(dst []IMUNoise) []IMUNoise {
 		dst[i] = u.DrawNoise()
 	}
 	return dst
-}
-
-// AdoptNoiseStreams copies every unit's noise-stream state from another
-// set, leaving biases, tickers, last samples, and the primary selection
-// untouched. The batch runner uses it to detach a fork from lockstep: the
-// donor's streams hold exactly the state the fork's own would after the
-// same draw schedule, so the fork can continue drawing for itself
-// bit-identically to a straight scalar run.
-func (r *RedundantIMUs) AdoptNoiseStreams(from *RedundantIMUs) error {
-	if len(from.units) != len(r.units) {
-		return fmt.Errorf("sensors: adopting streams from %d-unit set into %d-unit set", len(from.units), len(r.units))
-	}
-	for i := range r.units {
-		if (r.units[i].rng != nil) != (from.units[i].rng != nil) {
-			return fmt.Errorf("sensors: unit %d rng presence mismatch", i)
-		}
-		if r.units[i].rng != nil {
-			r.units[i].rng.SetState(from.units[i].rng.State())
-		}
-	}
-	return nil
 }
 
 // SampleAllWith is SampleAllInto composing externally drawn noise

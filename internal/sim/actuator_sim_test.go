@@ -99,7 +99,7 @@ func TestBatchBitIdenticalActuator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := b.Run()
+	results, err := b.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,33 +9,30 @@ import (
 )
 
 // Batch steps every fork of one checkpoint in lockstep: one donor vehicle
-// advances the shared environment streams (sensor noise, wind gust) once
-// per tick, and each fork composes those deviates with its own diverged
-// truth via stepEnv. Environment noise is state-independent and every
-// component owns its own stream, so the shared draws are bit-identical to
-// what each fork's own streams would produce — the scalar and batch paths
-// yield byte-identical Results (TestBatchBitIdentical).
+// advances the shared environment streams (sensor noise, wind gust) and
+// each fork composes those deviates with its own diverged truth via
+// stepEnv. Environment noise is state-independent and every component
+// owns its own stream, so the shared draws are bit-identical to what each
+// fork's own streams would produce — the scalar and batch paths yield
+// byte-identical Results (TestBatchBitIdentical).
 //
 // The forks' hot per-tick state (EKF filter, rigid body) is restored into
 // contiguous structure-of-arrays slabs so the kernels stream over the
 // batch with amortized cache traffic instead of chasing per-fork heap
 // allocations.
 //
-// The one lockstep hazard is the primary-IMU schedule: RedundantIMUs.Due
-// advances only the primary unit's ticker, so a fork that switches
-// primaries (redundancy voting, or the failsafe isolation stage rotating
-// sensors) acquires a sampling schedule the donor no longer mirrors —
-// starting the tick AFTER the switch. Batch detects the switch at the end
-// of the tick it happens in and DETACHES the fork: the donor's stream
-// states are exactly what the fork's own streams would hold at that tick
-// (identical draw schedule from the shared checkpoint), so they are copied
-// into the fork, which then continues inside the same loop drawing for
-// itself. Detached forks cost scalar-path draws but never re-run.
+// Forks stay in lockstep for their whole flight, including after a primary
+// IMU switch (redundancy voting, or the failsafe isolation stage rotating
+// sensors). The switch re-phases the fork's IMU ticks, since the new
+// primary's ticker fires on its own schedule, but its k-th IMU tick still
+// consumes the k-th draw of every unit. Each fork therefore reads the
+// donor's IMU draw sets by its own count (imuDraws), not by tick; GPS,
+// baro, mag and wind schedules do not depend on the primary and stay per
+// tick.
 type Batch struct {
 	donor    *Vehicle
 	forks    []*Vehicle
-	detached []bool
-	primary  int // the checkpoint's primary unit index; donor never switches
+	imuDraws []int // per fork: IMU draw sets consumed since the checkpoint
 	env      envDraws
 
 	// Contiguous hot-state slabs the forks' pointers are re-aimed at.
@@ -58,8 +55,8 @@ func NewBatch(cp *Checkpoint, injs []*faultinject.Injection) (*Batch, error) {
 	b := &Batch{
 		donor:    donor,
 		forks:    make([]*Vehicle, len(injs)),
-		detached: make([]bool, len(injs)),
-		primary:  donor.imus.Primary(),
+		imuDraws: make([]int, len(injs)),
+		env:      envDraws{imus: donor.imus},
 		filters:  make([]ekf.Filter, len(injs)),
 		bodies:   make([]physics.Body, len(injs)),
 	}
@@ -80,67 +77,29 @@ func NewBatch(cp *Checkpoint, injs []*faultinject.Injection) (*Batch, error) {
 	return b, nil
 }
 
-// detach transplants the donor's environment-stream states into fork i and
-// removes it from lockstep. Valid only at the end of the tick the fork's
-// primary switched in: through that tick the fork's draw schedule was
-// still the donor's, so the donor's stream positions are bit-exactly where
-// the fork's own streams would be after a straight scalar run.
-func (b *Batch) detach(i int) error {
-	v := b.forks[i]
-	if err := v.imus.AdoptNoiseStreams(b.donor.imus); err != nil {
-		return err
-	}
-	if err := v.gps.Restore(b.donor.gps.Snapshot()); err != nil {
-		return err
-	}
-	if err := v.baro.Restore(b.donor.baro.Snapshot()); err != nil {
-		return err
-	}
-	if err := v.mag.Restore(b.donor.mag.Snapshot()); err != nil {
-		return err
-	}
-	if err := v.body.AdoptWind(b.donor.body); err != nil {
-		return err
-	}
-	b.detached[i] = true
-	return nil
-}
-
 // Run steps all forks in lockstep to their outcomes and returns the
-// finalized results (index-aligned with the injections) plus the detached
-// mask (observability: detached[i] means fork i switched its primary IMU
-// and finished on per-fork draws). All results are valid either way.
-func (b *Batch) Run() ([]Result, []bool, error) {
+// finalized results, index-aligned with the injections. An error (an IMU
+// draw set a fork asks for has left the window) voids the whole batch: it
+// never returns partial results.
+func (b *Batch) Run() ([]Result, error) {
 	for {
-		lockstep, active := false, false
-		for i, v := range b.forks {
-			if v.done || v.step >= v.steps {
-				continue
-			}
-			active = true
-			if !b.detached[i] {
-				lockstep = true
+		active := false
+		for _, v := range b.forks {
+			if !v.done && v.step < v.steps {
+				active = true
+				break
 			}
 		}
 		if !active {
 			break
 		}
-		if lockstep {
-			b.donor.drawEnv(&b.env)
-		}
+		b.donor.drawEnv(&b.env)
 		for i, v := range b.forks {
 			if v.done || v.step >= v.steps {
 				continue
 			}
-			if b.detached[i] {
-				v.stepEnv(nil)
-				continue
-			}
-			v.stepEnv(&b.env)
-			if v.imus.Primary() != b.primary {
-				if err := b.detach(i); err != nil {
-					return nil, nil, err
-				}
+			if err := v.stepEnv(&b.env, &b.imuDraws[i]); err != nil {
+				return nil, fmt.Errorf("sim: batch fork %d: %w", i, err)
 			}
 		}
 	}
@@ -148,5 +107,5 @@ func (b *Batch) Run() ([]Result, []bool, error) {
 	for i, v := range b.forks {
 		results[i] = v.finalize()
 	}
-	return results, b.detached, nil
+	return results, nil
 }

@@ -298,48 +298,54 @@ func (v *Vehicle) finalize() Result {
 // counters, tilt maximum).
 func (v *Vehicle) Metrics() obs.Snapshot { return v.rec.reg.Snapshot() }
 
-// envDraws carries one tick's environment deviates, drawn once from a
-// donor vehicle's streams (drawEnv) and composed into every lockstep fork
-// (stepEnv). All environment noise is state-independent — sensor noise is
-// additive to ground truth and the wind gust is a pure function of time —
-// and each component owns its own stream, so the same deviates are exactly
-// what each fork's own streams would have produced from the shared
-// checkpoint. The buffers are reused across ticks.
+// imuDrawWindow is how many recent IMU draw sets envDraws keeps: forks
+// whose primary IMU switched read at most a few sets behind the leader.
+const imuDrawWindow = 8
+
+// envDraws carries the environment deviates a batch's donor vehicle draws
+// once for every lockstep fork (see Batch). GPS, baro, mag and wind are
+// drawn per tick (drawEnv); IMU draw sets are indexed by count and drawn
+// on first request (imuNoise). The buffers are reused.
 type envDraws struct {
-	imuDue   bool
-	imuNoise []sensors.IMUNoise
-	gpsDue   bool
-	gpsNoise sensors.GPSNoise
-	baroDue  bool
+	imus      *sensors.RedundantIMUs // the donor's units
+	imuSets   [imuDrawWindow][]sensors.IMUNoise
+	imuDrawn  int // IMU draw sets drawn so far
+	gpsNoise  sensors.GPSNoise
 	baroNoise float64
-	magDue   bool
-	magNoise float64
-	wind     mathx.Vec3
+	magNoise  float64
+	wind      mathx.Vec3
 }
 
-// drawEnv advances only the vehicle's environment streams by one physics
-// step, consuming exactly the deviates stepOnce would, and records them in
-// env. The caller is the batch runner's donor vehicle: no physics, EKF,
-// control, or guidance runs, and the vehicle must never be stepped for
-// real afterwards. The donor's IMU schedule is the unswitched primary's;
-// forks that switch primaries are ejected by the batch before their
-// schedule can diverge.
+// imuNoise returns IMU draw set k (counted from the checkpoint, one per
+// IMU tick), drawing it from the donor's units when k is the next set. A
+// set that has already left the window is an error, never a stale draw.
+func (e *envDraws) imuNoise(k int) ([]sensors.IMUNoise, error) {
+	if k == e.imuDrawn {
+		set := &e.imuSets[k%imuDrawWindow]
+		*set = e.imus.DrawNoiseInto(*set)
+		e.imuDrawn++
+		return *set, nil
+	}
+	if k < 0 || k > e.imuDrawn || k < e.imuDrawn-imuDrawWindow {
+		return nil, fmt.Errorf("sim: IMU draw set %d outside the window of %d sets ending at %d", k, imuDrawWindow, e.imuDrawn)
+	}
+	return e.imuSets[k%imuDrawWindow], nil
+}
+
+// drawEnv advances the vehicle's GPS, baro, mag and wind streams by one
+// physics step, consuming exactly the deviates stepOnce would, and records
+// them in env. Its IMU units are drawn on demand instead (imuNoise). The
+// caller is the batch runner's donor vehicle: no physics, EKF, control, or
+// guidance runs, and the vehicle must never be stepped for real afterwards.
 func (v *Vehicle) drawEnv(env *envDraws) {
 	t := float64(v.step) * v.cfg.PhysicsDt
-	env.imuDue = v.imus.Due(t)
-	if env.imuDue {
-		env.imuNoise = v.imus.DrawNoiseInto(env.imuNoise)
-	}
-	env.gpsDue = v.gps.Due(t)
-	if env.gpsDue {
+	if v.gps.Due(t) {
 		env.gpsNoise = v.gps.DrawNoise()
 	}
-	env.baroDue = v.baro.Due(t)
-	if env.baroDue {
+	if v.baro.Due(t) {
 		env.baroNoise = v.baro.DrawNoise()
 	}
-	env.magDue = v.mag.Due(t)
-	if env.magDue {
+	if v.mag.Due(t) {
 		env.magNoise = v.mag.DrawNoise()
 	}
 	env.wind = v.body.StepWind(v.cfg.PhysicsDt)
@@ -347,15 +353,16 @@ func (v *Vehicle) drawEnv(env *envDraws) {
 }
 
 // stepOnce advances the simulation by one physics step, drawing all
-// environment noise from the vehicle's own streams.
-func (v *Vehicle) stepOnce() { v.stepEnv(nil) }
+// environment noise from the vehicle's own streams; it cannot fail.
+func (v *Vehicle) stepOnce() { _ = v.stepEnv(nil, nil) }
 
 // stepEnv advances the simulation by one physics step. With a nil env it
 // draws environment noise from the vehicle's own streams (the scalar
-// path); otherwise it composes the shared deviates in env and leaves its
-// own environment streams untouched (the batch path). Both paths execute
-// bit-identical arithmetic.
-func (v *Vehicle) stepEnv(env *envDraws) {
+// path); otherwise it composes the shared deviates in env, reading IMU
+// draw set *imuDraws and advancing that cursor on each IMU tick, and
+// leaves its own environment streams untouched (the batch path). Both
+// paths execute bit-identical arithmetic.
+func (v *Vehicle) stepEnv(env *envDraws, imuDraws *int) error {
 	cfg := &v.cfg
 	t := float64(v.step) * cfg.PhysicsDt
 
@@ -365,7 +372,12 @@ func (v *Vehicle) stepEnv(env *envDraws) {
 		if env == nil {
 			all = v.imus.SampleAllInto(v.sampleBuf, t, v.body.SpecificForce(), v.body.AngularRate())
 		} else {
-			all = v.imus.SampleAllWith(v.sampleBuf, t, v.body.SpecificForce(), v.body.AngularRate(), env.imuNoise)
+			noise, err := env.imuNoise(*imuDraws)
+			if err != nil {
+				return err
+			}
+			*imuDraws++
+			all = v.imus.SampleAllWith(v.sampleBuf, t, v.body.SpecificForce(), v.body.AngularRate(), noise)
 		}
 		v.sampleBuf = all
 		clean := all[v.imus.Primary()]
@@ -523,7 +535,7 @@ func (v *Vehicle) stepEnv(env *envDraws) {
 			v.res.FlightDurationSec = t
 			v.rec.onOutcome(t, obs.EventFailsafe, v.res.FailsafeCause)
 			v.done = true
-			return
+			return nil
 		}
 		if bst.AltitudeM() > 2 {
 			v.beenAir = true
@@ -536,7 +548,7 @@ func (v *Vehicle) stepEnv(env *envDraws) {
 				v.res.FlightDurationSec = t
 				v.rec.onOutcome(t, obs.EventCrash, v.res.CrashReason)
 				v.done = true
-				return
+				return nil
 			}
 		}
 		if !bst.IsFinite() {
@@ -547,7 +559,7 @@ func (v *Vehicle) stepEnv(env *envDraws) {
 			v.res.FlightDurationSec = t
 			v.rec.onOutcome(t, obs.EventCrash, v.res.CrashReason)
 			v.done = true
-			return
+			return nil
 		}
 	}
 
@@ -560,7 +572,7 @@ func (v *Vehicle) stepEnv(env *envDraws) {
 			v.res.FlightDurationSec = t
 			v.rec.onOutcome(t, obs.EventComplete, "")
 			v.done = true
-			return
+			return nil
 		}
 	}
 
@@ -607,6 +619,7 @@ func (v *Vehicle) stepEnv(env *envDraws) {
 	}
 	v.rec.onStep(v.guide.phase)
 	v.step++
+	return nil
 }
 
 // onRotorCondemned reacts to the FDI monitor latching a new condemned
