@@ -16,8 +16,10 @@
 # reports 0 misses), cmd/report over it must render verdicts without the
 # paper-grid shape checks, and the observability surface (trace-event
 # export, live status endpoint, black-box dumps) must produce valid,
-# loadable artifacts. A short fuzz pass covers the resume decoder. Any
-# failure fails the gate. Timing is gated by the campaign benchmark
+# loadable artifacts, and a multi-start campaign whose forks come off
+# prefix chains must match its straight-through run bit for bit. Short
+# fuzz passes cover the resume decoder and fork-versus-straight
+# equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
 set -eux
@@ -45,6 +47,10 @@ go test -run XXX -bench Micro -benchtime=1x -benchmem .
 # Short fuzz pass over the resume decoder (seed corpus under
 # internal/core/testdata/fuzz): no panic, and a writer round trip.
 go test -run XXX -fuzz FuzzLoadPartialResults -fuzztime 10s ./internal/core/
+# Short fuzz pass over fault parameters (primitive, target or rotor,
+# scope, start, duration): chained forks equal straight runs, and every
+# outcome is enumerated with finite numbers.
+go test -run XXX -fuzz FuzzForkMatchesStraight -fuzztime 10s ./internal/core/
 
 # Example campaign specs stay loadable and compilable.
 go run ./cmd/campaign -validate-spec examples/specs/paper-850.json
@@ -53,6 +59,15 @@ go run ./cmd/campaign -validate-spec examples/specs/mini-grid.json
 go run ./cmd/campaign -validate-spec examples/specs/mini-grid-wide.json
 go run ./cmd/campaign -validate-spec examples/specs/redundancy-matrix.json
 go run ./cmd/campaign -validate-spec examples/specs/mini-hexa-actuator.json
+go run ./cmd/campaign -validate-spec examples/specs/mini-starts.json
+
+# Multi-start equivalence smoke: mission 1's sensor and rotor faults at
+# four injection starts form two prefix chains, each flown once under its
+# latest-starting case and snapshotted at every start. Every fork must
+# match the straight-through run bit for bit.
+go run ./cmd/campaign -spec examples/specs/mini-starts.json -q -out "$tmpdir/starts.json"
+go run ./cmd/campaign -spec examples/specs/mini-starts.json -q -out "$tmpdir/starts_straight.json" -checkpoint=false
+go run ./cmd/campaign -compare-results "$tmpdir/starts.json,$tmpdir/starts_straight.json"
 
 # Airframe + actuator smoke: the hexa actuator mini-spec (rotor FDI and
 # allocation reconfig enabled) must run through both the lockstep batch

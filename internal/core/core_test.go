@@ -380,38 +380,65 @@ func TestSortByID(t *testing.T) {
 	}
 }
 
-// TestRunnerCheckpointMatchesStraight: the checkpoint-and-fork execution
-// path must produce byte-for-byte the results of straight-through
-// execution for a group of cases sharing one environment seed.
-func TestRunnerCheckpointMatchesStraight(t *testing.T) {
-	mkCases := func() []Case {
-		var cases []Case
-		cases = append(cases, Case{ID: "gold", MissionID: 1, Seed: 21})
-		for _, p := range faultinject.Primitives() {
-			for _, target := range faultinject.Targets() {
-				cases = append(cases, Case{
-					ID: "f-" + p.String() + "-" + target.String(), MissionID: 1, Seed: 21,
-					Injection: &faultinject.Injection{
-						Primitive: p, Target: target,
-						Start: 20 * time.Second, Duration: 5 * time.Second,
-						Seed: int64(100*int(p) + int(target)),
-					},
-				})
-			}
-		}
-		return cases
+// chainCases builds one mission-1 campaign whose faulted cases form
+// three chains — sensor faults under each scope, and rotor faults — each
+// spread over several injection starts with mixed durations, so most
+// cases fork from a snapshot taken before the chain's last start.
+func chainCases() []Case {
+	starts := []time.Duration{10 * time.Second, 15 * time.Second, 20 * time.Second}
+	durs := []time.Duration{2 * time.Second, 5 * time.Second}
+	cases := []Case{{ID: "gold", MissionID: 1, Seed: 21}}
+	add := func(id string, in faultinject.Injection) {
+		n := len(cases)
+		in.Start, in.Duration = starts[n%len(starts)], durs[n%len(durs)]
+		cases = append(cases, Case{ID: id, MissionID: 1, Seed: 21, Injection: &in})
 	}
+	for _, p := range faultinject.Primitives() {
+		for _, target := range faultinject.Targets() {
+			add("f-"+p.String()+"-"+target.String(), faultinject.Injection{
+				Primitive: p, Target: target, Seed: int64(100*int(p) + int(target)),
+			})
+		}
+	}
+	for _, p := range []faultinject.Primitive{faultinject.Freeze, faultinject.Zeros, faultinject.Noise, faultinject.MaxValue} {
+		add("p-"+p.String(), faultinject.Injection{
+			Primitive: p, Target: faultinject.TargetGyro, Scope: faultinject.ScopePrimaryUnit, Seed: 7,
+		})
+	}
+	for i, p := range faultinject.ActuatorPrimitives() {
+		add("r-"+p.String(), faultinject.Injection{
+			Primitive: p, Target: faultinject.TargetRotor, Rotor: i % 4, Seed: 9,
+		})
+	}
+	return cases
+}
 
+// TestRunnerCheckpointMatchesStraight: the chained checkpoint-and-fork
+// execution path must produce byte-for-byte the results of
+// straight-through execution, with every faulted case forked and one
+// prefix built per chain.
+func TestRunnerCheckpointMatchesStraight(t *testing.T) {
+	const chains = 3
+	reg := obs.NewRegistry()
 	run := func(checkpoint bool) []CaseResult {
 		r := NewRunner()
 		r.Missions = shortScenario()
 		r.Workers = 4
 		r.Checkpoint = checkpoint
-		return r.RunAll(context.Background(), mkCases())
+		if checkpoint {
+			r.Obs = reg
+		}
+		return r.RunAll(context.Background(), chainCases())
 	}
 
 	straight := run(false)
 	forked := run(true)
+	if got := reg.Counter("campaign_cases_straight_total").Value(); got != 1 {
+		t.Errorf("straight = %d, want 1 (the gold case): every faulted case must fork", got)
+	}
+	if got := reg.Counter("campaign_prefixes_built_total").Value(); got != chains {
+		t.Errorf("prefixes built = %d, want %d (one per chain)", got, chains)
+	}
 	if len(straight) != len(forked) {
 		t.Fatalf("result counts differ: %d vs %d", len(straight), len(forked))
 	}

@@ -9,23 +9,24 @@ import (
 	"uavres/internal/sim"
 )
 
-// TestSortPrefixKeys locks the prefix scheduling order: keys must sort
-// by (mission, seed, scope, start) regardless of the map-iteration order
-// they were collected in.
+// TestSortPrefixKeys locks the chain scheduling order: keys must sort
+// by (mission, seed, airframe, family, scope) regardless of the
+// map-iteration order they were collected in.
 func TestSortPrefixKeys(t *testing.T) {
 	want := []prefixKey{
-		{missionID: 1, seed: 3, scope: faultinject.ScopeAllUnits, start: 30 * time.Second},
-		{missionID: 1, seed: 3, scope: faultinject.ScopeAllUnits, start: 90 * time.Second},
-		{missionID: 1, seed: 7, scope: faultinject.ScopeAllUnits, start: 90 * time.Second},
-		{missionID: 2, seed: 1, scope: faultinject.ScopeAllUnits, start: 90 * time.Second},
-		{missionID: 2, seed: 1, scope: faultinject.ScopePrimaryUnit, start: 90 * time.Second},
+		{missionID: 1, seed: 3, scope: faultinject.ScopeAllUnits},
+		{missionID: 1, seed: 3, scope: faultinject.ScopePrimaryUnit},
+		{missionID: 1, seed: 3, actuator: true, scope: faultinject.ScopeAllUnits},
+		{missionID: 1, seed: 3, airframe: "hexa-x", scope: faultinject.ScopeAllUnits},
+		{missionID: 1, seed: 7, scope: faultinject.ScopeAllUnits},
+		{missionID: 2, seed: 1, scope: faultinject.ScopeAllUnits},
 	}
 	// Feed several adversarial permutations; every one must sort to the
 	// same canonical order.
 	perms := [][]int{
-		{4, 3, 2, 1, 0},
-		{2, 0, 4, 1, 3},
-		{1, 4, 0, 3, 2},
+		{5, 4, 3, 2, 1, 0},
+		{2, 0, 4, 1, 5, 3},
+		{1, 4, 0, 5, 3, 2},
 	}
 	for _, p := range perms {
 		keys := make([]prefixKey, len(want))

@@ -37,20 +37,22 @@ type Runner struct {
 	// cases instead of O(cases) — the aggregate tables only read the flat
 	// outcome fields that remain.
 	OnResult func(CaseResult)
-	// Checkpoint enables checkpoint-and-fork execution: cases sharing a
-	// mission, environment seed, injection scope, and injection start are
-	// simulated once up to the injection point, then forked per case —
-	// each fork bit-identical to a straight-through run (see
-	// sim.TestForkBitIdentical). With the paper's plan, the 84 faulty
-	// cases of each mission share one 90-second prefix. The zero-value
-	// Runner runs every case straight through.
+	// Checkpoint enables checkpoint-and-fork execution: the faulted cases
+	// sharing a mission, environment seed, airframe, injection family and
+	// injection scope form one chain, a single fault-free flight
+	// snapshotted at each of their injection starts; every case forks from
+	// the snapshot at its own start, bit-identical to a straight-through
+	// run (sim.TestForkFromChainBitIdentical). With the paper's plan, the
+	// 84 faulty cases of each mission share one 90-second prefix. The
+	// zero-value Runner runs every case straight through.
 	Checkpoint bool
-	// Batch additionally steps each prefix group's forks in lockstep
+	// Batch additionally steps the forks at each chain start in lockstep
 	// (sim.Batch): one donor vehicle draws the shared environment noise
 	// once per tick and every fork composes it, eliminating the dominant
 	// per-fork NormFloat64 cost. Outcomes stay bit-identical to the scalar
-	// forked path (sim.TestBatchBitIdentical). Requires Checkpoint; groups
-	// without a checkpoint (gold runs, singletons) run scalar as before.
+	// forked path (sim.TestBatchBitIdentical). Requires Checkpoint; a
+	// start with a single case forks scalar, and cases outside any chain
+	// (gold runs, a lone case of its key) run straight.
 	Batch bool
 	// BatchWidth caps how many forks share one lockstep batch; <= 0 means
 	// DefaultBatchWidth. Wider batches amortize the donor's draw cost over
@@ -64,9 +66,9 @@ type Runner struct {
 	// means obs.Stopped(): timing metrics stay zero and the library never
 	// reads the wall clock itself (cmd layers inject the real clock).
 	Clock obs.Clock
-	// Trace, if non-nil, receives the campaign span tree: one span per
-	// stage, shared prefix, lockstep batch, and case, parented under
-	// TraceRoot. A nil tracer (the default) records nothing and costs
+	// Trace, if non-nil, receives the campaign span tree: the run stage
+	// and one span per prefix chain, lockstep batch, and case, parented
+	// under TraceRoot. A nil tracer (the default) records nothing and costs
 	// nothing — every tracer method is a nil-safe no-op.
 	Trace *obs.Tracer
 	// TraceRoot is the parent span for everything the runner records
@@ -82,24 +84,6 @@ type Runner struct {
 	// per-case payloads from the results slice it retains (the cache and
 	// any OnResult consumer own the full payloads).
 	Cache ResultCache
-}
-
-// traceCtx bundles the tracer state one RunAll threads through its
-// workers: the tracer, the campaign root, and the prefix-key → span map
-// built during the checkpoint stage so batches parent under their prefix.
-type traceCtx struct {
-	tr     *obs.Tracer
-	root   obs.SpanID
-	prefix map[prefixKey]obs.SpanID
-}
-
-// prefixSpan returns the span of k's shared prefix, or the root when the
-// prefix was never built (gold runs, singletons, failed builds).
-func (tc traceCtx) prefixSpan(k prefixKey) obs.SpanID {
-	if id, ok := tc.prefix[k]; ok {
-		return id
-	}
-	return tc.root
 }
 
 // now reads the injected clock (0 when none is wired).
@@ -133,7 +117,8 @@ type runnerMetrics struct {
 	// (Diagnostics.TraceDropped), surfacing what was silent truncation.
 	traceDropped *obs.Counter
 
-	caseSeconds       *obs.Histogram
+	caseSeconds *obs.Histogram
+	// checkpointSeconds is the time the feed loop spends flying chains.
 	checkpointSeconds *obs.Gauge
 	runSeconds        *obs.Gauge
 
@@ -337,25 +322,12 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 		metrics = newRunnerMetrics(r.Obs)
 	}
 
-	tc := traceCtx{tr: r.Trace, root: r.TraceRoot}
-
-	var checkpoints map[prefixKey]*sim.Checkpoint
-	if r.Checkpoint {
-		stageStart := r.now()
-		cpSpan := tc.tr.Start("stage:checkpoint", tc.root)
-		checkpoints, tc.prefix = r.prepareCheckpoints(ctx, cases, workers, metrics, tc)
-		tc.tr.End(cpSpan)
-		if metrics != nil {
-			metrics.checkpointSeconds.Set(r.now() - stageStart)
-		}
-	}
-
 	results := make([]CaseResult, len(cases))
-	units := r.workUnits(cases, checkpoints)
-	unitCh := make(chan []int)
+	units := r.workUnits(cases)
+	unitCh := make(chan workUnit)
 
 	runStart := r.now()
-	runSpan := tc.tr.Start("stage:run", tc.root)
+	runSpan := r.Trace.Start("stage:run", r.TraceRoot)
 	var (
 		wg       sync.WaitGroup
 		doneMu   sync.Mutex
@@ -372,11 +344,11 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 					metrics.activeWorkers.Add(1)
 				}
 				unitStart := r.now()
-				unitResults, forked, batched := r.runUnit(cases, unit, checkpoints, tc, metrics)
+				unitResults, forked, batched := r.runUnit(cases, unit, metrics)
 				// Per-case wall time: the batch steps its forks
 				// interleaved, so the chunk's time is split evenly.
-				perCase := (r.now() - unitStart) / float64(len(unit))
-				for j, idx := range unit {
+				perCase := (r.now() - unitStart) / float64(len(unit.idx))
+				for j, idx := range unit.idx {
 					res := unitResults[j]
 					metrics.observeCase(res, forked[j], perCase)
 					if metrics != nil && batched[j] {
@@ -408,12 +380,29 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 		}()
 	}
 
+	// The feed loop alone touches chain state. It flies a chain to each
+	// start just before dispatching the first unit there, so a snapshot
+	// lives only while a pending or running unit holds it.
+	var (
+		cp         *sim.Checkpoint // the snapshot at the current chain start
+		flySeconds float64
+	)
 feed:
 	for _, u := range units {
 		// select picks at random among ready cases, so check first: a
 		// cancelled context must never schedule another unit.
 		if ctx.Err() != nil {
 			break
+		}
+		if u.chain != nil {
+			if u.fly {
+				flyStart := r.now()
+				cp = r.advance(u.chain, u.start, metrics)
+				flySeconds += r.now() - flyStart
+			}
+			if cp != nil {
+				u.cp, u.parent = cp, u.chain.span
+			}
 		}
 		select {
 		case <-ctx.Done():
@@ -423,8 +412,9 @@ feed:
 	}
 	close(unitCh)
 	wg.Wait()
-	tc.tr.End(runSpan)
+	r.Trace.End(runSpan)
 	if metrics != nil {
+		metrics.checkpointSeconds.Set(flySeconds)
 		metrics.runSeconds.Set(r.now() - runStart)
 	}
 
@@ -437,20 +427,21 @@ feed:
 	return results
 }
 
-// prefixKey identifies the cases that can share one simulated prefix:
-// identical mission, environment seed, airframe, injection family,
-// injection scope, and injection start mean identical vehicle state up to
-// the injection point. The family matters because a sensor injector
+// prefixKey identifies the cases that can share one prefix chain:
+// identical mission, environment seed, airframe, injection family and
+// injection scope mean identical vehicle state up to each case's own
+// injection start. The family matters because a sensor injector
 // overwrites affected units with the primary's sample even before its
 // window opens, while an actuator injector leaves the sensor stream
-// alone (see sim.Checkpoint.ForkWithInjection).
+// alone (see sim.Checkpoint.ForkWithInjection). The start does not: before
+// its window an injector only remembers the last clean sample or command,
+// which a fork re-seeds.
 type prefixKey struct {
 	missionID int
 	seed      int64
 	airframe  string
 	actuator  bool
 	scope     faultinject.Scope
-	start     time.Duration
 }
 
 // casePrefixKey returns the case's sharing key, or the zero key for cases
@@ -465,13 +456,12 @@ func casePrefixKey(c Case) prefixKey {
 		airframe:  c.Airframe,
 		actuator:  !c.Injection.SensorTarget(),
 		scope:     c.Injection.Scope,
-		start:     c.Injection.Start,
 	}
 }
 
 // sortPrefixKeys orders prefix keys by (mission, seed, airframe, family,
-// scope, start), the total order that makes prefix scheduling
-// independent of map iteration order.
+// scope), the total order that makes chain scheduling independent of map
+// iteration order.
 func sortPrefixKeys(keys []prefixKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
@@ -487,174 +477,149 @@ func sortPrefixKeys(keys []prefixKey) {
 		if a.actuator != b.actuator {
 			return !a.actuator // sensor prefixes before actuator prefixes
 		}
-		if a.scope != b.scope {
-			return a.scope < b.scope
-		}
-		return a.start < b.start
+		return a.scope < b.scope
 	})
 }
 
-// prepareCheckpoints simulates one shared prefix per group of two or more
-// forkable cases, in parallel. Groups whose prefix fails to build are
-// simply absent from the map; their cases run straight through. The
-// second return maps each built prefix to its trace span, so batches and
-// forked cases later parent under the prefix that spawned them.
-func (r *Runner) prepareCheckpoints(ctx context.Context, cases []Case, workers int, metrics *runnerMetrics, tc traceCtx) (map[prefixKey]*sim.Checkpoint, map[prefixKey]obs.SpanID) {
-	groups := map[prefixKey][]int{}
-	for i, c := range cases {
-		k := casePrefixKey(c)
-		if k != (prefixKey{}) {
-			groups[k] = append(groups[k], i)
-		}
-	}
-	keys := make([]prefixKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	// Map order would hand prefixes to workers in a different order every
-	// run; sorting keeps prefix scheduling (and the worker-count adaptive
-	// paths downstream) reproducible for a given campaign.
-	sortPrefixKeys(keys)
-	shared := keys[:0]
-	for _, k := range keys {
-		if len(groups[k]) >= 2 {
-			shared = append(shared, k)
-		}
-	}
-	keys = shared
-	if len(keys) == 0 {
-		return nil, nil
-	}
-
-	checkpoints := make(map[prefixKey]*sim.Checkpoint, len(keys))
-	prefixSpans := make(map[prefixKey]obs.SpanID, len(keys))
-	var mu sync.Mutex
-	keyCh := make(chan prefixKey)
-	var wg sync.WaitGroup
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range keyCh {
-				span := tc.tr.Start("prefix", tc.root,
-					obs.NumAttr("mission", float64(k.missionID)),
-					obs.NumAttr("seed", float64(k.seed)),
-					obs.StrAttr("scope", k.scope.String()),
-					obs.NumAttr("start_sec", k.start.Seconds()),
-					obs.NumAttr("cases", float64(len(groups[k]))))
-				// The group's first case stands in for its siblings: before
-				// the shared injection start, any same-scope injector is
-				// behaviourally inert.
-				rep := cases[groups[k][0]]
-				m, err := r.missionByID(rep.MissionID)
-				if err != nil {
-					tc.tr.Annotate(span, obs.BoolAttr("error", true))
-					tc.tr.End(span)
-					continue
-				}
-				cfg, err := r.caseConfig(rep)
-				if err != nil {
-					tc.tr.Annotate(span, obs.BoolAttr("error", true))
-					tc.tr.End(span)
-					continue
-				}
-				v, err := sim.NewVehicle(cfg, m, rep.Injection, nil)
-				if err != nil {
-					tc.tr.Annotate(span, obs.BoolAttr("error", true))
-					tc.tr.End(span)
-					continue
-				}
-				v.RunUntil(k.start.Seconds())
-				cp := v.Snapshot()
-				tc.tr.End(span)
-				mu.Lock()
-				checkpoints[k] = cp
-				prefixSpans[k] = span
-				mu.Unlock()
-				if metrics != nil {
-					metrics.prefixes.Inc()
-				}
-			}
-		}()
-	}
-	for _, k := range keys {
-		if ctx.Err() != nil {
-			break // as in RunAll's feed loop: never schedule after cancel
-		}
-		select {
-		case <-ctx.Done():
-		case keyCh <- k:
-			continue
-		}
-		break
-	}
-	close(keyCh)
-	wg.Wait()
-	return checkpoints, prefixSpans
+// chain is one shared prefix: the forkable cases of one prefixKey, flown
+// as a single vehicle under rep and snapshotted at each of their starts.
+// rep has the chain's latest start, so its injector is still before its
+// window at every earlier snapshot; under any other case it would fire
+// mid-chain and corrupt the later snapshots. Only the feed loop in runAll
+// touches a chain.
+type chain struct {
+	rep   Case
+	cases int
+	v     *sim.Vehicle // flying: built at the first start, dropped at the last
+	err   error        // v could not be built: the chain's cases run straight
+	span  obs.SpanID
 }
 
-// workUnits partitions the case indices into work units: singleton units
-// for scalar cases, and (when Batch is on) chunks of up to BatchWidth
-// indices per prefix group that has a checkpoint, to be stepped in
-// lockstep. Unit order is deterministic: singletons in input order, then
-// batch chunks in sorted prefix-key order.
-func (r *Runner) workUnits(cases []Case, checkpoints map[prefixKey]*sim.Checkpoint) [][]int {
-	units := make([][]int, 0, len(cases))
-	if !r.Batch || len(checkpoints) == 0 {
-		for i := range cases {
-			units = append(units, []int{i})
-		}
-		return units
-	}
-	width := r.BatchWidth
-	if width <= 0 {
-		width = DefaultBatchWidth
-	}
+// workUnit is what a worker runs: case indices, and for forks the chain
+// snapshot at their start and the chain's span to parent under. The feed
+// loop fills cp and parent in, so workers never touch the chain.
+type workUnit struct {
+	idx    []int
+	chain  *chain        // nil: the cases run straight
+	start  time.Duration // the chain start the cases fork at
+	fly    bool          // the first unit at start: advance the chain first
+	cp     *sim.Checkpoint
+	parent obs.SpanID
+}
+
+// workUnits partitions the case indices into work units. Cases outside
+// any chain (gold runs, immediate injections, a key with a single case,
+// or every case when Checkpoint is off) are singleton units, first, in
+// input order. Then come the chains in sorted key order, each with its
+// starts ascending; the cases at one start form chunks of up to
+// BatchWidth indices to step in lockstep when Batch is on, singletons
+// otherwise.
+func (r *Runner) workUnits(cases []Case) []workUnit {
 	groups := map[prefixKey][]int{}
-	for i, c := range cases {
-		k := casePrefixKey(c)
-		if k != (prefixKey{}) && checkpoints[k] != nil {
+	var keys []prefixKey
+	if r.Checkpoint {
+		for i, c := range cases {
+			k := casePrefixKey(c)
+			if k == (prefixKey{}) {
+				continue
+			}
+			if groups[k] == nil {
+				keys = append(keys, k)
+			}
 			groups[k] = append(groups[k], i)
-			continue
 		}
-		units = append(units, []int{i})
 	}
-	keys := make([]prefixKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	units := make([]workUnit, 0, len(cases))
+	for i, c := range cases {
+		if len(groups[casePrefixKey(c)]) < 2 {
+			units = append(units, workUnit{idx: []int{i}, parent: r.TraceRoot})
+		}
 	}
+	width := 1
+	if r.Batch {
+		width = r.BatchWidth
+		if width <= 0 {
+			width = DefaultBatchWidth
+		}
+	}
+	// Map order would hand chains to workers in a different order every
+	// run; sorting keeps scheduling reproducible for a given campaign.
 	sortPrefixKeys(keys)
 	for _, k := range keys {
 		idxs := groups[k]
-		for lo := 0; lo < len(idxs); lo += width {
-			hi := lo + width
-			if hi > len(idxs) {
-				hi = len(idxs)
+		if len(idxs) < 2 {
+			continue
+		}
+		startOf := func(j int) time.Duration { return cases[idxs[j]].Injection.Start }
+		sort.SliceStable(idxs, func(a, b int) bool { return startOf(a) < startOf(b) })
+		ch := &chain{cases: len(idxs)}
+		for lo := 0; lo < len(idxs); {
+			hi := lo
+			for hi < len(idxs) && startOf(hi) == startOf(lo) {
+				hi++
 			}
-			units = append(units, idxs[lo:hi])
+			ch.rep = cases[idxs[lo]] // ends as the first case at the last start
+			for a := lo; a < hi; a += width {
+				b := min(a+width, hi)
+				units = append(units, workUnit{idx: idxs[a:b], chain: ch,
+					start: startOf(lo), fly: a == lo, parent: r.TraceRoot})
+			}
+			lo = hi
 		}
 	}
 	return units
 }
 
+// advance flies ch to start and returns its snapshot there, building the
+// chain's vehicle at its first start and dropping it at its last. A nil
+// snapshot means the vehicle could not be built; the chain's cases then
+// run straight. The chain's prefix span runs from the build to the last
+// snapshot, and its start_sec is the chain's last start: the prefix
+// length.
+func (r *Runner) advance(ch *chain, start time.Duration, metrics *runnerMetrics) *sim.Checkpoint {
+	if ch.err != nil {
+		return nil
+	}
+	last := ch.rep.Injection.Start
+	if ch.v == nil {
+		ch.span = r.Trace.Start("prefix", r.TraceRoot,
+			obs.NumAttr("mission", float64(ch.rep.MissionID)),
+			obs.NumAttr("seed", float64(ch.rep.Seed)),
+			obs.StrAttr("scope", ch.rep.Injection.Scope.String()),
+			obs.NumAttr("start_sec", last.Seconds()),
+			obs.NumAttr("cases", float64(ch.cases)))
+		if ch.v, ch.err = r.newVehicle(ch.rep); ch.err != nil {
+			r.Trace.Annotate(ch.span, obs.BoolAttr("error", true))
+			r.Trace.End(ch.span)
+			return nil
+		}
+		if metrics != nil {
+			metrics.prefixes.Inc()
+		}
+	}
+	ch.v.RunUntil(start.Seconds())
+	cp := ch.v.Snapshot()
+	if start == last {
+		ch.v = nil
+		r.Trace.End(ch.span)
+	}
+	return cp
+}
+
 // runUnit executes one work unit and returns its results plus per-case
-// forked/batched flags (index-aligned with unit). Multi-case units try the
-// lockstep batch first and fall back to per-case scalar execution if the
-// batch cannot be built.
-func (r *Runner) runUnit(cases []Case, unit []int, checkpoints map[prefixKey]*sim.Checkpoint, tc traceCtx, metrics *runnerMetrics) (results []CaseResult, forked, batched []bool) {
-	if len(unit) > 1 {
-		k := casePrefixKey(cases[unit[0]])
-		cp := checkpoints[k]
-		span := tc.tr.Start("batch", tc.prefixSpan(k),
-			obs.StrAttr("first", cases[unit[0]].ID),
-			obs.NumAttr("cases", float64(len(unit))))
+// forked/batched flags (index-aligned with unit.idx). A multi-case unit
+// with a snapshot tries the lockstep batch first and falls back to
+// per-case scalar execution if the batch cannot be built.
+func (r *Runner) runUnit(cases []Case, unit workUnit, metrics *runnerMetrics) (results []CaseResult, forked, batched []bool) {
+	tr := r.Trace
+	if len(unit.idx) > 1 && unit.cp != nil {
+		span := tr.Start("batch", unit.parent,
+			obs.StrAttr("first", cases[unit.idx[0]].ID),
+			obs.NumAttr("cases", float64(len(unit.idx))))
 		if metrics != nil {
 			metrics.activeBatches.Add(1)
 		}
-		out, ok := r.runBatchChunk(cases, unit, cp)
+		out, ok := r.runBatchChunk(cases, unit.idx, unit.cp)
 		if metrics != nil {
 			metrics.activeBatches.Add(-1)
 		}
@@ -663,51 +628,48 @@ func (r *Runner) runUnit(cases []Case, unit []int, checkpoints map[prefixKey]*si
 			// not individually observable: case spans carry identity and
 			// outcome, the batch span carries the wall time.
 			for j := range out {
-				cs := tc.tr.Start("case", span,
+				cs := tr.Start("case", span,
 					obs.StrAttr("id", out[j].Case.ID),
 					obs.NumAttr("seed", float64(out[j].Case.Seed)),
 					obs.BoolAttr("batched", true))
-				annotateCaseOutcome(tc.tr, cs, out[j])
-				tc.tr.End(cs)
+				annotateCaseOutcome(tr, cs, out[j])
+				tr.End(cs)
 			}
-			tc.tr.End(span)
-			flags := make([]bool, len(unit))
+			tr.End(span)
+			flags := make([]bool, len(unit.idx))
 			for j := range flags {
 				flags[j] = true
 			}
 			return out, flags, flags
 		}
-		tc.tr.Annotate(span, obs.BoolAttr("fallback", true))
-		tc.tr.End(span)
+		tr.Annotate(span, obs.BoolAttr("fallback", true))
+		tr.End(span)
 	}
-	results = make([]CaseResult, len(unit))
-	forked = make([]bool, len(unit))
-	batched = make([]bool, len(unit))
-	for j, idx := range unit {
-		results[j], forked[j] = r.runCaseTraced(cases[idx], checkpoints[casePrefixKey(cases[idx])], tc)
+	results = make([]CaseResult, len(unit.idx))
+	forked = make([]bool, len(unit.idx))
+	batched = make([]bool, len(unit.idx))
+	for j, idx := range unit.idx {
+		results[j], forked[j] = r.runCaseTraced(cases[idx], unit.cp, unit.parent)
 	}
 	return results, forked, batched
 }
 
-// runCaseTraced wraps runCase in a case span: parented under the case's
-// prefix when a shared checkpoint exists, under the root otherwise, with
-// the outcome and fork/fallback markers annotated after the run.
-func (r *Runner) runCaseTraced(c Case, cp *sim.Checkpoint, tc traceCtx) (CaseResult, bool) {
-	parent := tc.root
-	if cp != nil {
-		parent = tc.prefixSpan(casePrefixKey(c))
-	}
-	span := tc.tr.Start("case", parent,
+// runCaseTraced wraps runCase in a case span under parent (the chain's
+// prefix span for forks, the root otherwise), with the outcome and
+// fork/fallback markers annotated after the run.
+func (r *Runner) runCaseTraced(c Case, cp *sim.Checkpoint, parent obs.SpanID) (CaseResult, bool) {
+	tr := r.Trace
+	span := tr.Start("case", parent,
 		obs.StrAttr("id", c.ID),
 		obs.NumAttr("seed", float64(c.Seed)))
 	res, forked := r.runCase(c, cp)
 	if cp != nil && !forked {
 		// A checkpoint existed but the fork was rejected: the case ran
 		// straight through as a fallback.
-		tc.tr.Annotate(span, obs.BoolAttr("fallback", true))
+		tr.Annotate(span, obs.BoolAttr("fallback", true))
 	}
-	annotateCaseOutcome(tc.tr, span, res)
-	tc.tr.End(span)
+	annotateCaseOutcome(tr, span, res)
+	tr.End(span)
 	return res, forked
 }
 
@@ -738,13 +700,10 @@ func annotateCaseOutcome(tr *obs.Tracer, span obs.SpanID, res CaseResult) {
 // and steps them in lockstep (sim.Batch). Any failure — an invalid fork or
 // a mid-run IMU draw-window error — reports !ok and the caller falls back
 // to the scalar path; a batch never produces partial results.
-func (r *Runner) runBatchChunk(cases []Case, unit []int, cp *sim.Checkpoint) ([]CaseResult, bool) {
-	if cp == nil {
-		return nil, false
-	}
-	injs := make([]*faultinject.Injection, len(unit))
-	for j, idx := range unit {
-		injs[j] = cases[idx].Injection
+func (r *Runner) runBatchChunk(cases []Case, idx []int, cp *sim.Checkpoint) ([]CaseResult, bool) {
+	injs := make([]*faultinject.Injection, len(idx))
+	for j, i := range idx {
+		injs[j] = cases[i].Injection
 	}
 	b, err := sim.NewBatch(cp, injs)
 	if err != nil {
@@ -754,9 +713,9 @@ func (r *Runner) runBatchChunk(cases []Case, unit []int, cp *sim.Checkpoint) ([]
 	if err != nil {
 		return nil, false
 	}
-	out := make([]CaseResult, len(unit))
-	for j, idx := range unit {
-		out[j] = CaseResult{Case: cases[idx], Result: simResults[j]}
+	out := make([]CaseResult, len(idx))
+	for j, i := range idx {
+		out[j] = CaseResult{Case: cases[i], Result: simResults[j]}
 	}
 	return out, true
 }
@@ -771,19 +730,24 @@ func (r *Runner) runCase(c Case, cp *sim.Checkpoint) (CaseResult, bool) {
 		// A rejected fork (mismatched scope/start, racing plan edits) is
 		// not fatal: fall back to the straight-through path.
 	}
-	m, err := r.missionByID(c.MissionID)
+	v, err := r.newVehicle(c)
 	if err != nil {
 		return CaseResult{Case: c, Err: err.Error()}, false
+	}
+	return CaseResult{Case: c, Result: v.RunToEnd()}, false
+}
+
+// newVehicle builds the case's vehicle at t=0 in the runner's scenario.
+func (r *Runner) newVehicle(c Case) (*sim.Vehicle, error) {
+	m, err := r.missionByID(c.MissionID)
+	if err != nil {
+		return nil, err
 	}
 	cfg, err := r.caseConfig(c)
 	if err != nil {
-		return CaseResult{Case: c, Err: err.Error()}, false
+		return nil, err
 	}
-	res, err := sim.Run(cfg, m, c.Injection, nil)
-	if err != nil {
-		return CaseResult{Case: c, Err: err.Error()}, false
-	}
-	return CaseResult{Case: c, Result: res}, false
+	return sim.NewVehicle(cfg, m, c.Injection, nil)
 }
 
 // caseConfig derives the simulation config for one case from the runner's

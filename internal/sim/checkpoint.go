@@ -16,10 +16,11 @@ import (
 )
 
 // Checkpoint is a complete mid-run snapshot of a Vehicle. A campaign's
-// cases share long fault-free prefixes (every injection starts at the same
-// T+90 s), so the runner simulates the prefix once, snapshots, and forks
-// one resumed vehicle per sibling case — each bit-identical to a
-// straight-through run (see TestForkBitIdentical).
+// cases share long fault-free prefixes, so the runner flies each prefix
+// once, under a case with the latest injection start, snapshots it at
+// every start on the way, and forks one resumed vehicle per case from the
+// snapshot at its own start — each bit-identical to a straight-through
+// run (see TestForkBitIdentical and TestForkFromChainBitIdentical).
 //
 // A checkpoint is immutable after Snapshot and safe to fork from multiple
 // goroutines concurrently: every mutable buffer (trajectory, median

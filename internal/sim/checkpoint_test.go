@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -106,6 +107,73 @@ func TestForkBitIdentical(t *testing.T) {
 			}
 			sameResult(t, label, straight, fork.RunToEnd())
 		}
+	}
+}
+
+// TestForkFromChainBitIdentical is the bar for the runner's prefix
+// chains: one vehicle flies under a representative with the chain's
+// latest start and is snapshotted at every earlier start on the way.
+// Every case forked from the snapshot at its own start — each primitive x
+// target with mixed durations, and a hexa rotor fault on its own actuator
+// chain — must be bit-identical to its straight run. A representative
+// with any earlier start fires mid-chain and corrupts later snapshots.
+func TestForkFromChainBitIdentical(t *testing.T) {
+	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	starts := []float64{10, 15, 20}
+	const repStart = 25.0
+
+	// chain flies one prefix under rep, snapshotting at each start.
+	chain := func(cfg Config, rep *faultinject.Injection) []*Checkpoint {
+		t.Helper()
+		v, err := NewVehicle(cfg, shortMission(), rep, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps := make([]*Checkpoint, len(starts))
+		for i, s := range starts {
+			v.RunUntil(s)
+			cps[i] = v.Snapshot()
+		}
+		return cps
+	}
+	check := func(cfg Config, cp *Checkpoint, inj *faultinject.Injection) {
+		t.Helper()
+		label := fmt.Sprintf("%s@%v+%v", inj.Label(), inj.Start, inj.Duration)
+		straight, err := Run(cfg, shortMission(), inj, nil)
+		if err != nil {
+			t.Fatalf("%s straight: %v", label, err)
+		}
+		fork, err := cp.ForkWithInjection(inj, nil)
+		if err != nil {
+			t.Fatalf("%s fork: %v", label, err)
+		}
+		sameResult(t, label, straight, fork.RunToEnd())
+	}
+
+	cfg := DefaultConfig()
+	cfg.RecordTrajectory = true
+	cps := chain(cfg, &faultinject.Injection{
+		Primitive: faultinject.FixedValue, Target: faultinject.TargetIMU,
+		Start: sec(repStart), Duration: 5 * time.Second, Seed: 77,
+	})
+	durs := []time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second, 30 * time.Second}
+	n := 0
+	for i, s := range starts {
+		for _, p := range faultinject.Primitives() {
+			for _, target := range faultinject.Targets() {
+				check(cfg, cps[i], &faultinject.Injection{
+					Primitive: p, Target: target,
+					Start: sec(s), Duration: durs[n%len(durs)], Seed: 1234,
+				})
+				n++
+			}
+		}
+	}
+
+	hexa := actuatorCfg()
+	cps = chain(hexa, actuatorInj(faultinject.StuckRotor, 0, repStart))
+	for _, i := range []int{0, 2} {
+		check(hexa, cps[i], actuatorInj(faultinject.LossOfEffectiveness, 2, starts[i]))
 	}
 }
 
