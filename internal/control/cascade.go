@@ -86,7 +86,8 @@ type Diag struct {
 type Controller struct {
 	gains  Gains
 	params physics.Params
-	mixer  physics.Mixer
+	//lint:allow snapshotcomplete immutable after New; Allocate takes its address only to avoid copying it
+	mixer physics.Mixer
 
 	velPID  *PID3
 	ratePID *PID3
@@ -155,12 +156,22 @@ func (c *Controller) Restore(s ControllerSnapshot) {
 	c.ratePID.Restore(s.rate)
 }
 
-// Update runs one full cascade cycle and returns normalized motor
+// Command runs one full cascade cycle and returns normalized motor
 // commands. est comes from the EKF; gyroRaw is the raw (possibly
 // fault-corrupted) gyro stream feeding the innermost loop.
+func (c *Controller) Command(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint) physics.Rotors {
+	return c.cascade(dt, est, gyroRaw, sp, nil)
+}
+
+// Update is Command that also returns the cycle's intermediate quantities.
 func (c *Controller) Update(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint) (physics.Rotors, Diag) {
 	var d Diag
+	cmd := c.cascade(dt, est, gyroRaw, sp, &d)
+	return cmd, d
+}
 
+// cascade runs one cycle, filling d in when it is non-nil.
+func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint, d *Diag) physics.Rotors {
 	// --- Position loop: position error -> velocity setpoint.
 	posErr := sp.Pos.Sub(est.Pos)
 	velSp := posErr.Hadamard(c.gains.PosP).Add(sp.VelFF)
@@ -182,7 +193,6 @@ func (c *Controller) Update(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Set
 		maxDescend = 1.5
 	}
 	velSp.Z = mathx.Clamp(velSp.Z, -maxClimb, maxDescend) // NED: -Z is up
-	d.VelSp = velSp
 
 	// --- Velocity loop: velocity error -> acceleration setpoint.
 	accSp := c.velPID.Update(velSp.Sub(est.Vel), dt)
@@ -191,7 +201,6 @@ func (c *Controller) Update(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Set
 		accSp.X *= scale
 		accSp.Y *= scale
 	}
-	d.AccSp = accSp
 
 	// --- Acceleration -> thrust vector and attitude setpoint.
 	// Desired specific force (thrust/mass) must provide accSp and cancel
@@ -202,7 +211,6 @@ func (c *Controller) Update(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Set
 	}
 	fSp = limitTilt(fSp, c.gains.MaxTiltRad)
 	attSp := c.attitudeFromThrust(fSp, sp.Yaw)
-	d.AttSp = attSp
 
 	// Thrust magnitude: project the desired specific force on the CURRENT
 	// body up-axis so tilt transients do not lose altitude. Both vectors
@@ -211,7 +219,6 @@ func (c *Controller) Update(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Set
 	thrustN := c.params.MassKg * math.Max(0.5, fSp.Dot(bodyUp))
 	maxThrust := c.mixer.MaxTotalThrustN() * 0.95
 	thrustN = mathx.Clamp(thrustN, 0.05*maxThrust, maxThrust)
-	d.ThrustN = thrustN
 
 	// --- Attitude loop: quaternion error -> body rate setpoint.
 	qErr := est.Att.Conj().Mul(attSp)
@@ -220,17 +227,18 @@ func (c *Controller) Update(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Set
 	}
 	attErrVec := mathx.V3(qErr.X, qErr.Y, qErr.Z).Scale(2)
 	rateSp := attErrVec.Hadamard(c.gains.AttP).ClampVec(c.gains.MaxRate)
-	d.RateSp = rateSp
 
 	// --- Rate loop on RAW gyro: rate error -> angular accel -> torque.
 	alphaSp := c.ratePID.Update(rateSp.Sub(gyroRaw), dt)
 	torque := alphaSp.Hadamard(c.params.Inertia)
-	d.TorqueNm = torque
 
-	if c.alloc != nil {
-		return c.alloc.Allocate(thrustN, torque), d
+	if d != nil {
+		*d = Diag{VelSp: velSp, AccSp: accSp, AttSp: attSp, RateSp: rateSp, ThrustN: thrustN, TorqueNm: torque}
 	}
-	return c.mixer.Allocate(thrustN, torque), d
+	if c.alloc != nil {
+		return c.alloc.Allocate(thrustN, torque)
+	}
+	return c.mixer.Allocate(thrustN, torque)
 }
 
 // limitTilt restricts the thrust vector's angle from vertical while

@@ -46,17 +46,20 @@ type Runner struct {
 	// 84 faulty cases of each mission share one 90-second prefix. The
 	// zero-value Runner runs every case straight through.
 	Checkpoint bool
-	// Batch additionally steps the forks at each chain start in lockstep
-	// (sim.Batch): one donor vehicle draws the shared environment noise
-	// once per tick and every fork composes it, eliminating the dominant
-	// per-fork NormFloat64 cost. Outcomes stay bit-identical to the scalar
-	// forked path (sim.TestBatchBitIdentical). Requires Checkpoint; a
-	// start with a single case forks scalar, and cases outside any chain
-	// (gold runs, a lone case of its key) run straight.
+	// Batch additionally steps each chain's forks in lockstep (sim.Batch),
+	// in chunks of up to BatchWidth cases in start order: one donor vehicle
+	// draws the shared environment noise once per tick, every fork joins
+	// on the tick the donor reaches its start and composes those draws,
+	// eliminating the dominant per-fork NormFloat64 cost. Outcomes stay
+	// bit-identical to the scalar forked path (sim.TestBatchBitIdentical,
+	// sim.TestBatchAcrossStartsBitIdentical). Requires Checkpoint; a
+	// one-case chunk forks scalar, and cases outside any chain (gold runs,
+	// a lone case of its key) run straight.
 	Batch bool
 	// BatchWidth caps how many forks share one lockstep batch; <= 0 means
 	// DefaultBatchWidth. Wider batches amortize the donor's draw cost over
-	// more forks at the price of more resident vehicles per worker.
+	// more forks at the price of more resident vehicles and snapshots per
+	// worker.
 	BatchWidth int
 	// Obs, if non-nil, receives campaign-level metrics: case and outcome
 	// counters, fork/prefix accounting, and per-case/per-stage wall-clock
@@ -187,7 +190,8 @@ func (m *runnerMetrics) observeCase(res CaseResult, forked bool, seconds float64
 
 // DefaultBatchWidth is the lockstep batch cap when Runner.BatchWidth is
 // unset: wide enough to amortize the donor's draw cost to ~3% per fork,
-// small enough that a worker's resident vehicle set stays modest.
+// small enough that a worker's resident set of forks and the snapshots
+// they join from stays modest.
 const DefaultBatchWidth = 32
 
 // NewRunner returns a runner with the default campaign configuration.
@@ -380,11 +384,14 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 		}()
 	}
 
-	// The feed loop alone touches chain state. It flies a chain to each
-	// start just before dispatching the first unit there, so a snapshot
-	// lives only while a pending or running unit holds it.
+	// The feed loop alone touches chain state. It flies a chain through
+	// a unit's starts just before dispatching the unit, so a snapshot
+	// lives only while a pending or running unit holds it (a batch lets
+	// each go as its fork joins).
 	var (
-		cp         *sim.Checkpoint // the snapshot at the current chain start
+		cp         *sim.Checkpoint // the newest snapshot of cpChain
+		cpChain    *chain
+		cpAt       time.Duration // cp's start
 		flySeconds float64
 	)
 feed:
@@ -395,13 +402,19 @@ feed:
 			break
 		}
 		if u.chain != nil {
-			if u.fly {
-				flyStart := r.now()
-				cp = r.advance(u.chain, u.start, metrics)
-				flySeconds += r.now() - flyStart
+			flyStart := r.now()
+			u.cps = make([]*sim.Checkpoint, len(u.idx))
+			for j, i := range u.idx {
+				if at := cases[i].Injection.Start; u.chain != cpChain || at != cpAt {
+					cp, cpChain, cpAt = r.advance(u.chain, at, metrics), u.chain, at
+				}
+				u.cps[j] = cp
 			}
-			if cp != nil {
-				u.cp, u.parent = cp, u.chain.span
+			flySeconds += r.now() - flyStart
+			if cp == nil {
+				u.cps = nil // the chain could not be built: run straight
+			} else {
+				u.parent = u.chain.span
 			}
 		}
 		select {
@@ -496,14 +509,12 @@ type chain struct {
 }
 
 // workUnit is what a worker runs: case indices, and for forks the chain
-// snapshot at their start and the chain's span to parent under. The feed
-// loop fills cp and parent in, so workers never touch the chain.
+// snapshot at each case's start and the chain's span to parent under. The
+// feed loop fills cps and parent in, so workers never touch the chain.
 type workUnit struct {
 	idx    []int
-	chain  *chain        // nil: the cases run straight
-	start  time.Duration // the chain start the cases fork at
-	fly    bool          // the first unit at start: advance the chain first
-	cp     *sim.Checkpoint
+	chain  *chain            // nil: the cases run straight
+	cps    []*sim.Checkpoint // index-aligned with idx; nil: run straight
 	parent obs.SpanID
 }
 
@@ -511,9 +522,9 @@ type workUnit struct {
 // any chain (gold runs, immediate injections, a key with a single case,
 // or every case when Checkpoint is off) are singleton units, first, in
 // input order. Then come the chains in sorted key order, each with its
-// starts ascending; the cases at one start form chunks of up to
-// BatchWidth indices to step in lockstep when Batch is on, singletons
-// otherwise.
+// cases in ascending start order cut into chunks of up to BatchWidth
+// indices, which may span starts, to step in lockstep when Batch is on;
+// singletons otherwise.
 func (r *Runner) workUnits(cases []Case) []workUnit {
 	groups := map[prefixKey][]int{}
 	var keys []prefixKey
@@ -552,19 +563,13 @@ func (r *Runner) workUnits(cases []Case) []workUnit {
 		}
 		startOf := func(j int) time.Duration { return cases[idxs[j]].Injection.Start }
 		sort.SliceStable(idxs, func(a, b int) bool { return startOf(a) < startOf(b) })
-		ch := &chain{cases: len(idxs)}
-		for lo := 0; lo < len(idxs); {
-			hi := lo
-			for hi < len(idxs) && startOf(hi) == startOf(lo) {
-				hi++
-			}
-			ch.rep = cases[idxs[lo]] // ends as the first case at the last start
-			for a := lo; a < hi; a += width {
-				b := min(a+width, hi)
-				units = append(units, workUnit{idx: idxs[a:b], chain: ch,
-					start: startOf(lo), fly: a == lo, parent: r.TraceRoot})
-			}
-			lo = hi
+		first := len(idxs) - 1 // the first case at the last start
+		for first > 0 && startOf(first-1) == startOf(first) {
+			first--
+		}
+		ch := &chain{rep: cases[idxs[first]], cases: len(idxs)}
+		for a := 0; a < len(idxs); a += width {
+			units = append(units, workUnit{idx: idxs[a:min(a+width, len(idxs))], chain: ch, parent: r.TraceRoot})
 		}
 	}
 	return units
@@ -608,18 +613,20 @@ func (r *Runner) advance(ch *chain, start time.Duration, metrics *runnerMetrics)
 
 // runUnit executes one work unit and returns its results plus per-case
 // forked/batched flags (index-aligned with unit.idx). A multi-case unit
-// with a snapshot tries the lockstep batch first and falls back to
-// per-case scalar execution if the batch cannot be built.
+// with snapshots tries the lockstep batch first and falls back to
+// per-case scalar execution if the batch fails: a scalar fork where the
+// snapshot is still held, a straight run where the batch already let it
+// go.
 func (r *Runner) runUnit(cases []Case, unit workUnit, metrics *runnerMetrics) (results []CaseResult, forked, batched []bool) {
 	tr := r.Trace
-	if len(unit.idx) > 1 && unit.cp != nil {
+	if len(unit.idx) > 1 && unit.cps != nil {
 		span := tr.Start("batch", unit.parent,
 			obs.StrAttr("first", cases[unit.idx[0]].ID),
 			obs.NumAttr("cases", float64(len(unit.idx))))
 		if metrics != nil {
 			metrics.activeBatches.Add(1)
 		}
-		out, ok := r.runBatchChunk(cases, unit.idx, unit.cp)
+		out, ok := r.runBatchChunk(cases, unit.idx, unit.cps)
 		if metrics != nil {
 			metrics.activeBatches.Add(-1)
 		}
@@ -649,7 +656,11 @@ func (r *Runner) runUnit(cases []Case, unit workUnit, metrics *runnerMetrics) (r
 	forked = make([]bool, len(unit.idx))
 	batched = make([]bool, len(unit.idx))
 	for j, idx := range unit.idx {
-		results[j], forked[j] = r.runCaseTraced(cases[idx], unit.cp, unit.parent)
+		var cp *sim.Checkpoint
+		if unit.cps != nil {
+			cp = unit.cps[j]
+		}
+		results[j], forked[j] = r.runCaseTraced(cases[idx], cp, unit.parent)
 	}
 	return results, forked, batched
 }
@@ -696,16 +707,17 @@ func annotateCaseOutcome(tr *obs.Tracer, span obs.SpanID, res CaseResult) {
 	tr.Annotate(span, obs.StrAttr("outcome", res.Result.Outcome.String()))
 }
 
-// runBatchChunk forks every case in the chunk from the shared checkpoint
-// and steps them in lockstep (sim.Batch). Any failure — an invalid fork or
-// a mid-run IMU draw-window error — reports !ok and the caller falls back
-// to the scalar path; a batch never produces partial results.
-func (r *Runner) runBatchChunk(cases []Case, idx []int, cp *sim.Checkpoint) ([]CaseResult, bool) {
+// runBatchChunk forks every case in the chunk from the chain snapshot at
+// its start and steps them in lockstep (sim.Batch), which releases each
+// snapshot in cps as its fork joins. Any failure — an invalid fork or a
+// mid-run IMU draw-window error — reports !ok and the caller falls back to
+// the scalar path; a batch never produces partial results.
+func (r *Runner) runBatchChunk(cases []Case, idx []int, cps []*sim.Checkpoint) ([]CaseResult, bool) {
 	injs := make([]*faultinject.Injection, len(idx))
 	for j, i := range idx {
 		injs[j] = cases[i].Injection
 	}
-	b, err := sim.NewBatch(cp, injs)
+	b, err := sim.NewBatch(cps, injs)
 	if err != nil {
 		return nil, false
 	}

@@ -63,7 +63,7 @@ func (m Mixer) MaxTotalThrustN() float64 { return m.tMax * float64(m.n) }
 
 // Forward computes total thrust (N, along body -Z) and body torque (N m)
 // from per-rotor thrusts (N).
-func (m Mixer) Forward(t Rotors) (thrust float64, torque mathx.Vec3) {
+func (m *Mixer) Forward(t Rotors) (thrust float64, torque mathx.Vec3) {
 	for i := 0; i < m.n; i++ {
 		thrust += t[i]
 		torque.X += m.rollK[i] * t[i]
@@ -77,7 +77,7 @@ func (m Mixer) Forward(t Rotors) (thrust float64, torque mathx.Vec3) {
 // rotors and returns normalized commands in [0, 1]. Saturation preserves
 // the thrust axis first (desaturation by uniform shift), matching how PX4's
 // mixer prioritizes attitude authority.
-func (m Mixer) Allocate(thrustN float64, torque mathx.Vec3) Rotors {
+func (m *Mixer) Allocate(thrustN float64, torque mathx.Vec3) Rotors {
 	var t Rotors
 	for i := 0; i < m.n; i++ {
 		t[i] = thrustN/m.divT +
@@ -119,9 +119,10 @@ func (m Mixer) Allocate(thrustN float64, torque mathx.Vec3) Rotors {
 type Body struct {
 	//lint:allow snapshotcomplete immutable after NewBody; Step takes its address for read-only access
 	params Params
-	mixer  Mixer
-	state  State
-	wind   *Wind
+	//lint:allow snapshotcomplete immutable after NewBody; Forward takes its address only to avoid copying it
+	mixer Mixer
+	state State
+	wind  *Wind
 
 	cmd Rotors // latest normalized rotor commands
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -95,14 +96,7 @@ func TestBatchBitIdenticalActuator(t *testing.T) {
 			injs = append(injs, actuatorInj(p, rotor, startSec))
 		}
 	}
-	b, err := NewBatch(prefix.Snapshot(), injs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := runBatch(t, slices.Repeat([]*Checkpoint{prefix.Snapshot()}, len(injs)), injs)
 	for i, inj := range injs {
 		straight, err := Run(cfg, m, inj, nil)
 		if err != nil {

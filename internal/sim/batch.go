@@ -8,13 +8,20 @@ import (
 	"uavres/internal/physics"
 )
 
-// Batch steps every fork of one checkpoint in lockstep: one donor vehicle
+// Batch steps forks of one prefix flight in lockstep: one donor vehicle
 // advances the shared environment streams (sensor noise, wind gust) and
 // each fork composes those deviates with its own diverged truth via
-// stepEnv. Environment noise is state-independent and every component
-// owns its own stream, so the shared draws are bit-identical to what each
-// fork's own streams would produce — the scalar and batch paths yield
-// byte-identical Results (TestBatchBitIdentical).
+// stepEnv. Environment noise depends only on the seed and the time, never
+// on vehicle state, and every component owns its own stream, so the shared
+// draws are bit-identical to what each fork's own streams would produce —
+// the scalar and batch paths yield byte-identical Results
+// (TestBatchBitIdentical).
+//
+// The forks may start at different snapshots of the flight (different
+// injection starts). The donor forks from the earliest, and each fork
+// joins the lockstep loop on the tick the donor reaches its own snapshot:
+// from there on the donor's draws are exactly what the fork's own streams
+// would draw next (TestBatchAcrossStartsBitIdentical).
 //
 // The forks' hot per-tick state (EKF filter, rigid body) is restored into
 // contiguous structure-of-arrays slabs so the kernels stream over the
@@ -26,86 +33,120 @@ import (
 // sensors). The switch re-phases the fork's IMU ticks, since the new
 // primary's ticker fires on its own schedule, but its k-th IMU tick still
 // consumes the k-th draw of every unit. Each fork therefore reads the
-// donor's IMU draw sets by its own count (imuDraws), not by tick; GPS,
-// baro, mag and wind schedules do not depend on the primary and stay per
-// tick.
+// donor's IMU draw sets by its own count since launch (Vehicle.imuSets),
+// which rides the snapshot, not by tick; GPS, baro, mag and wind schedules
+// do not depend on the primary and stay per tick.
 type Batch struct {
-	donor    *Vehicle
-	forks    []*Vehicle
-	imuDraws []int // per fork: IMU draw sets consumed since the checkpoint
-	env      envDraws
+	donor *Vehicle
+	cps   []*Checkpoint // per fork; nil once the fork has joined
+	injs  []*faultinject.Injection
+	forks []*Vehicle // per fork; nil before it joins and once it finished
+	env   envDraws
 
 	// Contiguous hot-state slabs the forks' pointers are re-aimed at.
 	filters []ekf.Filter
 	bodies  []physics.Body
+
+	// finished, if set, sees each fork as it finishes, before the batch
+	// lets it go (tests inspect the forks' end state through it).
+	finished func(i int, v *Vehicle)
 }
 
-// NewBatch forks one vehicle per injection from the checkpoint, all or
-// nothing: any invalid fork (scope mismatch, window overlap — see
-// ForkWithInjection) fails the whole batch so the caller can fall back to
-// the scalar path case by case.
-func NewBatch(cp *Checkpoint, injs []*faultinject.Injection) (*Batch, error) {
-	if len(injs) == 0 {
-		return nil, fmt.Errorf("sim: empty batch")
+// NewBatch prepares one fork per injection, fork i from checkpoint cps[i].
+// The checkpoints must be snapshots of one flight in non-decreasing step
+// order, as a prefix chain takes them. Validation is all or nothing: any
+// invalid fork (scope mismatch, window overlap — see ForkWithInjection)
+// fails the whole batch so the caller can fall back to the scalar path
+// case by case.
+//
+// The batch takes cps over: Run builds each fork only when it joins and
+// then sets cps[i] to nil, so a snapshot lives no longer than it is needed.
+func NewBatch(cps []*Checkpoint, injs []*faultinject.Injection) (*Batch, error) {
+	if len(injs) == 0 || len(cps) != len(injs) {
+		return nil, fmt.Errorf("sim: batch of %d checkpoints and %d injections", len(cps), len(injs))
 	}
-	donor, err := cp.Fork(nil)
+	for i, cp := range cps {
+		if i > 0 && cp.step < cps[i-1].step {
+			return nil, fmt.Errorf("sim: batch fork %d: checkpoint at step %d precedes fork %d's at step %d",
+				i, cp.step, i-1, cps[i-1].step)
+		}
+		if err := cp.checkFork(injs[i]); err != nil {
+			return nil, fmt.Errorf("sim: batch fork %d: %w", i, err)
+		}
+	}
+	donor, err := cps[0].Fork(nil)
 	if err != nil {
 		return nil, err
 	}
-	b := &Batch{
-		donor:    donor,
-		forks:    make([]*Vehicle, len(injs)),
-		imuDraws: make([]int, len(injs)),
-		env:      envDraws{imus: donor.imus},
-		filters:  make([]ekf.Filter, len(injs)),
-		bodies:   make([]physics.Body, len(injs)),
-	}
-	for i, inj := range injs {
-		v, err := cp.ForkWithInjection(inj, nil)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch fork %d: %w", i, err)
-		}
-		// Move the hot state into the slabs. Filter is all-value state;
-		// Body's only pointer field is its wind process, which the batch
-		// path never steps (the donor owns the shared wind).
-		b.filters[i] = *v.filter
-		v.filter = &b.filters[i]
-		b.bodies[i] = *v.body
-		v.body = &b.bodies[i]
-		b.forks[i] = v
-	}
-	return b, nil
+	return &Batch{
+		donor:   donor,
+		cps:     cps,
+		injs:    injs,
+		forks:   make([]*Vehicle, len(injs)),
+		env:     envDraws{imus: donor.imus, imuFirst: donor.imuSets, imuDrawn: donor.imuSets},
+		filters: make([]ekf.Filter, len(injs)),
+		bodies:  make([]physics.Body, len(injs)),
+	}, nil
 }
 
 // Run steps all forks in lockstep to their outcomes and returns the
-// finalized results, index-aligned with the injections. An error (an IMU
-// draw set a fork asks for has left the window) voids the whole batch: it
-// never returns partial results.
+// finalized results, index-aligned with the injections. An error (a fork
+// that cannot be built, or an IMU draw set a fork asks for has left the
+// window) voids the whole batch: it never returns partial results.
 func (b *Batch) Run() ([]Result, error) {
+	results := make([]Result, len(b.forks))
+	next := 0 // the first fork still to join
 	for {
-		active := false
-		for _, v := range b.forks {
-			if !v.done && v.step < v.steps {
-				active = true
-				break
+		for ; next < len(b.cps) && b.cps[next].step <= b.donor.step; next++ {
+			if err := b.join(next); err != nil {
+				return nil, err
 			}
 		}
-		if !active {
-			break
+		live := false
+		for i, v := range b.forks {
+			if v == nil {
+				continue
+			}
+			if v.done || v.step >= v.steps {
+				results[i] = v.finalize()
+				if b.finished != nil {
+					b.finished(i, v)
+				}
+				b.forks[i] = nil
+				continue
+			}
+			live = true
+		}
+		if !live && next == len(b.cps) {
+			return results, nil
 		}
 		b.donor.drawEnv(&b.env)
 		for i, v := range b.forks {
-			if v.done || v.step >= v.steps {
+			if v == nil {
 				continue
 			}
-			if err := v.stepEnv(&b.env, &b.imuDraws[i]); err != nil {
+			if err := v.stepEnv(&b.env); err != nil {
 				return nil, fmt.Errorf("sim: batch fork %d: %w", i, err)
 			}
 		}
 	}
-	results := make([]Result, len(b.forks))
-	for i, v := range b.forks {
-		results[i] = v.finalize()
+}
+
+// join builds fork i from its checkpoint, moves its hot state into the
+// slabs and releases the checkpoint.
+func (b *Batch) join(i int) error {
+	v, err := b.cps[i].ForkWithInjection(b.injs[i], nil)
+	if err != nil {
+		return fmt.Errorf("sim: batch fork %d: %w", i, err)
 	}
-	return results, nil
+	b.cps[i] = nil
+	// Filter is all-value state; Body's only pointer field is its wind
+	// process, which the batch path never steps (the donor owns the shared
+	// wind).
+	b.filters[i] = *v.filter
+	v.filter = &b.filters[i]
+	b.bodies[i] = *v.body
+	v.body = &b.bodies[i]
+	b.forks[i] = v
+	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"uavres/internal/faultinject"
 	"uavres/internal/mathx"
 	"uavres/internal/mission"
+	"uavres/internal/obs"
 	"uavres/internal/sensors"
 )
 
@@ -46,14 +48,8 @@ func TestBatchBitIdentical(t *testing.T) {
 		}
 	}
 
-	b, err := NewBatch(cp, injs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cps := slices.Repeat([]*Checkpoint{cp}, len(injs))
+	results, forks := runBatch(t, cps, injs)
 
 	for i, inj := range injs {
 		label := inj.Label()
@@ -63,10 +59,10 @@ func TestBatchBitIdentical(t *testing.T) {
 		}
 		sameResult(t, label, straight, results[i])
 	}
-	if !anyPrimarySwitched(b) {
+	if !anyPrimarySwitched(t, cps, forks) {
 		t.Error("no fork switched its primary IMU; expected the failsafe isolation stage to rotate primaries in at least one case")
 	}
-	checkStreamsUntouched(t, cp, b)
+	checkStreamsUntouched(t, cps, forks)
 }
 
 // TestBatchLockstepThroughPrimarySwitch pins lockstep on the voting path:
@@ -96,15 +92,9 @@ func TestBatchLockstepThroughPrimarySwitch(t *testing.T) {
 	freeze := *rep
 	freeze.Primitive = faultinject.Freeze
 	injs := []*faultinject.Injection{rep, &freeze}
-	b, err := NewBatch(cp, injs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !anyPrimarySwitched(b) {
+	cps := []*Checkpoint{cp, cp}
+	results, forks := runBatch(t, cps, injs)
+	if !anyPrimarySwitched(t, cps, forks) {
 		t.Fatal("no fork switched its primary IMU despite voting-driven primary switches")
 	}
 	for i, inj := range injs {
@@ -114,14 +104,150 @@ func TestBatchLockstepThroughPrimarySwitch(t *testing.T) {
 		}
 		sameResult(t, inj.Label(), straight, results[i])
 	}
-	checkStreamsUntouched(t, cp, b)
+	checkStreamsUntouched(t, cps, forks)
 }
 
-// anyPrimarySwitched reports whether some fork of b ended its run on a
-// different primary IMU than the checkpoint's, which the donor keeps.
-func anyPrimarySwitched(b *Batch) bool {
-	for _, v := range b.forks {
-		if v.imus.Primary() != b.donor.imus.Primary() {
+// TestBatchAcrossStartsBitIdentical is the bar for a batch that spans a
+// chain's starts: one prefix flown under a representative with the
+// chain's latest start is snapshotted at three or more starts, every fork
+// joins one batch from the snapshot at its own start, and each must match
+// its straight run. The cases cover a fork joining after every earlier
+// fork has ended, more than imuDrawWindow IMU sets after the newest one
+// they drew (draw-ahead); a primary-scope gyro fork whose primary switches
+// before a later fork joins; and a hexa actuator chain.
+func TestBatchAcrossStartsBitIdentical(t *testing.T) {
+	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	sensor := func(p faultinject.Primitive, target faultinject.Target, start, dur float64, scope faultinject.Scope) *faultinject.Injection {
+		return &faultinject.Injection{Primitive: p, Target: target, Start: sec(start), Duration: sec(dur), Seed: 1234, Scope: scope}
+	}
+	all, primary := faultinject.ScopeAllUnits, faultinject.ScopePrimaryUnit
+	allCfg := DefaultConfig()
+	allCfg.RecordTrajectory = true
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		rep  *faultinject.Injection // the chain's latest start
+		injs []*faultinject.Injection
+		// check asserts the scenario's precondition on the batch results.
+		check func(t *testing.T, cps []*Checkpoint, results []Result, forks []*Vehicle)
+	}{{
+		name: "join after every earlier fork ended",
+		cfg:  allCfg,
+		rep:  sensor(faultinject.FixedValue, faultinject.TargetIMU, 35, 5, all),
+		injs: []*faultinject.Injection{
+			sensor(faultinject.Random, faultinject.TargetIMU, 10, 30, all),
+			sensor(faultinject.MinValue, faultinject.TargetGyro, 10, 2, all),
+			sensor(faultinject.Random, faultinject.TargetGyro, 12, 10, all),
+			sensor(faultinject.Noise, faultinject.TargetAccel, 30, 5, all),
+			sensor(faultinject.Freeze, faultinject.TargetGyro, 35, 2, all),
+		},
+		check: func(t *testing.T, cps []*Checkpoint, results []Result, forks []*Vehicle) {
+			newest := 0 // past the newest IMU set the earlier forks read
+			for i := 0; i < 3; i++ {
+				if ended := results[i].FlightDurationSec; results[i].Outcome == OutcomeCompleted || ended >= 30 {
+					t.Fatalf("fork %d ended (%v) at %.2fs; the scenario needs it to end before fork 3 joins at 30s",
+						i, results[i].Outcome, ended)
+				}
+				newest = max(newest, forks[i].imuSets)
+			}
+			if gap := cps[3].imuSets - newest; gap <= imuDrawWindow {
+				t.Fatalf("fork 3 joins only %d IMU sets past the others' newest; want more than %d", gap, imuDrawWindow)
+			}
+		},
+	}, {
+		name: "primary switched before a later join",
+		cfg:  allCfg,
+		rep:  sensor(faultinject.Zeros, faultinject.TargetGyro, 30, 5, primary),
+		injs: []*faultinject.Injection{
+			sensor(faultinject.FixedValue, faultinject.TargetGyro, 10, 30, primary),
+			sensor(faultinject.MaxValue, faultinject.TargetGyro, 20, 5, primary),
+			sensor(faultinject.Freeze, faultinject.TargetGyro, 30, 5, primary),
+		},
+		check: func(t *testing.T, cps []*Checkpoint, results []Result, forks []*Vehicle) {
+			// Fork 1 must be flying on a switched primary when fork 2 joins.
+			first := -1.0
+			for _, e := range results[1].Diagnostics.Trace {
+				if e.Kind == obs.EventSensorSwitch {
+					first = e.T
+					break
+				}
+			}
+			if first < 0 || first >= 30 || results[1].FlightDurationSec <= 30 {
+				t.Fatalf("fork 1 first switched its primary at %.2fs (-1: never) and ended at %.2fs; want a switch before fork 2 joins at 30s and an end after it",
+					first, results[1].FlightDurationSec)
+			}
+		},
+	}, {
+		name: "hexa actuator chain",
+		cfg:  actuatorCfg(),
+		rep:  actuatorInj(faultinject.StuckRotor, 0, 30),
+		injs: []*faultinject.Injection{
+			actuatorInj(faultinject.LossOfEffectiveness, 2, 10),
+			actuatorInj(faultinject.FloatRotor, 0, 20),
+			actuatorInj(faultinject.StuckRotor, 3, 20),
+			actuatorInj(faultinject.LossOfEffectiveness, 1, 30),
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := NewVehicle(tc.cfg, shortMission(), tc.rep, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cps := make([]*Checkpoint, len(tc.injs))
+			starts := map[time.Duration]bool{}
+			for i, inj := range tc.injs {
+				v.RunUntil(inj.Start.Seconds())
+				cps[i] = v.Snapshot()
+				starts[inj.Start] = true
+			}
+			if len(starts) < 3 {
+				t.Fatalf("chain snapshotted at %d starts, want at least 3", len(starts))
+			}
+			results, forks := runBatch(t, cps, tc.injs)
+			for i, inj := range tc.injs {
+				label := fmt.Sprintf("%s@%v", inj.Label(), inj.Start)
+				straight, err := Run(tc.cfg, shortMission(), inj, nil)
+				if err != nil {
+					t.Fatalf("%s straight: %v", label, err)
+				}
+				sameResult(t, label, straight, results[i])
+			}
+			if tc.check != nil {
+				tc.check(t, cps, results, forks)
+			}
+			checkStreamsUntouched(t, cps, forks)
+		})
+	}
+}
+
+// runBatch steps injs in one batch, fork i from cps[i], and returns the
+// results and every fork as it finished. cps itself is left intact.
+func runBatch(t *testing.T, cps []*Checkpoint, injs []*faultinject.Injection) ([]Result, []*Vehicle) {
+	t.Helper()
+	b, err := NewBatch(slices.Clone(cps), injs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := make([]*Vehicle, len(injs))
+	b.finished = func(i int, v *Vehicle) { forks[i] = v }
+	results, err := b.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, forks
+}
+
+// anyPrimarySwitched reports whether some fork ended its run on a
+// different primary IMU than its checkpoint's.
+func anyPrimarySwitched(t *testing.T, cps []*Checkpoint, forks []*Vehicle) bool {
+	t.Helper()
+	for i, v := range forks {
+		ref, err := cps[i].Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.imus.Primary() != ref.imus.Primary() {
 			return true
 		}
 	}
@@ -130,12 +256,12 @@ func anyPrimarySwitched(b *Batch) bool {
 
 // checkStreamsUntouched proves that no fork of a finished batch drew
 // environment noise for itself: every fork's IMU units, GPS, baro, mag and
-// wind streams still yield the same next deviates as a fresh fork of the
+// wind streams still yield the same next deviates as a fresh fork of its
 // checkpoint. It consumes those deviates, so call it after Run.
-func checkStreamsUntouched(t *testing.T, cp *Checkpoint, b *Batch) {
+func checkStreamsUntouched(t *testing.T, cps []*Checkpoint, forks []*Vehicle) {
 	t.Helper()
-	for i, v := range b.forks {
-		ref, err := cp.Fork(nil)
+	for i, v := range forks {
+		ref, err := cps[i].Fork(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,31 +278,43 @@ func checkStreamsUntouched(t *testing.T, cp *Checkpoint, b *Batch) {
 	}
 }
 
-// TestEnvDrawsWindow pins the IMU draw-window guard: sets are drawn in
-// order on first request, a re-read inside the window returns the same
-// deviates, and a set that left the window (or is not next) is an error
-// rather than a stale draw.
+// TestEnvDrawsWindow pins the IMU draw-window contract: a request past
+// the newest set draws forward in order, so set k is the k-th draw of the
+// units however the requests skip; a re-read inside the window returns the
+// same deviates; and only a set older than the window (or before the
+// donor's first) is an error rather than a stale draw.
 func TestEnvDrawsWindow(t *testing.T) {
-	imus, err := sensors.NewRedundantIMUs(3, sensors.DefaultIMUSpec(), mathx.NewRand(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := envDraws{imus: imus}
-	var sets [][]sensors.IMUNoise
-	for k := 0; k <= imuDrawWindow; k++ {
-		set, err := env.imuNoise(k)
+	newIMUs := func() *sensors.RedundantIMUs {
+		imus, err := sensors.NewRedundantIMUs(3, sensors.DefaultIMUSpec(), mathx.NewRand(5))
 		if err != nil {
-			t.Fatalf("set %d: %v", k, err)
+			t.Fatal(err)
 		}
-		sets = append(sets, slices.Clone(set))
+		return imus
 	}
-	if again, err := env.imuNoise(1); err != nil || !slices.Equal(again, sets[1]) {
-		t.Errorf("set 1 inside the window: got %v, %v; want the first read %v", again, err, sets[1])
+	ref := newIMUs()
+	var want [][]sensors.IMUNoise // want[k]: the units' k-th draw set
+	for k := 0; k < 3*imuDrawWindow; k++ {
+		want = append(want, ref.DrawNoiseInto(nil))
 	}
-	for _, k := range []int{0, -1, imuDrawWindow + 2} {
+
+	env := envDraws{imus: newIMUs()}
+	for _, k := range []int{0, 1, 2 * imuDrawWindow, 2*imuDrawWindow + 1, 3*imuDrawWindow - 1} {
+		set, err := env.imuNoise(k)
+		if err != nil || !slices.Equal(set, want[k]) {
+			t.Errorf("set %d: got %v, %v; want the units' draw %d %v", k, set, err, k, want[k])
+		}
+	}
+	oldest := 2 * imuDrawWindow // the newest set is 3*imuDrawWindow-1
+	if again, err := env.imuNoise(oldest); err != nil || !slices.Equal(again, want[oldest]) {
+		t.Errorf("set %d inside the window: got %v, %v; want %v", oldest, again, err, want[oldest])
+	}
+	for _, k := range []int{oldest - 1, 1, -1} {
 		if set, err := env.imuNoise(k); err == nil {
-			t.Errorf("set %d outside the window [1, %d]: got a draw %v, want an error", k, imuDrawWindow+1, set)
+			t.Errorf("set %d older than the window [%d, %d]: got a draw %v, want an error", k, oldest, 3*imuDrawWindow-1, set)
 		}
+	}
+	if set, err := (&envDraws{imus: newIMUs(), imuFirst: 5, imuDrawn: 5}).imuNoise(4); err == nil {
+		t.Errorf("set 4 before the donor's first set 5: got a draw %v, want an error", set)
 	}
 }
 
@@ -203,14 +341,7 @@ func TestBatchZigguratPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix.RunUntil(startSec)
-	b, err := NewBatch(prefix.Snapshot(), injs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := runBatch(t, slices.Repeat([]*Checkpoint{prefix.Snapshot()}, len(injs)), injs)
 
 	for i, inj := range injs {
 		straight, err := Run(cfg, m, inj, nil)

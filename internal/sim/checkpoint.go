@@ -30,9 +30,10 @@ type Checkpoint struct {
 	m   mission.Mission
 	inj *faultinject.Injection // injection the prefix ran under (nil: gold)
 
-	step int
-	done bool
-	res  Result // Trajectory deep-copied
+	step    int
+	imuSets int
+	done    bool
+	res     Result // Trajectory deep-copied
 
 	body        physics.BodySnapshot
 	imus        sensors.RedundantIMUsSnapshot
@@ -72,12 +73,13 @@ func (c *Checkpoint) T() float64 { return float64(c.step) * c.cfg.PhysicsDt }
 // Snapshot captures the vehicle's complete dynamic state.
 func (v *Vehicle) Snapshot() *Checkpoint {
 	c := &Checkpoint{
-		cfg:  v.cfg,
-		m:    v.m,
-		inj:  v.inj,
-		step: v.step,
-		done: v.done,
-		res:  v.res,
+		cfg:     v.cfg,
+		m:       v.m,
+		inj:     v.inj,
+		step:    v.step,
+		imuSets: v.imuSets,
+		done:    v.done,
+		res:     v.res,
 
 		body:     v.body.Snapshot(),
 		imus:     v.imus.Snapshot(),
@@ -154,22 +156,8 @@ func (c *Checkpoint) Fork(obs Observer) (*Vehicle, error) {
 // sample, an actuator fork's Stuck state from the checkpoint's last motor
 // commands — exactly what a straight-through injector would have captured.
 func (c *Checkpoint) ForkWithInjection(inj *faultinject.Injection, obs Observer) (*Vehicle, error) {
-	if (inj == nil) != (c.inj == nil) {
-		return nil, fmt.Errorf("sim: fork injection presence differs from checkpoint prefix")
-	}
-	if inj != nil {
-		if c.step > 0 && float64(c.step-1)*c.cfg.PhysicsDt >= inj.Start.Seconds() {
-			return nil, fmt.Errorf("sim: checkpoint at t=%.3fs is past injection start %v",
-				float64(c.step-1)*c.cfg.PhysicsDt, inj.Start)
-		}
-		if inj.SensorTarget() != c.inj.SensorTarget() {
-			return nil, fmt.Errorf("sim: fork injection family (%s) differs from checkpoint prefix (%s)",
-				injectionFamily(inj), injectionFamily(c.inj))
-		}
-		if inj.Scope != c.inj.Scope {
-			return nil, fmt.Errorf("sim: fork scope %v differs from checkpoint scope %v",
-				inj.Scope, c.inj.Scope)
-		}
+	if err := c.checkFork(inj); err != nil {
+		return nil, err
 	}
 	v, err := NewVehicle(c.cfg, c.m, inj, obs)
 	if err != nil {
@@ -188,6 +176,30 @@ func (c *Checkpoint) ForkWithInjection(inj *faultinject.Injection, obs Observer)
 		}
 	}
 	return v, nil
+}
+
+// checkFork applies ForkWithInjection's validity rules without building
+// the fork.
+func (c *Checkpoint) checkFork(inj *faultinject.Injection) error {
+	if (inj == nil) != (c.inj == nil) {
+		return fmt.Errorf("sim: fork injection presence differs from checkpoint prefix")
+	}
+	if inj == nil {
+		return nil
+	}
+	if c.step > 0 && float64(c.step-1)*c.cfg.PhysicsDt >= inj.Start.Seconds() {
+		return fmt.Errorf("sim: checkpoint at t=%.3fs is past injection start %v",
+			float64(c.step-1)*c.cfg.PhysicsDt, inj.Start)
+	}
+	if inj.SensorTarget() != c.inj.SensorTarget() {
+		return fmt.Errorf("sim: fork injection family (%s) differs from checkpoint prefix (%s)",
+			injectionFamily(inj), injectionFamily(c.inj))
+	}
+	if inj.Scope != c.inj.Scope {
+		return fmt.Errorf("sim: fork scope %v differs from checkpoint scope %v",
+			inj.Scope, c.inj.Scope)
+	}
+	return nil
 }
 
 // injectionFamily names the side of the fault model an injection lives on.
@@ -240,6 +252,7 @@ func (v *Vehicle) restoreFrom(c *Checkpoint) error {
 	}
 
 	v.step = c.step
+	v.imuSets = c.imuSets
 	v.done = c.done
 	v.res = c.res
 	// The result identifies THIS run's experiment, not the prefix's.

@@ -83,6 +83,7 @@ type Vehicle struct {
 
 	// Step-loop state.
 	step        int // next physics step index; sim time = step * PhysicsDt
+	imuSets     int // IMU draw sets consumed since launch, one per IMU tick
 	steps       int
 	imuDt       float64
 	lastIMU     sensors.IMUSample // post-mitigation primary sample
@@ -304,30 +305,32 @@ const imuDrawWindow = 8
 
 // envDraws carries the environment deviates a batch's donor vehicle draws
 // once for every lockstep fork (see Batch). GPS, baro, mag and wind are
-// drawn per tick (drawEnv); IMU draw sets are indexed by count and drawn
-// on first request (imuNoise). The buffers are reused.
+// drawn per tick (drawEnv); IMU draw sets are indexed by their count since
+// launch (Vehicle.imuSets) and drawn on request (imuNoise). The buffers
+// are reused.
 type envDraws struct {
 	imus      *sensors.RedundantIMUs // the donor's units
 	imuSets   [imuDrawWindow][]sensors.IMUNoise
-	imuDrawn  int // IMU draw sets drawn so far
+	imuFirst  int // the donor's first set: earlier ones were drawn before its checkpoint
+	imuDrawn  int // the next set the donor's units will draw
 	gpsNoise  sensors.GPSNoise
 	baroNoise float64
 	magNoise  float64
 	wind      mathx.Vec3
 }
 
-// imuNoise returns IMU draw set k (counted from the checkpoint, one per
-// IMU tick), drawing it from the donor's units when k is the next set. A
-// set that has already left the window is an error, never a stale draw.
+// imuNoise returns IMU draw set k. A set past the newest one is drawn
+// forward, in order, from the donor's units: a fork that joins after every
+// earlier fork has ended asks for sets nobody requested in between. A set
+// older than the window, or from before the donor's checkpoint, is an
+// error, never a stale draw.
 func (e *envDraws) imuNoise(k int) ([]sensors.IMUNoise, error) {
-	if k == e.imuDrawn {
-		set := &e.imuSets[k%imuDrawWindow]
-		*set = e.imus.DrawNoiseInto(*set)
-		e.imuDrawn++
-		return *set, nil
-	}
-	if k < 0 || k > e.imuDrawn || k < e.imuDrawn-imuDrawWindow {
+	if k < e.imuFirst || k < e.imuDrawn-imuDrawWindow {
 		return nil, fmt.Errorf("sim: IMU draw set %d outside the window of %d sets ending at %d", k, imuDrawWindow, e.imuDrawn)
+	}
+	for ; e.imuDrawn <= k; e.imuDrawn++ {
+		set := &e.imuSets[e.imuDrawn%imuDrawWindow]
+		*set = e.imus.DrawNoiseInto(*set)
 	}
 	return e.imuSets[k%imuDrawWindow], nil
 }
@@ -354,15 +357,15 @@ func (v *Vehicle) drawEnv(env *envDraws) {
 
 // stepOnce advances the simulation by one physics step, drawing all
 // environment noise from the vehicle's own streams; it cannot fail.
-func (v *Vehicle) stepOnce() { _ = v.stepEnv(nil, nil) }
+func (v *Vehicle) stepOnce() { _ = v.stepEnv(nil) }
 
 // stepEnv advances the simulation by one physics step. With a nil env it
 // draws environment noise from the vehicle's own streams (the scalar
 // path); otherwise it composes the shared deviates in env, reading IMU
-// draw set *imuDraws and advancing that cursor on each IMU tick, and
-// leaves its own environment streams untouched (the batch path). Both
-// paths execute bit-identical arithmetic.
-func (v *Vehicle) stepEnv(env *envDraws, imuDraws *int) error {
+// draw set v.imuSets on each IMU tick, and leaves its own environment
+// streams untouched (the batch path). Both paths execute bit-identical
+// arithmetic and count the IMU sets they consume.
+func (v *Vehicle) stepEnv(env *envDraws) error {
 	cfg := &v.cfg
 	t := float64(v.step) * cfg.PhysicsDt
 
@@ -372,13 +375,13 @@ func (v *Vehicle) stepEnv(env *envDraws, imuDraws *int) error {
 		if env == nil {
 			all = v.imus.SampleAllInto(v.sampleBuf, t, v.body.SpecificForce(), v.body.AngularRate())
 		} else {
-			noise, err := env.imuNoise(*imuDraws)
+			noise, err := env.imuNoise(v.imuSets)
 			if err != nil {
 				return err
 			}
-			*imuDraws++
 			all = v.imus.SampleAllWith(v.sampleBuf, t, v.body.SpecificForce(), v.body.AngularRate(), noise)
 		}
+		v.imuSets++
 		v.sampleBuf = all
 		clean := all[v.imus.Primary()]
 		v.lastClean = clean
@@ -450,7 +453,7 @@ func (v *Vehicle) stepEnv(env *envDraws, imuDraws *int) error {
 		if cfg.ShieldRateLoop {
 			rateFeedback = clean.Gyro // ablation: control path protected
 		}
-		cmd, _ := v.ctl.Update(v.imuDt, control.Estimate{Att: est.Att, Vel: est.Vel, Pos: est.Pos}, rateFeedback, v.sp)
+		cmd := v.ctl.Command(v.imuDt, control.Estimate{Att: est.Att, Vel: est.Vel, Pos: est.Pos}, rateFeedback, v.sp)
 		if v.rotorMon != nil {
 			// FDI compares what the controller intends against what the
 			// rotors measurably did; the fault acts between the two.
