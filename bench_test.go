@@ -297,9 +297,10 @@ func BenchmarkMicroNormFloat64Ziggurat(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroObsCounterInc measures the observability hot path: one
-// resolved-counter increment, the cost the flight-data recorder adds to
-// every 500 Hz physics step. Must stay 0 allocs/op.
+// BenchmarkMicroObsCounterInc measures one resolved-counter increment,
+// the per-update cost of the campaign runner's and daemon's registry
+// instruments (the flight-data recorder keeps plain counters and touches
+// no registry). Must stay 0 allocs/op.
 func BenchmarkMicroObsCounterInc(b *testing.B) {
 	c := obs.NewRegistry().Counter("steps")
 	b.ReportAllocs()
@@ -317,19 +318,6 @@ func BenchmarkMicroObsHistogramObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%37) * 0.1)
-	}
-}
-
-// BenchmarkMicroObsTraceAppend measures one trace-ring append (including
-// steady-state eviction once the ring is full). Must stay 0 allocs/op.
-func BenchmarkMicroObsTraceAppend(b *testing.B) {
-	tb := obs.NewTraceBuffer(obs.DefaultTraceCapacity)
-	e := obs.Event{Kind: obs.EventPhase, Detail: "2"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.T = float64(i)
-		tb.Append(e)
 	}
 }
 

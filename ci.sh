@@ -19,8 +19,8 @@
 # loadable artifacts, and a multi-start campaign whose forks come off
 # prefix chains and all batch across starts must match its
 # straight-through and scalar-fork runs bit for bit. Short
-# fuzz passes cover the resume decoder and fork-versus-straight
-# equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
+# fuzz passes cover the resume decoder, the spec decoder and compiler,
+# and fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
 set -eux
@@ -48,6 +48,10 @@ go test -run XXX -bench Micro -benchtime=1x -benchmem .
 # Short fuzz pass over the resume decoder (seed corpus under
 # internal/core/testdata/fuzz): no panic, and a writer round trip.
 go test -run XXX -fuzz FuzzLoadPartialResults -fuzztime 10s ./internal/core/
+# Short fuzz pass over the spec decoder and compiler (seed corpus under
+# internal/spec/testdata/fuzz): no panic, and every compiled case has a
+# unique ID, a positive duration and a non-negative start.
+go test -run XXX -fuzz FuzzParseCompile -fuzztime 10s ./internal/spec/
 # Short fuzz pass over fault parameters (primitive, target or rotor,
 # scope, start, duration): chained forks equal straight runs, and every
 # outcome is enumerated with finite numbers.

@@ -1,9 +1,7 @@
-// Package obs is the flight-data-recorder observability layer: a metrics
-// registry (counters, gauges, fixed-bucket histograms) and a structured
-// trace-event ring buffer, both with allocation-free hot paths safe for
-// the 500 Hz simulation step loop and both snapshot-able so they compose
-// with checkpoint-and-fork execution (a forked run carries a forked copy
-// of its prefix's metrics, never a shared instance).
+// Package obs is the observability layer: a metrics registry (counters,
+// gauges, fixed-bucket histograms) with allocation-free update paths, a
+// span tracer, and the trace-event taxonomy (EventKind, Event) the
+// simulator's flight-data recorder fills its fixed-size event ring with.
 //
 // The package is dependency-free (standard library only, no other
 // internal packages) so every layer of the stack — sim, ekf, core,

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -14,11 +13,9 @@ import (
 // once at construction time and hit only atomics in their hot loops.
 // Instruments are safe for concurrent use from any number of goroutines.
 type Registry struct {
-	mu sync.Mutex
-	//lint:allow snapshotcomplete registration table, fixed before any run; Snapshot/Restore round-trip instrument VALUES by name
+	mu      sync.Mutex
 	metrics map[string]*metric // guarded by mu
-	//lint:allow snapshotcomplete registration order, fixed before any run; values round-trip through Snapshot/Restore
-	order []*metric // registration order; guarded by mu
+	order   []*metric          // registration order; guarded by mu
 }
 
 // metric kinds.
@@ -130,9 +127,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// set is used by Restore.
-func (c *Counter) set(n int64) { c.v.Store(n) }
-
 // Gauge is a settable float metric.
 type Gauge struct {
 	bits atomic.Uint64
@@ -221,9 +215,7 @@ func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
 // Snapshot is a point-in-time copy of every registered metric, ordered by
 // name (deterministic output). It is the registry's serialization format
-// (WriteJSON) and its checkpoint format (Restore): a forked simulation
-// restores the prefix's snapshot into its own fresh registry, so sibling
-// forks never share instruments.
+// (WriteJSON).
 type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Gauges     []GaugeValue     `json:"gauges"`
@@ -302,60 +294,4 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Restore sets every metric named in the snapshot to its recorded value.
-// Metrics absent from the target registry are ignored (a snapshot may
-// carry gauge-func values, which have no settable state); a histogram
-// whose bucket layout differs from the target's is an error, because a
-// silent partial restore would corrupt fork diagnostics.
-func (r *Registry) Restore(s Snapshot) error {
-	r.mu.Lock()
-	byName := make(map[string]*metric, len(r.metrics))
-	for name, m := range r.metrics {
-		byName[name] = m
-	}
-	r.mu.Unlock()
-
-	for _, cv := range s.Counters {
-		if m, exists := byName[cv.Name]; exists && m.kind == kindCounter {
-			m.counter.set(cv.Value)
-		}
-	}
-	for _, gv := range s.Gauges {
-		if m, exists := byName[gv.Name]; exists && m.kind == kindGauge {
-			m.gauge.Set(gv.Value)
-		}
-	}
-	for _, hv := range s.Histograms {
-		m, exists := byName[hv.Name]
-		if !exists || m.kind != kindHistogram {
-			continue
-		}
-		h := m.hist
-		if len(hv.Counts) != len(h.counts) || len(hv.Bounds) != len(h.bounds) {
-			return fmt.Errorf("obs: restore %q: bucket layout mismatch (%d/%d buckets)",
-				hv.Name, len(hv.Counts), len(h.counts))
-		}
-		for i, b := range hv.Bounds {
-			if !approxEq(b, h.bounds[i]) {
-				return fmt.Errorf("obs: restore %q: bound %d is %v, registry has %v",
-					hv.Name, i, b, h.bounds[i])
-			}
-		}
-		for i, c := range hv.Counts {
-			h.counts[i].Store(c)
-		}
-		h.sum.Set(hv.Sum)
-		h.n.Store(hv.Count)
-	}
-	return nil
-}
-
-// approxEq compares bucket bounds with a relative tolerance: bounds
-// round-trip through JSON, which preserves float64 exactly, but a direct
-// equality would trip over any future lossy serialization.
-func approxEq(a, b float64) bool {
-	d := math.Abs(a - b)
-	return d <= 1e-12*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }

@@ -98,87 +98,3 @@ type Event struct {
 	Detail string    `json:"detail,omitempty"`
 	Value  float64   `json:"value,omitempty"`
 }
-
-// DefaultTraceCapacity is the ring size a zero-configured buffer gets:
-// large enough for every event of a nominal flight, small enough that a
-// campaign's 850 diagnostics blocks stay light.
-const DefaultTraceCapacity = 64
-
-// TraceBuffer is a fixed-capacity ring of events. Append never allocates;
-// once full, the oldest event is evicted and counted in Dropped. Not safe
-// for concurrent use: each vehicle owns one (like the filter and body).
-type TraceBuffer struct {
-	buf     []Event
-	start   int
-	n       int
-	dropped int64
-}
-
-// NewTraceBuffer returns a ring holding up to capacity events
-// (DefaultTraceCapacity when capacity <= 0).
-func NewTraceBuffer(capacity int) *TraceBuffer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &TraceBuffer{buf: make([]Event, capacity)}
-}
-
-// Append records one event.
-func (b *TraceBuffer) Append(e Event) {
-	if b.n < len(b.buf) {
-		b.buf[(b.start+b.n)%len(b.buf)] = e
-		b.n++
-		return
-	}
-	b.buf[b.start] = e
-	b.start = (b.start + 1) % len(b.buf)
-	b.dropped++
-}
-
-// Len returns the number of retained events.
-func (b *TraceBuffer) Len() int { return b.n }
-
-// Dropped returns how many events were evicted after the ring filled.
-func (b *TraceBuffer) Dropped() int64 { return b.dropped }
-
-// Events returns the retained events oldest-first (a fresh slice).
-func (b *TraceBuffer) Events() []Event {
-	out := make([]Event, b.n)
-	for i := 0; i < b.n; i++ {
-		out[i] = b.buf[(b.start+i)%len(b.buf)]
-	}
-	return out
-}
-
-// CountByKind tallies retained events per kind name (the diagnostics
-// trace summary).
-func (b *TraceBuffer) CountByKind() map[string]int {
-	out := map[string]int{}
-	for i := 0; i < b.n; i++ {
-		out[b.buf[(b.start+i)%len(b.buf)].Kind.String()]++
-	}
-	return out
-}
-
-// TraceSnapshot is a deep copy of a TraceBuffer's state.
-type TraceSnapshot struct {
-	events  []Event
-	dropped int64
-}
-
-// Snapshot deep-copies the buffer state; the snapshot stays valid while
-// the source keeps appending.
-func (b *TraceBuffer) Snapshot() TraceSnapshot {
-	return TraceSnapshot{events: b.Events(), dropped: b.dropped}
-}
-
-// Restore reinstates a snapshot (the buffer keeps its own capacity; if
-// the snapshot holds more events than fit, the oldest are dropped, exactly
-// as if they had been appended live).
-func (b *TraceBuffer) Restore(s TraceSnapshot) {
-	b.start, b.n, b.dropped = 0, 0, 0
-	for _, e := range s.events {
-		b.Append(e)
-	}
-	b.dropped += s.dropped
-}

@@ -51,7 +51,7 @@ type Checkpoint struct {
 	crash       failsafe.CrashSnapshot
 	guide       guidance // all-value state; mission slices are read-only
 	tracker     bubble.TrackerSnapshot
-	rec         recorderSnapshot
+	rec         recorder
 
 	lastIMU     sensors.IMUSample
 	lastClean   sensors.IMUSample
@@ -93,7 +93,7 @@ func (v *Vehicle) Snapshot() *Checkpoint {
 		crash:    v.crash.Snapshot(),
 		guide:    *v.guide,
 		tracker:  v.tracker.Snapshot(),
-		rec:      v.rec.snapshot(),
+		rec:      v.rec,
 
 		lastIMU:     v.lastIMU,
 		lastClean:   v.lastClean,
@@ -247,9 +247,7 @@ func (v *Vehicle) restoreFrom(c *Checkpoint) error {
 	g := c.guide
 	v.guide = &g
 	v.tracker.Restore(c.tracker)
-	if err := v.rec.restore(c.rec); err != nil {
-		return err
-	}
+	v.rec = c.rec
 
 	v.step = c.step
 	v.imuSets = c.imuSets

@@ -50,8 +50,8 @@ func sameResult(t *testing.T, label string, straight, forked Result) {
 	}
 	// The flight-data-recorder block must fork bit-identically too: every
 	// trace event, first-violation time, and counter — and each fork owns
-	// its own instruments, so nothing here can be cross-contaminated by a
-	// sibling fork.
+	// its own copy of the recorder, so nothing here can be
+	// cross-contaminated by a sibling fork.
 	if !reflect.DeepEqual(forked.Diagnostics, straight.Diagnostics) {
 		t.Errorf("%s: diagnostics differ\nfork:     %+v\nstraight: %+v", label,
 			forked.Diagnostics, straight.Diagnostics)

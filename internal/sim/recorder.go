@@ -10,33 +10,6 @@ const phaseCount = 4
 
 var phaseNames = [phaseCount]string{"takeoff", "cruise", "land", "done"}
 
-// recorder is the vehicle's flight-data recorder: a per-run metrics
-// registry plus a trace-event ring, updated from inside the step loop.
-// Every update is allocation-free (resolved instruments, static detail
-// strings) so the recorder rides the 500 Hz loop without touching the
-// hot-path budget. It is driven exclusively by sim time — never the wall
-// clock — so recorded values are deterministic and fork bit-identically.
-type recorder struct {
-	reg   *obs.Registry
-	trace *obs.TraceBuffer
-
-	// Resolved instruments (lock-free to update). The pointers are fixed
-	// at construction; the instrument VALUES round-trip through
-	// reg.Snapshot/Restore in snapshot/restore below.
-	inner       *obs.Counter //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-	outer       *obs.Counter //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-	gpsRejects  *obs.Counter //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-	baroRejects *obs.Counter //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-	ekfResets   *obs.Counter //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-	switches    *obs.Counter //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-	mitigations *obs.Counter //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-	maxTilt     *obs.Gauge   //lint:allow snapshotcomplete value round-trips via reg, pointer is fixed
-
-	// Edge-detection and first-occurrence state; all value fields, so the
-	// recorderSnapshot copy is a plain struct copy.
-	st recorderState
-}
-
 // BlackBoxTailSec is the black-box window: how many trailing seconds of
 // tracking observations the recorder retains for post-crash dumps. It is
 // a package constant, not a Config field, because spec.Fingerprint
@@ -44,24 +17,27 @@ type recorder struct {
 // hash and resume cache in existence.
 const BlackBoxTailSec = 30
 
+// DefaultTraceCapacity is the size of the recorder's event ring: large
+// enough for every event of a nominal flight, small enough that a
+// campaign's 850 diagnostics blocks stay light. Like BlackBoxTailSec it
+// is a constant, not a Config field, so it never enters a case
+// fingerprint.
+const DefaultTraceCapacity = 64
+
 // blackBoxTailCap sizes the tail ring: tracking runs at 1 Hz (the
 // u-space default), so the window plus one boundary observation.
 const blackBoxTailCap = BlackBoxTailSec + 1
 
-// recorderState is the recorder's scalar state: rising-edge latches (trace
-// events fire on streak starts, not every instant) and first-occurrence
-// timestamps (-1 until seen). It also embeds the black-box tail ring as
-// plain value fields, so checkpoint snapshots copy it with the struct and
-// forks stay bit-identical to straight-through runs.
-type recorderState struct {
-	// steps/phaseSteps are plain ints, not registry counters: the vehicle
-	// is single-goroutine and these are the only instruments touched on
-	// every 500 Hz step, so even an uncontended atomic add is measurable
-	// overhead. The registry exposes them through gauge funcs that read
-	// this state at snapshot time.
-	steps      int64
-	phaseSteps [phaseCount]int64
-
+// recorder is the vehicle's flight-data recorder, updated from inside the
+// step loop: rising-edge latches (trace events fire on streak starts, not
+// every instant), first-occurrence timestamps (-1 until seen), the
+// counters and tilt maximum the diagnostics block reports, the trace
+// event ring and the black-box tail ring. Every field is a plain value
+// and both rings are fixed arrays, so updates never allocate and a
+// checkpoint captures the recorder by struct copy — forks stay
+// bit-identical to straight-through runs. It is driven exclusively by sim
+// time, never the wall clock.
+type recorder struct {
 	lastPhase       flightPhase
 	injActive       bool
 	innerActive     bool
@@ -76,181 +52,192 @@ type recorderState struct {
 	firstOuterT     float64
 	distFirstOuterM float64
 
+	switches    int64
+	mitigations int64
+	maxTilt     float64
+
+	// Trace event ring (oldest at evStart when full); evDropped counts
+	// evictions.
+	events    [DefaultTraceCapacity]obs.Event
+	evStart   int
+	evN       int
+	evDropped int64
+
 	// Black-box tail ring (oldest at tailStart when full).
 	tail      [blackBoxTailCap]TrajPoint
 	tailStart int
 	tailN     int
 }
 
-// newRecorder builds the registry, registers every instrument once (the
-// step loop only ever touches resolved instruments), and seeds the edge
-// state. dt is the physics step used to derive per-phase seconds.
-func newRecorder(dt float64) *recorder {
-	reg := obs.NewRegistry()
-	r := &recorder{
-		reg:   reg,
-		trace: obs.NewTraceBuffer(obs.DefaultTraceCapacity),
-		st:    recorderState{firstInnerT: -1, firstOuterT: -1, distFirstOuterM: -1},
-	}
-	reg.GaugeFunc("sim_steps_total", func() float64 { return float64(r.st.steps) })
-	for i, n := range phaseNames {
-		reg.GaugeFunc("sim_steps_phase_"+n, func() float64 { return float64(r.st.phaseSteps[i]) })
-		reg.GaugeFunc("sim_seconds_phase_"+n, func() float64 { return float64(r.st.phaseSteps[i]) * dt })
-	}
-	r.inner = reg.Counter("bubble_inner_violations_total")
-	r.outer = reg.Counter("bubble_outer_violations_total")
-	r.gpsRejects = reg.Counter("ekf_gps_gate_rejects_total")
-	r.baroRejects = reg.Counter("ekf_baro_gate_rejects_total")
-	r.ekfResets = reg.Counter("ekf_resets_total")
-	r.switches = reg.Counter("imu_primary_switches_total")
-	r.mitigations = reg.Counter("mitigation_engagements_total")
-	r.maxTilt = reg.Gauge("sim_max_tilt_deg")
-	return r
+// newRecorder seeds the first-occurrence timestamps as "never".
+func newRecorder() recorder {
+	return recorder{firstInnerT: -1, firstOuterT: -1, distFirstOuterM: -1}
 }
 
-// onStep counts one physics step against the current phase. It runs on
-// every 500 Hz step, so it is plain increments only.
-func (r *recorder) onStep(p flightPhase) {
-	r.st.steps++
-	if p >= 1 && int(p) <= phaseCount {
-		r.st.phaseSteps[p-1]++
+// trace appends one event, evicting (and counting) the oldest once the
+// ring is full.
+func (r *recorder) trace(e obs.Event) {
+	if r.evN < DefaultTraceCapacity {
+		r.events[(r.evStart+r.evN)%DefaultTraceCapacity] = e
+		r.evN++
+		return
 	}
+	r.events[r.evStart] = e
+	r.evStart = (r.evStart + 1) % DefaultTraceCapacity
+	r.evDropped++
+}
+
+// traceEvents returns the retained events oldest-first (a fresh slice).
+func (r *recorder) traceEvents() []obs.Event {
+	out := make([]obs.Event, r.evN)
+	for i := range out {
+		out[i] = r.events[(r.evStart+i)%DefaultTraceCapacity]
+	}
+	return out
+}
+
+// traceSummary tallies retained events per kind name.
+func (r *recorder) traceSummary() map[string]int {
+	out := map[string]int{}
+	for i := 0; i < r.evN; i++ {
+		out[r.events[(r.evStart+i)%DefaultTraceCapacity].Kind.String()]++
+	}
+	return out
 }
 
 // onPhase emits a trace event when the guidance phase changes.
 func (r *recorder) onPhase(t float64, p flightPhase) {
-	if p == r.st.lastPhase {
+	if p == r.lastPhase {
 		return
 	}
-	r.st.lastPhase = p
+	r.lastPhase = p
 	detail := p.label()
 	if p >= 1 && int(p) <= phaseCount {
 		detail = phaseNames[p-1]
 	}
-	r.trace.Append(obs.Event{T: t, Kind: obs.EventPhase, Detail: detail})
+	r.trace(obs.Event{T: t, Kind: obs.EventPhase, Detail: detail})
 }
 
 // onInjection tracks the fault window's edges.
 func (r *recorder) onInjection(t float64, active bool) {
-	if active == r.st.injActive {
+	if active == r.injActive {
 		return
 	}
-	r.st.injActive = active
+	r.injActive = active
 	kind := obs.EventInjectEnd
 	if active {
 		kind = obs.EventInjectStart
 	}
-	r.trace.Append(obs.Event{T: t, Kind: kind})
+	r.trace(obs.Event{T: t, Kind: kind})
 }
 
 // onMitigation tracks the stuck-sensor latch's rising edge.
 func (r *recorder) onMitigation(t float64, stuck bool) {
-	if stuck && !r.st.prevStuck {
-		r.mitigations.Inc()
-		r.trace.Append(obs.Event{T: t, Kind: obs.EventMitigation})
+	if stuck && !r.prevStuck {
+		r.mitigations++
+		r.trace(obs.Event{T: t, Kind: obs.EventMitigation})
 	}
-	r.st.prevStuck = stuck
+	r.prevStuck = stuck
 }
 
 // onRotorReconfig records the rotor-FDI monitor condemning a rotor — an
 // actuator-side mitigation engagement, traced under the same counter and
 // event kind as the sensor pipeline's latches.
 func (r *recorder) onRotorReconfig(t float64) {
-	r.mitigations.Inc()
-	r.trace.Append(obs.Event{T: t, Kind: obs.EventMitigation, Detail: "rotor-reconfig"})
+	r.mitigations++
+	r.trace(obs.Event{T: t, Kind: obs.EventMitigation, Detail: "rotor-reconfig"})
 }
 
 // onSensorSwitch records redundancy management switching the primary IMU.
 func (r *recorder) onSensorSwitch(t float64) {
-	r.switches.Inc()
-	r.trace.Append(obs.Event{T: t, Kind: obs.EventSensorSwitch})
+	r.switches++
+	r.trace(obs.Event{T: t, Kind: obs.EventSensorSwitch})
 }
 
-// afterGPS folds post-FuseGPS health into counters; trace events fire on
-// the first rejection of a streak (every rejection still counts).
+// afterGPS traces the first rejection of a GPS gate-rejection streak
+// (the filter's health report counts every rejection).
 func (r *recorder) afterGPS(t float64, h ekf.Health) {
-	r.gpsRejects.Add(h.GPSGateRejects - r.st.prevGPSRejects)
-	rejected := h.GPSGateRejects > r.st.prevGPSRejects
-	r.st.prevGPSRejects = h.GPSGateRejects
-	if rejected && !r.st.gpsStreak {
-		r.trace.Append(obs.Event{T: t, Kind: obs.EventGateReject, Detail: "gps", Value: h.LastGPSRatio})
+	rejected := h.GPSGateRejects > r.prevGPSRejects
+	r.prevGPSRejects = h.GPSGateRejects
+	if rejected && !r.gpsStreak {
+		r.trace(obs.Event{T: t, Kind: obs.EventGateReject, Detail: "gps", Value: h.LastGPSRatio})
 	}
-	r.st.gpsStreak = rejected
+	r.gpsStreak = rejected
 	r.onResets(t, h)
 }
 
 // afterBaro mirrors afterGPS for the barometer aiding path.
 func (r *recorder) afterBaro(t float64, h ekf.Health) {
-	r.baroRejects.Add(h.BaroGateRejects - r.st.prevBaroRejects)
-	rejected := h.BaroGateRejects > r.st.prevBaroRejects
-	r.st.prevBaroRejects = h.BaroGateRejects
-	if rejected && !r.st.baroStreak {
-		r.trace.Append(obs.Event{T: t, Kind: obs.EventGateReject, Detail: "baro", Value: h.LastBaroRatio})
+	rejected := h.BaroGateRejects > r.prevBaroRejects
+	r.prevBaroRejects = h.BaroGateRejects
+	if rejected && !r.baroStreak {
+		r.trace(obs.Event{T: t, Kind: obs.EventGateReject, Detail: "baro", Value: h.LastBaroRatio})
 	}
-	r.st.baroStreak = rejected
+	r.baroStreak = rejected
 	r.onResets(t, h)
 }
 
 // onResets detects filter reset-on-timeout events from the health report.
 func (r *recorder) onResets(t float64, h ekf.Health) {
-	if h.Resets > r.st.prevResets {
-		r.ekfResets.Add(int64(h.Resets - r.st.prevResets))
-		r.st.prevResets = h.Resets
-		r.trace.Append(obs.Event{T: t, Kind: obs.EventEKFReset})
+	if h.Resets > r.prevResets {
+		r.prevResets = h.Resets
+		r.trace(obs.Event{T: t, Kind: obs.EventEKFReset})
 	}
 }
 
-// onTilt keeps the running tilt maximum (50 Hz monitor rate).
-func (r *recorder) onTilt(tiltDeg float64) { r.maxTilt.Max(tiltDeg) }
+// onTilt keeps the running tilt maximum (50 Hz monitor rate). The negated
+// comparison lets a NaN through, exactly as obs.Gauge.Max does.
+func (r *recorder) onTilt(tiltDeg float64) {
+	if !(r.maxTilt >= tiltDeg) {
+		r.maxTilt = tiltDeg
+	}
+}
 
 // onTrack folds one tracking observation: bubble-violation rising edges,
 // first-violation timestamps, and the distance flown when the outer bubble
 // was first broken. distM is the tracker's distance estimate so far.
 func (r *recorder) onTrack(t float64, innerViolated, outerViolated bool, distM float64) {
 	if innerViolated {
-		r.inner.Inc()
-		if !r.st.innerActive {
-			r.trace.Append(obs.Event{T: t, Kind: obs.EventInnerViolation})
+		if !r.innerActive {
+			r.trace(obs.Event{T: t, Kind: obs.EventInnerViolation})
 		}
-		if r.st.firstInnerT < 0 {
-			r.st.firstInnerT = t
+		if r.firstInnerT < 0 {
+			r.firstInnerT = t
 		}
 	}
-	r.st.innerActive = innerViolated
+	r.innerActive = innerViolated
 	if outerViolated {
-		r.outer.Inc()
-		if !r.st.outerActive {
-			r.trace.Append(obs.Event{T: t, Kind: obs.EventOuterViolation})
+		if !r.outerActive {
+			r.trace(obs.Event{T: t, Kind: obs.EventOuterViolation})
 		}
-		if r.st.firstOuterT < 0 {
-			r.st.firstOuterT = t
-			r.st.distFirstOuterM = distM
+		if r.firstOuterT < 0 {
+			r.firstOuterT = t
+			r.distFirstOuterM = distM
 		}
 	}
-	r.st.outerActive = outerViolated
+	r.outerActive = outerViolated
 }
 
 // onTailPoint folds one tracking observation into the black-box ring,
-// evicting the oldest point once the window is full. Allocation-free: the
-// ring is a fixed array inside recorderState.
+// evicting the oldest point once the window is full.
 func (r *recorder) onTailPoint(p TrajPoint) {
-	if r.st.tailN < blackBoxTailCap {
-		r.st.tail[(r.st.tailStart+r.st.tailN)%blackBoxTailCap] = p
-		r.st.tailN++
+	if r.tailN < blackBoxTailCap {
+		r.tail[(r.tailStart+r.tailN)%blackBoxTailCap] = p
+		r.tailN++
 		return
 	}
-	r.st.tail[r.st.tailStart] = p
-	r.st.tailStart = (r.st.tailStart + 1) % blackBoxTailCap
+	r.tail[r.tailStart] = p
+	r.tailStart = (r.tailStart + 1) % blackBoxTailCap
 }
 
 // tailPoints returns the retained tail oldest-first (nil when empty).
 func (r *recorder) tailPoints() []TrajPoint {
-	if r.st.tailN == 0 {
+	if r.tailN == 0 {
 		return nil
 	}
-	out := make([]TrajPoint, r.st.tailN)
-	for i := 0; i < r.st.tailN; i++ {
-		out[i] = r.st.tail[(r.st.tailStart+i)%blackBoxTailCap]
+	out := make([]TrajPoint, r.tailN)
+	for i := range out {
+		out[i] = r.tail[(r.tailStart+i)%blackBoxTailCap]
 	}
 	return out
 }
@@ -258,26 +245,7 @@ func (r *recorder) tailPoints() []TrajPoint {
 // onOutcome records the terminal event. detail must be a pre-built string
 // (outcome paths run once, so this is off the hot path anyway).
 func (r *recorder) onOutcome(t float64, kind obs.EventKind, detail string) {
-	r.trace.Append(obs.Event{T: t, Kind: kind, Detail: detail})
-}
-
-// recorderSnapshot captures the recorder for checkpointing. Forked
-// vehicles restore it into their own fresh registry and ring, so sibling
-// forks never share instruments (obs.Registry.Restore's contract).
-type recorderSnapshot struct {
-	metrics obs.Snapshot
-	trace   obs.TraceSnapshot
-	st      recorderState
-}
-
-func (r *recorder) snapshot() recorderSnapshot {
-	return recorderSnapshot{metrics: r.reg.Snapshot(), trace: r.trace.Snapshot(), st: r.st}
-}
-
-func (r *recorder) restore(s recorderSnapshot) error {
-	r.st = s.st
-	r.trace.Restore(s.trace)
-	return r.reg.Restore(s.metrics)
+	r.trace(obs.Event{T: t, Kind: kind, Detail: detail})
 }
 
 // diagnostics assembles the per-case diagnostics block from the recorder
@@ -286,14 +254,14 @@ func (r *recorder) restore(s recorderSnapshot) error {
 // never mutates state, so finalize stays safe to call repeatedly.
 func (r *recorder) diagnostics(h ekf.Health, withTail bool) *Diagnostics {
 	distKm := -1.0
-	if r.st.distFirstOuterM >= 0 {
-		distKm = r.st.distFirstOuterM / 1000
+	if r.distFirstOuterM >= 0 {
+		distKm = r.distFirstOuterM / 1000
 	}
 	d := &Diagnostics{
-		FirstInnerViolationSec: r.st.firstInnerT,
-		FirstOuterViolationSec: r.st.firstOuterT,
+		FirstInnerViolationSec: r.firstInnerT,
+		FirstOuterViolationSec: r.firstOuterT,
 		DistanceAtFirstOuterKm: distKm,
-		MaxTiltDeg:             r.maxTilt.Value(),
+		MaxTiltDeg:             r.maxTilt,
 		GPSFusions:             h.GPSFusions,
 		GPSGateRejects:         h.GPSGateRejects,
 		BaroFusions:            h.BaroFusions,
@@ -301,11 +269,11 @@ func (r *recorder) diagnostics(h ekf.Health, withTail bool) *Diagnostics {
 		MaxGPSRatio:            h.MaxGPSRatio,
 		MaxBaroRatio:           h.MaxBaroRatio,
 		EKFResets:              h.Resets,
-		SensorSwitches:         r.switches.Value(),
-		MitigationEngagements:  r.mitigations.Value(),
-		Trace:                  r.trace.Events(),
-		TraceDropped:           r.trace.Dropped(),
-		TraceSummary:           r.trace.CountByKind(),
+		SensorSwitches:         r.switches,
+		MitigationEngagements:  r.mitigations,
+		Trace:                  r.traceEvents(),
+		TraceDropped:           r.evDropped,
+		TraceSummary:           r.traceSummary(),
 	}
 	if withTail {
 		d.TrajectoryTail = r.tailPoints()

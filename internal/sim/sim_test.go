@@ -511,7 +511,7 @@ func TestGeoAuthoredMissionFlies(t *testing.T) {
 // TestTenSecondRunAllocCeiling caps the allocations of ten simulated
 // vehicle-seconds of a gold flight: the per-tick kernels allocate nothing
 // (each package pins its own at zero), so what remains is per-run setup.
-// 104 is the count measured under go1.24.0. A per-tick allocation adds
+// 45 is the count measured under go1.24.0. A per-tick allocation adds
 // thousands; even one per bubble observation (1 Hz) adds ten.
 func TestTenSecondRunAllocCeiling(t *testing.T) {
 	cfg := DefaultConfig()
@@ -522,7 +522,35 @@ func TestTenSecondRunAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 104 {
-		t.Errorf("10 s sim.Run allocates %v per run, want <= 104", n)
+	if n > 45 {
+		t.Errorf("10 s sim.Run allocates %v per run, want <= 45", n)
+	}
+}
+
+// TestForkWithInjectionAllocCeiling caps the allocations of one fork off
+// a 30 s mission-1 checkpoint: building the vehicle and restoring every
+// component into it. The recorder is restored by struct assignment, so
+// it adds none. 45 is the count measured under go1.24.0.
+func TestForkWithInjectionAllocCeiling(t *testing.T) {
+	cfg := DefaultConfig()
+	m := mission.Valencia()[0]
+	gyro := func(p faultinject.Primitive) *faultinject.Injection {
+		return &faultinject.Injection{Primitive: p, Target: faultinject.TargetGyro,
+			Start: 30 * time.Second, Duration: 5 * time.Second, Seed: 3}
+	}
+	v, err := NewVehicle(cfg, m, gyro(faultinject.Freeze), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.RunUntil(30)
+	cp := v.Snapshot()
+	inj := gyro(faultinject.Noise)
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := cp.ForkWithInjection(inj, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 45 {
+		t.Errorf("ForkWithInjection allocates %v per fork, want <= 45", n)
 	}
 }

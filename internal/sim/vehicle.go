@@ -76,7 +76,7 @@ type Vehicle struct {
 	crash    *failsafe.CrashDetector
 	guide    *guidance
 	tracker  *bubble.Tracker
-	rec      *recorder
+	rec      recorder
 
 	res  Result
 	done bool
@@ -203,7 +203,7 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 		crash:    failsafe.NewCrashDetector(cfg.Failsafe),
 		guide:    newGuidance(m),
 		tracker:  tracker,
-		rec:      newRecorder(cfg.PhysicsDt),
+		rec:      newRecorder(),
 
 		res:         Result{MissionID: m.ID, Injection: inj},
 		steps:       int(cfg.MaxSimTime / cfg.PhysicsDt),
@@ -293,11 +293,6 @@ func (v *Vehicle) finalize() Result {
 	res.Diagnostics = v.rec.diagnostics(v.filter.Health(), withTail)
 	return res
 }
-
-// Metrics returns a point-in-time snapshot of the vehicle's flight-data
-// recorder registry (per-phase step counts, violation and gate-reject
-// counters, tilt maximum).
-func (v *Vehicle) Metrics() obs.Snapshot { return v.rec.reg.Snapshot() }
 
 // imuDrawWindow is how many recent IMU draw sets envDraws keeps: forks
 // whose primary IMU switched read at most a few sets behind the leader.
@@ -620,7 +615,6 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 	} else {
 		v.body.StepWithWind(cfg.PhysicsDt, env.wind)
 	}
-	v.rec.onStep(v.guide.phase)
 	v.step++
 	return nil
 }

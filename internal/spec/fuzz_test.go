@@ -1,0 +1,62 @@
+package spec
+
+import (
+	"testing"
+
+	"uavres/internal/mission"
+)
+
+// fuzzMaxCases bounds the matrix product (missions x airframes x
+// injections per airframe) an input may compile to. A legal spec can ask
+// for millions of cases, and compiling one takes the fuzzer's whole
+// budget without exercising anything a small matrix does not.
+const fuzzMaxCases = 2000
+
+// matrixProduct is the case count an already-validated spec's matrix
+// expands to before selectors, in float64 so large axes cannot overflow.
+func matrixProduct(s CampaignSpec, scenario []mission.Mission) float64 {
+	m, err := s.Matrix.parse()
+	if err != nil {
+		return 0
+	}
+	missions := float64(len(scenario))
+	if len(s.Missions) > 0 {
+		missions = float64(len(s.Missions))
+	}
+	frames := float64(max(1, len(s.Airframes)))
+	perFrame := float64(len(m.targets)*len(m.primitives)+len(m.actuators)*len(m.rotors)) *
+		float64(len(m.durations)) * float64(len(m.starts))
+	return missions * frames * (perFrame + 1)
+}
+
+// FuzzParseCompile feeds arbitrary bytes through Parse and Compile: no
+// input may panic, and every spec that compiles yields unique case IDs
+// and injections with a positive duration and a non-negative start.
+// Seed corpus: testdata/fuzz/FuzzParseCompile (the example specs plus
+// out-of-range times that once compiled to wrapped durations).
+func FuzzParseCompile(f *testing.F) {
+	scenario := mission.Valencia()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if matrixProduct(s, scenario) > fuzzMaxCases {
+			t.Skip("matrix too large to compile per fuzz input")
+		}
+		cases, err := s.Compile(scenario)
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool, len(cases))
+		for _, c := range cases {
+			if seen[c.ID] {
+				t.Fatalf("duplicate case ID %q", c.ID)
+			}
+			seen[c.ID] = true
+			if inj := c.Injection; inj != nil && (inj.Duration <= 0 || inj.Start < 0) {
+				t.Fatalf("case %s: injection start %v, duration %v", c.ID, inj.Start, inj.Duration)
+			}
+		}
+	})
+}

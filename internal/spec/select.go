@@ -58,11 +58,14 @@ func (s Selector) Validate() error {
 			return err
 		}
 	}
-	if s.DurationSec < 0 {
-		return fmt.Errorf("negative duration %v", s.DurationSec)
+	//lint:allow floatcmp zero-value detection of an unset selector field, never a computed value
+	if s.DurationSec != 0 {
+		if _, err := durationSec(s.DurationSec); err != nil {
+			return err
+		}
 	}
-	if s.StartSec < 0 {
-		return fmt.Errorf("negative start %v", s.StartSec)
+	if _, err := startSec(s.StartSec); err != nil {
+		return err
 	}
 	if s == (Selector{}) {
 		return fmt.Errorf("empty selector matches nothing")
@@ -116,12 +119,16 @@ func (s Selector) Matches(c core.Case) bool {
 		}
 	}
 	//lint:allow floatcmp zero-value detection of an unset selector field, never a computed value
-	if s.DurationSec != 0 && c.Injection.Duration != secToDuration(s.DurationSec) {
-		return false
+	if s.DurationSec != 0 {
+		if d, err := durationSec(s.DurationSec); err != nil || c.Injection.Duration != d {
+			return false
+		}
 	}
 	//lint:allow floatcmp zero-value detection of an unset selector field, never a computed value
-	if s.StartSec != 0 && c.Injection.Start != secToDuration(s.StartSec) {
-		return false
+	if s.StartSec != 0 {
+		if st, err := startSec(s.StartSec); err != nil || c.Injection.Start != st {
+			return false
+		}
 	}
 	return true
 }

@@ -305,21 +305,23 @@ func (m Matrix) parse() (parsedMatrix, error) {
 	if len(durs) == 0 {
 		durs = []float64{2, 5, 10, 30}
 	}
-	for _, d := range durs {
-		if d <= 0 {
-			return p, fmt.Errorf("spec: non-positive injection duration %v s", d)
+	for _, sec := range durs {
+		d, err := durationSec(sec)
+		if err != nil {
+			return p, fmt.Errorf("spec: %w", err)
 		}
-		p.durations = append(p.durations, secToDuration(d))
+		p.durations = append(p.durations, d)
 	}
 	starts := m.StartsSec
 	if len(starts) == 0 {
 		starts = []float64{PaperStartSec}
 	}
-	for _, st := range starts {
-		if st < 0 {
-			return p, fmt.Errorf("spec: negative injection start %v s", st)
+	for _, sec := range starts {
+		st, err := startSec(sec)
+		if err != nil {
+			return p, fmt.Errorf("spec: %w", err)
 		}
-		p.starts = append(p.starts, secToDuration(st))
+		p.starts = append(p.starts, st)
 	}
 	scope, err := faultinject.ParseScope(m.Scope)
 	if err != nil {
@@ -532,8 +534,41 @@ func formatSec(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func secToDuration(v float64) time.Duration {
-	return time.Duration(v * float64(time.Second))
+// secToDuration converts spec-authored seconds to a time.Duration. A
+// value the conversion cannot represent (NaN, or beyond about 292 years
+// either way) is an error, not a wrapped-around duration.
+func secToDuration(v float64) (time.Duration, error) {
+	ns := v * float64(time.Second)
+	// float64(math.MaxInt64) rounds up to 2^63, hence the strict bound.
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("%v s is outside time.Duration's range", v)
+	}
+	return time.Duration(ns), nil
+}
+
+// durationSec converts an injection duration. The converted value is
+// checked, not the float, so seconds that round to 0 ns are rejected.
+func durationSec(v float64) (time.Duration, error) {
+	d, err := secToDuration(v)
+	if err != nil {
+		return 0, fmt.Errorf("injection duration: %w", err)
+	}
+	if d <= 0 {
+		return 0, fmt.Errorf("non-positive injection duration %v s", v)
+	}
+	return d, nil
+}
+
+// startSec converts an injection start, which must not be negative.
+func startSec(v float64) (time.Duration, error) {
+	st, err := secToDuration(v)
+	if err != nil {
+		return 0, fmt.Errorf("injection start: %w", err)
+	}
+	if st < 0 {
+		return 0, fmt.Errorf("negative injection start %v s", v)
+	}
+	return st, nil
 }
 
 func checkUniqueIDs(cases []core.Case) error {

@@ -53,10 +53,15 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		"primitive": {Version: 1, Matrix: Matrix{Primitives: []string{"explode"}}},
 		"duration":  {Version: 1, Matrix: Matrix{DurationsSec: []float64{-1}}},
 		"start":     {Version: 1, Matrix: Matrix{StartsSec: []float64{-5}}},
-		"scope":     {Version: 1, Matrix: Matrix{Scope: "tertiary"}},
-		"seeds":     {Version: 1, Seeds: SeedPolicy{Kind: "fibonacci"}},
-		"mission":   {Version: 1, Missions: []int{99}},
-		"decim":     {Version: 1, Overrides: Overrides{CovDecimation: intp(0)}},
+		// Out-of-range seconds must not wrap or round into a legal-looking
+		// injection: the converted time.Duration is what gets checked.
+		"duration-overflow": {Version: 1, Matrix: Matrix{DurationsSec: []float64{1e300}}},
+		"start-overflow":    {Version: 1, Matrix: Matrix{StartsSec: []float64{1e300}}},
+		"duration-zero-ns":  {Version: 1, Matrix: Matrix{DurationsSec: []float64{1e-12}}},
+		"scope":             {Version: 1, Matrix: Matrix{Scope: "tertiary"}},
+		"seeds":             {Version: 1, Seeds: SeedPolicy{Kind: "fibonacci"}},
+		"mission":           {Version: 1, Missions: []int{99}},
+		"decim":             {Version: 1, Overrides: Overrides{CovDecimation: intp(0)}},
 	} {
 		if _, err := s.Compile(mission.Valencia()); err == nil {
 			t.Errorf("%s: bad spec compiled without error", name)
@@ -314,7 +319,8 @@ func TestParseSelector(t *testing.T) {
 	if s, err = ParseSelector("duration=2.5"); err != nil || s.DurationSec != 2.5 {
 		t.Errorf("bare seconds: %+v, %v", s, err)
 	}
-	for _, bad := range []string{"planet=mars", "mission=abc", "duration=-1", "gold=maybe", ""} {
+	for _, bad := range []string{"planet=mars", "mission=abc", "duration=-1", "gold=maybe", "",
+		"duration=1e300", "start=1e300", "duration=1e-12"} {
 		if _, err := ParseSelector(bad); err == nil {
 			t.Errorf("ParseSelector(%q) accepted", bad)
 		}
