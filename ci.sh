@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Full CI gate: build, vet, simulation-aware lint, tests (the per-package
+# Full CI gate: build, vet, a gofmt check over the tracked Go files,
+# simulation-aware lint, tests (the per-package
 # AllocsPerRun guards among them pin every sim-tick kernel at 0
 # allocs/op; internal/paperdata flies the 850-case paper campaign and
 # byte-compares its report with the committed RESULTS.md, and
@@ -20,7 +21,7 @@
 # prefix chains and all batch across starts must match its
 # straight-through and scalar-fork runs bit for bit. Short
 # fuzz passes cover the resume decoder, the spec decoder and compiler,
-# and fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
+# the -select expression parser, and fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
 set -eux
@@ -30,6 +31,9 @@ trap 'kill "${CAMPAIGND_PID:-}" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 
 go build ./...
 go vet ./...
+# Formatting: tracked files only, so module caches under .bench_build/
+# are never scanned.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 # Simulation-aware lint over the whole module, stale suppressions
 # included; the machine-readable report lands next to the other CI
 # artifacts. goroutinespawn inside the suite enforces that sim-critical
@@ -52,6 +56,10 @@ go test -run XXX -fuzz FuzzLoadPartialResults -fuzztime 10s ./internal/core/
 # internal/spec/testdata/fuzz): no panic, and every compiled case has a
 # unique ID, a positive duration and a non-negative start.
 go test -run XXX -fuzz FuzzParseCompile -fuzztime 10s ./internal/spec/
+# Short fuzz pass over the -select expression parser (seed corpus under
+# internal/spec/testdata/fuzz): no panic, and every accepted selector
+# validates, has a non-negative mission and survives a JSON round trip.
+go test -run XXX -fuzz FuzzParseSelector -fuzztime 10s ./internal/spec/
 # Short fuzz pass over fault parameters (primitive, target or rotor,
 # scope, start, duration): chained forks equal straight runs, and every
 # outcome is enumerated with finite numbers.

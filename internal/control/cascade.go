@@ -86,6 +86,9 @@ type Diag struct {
 type Controller struct {
 	gains  Gains
 	params physics.Params
+	// tanMaxTilt is math.Tan(gains.MaxTiltRad), the tilt limit's slope,
+	// computed once in New.
+	tanMaxTilt float64
 	//lint:allow snapshotcomplete immutable after New; Allocate takes its address only to avoid copying it
 	mixer physics.Mixer
 
@@ -110,9 +113,10 @@ type Controller struct {
 // every dt seconds.
 func New(gains Gains, params physics.Params, dt float64) *Controller {
 	return &Controller{
-		gains:  gains,
-		params: params,
-		mixer:  physics.NewMixer(params),
+		gains:      gains,
+		params:     params,
+		tanMaxTilt: math.Tan(gains.MaxTiltRad),
+		mixer:      physics.NewMixer(params),
 		velPID: NewPID3(
 			gains.VelP, gains.VelI, mathx.Zero3,
 			mathx.V3(3, 3, 4),  // integral clamp (m/s^2)
@@ -209,14 +213,14 @@ func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Se
 	if fSp.Z > -1 {
 		fSp.Z = -1 // never command a downward or zero thrust vector
 	}
-	fSp = limitTilt(fSp, c.gains.MaxTiltRad)
+	fSp = limitTilt(fSp, c.tanMaxTilt)
 	attSp := c.attitudeFromThrust(fSp, sp.Yaw)
 
 	// Thrust magnitude: project the desired specific force on the CURRENT
 	// body up-axis so tilt transients do not lose altitude. Both vectors
 	// point "up" (negative NED Z), so the projection is positive.
 	bodyUp := est.Att.Rotate(mathx.V3(0, 0, -1))
-	thrustN := c.params.MassKg * math.Max(0.5, fSp.Dot(bodyUp))
+	thrustN := c.params.MassKg * max(0.5, fSp.Dot(bodyUp)) // the builtin inlines; same value as math.Max here
 	maxThrust := c.mixer.MaxTotalThrustN() * 0.95
 	thrustN = mathx.Clamp(thrustN, 0.05*maxThrust, maxThrust)
 
@@ -241,14 +245,15 @@ func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Se
 	return c.mixer.Allocate(thrustN, torque)
 }
 
-// limitTilt restricts the thrust vector's angle from vertical while
-// preserving its vertical component.
-func limitTilt(f mathx.Vec3, maxTilt float64) mathx.Vec3 {
+// limitTilt restricts the thrust vector's angle from vertical, whose
+// tangent may be at most tanMaxTilt, while preserving its vertical
+// component.
+func limitTilt(f mathx.Vec3, tanMaxTilt float64) mathx.Vec3 {
 	up := -f.Z // positive
 	if up <= 0 {
 		return f
 	}
-	maxHoriz := up * math.Tan(maxTilt)
+	maxHoriz := up * tanMaxTilt
 	if h := f.NormXY(); h > maxHoriz {
 		scale := maxHoriz / h
 		f.X *= scale
@@ -275,11 +280,10 @@ func (c *Controller) attitudeFromThrust(fSp mathx.Vec3, yaw float64) mathx.Quat 
 	}
 	yB = yB.Normalized()
 	xB := yB.Cross(zB)
-	var m mathx.Mat3
-	for i, col := range []mathx.Vec3{xB, yB, zB} {
-		m.M[0][i] = col.X
-		m.M[1][i] = col.Y
-		m.M[2][i] = col.Z
-	}
-	return mathx.QuatFromMatrix(m)
+	// Columns xB, yB, zB.
+	return mathx.QuatFromMatrix(mathx.Mat3{M: [3][3]float64{
+		{xB.X, yB.X, zB.X},
+		{xB.Y, yB.Y, zB.Y},
+		{xB.Z, yB.Z, zB.Z},
+	}})
 }

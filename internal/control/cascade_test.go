@@ -160,14 +160,14 @@ func TestDescendRateLimited(t *testing.T) {
 }
 
 func TestTiltLimit(t *testing.T) {
-	f := limitTilt(mathx.V3(100, 0, -9.81), mathx.Deg2Rad(35))
+	f := limitTilt(mathx.V3(100, 0, -9.81), math.Tan(mathx.Deg2Rad(35)))
 	tilt := math.Atan2(f.NormXY(), -f.Z)
 	if tilt > mathx.Deg2Rad(35)+1e-9 {
 		t.Errorf("tilt after limit = %v deg", mathx.Rad2Deg(tilt))
 	}
 	// Within limits the vector is untouched.
 	in := mathx.V3(1, 1, -9.81)
-	if got := limitTilt(in, mathx.Deg2Rad(35)); got != in {
+	if got := limitTilt(in, math.Tan(mathx.Deg2Rad(35))); got != in {
 		t.Errorf("in-envelope vector modified: %v", got)
 	}
 }

@@ -19,7 +19,11 @@ func QuatIdentity() Quat { return Quat{W: 1} }
 // QuatFromAxisAngle returns the rotation of angle radians about the given
 // axis. The axis need not be normalized; a zero axis yields the identity.
 func QuatFromAxisAngle(axis Vec3, angle float64) Quat {
-	n := axis.Norm()
+	return quatFromAxisNorm(axis, axis.Norm(), angle)
+}
+
+// quatFromAxisNorm is QuatFromAxisAngle given the axis norm n.
+func quatFromAxisNorm(axis Vec3, n, angle float64) Quat {
 	//lint:allow floatcmp exact zero-norm guard before dividing by the norm
 	if n == 0 {
 		return QuatIdentity()
@@ -53,7 +57,8 @@ func QuatFromRotVec(rv Vec3) Quat {
 		// First-order small-angle expansion keeps prediction smooth.
 		return Quat{W: 1, X: rv.X / 2, Y: rv.Y / 2, Z: rv.Z / 2}.Normalized()
 	}
-	return QuatFromAxisAngle(rv, angle)
+	// The axis norm is the angle: take it once.
+	return quatFromAxisNorm(rv, angle, angle)
 }
 
 // QuatFromMatrix converts a rotation matrix (body → world) to a unit

@@ -26,7 +26,7 @@ const wrenchDims = 4
 type Allocator struct {
 	n    int
 	tMax float64
-	caps Rotors                // per-rotor thrust ceiling (N); 0 when condemned
+	caps Rotors                         // per-rotor thrust ceiling (N); 0 when condemned
 	rows [MaxRotors][wrenchDims]float64 // t[i] = rows[i] . [thrustN, tauX, tauY, tauZ]
 }
 

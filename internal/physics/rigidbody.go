@@ -53,13 +53,13 @@ func NewMixer(p Params) Mixer {
 }
 
 // N returns the rotor count of the mixer's airframe.
-func (m Mixer) N() int { return m.n }
+func (m *Mixer) N() int { return m.n }
 
 // MaxThrustPerRotorN returns the per-rotor thrust ceiling (N).
-func (m Mixer) MaxThrustPerRotorN() float64 { return m.tMax }
+func (m *Mixer) MaxThrustPerRotorN() float64 { return m.tMax }
 
 // MaxTotalThrustN returns the collective thrust ceiling across all rotors.
-func (m Mixer) MaxTotalThrustN() float64 { return m.tMax * float64(m.n) }
+func (m *Mixer) MaxTotalThrustN() float64 { return m.tMax * float64(m.n) }
 
 // Forward computes total thrust (N, along body -Z) and body torque (N m)
 // from per-rotor thrusts (N).
@@ -86,13 +86,15 @@ func (m *Mixer) Allocate(thrustN float64, torque mathx.Vec3) Rotors {
 			m.allocYaw[i]*torque.Z/m.divYaw
 	}
 	// Uniform shift desaturation: keep differential (attitude) terms intact.
+	// The builtin min/max inline; math.Min/math.Max do not, and on finite
+	// or NaN inputs they select the same values.
 	minT, maxT := t[0], t[0]
 	for i := 1; i < m.n; i++ {
-		minT = math.Min(minT, t[i])
-		maxT = math.Max(maxT, t[i])
+		minT = min(minT, t[i])
+		maxT = max(maxT, t[i])
 	}
 	if minT < 0 {
-		shift := math.Min(-minT, m.tMax*float64(m.n)) // bounded shift
+		shift := min(-minT, m.tMax*float64(m.n)) // bounded shift
 		for i := 0; i < m.n; i++ {
 			t[i] += shift
 		}

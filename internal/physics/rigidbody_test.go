@@ -93,7 +93,7 @@ func TestFreeFallAcceleration(t *testing.T) {
 	s.Pos.Z = -500
 	b.SetState(s)
 	b.SetMotorCommands(Rotors{}) // motors off
-	const dt, steps = 0.002, 500     // 1 s
+	const dt, steps = 0.002, 500 // 1 s
 	for i := 0; i < steps; i++ {
 		b.Step(dt)
 	}

@@ -25,7 +25,6 @@ type IMU struct {
 	gyroBias  mathx.Vec3
 	rng       *mathx.Rand
 	tick      Ticker
-	last      IMUSample
 }
 
 // NewIMU returns an IMU whose biases are drawn once from rng. A nil rng
@@ -80,7 +79,7 @@ func (m *IMU) DrawNoise() IMUNoise {
 // SampleWith composes a measurement at time t from ground truth and
 // externally drawn noise, bit-identically to Sample: the noise add is
 // guarded by rng presence exactly as in the fused path, so a noiseless
-// unit never perturbs signed zeros. The result is retained for Last.
+// unit never perturbs signed zeros.
 func (m *IMU) SampleWith(t float64, trueAccel, trueGyro mathx.Vec3, n IMUNoise) IMUSample {
 	accel := trueAccel.Add(m.accelBias)
 	gyro := trueGyro.Add(m.gyroBias)
@@ -88,25 +87,19 @@ func (m *IMU) SampleWith(t float64, trueAccel, trueGyro mathx.Vec3, n IMUNoise) 
 		accel = accel.Add(n.Accel)
 		gyro = gyro.Add(n.Gyro)
 	}
-	s := IMUSample{
+	return IMUSample{
 		T:     t,
 		Accel: ClipVec(accel, AccelRange),
 		Gyro:  ClipVec(gyro, GyroRange),
 	}
-	m.last = s
-	return s
 }
 
 // Sample produces a measurement at time t from true specific force and
-// angular rate. The result is also retained for Last. It is literally
-// DrawNoise followed by SampleWith, which is what makes the batch runner's
-// shared-draw path bit-exact.
+// angular rate. It is literally DrawNoise followed by SampleWith, which is
+// what makes the batch runner's shared-draw path bit-exact.
 func (m *IMU) Sample(t float64, trueAccel, trueGyro mathx.Vec3) IMUSample {
 	return m.SampleWith(t, trueAccel, trueGyro, m.DrawNoise())
 }
-
-// Last returns the most recent sample (zero value before the first).
-func (m *IMU) Last() IMUSample { return m.last }
 
 // IMUSnapshot captures one unit's complete dynamic state (checkpointing).
 type IMUSnapshot struct {
@@ -115,17 +108,15 @@ type IMUSnapshot struct {
 	rng       mathx.RandState
 	hasRng    bool
 	tick      Ticker
-	last      IMUSample
 }
 
-// Snapshot captures the unit's state: biases, noise stream, sample clock,
-// and last sample.
+// Snapshot captures the unit's state: biases, noise stream and sample
+// clock.
 func (m *IMU) Snapshot() IMUSnapshot {
 	s := IMUSnapshot{
 		accelBias: m.accelBias,
 		gyroBias:  m.gyroBias,
 		tick:      m.tick,
-		last:      m.last,
 	}
 	if m.rng != nil {
 		s.rng = m.rng.State()
@@ -143,7 +134,6 @@ func (m *IMU) Restore(s IMUSnapshot) error {
 	m.accelBias = s.accelBias
 	m.gyroBias = s.gyroBias
 	m.tick = s.tick
-	m.last = s.last
 	if m.rng != nil {
 		m.rng.SetState(s.rng)
 	}
@@ -252,8 +242,7 @@ func randVec(rng *mathx.Rand, std float64) mathx.Vec3 {
 
 // SampleAll measures every unit in the set from the same ground truth and
 // returns the per-unit samples (index-aligned with Unit). Each unit
-// applies its own bias and noise stream. The primary's sample is also
-// retained as its Last.
+// applies its own bias and noise stream.
 func (r *RedundantIMUs) SampleAll(t float64, trueAccel, trueGyro mathx.Vec3) []IMUSample {
 	return r.SampleAllInto(nil, t, trueAccel, trueGyro)
 }
@@ -297,6 +286,15 @@ func (r *RedundantIMUs) SampleAllWith(dst []IMUSample, t float64, trueAccel, tru
 		dst[i] = u.SampleWith(t, trueAccel, trueGyro, noise[i])
 	}
 	return dst
+}
+
+// SamplePrimaryWith composes only the primary unit's sample from its slot
+// of noise (index-aligned with DrawNoiseInto's output), bit-identical to
+// SampleAllWith's primary slot. A fault that overwrites every unit leaves
+// nothing of the other units' samples to read, so the sim loop composes
+// this one alone; the draws of every unit must still be taken.
+func (r *RedundantIMUs) SamplePrimaryWith(t float64, trueAccel, trueGyro mathx.Vec3, noise []IMUNoise) IMUSample {
+	return r.units[r.primary].SampleWith(t, trueAccel, trueGyro, noise[r.primary])
 }
 
 // voteMaxUnits bounds the stack scratch in VoteOutlier; real vehicles carry

@@ -41,9 +41,6 @@ func TestIdealIMUIsExact(t *testing.T) {
 	if s.Accel != a || s.Gyro != g || s.T != 1.5 {
 		t.Errorf("ideal IMU distorted sample: %+v", s)
 	}
-	if imu.Last() != s {
-		t.Error("Last() does not match most recent sample")
-	}
 }
 
 func TestIMUClipping(t *testing.T) {
@@ -262,9 +259,6 @@ func TestSampleAllPerUnitStreams(t *testing.T) {
 		if s.T != 1 {
 			t.Errorf("unit %d timestamp %v", i, s.T)
 		}
-		if set.Unit(i).Last() != s {
-			t.Errorf("unit %d Last() mismatch", i)
-		}
 	}
 }
 
@@ -367,4 +361,55 @@ func TestSampleVoteAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("SampleAllInto + VoteOutlier allocates %v per op, want 0", n)
 	}
+}
+
+// TestSamplePrimaryWithMatchesSampleAllWith pins primary-only composition
+// to SampleAllWith's primary slot bit for bit, for every primary: the sim
+// loop composes the primary alone when a fault overwrites every unit.
+func TestSamplePrimaryWithMatchesSampleAllWith(t *testing.T) {
+	set, err := NewRedundantIMUs(3, DefaultIMUSpec(), mathx.NewRand(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accel := mathx.V3(0.4, -0.3, -physics.Gravity)
+	gyro := mathx.V3(0.02, -0.01, 0.3)
+	var all []IMUSample
+	var noise []IMUNoise
+	for k := 0; k < 3*set.Count(); k++ {
+		if k%3 == 2 {
+			set.SwitchPrimary()
+		}
+		tk := float64(k) * 0.004
+		noise = set.DrawNoiseInto(noise)
+		all = set.SampleAllWith(all, tk, accel, gyro, noise)
+		if got, want := set.SamplePrimaryWith(tk, accel, gyro, noise), all[set.Primary()]; got != want {
+			t.Errorf("tick %d primary %d: SamplePrimaryWith = %+v, SampleAllWith slot = %+v", k, set.Primary(), got, want)
+		}
+	}
+}
+
+// BenchmarkIMUCompose times one IMU tick's composition from a drawn noise
+// set: every unit, as on a healthy or single-unit-fault flight, or the
+// primary alone, as when the fault overwrites every unit.
+func BenchmarkIMUCompose(b *testing.B) {
+	set, err := NewRedundantIMUs(3, DefaultIMUSpec(), mathx.NewRand(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	noise := set.DrawNoiseInto(nil)
+	accel := mathx.V3(0, 0, -physics.Gravity)
+	gyro := mathx.V3(0.01, -0.02, 0.005)
+	b.Run("all", func(b *testing.B) {
+		buf := make([]IMUSample, set.Count())
+		for i := 0; i < b.N; i++ {
+			buf = set.SampleAllWith(buf, float64(i)*0.004, accel, gyro, noise)
+		}
+	})
+	b.Run("primary", func(b *testing.B) {
+		var s IMUSample
+		for i := 0; i < b.N; i++ {
+			s = set.SamplePrimaryWith(float64(i)*0.004, accel, gyro, noise)
+		}
+		_ = s
+	})
 }

@@ -554,3 +554,39 @@ func TestForkWithInjectionAllocCeiling(t *testing.T) {
 		t.Errorf("ForkWithInjection allocates %v per fork, want <= 45", n)
 	}
 }
+
+// TestOverwritesAllFollowsScope pins when an IMU tick composes the primary
+// alone: only a sensor fault striking every unit overwrites them all. A
+// primary-scope sensor fault leaves the spares' own samples to the vote,
+// an actuator fault leaves every sample alone, and a single-unit set is
+// overwritten whole by either scope.
+func TestOverwritesAllFollowsScope(t *testing.T) {
+	inj := func(target faultinject.Target, scope faultinject.Scope) *faultinject.Injection {
+		return &faultinject.Injection{Primitive: faultinject.Freeze, Target: target, Scope: scope,
+			Start: 10 * time.Second, Duration: 5 * time.Second}
+	}
+	stuck := &faultinject.Injection{Primitive: faultinject.StuckRotor, Target: faultinject.TargetRotor,
+		Start: 10 * time.Second, Duration: 5 * time.Second}
+	for _, tc := range []struct {
+		name  string
+		units int
+		inj   *faultinject.Injection
+		want  bool
+	}{
+		{"gold", 3, nil, false},
+		{"all-units", 3, inj(faultinject.TargetGyro, faultinject.ScopeAllUnits), true},
+		{"primary", 3, inj(faultinject.TargetGyro, faultinject.ScopePrimaryUnit), false},
+		{"actuator", 3, stuck, false},
+		{"single-unit-primary", 1, inj(faultinject.TargetAccel, faultinject.ScopePrimaryUnit), true},
+	} {
+		cfg := DefaultConfig()
+		cfg.IMUCount = tc.units
+		v, err := NewVehicle(cfg, shortMission(), tc.inj, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if v.overwritesAll != tc.want {
+			t.Errorf("%s: overwritesAll = %v, want %v", tc.name, v.overwritesAll, tc.want)
+		}
+	}
+}

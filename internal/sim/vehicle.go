@@ -104,8 +104,17 @@ type Vehicle struct {
 	voteAccelTol  float64
 	voteGyroTol   float64
 	distCapPerObs float64
-	//lint:allow snapshotcomplete scratch buffer fully overwritten by SampleAllInto before every use
-	sampleBuf []sensors.IMUSample // reused by SampleAllInto
+	sampleBuf     []sensors.IMUSample // one sample per unit, reused every IMU tick
+	//lint:allow snapshotcomplete scratch buffer fully overwritten by DrawNoiseInto before every use
+	noiseBuf []sensors.IMUNoise // the straight path's own draw set, reused every IMU tick
+	// noiseArr backs noiseBuf for up to three units (PX4's count) without
+	// an allocation; DrawNoiseInto grows noiseBuf past it.
+	noiseArr [3]sensors.IMUNoise
+	// overwritesAll records that the injection overwrites every IMU unit
+	// with the primary's corrupted sample, so an IMU tick composes only the
+	// primary: nothing reads the other units' own samples. Derived from
+	// this vehicle's own injection, like covFullUntil.
+	overwritesAll bool
 	// covFullUntil bounds the sim time before which the EKF covariance is
 	// forced to the exact per-step path on a faulted flight: everything up
 	// to the end of the fault window plus CovSettleSec of settle margin.
@@ -217,11 +226,16 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 		voteAccelTol:  cfg.VoteAccelTol,
 		voteGyroTol:   cfg.VoteGyroTol,
 		distCapPerObs: 3 * m.Drone.MaxSpeedMS * cfg.TrackingInterval,
-		sampleBuf:     make([]sensors.IMUSample, 0, imus.Count()),
+		sampleBuf:     make([]sensors.IMUSample, imus.Count()),
 		covFullUntil:  -1,
 	}
+	v.noiseBuf = v.noiseArr[:0]
 	if inj != nil {
 		v.covFullUntil = (inj.Start + inj.Duration).Seconds() + cfg.CovSettleSec
+		v.overwritesAll = inj.SensorTarget()
+		for i := 0; i < imus.Count(); i++ {
+			v.overwritesAll = v.overwritesAll && inj.AffectsUnit(i)
+		}
 	}
 	if v.votePersist <= 0 {
 		v.votePersist = 5
@@ -358,26 +372,37 @@ func (v *Vehicle) stepOnce() { _ = v.stepEnv(nil) }
 // draws environment noise from the vehicle's own streams (the scalar
 // path); otherwise it composes the shared deviates in env, reading IMU
 // draw set v.imuSets on each IMU tick, and leaves its own environment
-// streams untouched (the batch path). Both paths execute bit-identical
-// arithmetic and count the IMU sets they consume.
+// streams untouched (the batch path). The two paths differ only in where
+// an IMU draw set comes from; both compose it with the same code and
+// count the sets they consume.
 func (v *Vehicle) stepEnv(env *envDraws) error {
 	cfg := &v.cfg
 	t := float64(v.step) * cfg.PhysicsDt
 
 	// --- Sense (250 Hz), corrupt, estimate, control.
 	if v.imus.Due(t) {
-		var all []sensors.IMUSample
+		var noise []sensors.IMUNoise
 		if env == nil {
-			all = v.imus.SampleAllInto(v.sampleBuf, t, v.body.SpecificForce(), v.body.AngularRate())
+			// Every unit draws, even when only the primary is composed:
+			// a snapshot of this vehicle must carry every stream forward.
+			v.noiseBuf = v.imus.DrawNoiseInto(v.noiseBuf)
+			noise = v.noiseBuf
 		} else {
-			noise, err := env.imuNoise(v.imuSets)
-			if err != nil {
+			var err error
+			if noise, err = env.imuNoise(v.imuSets); err != nil {
 				return err
 			}
-			all = v.imus.SampleAllWith(v.sampleBuf, t, v.body.SpecificForce(), v.body.AngularRate(), noise)
 		}
 		v.imuSets++
-		v.sampleBuf = all
+		all := v.sampleBuf
+		if v.overwritesAll {
+			// The injector below overwrites every unit, so only the
+			// primary's own sample is ever read. The vote then compares
+			// identical units and cannot flag.
+			all[v.imus.Primary()] = v.imus.SamplePrimaryWith(t, v.body.SpecificForce(), v.body.AngularRate(), noise)
+		} else {
+			all = v.imus.SampleAllWith(all, t, v.body.SpecificForce(), v.body.AngularRate(), noise)
+		}
 		clean := all[v.imus.Primary()]
 		v.lastClean = clean
 		if v.injector != nil {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"encoding/json"
 	"testing"
 
 	"uavres/internal/mission"
@@ -57,6 +58,42 @@ func FuzzParseCompile(f *testing.F) {
 			if inj := c.Injection; inj != nil && (inj.Duration <= 0 || inj.Start < 0) {
 				t.Fatalf("case %s: injection start %v, duration %v", c.ID, inj.Start, inj.Duration)
 			}
+		}
+	})
+}
+
+// FuzzParseSelector feeds arbitrary strings through ParseSelector: no
+// input may panic, and every accepted selector passes Validate, has a
+// non-negative mission and survives a JSON round trip (the form a spec's
+// select list takes). Seed corpus: testdata/fuzz/FuzzParseSelector (the
+// selector examples of README.md and ci.sh plus a negative mission that
+// once parsed and then selected nothing).
+func FuzzParseSelector(f *testing.F) {
+	f.Fuzz(func(t *testing.T, expr string) {
+		s, err := ParseSelector(expr)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseSelector(%q) accepted a selector Validate rejects: %v", expr, err)
+		}
+		if s.Mission < 0 {
+			t.Fatalf("ParseSelector(%q) accepted mission %d", expr, s.Mission)
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", s, err)
+		}
+		var back Selector
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", data, err)
+		}
+		if (s.Gold == nil) != (back.Gold == nil) || (s.Gold != nil && *s.Gold != *back.Gold) {
+			t.Fatalf("gold %v did not survive %s", s.Gold, data)
+		}
+		s.Gold, back.Gold = nil, nil
+		if s != back {
+			t.Fatalf("selector %+v came back from %s as %+v", s, data, back)
 		}
 	})
 }

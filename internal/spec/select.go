@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"uavres/internal/core"
 	"uavres/internal/faultinject"
@@ -36,9 +37,17 @@ type Selector struct {
 	Airframe string `json:"airframe,omitempty"`
 }
 
-// Validate rejects unparseable field values and malformed globs.
+// Validate rejects unparseable field values, malformed or non-UTF-8 globs
+// and negative mission IDs.
 func (s Selector) Validate() error {
+	if s.Mission < 0 {
+		return fmt.Errorf("bad mission %d: mission IDs are positive (0 = any)", s.Mission)
+	}
 	if s.ID != "" {
+		// JSON cannot carry invalid UTF-8, and no case ID contains it.
+		if !utf8.ValidString(s.ID) {
+			return fmt.Errorf("id pattern %q is not valid UTF-8", s.ID)
+		}
 		if _, err := path.Match(s.ID, "probe"); err != nil {
 			return fmt.Errorf("bad id pattern %q: %w", s.ID, err)
 		}

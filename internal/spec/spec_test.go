@@ -62,6 +62,8 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		"seeds":             {Version: 1, Seeds: SeedPolicy{Kind: "fibonacci"}},
 		"mission":           {Version: 1, Missions: []int{99}},
 		"decim":             {Version: 1, Overrides: Overrides{CovDecimation: intp(0)}},
+		// A negative mission ID once validated and selected nothing.
+		"select-mission": {Version: 1, Select: []Selector{{Mission: -3}}},
 	} {
 		if _, err := s.Compile(mission.Valencia()); err == nil {
 			t.Errorf("%s: bad spec compiled without error", name)
@@ -320,7 +322,7 @@ func TestParseSelector(t *testing.T) {
 		t.Errorf("bare seconds: %+v, %v", s, err)
 	}
 	for _, bad := range []string{"planet=mars", "mission=abc", "duration=-1", "gold=maybe", "",
-		"duration=1e300", "start=1e300", "duration=1e-12"} {
+		"duration=1e300", "start=1e300", "duration=1e-12", "mission=-3", "m=m-1", "\xff"} {
 		if _, err := ParseSelector(bad); err == nil {
 			t.Errorf("ParseSelector(%q) accepted", bad)
 		}
