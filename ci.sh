@@ -18,8 +18,9 @@
 # paper-grid shape checks, and the observability surface (trace-event
 # export, live status endpoint, black-box dumps) must produce valid,
 # loadable artifacts, and a multi-start campaign whose forks come off
-# prefix chains and all batch across starts must match its
-# straight-through and scalar-fork runs bit for bit. Short
+# two prefix chains and whose cases, gold run included, all batch in one
+# flight environment must match its straight-through and scalar-fork
+# runs bit for bit. Short
 # fuzz passes cover the resume decoder, the spec decoder and compiler,
 # the -select expression parser, and fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
@@ -76,30 +77,35 @@ go run ./cmd/campaign -validate-spec examples/specs/mini-starts.json
 
 # Multi-start equivalence smoke: mission 1's sensor and rotor faults at
 # four injection starts form two prefix chains, each flown once under its
-# latest-starting case and snapshotted at every start. Each chain's forks
-# step in one lockstep batch across its starts. Every fork must match the
-# straight-through run and a scalar fork bit for bit, and every forked
-# case must have batched: the runner falls back to scalar forks silently,
-# so only the counters show a dead batch path.
+# latest-starting case and snapshotted at every start. All 21 cases share
+# one flight environment, so they step in one lockstep batch: the 20
+# forks join from their chains' snapshots across starts, the gold run at
+# launch. Every case must match the straight-through run and a scalar
+# fork bit for bit, every case must have batched and exactly the 20
+# faulty ones forked: the runner falls back to scalar runs silently, so
+# only the counters show a dead batch path.
 go run ./cmd/campaign -spec examples/specs/mini-starts.json -q -out "$tmpdir/starts.json" -metrics-out "$tmpdir/starts_metrics.json"
 go run ./cmd/campaign -spec examples/specs/mini-starts.json -q -out "$tmpdir/starts_straight.json" -checkpoint=false
 go run ./cmd/campaign -compare-results "$tmpdir/starts.json,$tmpdir/starts_straight.json"
 go run ./cmd/campaign -spec examples/specs/mini-starts.json -q -out "$tmpdir/starts_scalar.json" -batch=false
 go run ./cmd/campaign -compare-results "$tmpdir/starts.json,$tmpdir/starts_scalar.json"
 counter() { grep -A1 "\"name\": \"$1\"" "$tmpdir/starts_metrics.json" | sed -n 's/.*"value": *\([0-9]*\).*/\1/p'; }
+total=$(counter campaign_cases_total)
 forked=$(counter campaign_cases_forked_total)
 batched=$(counter campaign_cases_batched_total)
-if [ -z "$forked" ] || [ "$forked" -eq 0 ] || [ "$batched" != "$forked" ]; then
-	echo "ci: mini-starts batched ${batched:-?} of ${forked:-?} forked cases; want all" >&2
+if [ "$total" != 21 ] || [ "$batched" != "$total" ] || [ "$forked" != 20 ]; then
+	echo "ci: mini-starts batched ${batched:-?} and forked ${forked:-?} of ${total:-?} cases; want 21 batched, 20 forked" >&2
 	exit 1
 fi
 
 # Airframe + actuator smoke: the hexa actuator mini-spec (rotor FDI and
-# allocation reconfig enabled) must run through both the lockstep batch
-# path and scalar forks with bit-identical results.
+# allocation reconfig enabled) must run through the lockstep batch path,
+# scalar forks and straight runs with bit-identical results.
 go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmpdir/hexa.json"
 go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmpdir/hexa_scalar.json" -batch=false
 go run ./cmd/campaign -compare-results "$tmpdir/hexa.json,$tmpdir/hexa_scalar.json"
+go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmpdir/hexa_straight.json" -checkpoint=false
+go run ./cmd/campaign -compare-results "$tmpdir/hexa.json,$tmpdir/hexa_straight.json"
 
 # Observability + resume smoke: run one mission's gyro cases with
 # metrics capture, validate the snapshot schema, then resume over the

@@ -75,8 +75,8 @@ func run() int {
 		covDecim   = flag.Int("cov-decim", ekf.DefaultConfig().CovarianceDecimation, "EKF covariance decimation factor k: propagate covariance every k-th predict (1 = exact per-step path; faulted flights keep the exact path from launch through the fault window + settle margin)")
 		covSettle  = flag.Float64("cov-settle", sim.DefaultConfig().CovSettleSec, "seconds of full-rate covariance propagation kept after a fault window closes before decimation engages (only meaningful with -cov-decim > 1)")
 		rngPolicy  = flag.String("rng", "", "environment RNG policy: polar (the default sampler) | ziggurat (overrides the spec's rng_policy when set explicitly; the injector stream stays polar either way)")
-		batch      = flag.Bool("batch", true, "step each checkpoint group's forks in lockstep batches (false = one scalar fork per case)")
-		batchWidth = flag.Int("batch-width", 0, "max forks per lockstep batch (0 = the built-in default)")
+		batch      = flag.Bool("batch", true, "step each flight environment's cases in lockstep batches (false = one scalar fork or straight run per case)")
+		batchWidth = flag.Int("batch-width", 0, "max cases per lockstep batch (0 = the built-in default)")
 		printSpec  = flag.Bool("print-spec", false, "print the effective campaign spec as JSON and exit")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 

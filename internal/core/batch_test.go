@@ -11,7 +11,7 @@ import (
 )
 
 // batchCases builds one prefix group of all 21 primitive x target
-// combinations plus a gold case (which can never batch).
+// combinations plus a gold case (which joins their batch at launch).
 func batchCases() []Case {
 	cases := []Case{{ID: "gold", MissionID: 1, Seed: 21}}
 	for _, p := range faultinject.Primitives() {
@@ -80,8 +80,9 @@ func testBatchMatchesScalar(t *testing.T, cases []Case) {
 
 // startsCases is the mini-starts shape on shortScenario: gyro and accel
 // freeze/zeros plus a rotor-0 loss of effectiveness, each at four starts,
-// and a gold case. The sensor and the rotor faults form two chains whose
-// chunks span every start.
+// and a gold case. The sensor and the rotor faults form two chains, and
+// one batch of the environment spans both chains, every start and the
+// gold run's launch.
 func startsCases() []Case {
 	cases := []Case{{ID: "gold", MissionID: 1, Seed: 21}}
 	add := func(in faultinject.Injection) {
@@ -99,11 +100,13 @@ func startsCases() []Case {
 	return cases
 }
 
-// TestRunnerBatchMetrics: batched cases are counted both as forked (they
-// are forks) and in the dedicated batched counter; the gold singleton
-// stays scalar. Every fork must batch, across starts too: runBatchChunk
-// falls back to scalar forks silently, so without this count a dead batch
-// path would pass every equality test.
+// TestRunnerBatchMetrics: every case of the one flight environment steps
+// in a lockstep batch, the gold run included (it joins at launch), and is
+// counted in the batched counter; only the faulty cases, which join from
+// a chain snapshot, count as forked, and the gold case as straight. Every
+// case must batch, across starts and families too: runBatch falls back to
+// scalar runs silently, so without this count a dead batch path would
+// pass every equality test.
 func TestRunnerBatchMetrics(t *testing.T) {
 	for _, plan := range []struct {
 		name  string
@@ -118,8 +121,8 @@ func TestRunnerBatchMetrics(t *testing.T) {
 
 			val := func(name string) int64 { return r.Obs.Counter(name).Value() }
 			faulty := int64(len(plan.cases) - 1)
-			if got := val("campaign_cases_batched_total"); got != faulty {
-				t.Errorf("batched = %d, want %d", got, faulty)
+			if got := val("campaign_cases_batched_total"); got != int64(len(plan.cases)) {
+				t.Errorf("batched = %d, want %d", got, len(plan.cases))
 			}
 			if got := val("campaign_cases_forked_total"); got != faulty {
 				t.Errorf("forked = %d, want %d", got, faulty)
@@ -129,6 +132,57 @@ func TestRunnerBatchMetrics(t *testing.T) {
 			}
 			if got := val("campaign_cases_total"); got != int64(len(plan.cases)) {
 				t.Errorf("cases_total = %d, want %d", got, len(plan.cases))
+			}
+		})
+	}
+}
+
+// TestRunnerMixedEnvironmentFallsBack: workUnits never puts two flight
+// environments in one unit, but a unit that did — a gold run joined at
+// launch by a case of another seed, airframe or mission — must fail its
+// batch (sim.NewBatch rejects the second checkpoint) and run case by case,
+// matching the straight results.
+func TestRunnerMixedEnvironmentFallsBack(t *testing.T) {
+	missions := append(shortScenario(), shortScenario()[0])
+	missions[1].ID = 2
+	gold := Case{ID: "gold", MissionID: 1, Seed: 21}
+	for _, other := range []Case{
+		{ID: "seed", MissionID: 1, Seed: 22},
+		{ID: "airframe", MissionID: 1, Seed: 21, Airframe: "octo-x"},
+		{ID: "mission", MissionID: 2, Seed: 21},
+	} {
+		t.Run(other.ID, func(t *testing.T) {
+			cases := []Case{gold, other}
+			r := NewRunner()
+			r.Missions = missions
+			r.Checkpoint = false
+			straight := r.RunAll(context.Background(), cases)
+
+			r = NewRunner()
+			r.Missions = missions
+			r.Trace = obs.NewTracer(tickClock(), 16)
+			u := workUnit{idx: []int{0, 1}}
+			u.joins = r.joins(cases, make([]*chain, 2), u.idx, nil)
+			if u.joins[0].cp == nil || u.joins[1].cp == nil {
+				t.Fatal("a case of the unit got no launch snapshot")
+			}
+			results, forked, batched := r.runUnit(cases, u, nil)
+			for j := range cases {
+				if forked[j] || batched[j] {
+					t.Errorf("%s: forked %v batched %v, want a straight run", cases[j].ID, forked[j], batched[j])
+				}
+				if !reflect.DeepEqual(results[j], straight[j]) {
+					t.Errorf("%s: fallback result differs from the straight run", cases[j].ID)
+				}
+			}
+			fellBack := false
+			for _, v := range r.Trace.Spans() {
+				for _, a := range v.Attrs {
+					fellBack = fellBack || (v.Name == "batch" && a.Key == "fallback")
+				}
+			}
+			if !fellBack {
+				t.Error("no batch span marked fallback")
 			}
 		})
 	}

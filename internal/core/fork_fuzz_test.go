@@ -8,17 +8,21 @@ import (
 	"time"
 
 	"uavres/internal/faultinject"
+	"uavres/internal/physics"
 	"uavres/internal/sim"
 )
 
-// fuzzCases decodes data into 2–4 faulted cases on shortScenario's
-// mission, all on one environment seed so they chain. Each case takes
+// fuzzCases decodes data into 2–5 faulted cases on shortScenario's
+// mission, all on one environment seed and airframe so they share one
+// flight environment, and reports the airframe. The header byte holds the
+// case count in its low nibble, the airframe in bits 4–5 (quad, hexa,
+// octo) and, in its high bit, a gold case added first. Each case takes
 // four bytes (missing bytes read as zero): the fault (seven sensor
 // primitives, then the three rotor primitives), its target or rotor,
 // start and duration in 0.5 s steps (start 0 is an immediate injection,
-// which never forks), and — for sensor faults — the scope in the fault
-// byte's high bit.
-func fuzzCases(data []byte) []Case {
+// which joins at launch), and — for sensor faults — the scope in the
+// fault byte's high bit.
+func fuzzCases(data []byte) ([]Case, physics.Airframe) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -29,9 +33,18 @@ func fuzzCases(data []byte) []Case {
 	}
 	sensors := faultinject.Primitives()
 	rotors := faultinject.ActuatorPrimitives()
-	n := 2 + next()%3
-	cases := make([]Case, n)
-	for i := range cases {
+	header := next()
+	n := 2 + (header&0x0f)%4
+	frame := physics.Airframes()[(header>>4&3)%3]
+	airframe := ""
+	if frame != physics.QuadX {
+		airframe = frame.String()
+	}
+	var cases []Case
+	if header&0x80 != 0 {
+		cases = append(cases, Case{ID: "gold", MissionID: 1, Seed: 21, Airframe: airframe})
+	}
+	for i := 0; i < n; i++ {
 		fault, where, start, dur := next(), next(), next(), next()
 		in := &faultinject.Injection{
 			Start:    time.Duration(start%81) * time.Second / 2,
@@ -46,23 +59,28 @@ func fuzzCases(data []byte) []Case {
 		} else {
 			in.Primitive, in.Target, in.Rotor = rotors[k-len(sensors)], faultinject.TargetRotor, where%4
 		}
-		cases[i] = Case{ID: in.Label() + "#" + string(rune('a'+i)), MissionID: 1, Seed: 21, Injection: in}
+		cases = append(cases, Case{ID: in.Label() + "#" + string(rune('a'+i)), MissionID: 1, Seed: 21, Airframe: airframe, Injection: in})
 	}
-	return cases
+	return cases, frame
 }
 
-// FuzzForkMatchesStraight searches fault parameterisations for a case
-// whose fork off a chain snapshot differs from its straight run: the
-// default runner (chains, forks, lockstep batches) and a runner with
+// FuzzForkMatchesStraight searches fault parameterisations and airframes
+// for a case whose fork off a chain snapshot, or whose run in its flight
+// environment's lockstep batch, differs from its straight run: the
+// default runner (chains, forks, environment batches) and a runner with
 // Checkpoint off must return identical results, and every case must end
-// in an enumerated outcome with finite numbers.
+// in an enumerated outcome with finite numbers. Hexa and octo fly with
+// rotor FDI and reconfiguration, as the redundancy matrix does.
 func FuzzForkMatchesStraight(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cases := fuzzCases(data)
+		cases, frame := fuzzCases(data)
 		run := func(checkpoint bool) []CaseResult {
 			r := NewRunner()
 			r.Missions = shortScenario()
 			r.Workers = 2
+			if frame != physics.QuadX {
+				r.Config.Mitigation = r.Config.Mitigation.RotorDefaults()
+			}
 			r.Checkpoint = checkpoint
 			return r.RunAll(context.Background(), cases)
 		}

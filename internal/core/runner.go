@@ -43,22 +43,28 @@ type Runner struct {
 	// snapshotted at each of their injection starts; every case forks from
 	// the snapshot at its own start, bit-identical to a straight-through
 	// run (sim.TestForkFromChainBitIdentical). With the paper's plan, the
-	// 84 faulty cases of each mission share one 90-second prefix. The
-	// zero-value Runner runs every case straight through.
+	// 84 faulty cases of each mission share one 90-second chain. A case in
+	// no chain (a gold run, an immediate injection, the lone case of its
+	// key) flies from launch. The zero-value Runner runs every case
+	// straight through.
 	Checkpoint bool
-	// Batch additionally steps each chain's forks in lockstep (sim.Batch),
-	// in chunks of up to BatchWidth cases in start order: one donor vehicle
-	// draws the shared environment noise once per tick, every fork joins
-	// on the tick the donor reaches its start and composes those draws,
-	// eliminating the dominant per-fork NormFloat64 cost. Outcomes stay
-	// bit-identical to the scalar forked path (sim.TestBatchBitIdentical,
-	// sim.TestBatchAcrossStartsBitIdentical). Requires Checkpoint; a
-	// one-case chunk forks scalar, and cases outside any chain (gold runs,
-	// a lone case of its key) run straight.
+	// Batch additionally steps the cases of one flight environment (one
+	// mission, environment seed and airframe) in lockstep (sim.Batch), in
+	// chunks of up to BatchWidth cases in join order: one donor vehicle
+	// draws the shared environment noise once per tick for all of them,
+	// across chains, families and starts. A chain case joins from its
+	// chain's snapshot on the tick the donor reaches its start; any other
+	// case joins at launch from a fresh snapshot of its own vehicle. This
+	// eliminates the dominant per-case NormFloat64 cost. Outcomes stay
+	// bit-identical to straight runs (sim.TestBatchBitIdentical,
+	// sim.TestBatchAcrossStartsBitIdentical,
+	// sim.TestBatchAcrossPrefixesBitIdentical). Requires Checkpoint; a
+	// one-case chunk forks scalar or runs straight, and a failed batch
+	// falls back to that case by case.
 	Batch bool
-	// BatchWidth caps how many forks share one lockstep batch; <= 0 means
+	// BatchWidth caps how many cases share one lockstep batch; <= 0 means
 	// DefaultBatchWidth. Wider batches amortize the donor's draw cost over
-	// more forks at the price of more resident vehicles and snapshots per
+	// more cases at the price of more resident vehicles and snapshots per
 	// worker.
 	BatchWidth int
 	// Obs, if non-nil, receives campaign-level metrics: case and outcome
@@ -327,7 +333,7 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 	}
 
 	results := make([]CaseResult, len(cases))
-	units := r.workUnits(cases)
+	units, chainOf := r.workUnits(cases)
 	unitCh := make(chan workUnit)
 
 	runStart := r.now()
@@ -384,16 +390,11 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 		}()
 	}
 
-	// The feed loop alone touches chain state. It flies a chain through
+	// The feed loop alone touches chain state. It flies each chain through
 	// a unit's starts just before dispatching the unit, so a snapshot
 	// lives only while a pending or running unit holds it (a batch lets
-	// each go as its fork joins).
-	var (
-		cp         *sim.Checkpoint // the newest snapshot of cpChain
-		cpChain    *chain
-		cpAt       time.Duration // cp's start
-		flySeconds float64
-	)
+	// each go as its case joins).
+	var flySeconds float64
 feed:
 	for _, u := range units {
 		// select picks at random among ready cases, so check first: a
@@ -401,22 +402,9 @@ feed:
 		if ctx.Err() != nil {
 			break
 		}
-		if u.chain != nil {
-			flyStart := r.now()
-			u.cps = make([]*sim.Checkpoint, len(u.idx))
-			for j, i := range u.idx {
-				if at := cases[i].Injection.Start; u.chain != cpChain || at != cpAt {
-					cp, cpChain, cpAt = r.advance(u.chain, at, metrics), u.chain, at
-				}
-				u.cps[j] = cp
-			}
-			flySeconds += r.now() - flyStart
-			if cp == nil {
-				u.cps = nil // the chain could not be built: run straight
-			} else {
-				u.parent = u.chain.span
-			}
-		}
+		flyStart := r.now()
+		u.joins = r.joins(cases, chainOf, u.idx, metrics)
+		flySeconds += r.now() - flyStart
 		select {
 		case <-ctx.Done():
 			break feed
@@ -438,6 +426,27 @@ feed:
 		}
 	}
 	return results
+}
+
+// envKey identifies a flight environment: the cases of one mission,
+// environment seed and airframe draw bit-identical environment streams
+// (sensor noise and wind depend only on the seed and the time), whatever
+// their injections, so one batch donor can draw for all of them.
+type envKey struct {
+	missionID int
+	seed      int64
+	airframe  string
+}
+
+// less orders environments by (mission, seed, airframe).
+func (a envKey) less(b envKey) bool {
+	if a.missionID != b.missionID {
+		return a.missionID < b.missionID
+	}
+	if a.seed != b.seed {
+		return a.seed < b.seed
+	}
+	return a.airframe < b.airframe
 }
 
 // prefixKey identifies the cases that can share one prefix chain:
@@ -472,20 +481,18 @@ func casePrefixKey(c Case) prefixKey {
 	}
 }
 
+func (k prefixKey) env() envKey {
+	return envKey{missionID: k.missionID, seed: k.seed, airframe: k.airframe}
+}
+
 // sortPrefixKeys orders prefix keys by (mission, seed, airframe, family,
 // scope), the total order that makes chain scheduling independent of map
 // iteration order.
 func sortPrefixKeys(keys []prefixKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
-		if a.missionID != b.missionID {
-			return a.missionID < b.missionID
-		}
-		if a.seed != b.seed {
-			return a.seed < b.seed
-		}
-		if a.airframe != b.airframe {
-			return a.airframe < b.airframe
+		if ea, eb := a.env(), b.env(); ea != eb {
+			return ea.less(eb)
 		}
 		if a.actuator != b.actuator {
 			return !a.actuator // sensor prefixes before actuator prefixes
@@ -501,78 +508,177 @@ func sortPrefixKeys(keys []prefixKey) {
 // mid-chain and corrupt the later snapshots. Only the feed loop in runAll
 // touches a chain.
 type chain struct {
-	rep   Case
-	cases int
-	v     *sim.Vehicle // flying: built at the first start, dropped at the last
-	err   error        // v could not be built: the chain's cases run straight
-	span  obs.SpanID
+	rep    Case
+	cases  int
+	handed int             // cases given their snapshot so far
+	v      *sim.Vehicle    // flying: built at the first start, dropped at the last
+	cp     *sim.Checkpoint // the newest snapshot, at cpAt; dropped with the last case
+	cpAt   time.Duration
+	err    error // v could not be built: the chain's cases run straight
+	span   obs.SpanID
 }
 
-// workUnit is what a worker runs: case indices, and for forks the chain
-// snapshot at each case's start and the chain's span to parent under. The
-// feed loop fills cps and parent in, so workers never touch the chain.
+// workUnit is what a worker runs: case indices and how each case joins,
+// which the feed loop fills in so workers never touch a chain.
 type workUnit struct {
-	idx    []int
-	chain  *chain            // nil: the cases run straight
-	cps    []*sim.Checkpoint // index-aligned with idx; nil: run straight
-	parent obs.SpanID
+	idx   []int
+	joins []join
 }
 
-// workUnits partitions the case indices into work units. Cases outside
-// any chain (gold runs, immediate injections, a key with a single case,
-// or every case when Checkpoint is off) are singleton units, first, in
-// input order. Then come the chains in sorted key order, each with its
-// cases in ascending start order cut into chunks of up to BatchWidth
-// indices, which may span starts, to step in lockstep when Batch is on;
-// singletons otherwise.
-func (r *Runner) workUnits(cases []Case) []workUnit {
-	groups := map[prefixKey][]int{}
-	var keys []prefixKey
+// join is how one case of a work unit starts.
+type join struct {
+	cp     *sim.Checkpoint // nil: the case runs straight
+	fork   bool            // the case is a chain's: cp is the chain's snapshot at its start
+	parent obs.SpanID      // the chain's prefix span, or the trace root
+}
+
+// workUnits partitions the case indices into work units and returns
+// them with each case's chain (nil for a case in none). A batching
+// runner groups the cases by flight environment, in sorted key order,
+// and cuts each group, in join order (a chain case at its start, any
+// other case at launch), into chunks of up to BatchWidth cases to step
+// in lockstep; a chunk may span chains and starts. Otherwise every case
+// is its own unit: first the cases outside any chain (gold runs,
+// immediate injections, a key with a single case, or every case when
+// Checkpoint is off), in input order, then the chains in sorted key
+// order, each in ascending start order.
+func (r *Runner) workUnits(cases []Case) ([]workUnit, []*chain) {
+	var chainOf []*chain
+	var groups [][]int
 	if r.Checkpoint {
-		for i, c := range cases {
-			k := casePrefixKey(c)
-			if k == (prefixKey{}) {
-				continue
-			}
-			if groups[k] == nil {
-				keys = append(keys, k)
-			}
-			groups[k] = append(groups[k], i)
-		}
-	}
-	units := make([]workUnit, 0, len(cases))
-	for i, c := range cases {
-		if len(groups[casePrefixKey(c)]) < 2 {
-			units = append(units, workUnit{idx: []int{i}, parent: r.TraceRoot})
-		}
+		chainOf, groups = buildChains(cases)
+	} else {
+		chainOf = make([]*chain, len(cases))
 	}
 	width := 1
-	if r.Batch {
+	if r.Checkpoint && r.Batch {
 		width = r.BatchWidth
 		if width <= 0 {
 			width = DefaultBatchWidth
 		}
+		groups = envGroups(cases)
+	} else {
+		var lone [][]int
+		for i := range cases {
+			if chainOf[i] == nil {
+				lone = append(lone, []int{i})
+			}
+		}
+		groups = append(lone, groups...)
+	}
+	joinAt := func(i int) time.Duration {
+		if chainOf[i] == nil {
+			return 0
+		}
+		return cases[i].Injection.Start
+	}
+	units := make([]workUnit, 0, len(cases))
+	for _, g := range groups {
+		sort.SliceStable(g, func(a, b int) bool { return joinAt(g[a]) < joinAt(g[b]) })
+		for a := 0; a < len(g); a += width {
+			units = append(units, workUnit{idx: g[a:min(a+width, len(g))]})
+		}
+	}
+	return units, chainOf
+}
+
+// buildChains groups the forkable cases by prefix key. It returns each
+// case's chain (nil for a case in none: gold runs, immediate injections
+// and the lone case of a key) and every chain's cases, in sorted key
+// order and input order within.
+func buildChains(cases []Case) ([]*chain, [][]int) {
+	byKey := map[prefixKey][]int{}
+	var keys []prefixKey
+	for i, c := range cases {
+		k := casePrefixKey(c)
+		if k == (prefixKey{}) {
+			continue
+		}
+		if byKey[k] == nil {
+			keys = append(keys, k)
+		}
+		byKey[k] = append(byKey[k], i)
 	}
 	// Map order would hand chains to workers in a different order every
 	// run; sorting keeps scheduling reproducible for a given campaign.
 	sortPrefixKeys(keys)
+	chainOf := make([]*chain, len(cases))
+	var groups [][]int
 	for _, k := range keys {
-		idxs := groups[k]
+		idxs := byKey[k]
 		if len(idxs) < 2 {
 			continue
 		}
-		startOf := func(j int) time.Duration { return cases[idxs[j]].Injection.Start }
-		sort.SliceStable(idxs, func(a, b int) bool { return startOf(a) < startOf(b) })
-		first := len(idxs) - 1 // the first case at the last start
-		for first > 0 && startOf(first-1) == startOf(first) {
-			first--
+		rep := idxs[0] // the first case at the latest start
+		for _, i := range idxs[1:] {
+			if cases[i].Injection.Start > cases[rep].Injection.Start {
+				rep = i
+			}
 		}
-		ch := &chain{rep: cases[idxs[first]], cases: len(idxs)}
-		for a := 0; a < len(idxs); a += width {
-			units = append(units, workUnit{idx: idxs[a:min(a+width, len(idxs))], chain: ch, parent: r.TraceRoot})
+		ch := &chain{rep: cases[rep], cases: len(idxs)}
+		for _, i := range idxs {
+			chainOf[i] = ch
+		}
+		groups = append(groups, idxs)
+	}
+	return chainOf, groups
+}
+
+// envGroups partitions the case indices by flight environment, in sorted
+// key order and input order within.
+func envGroups(cases []Case) [][]int {
+	byKey := map[envKey][]int{}
+	var keys []envKey
+	for i, c := range cases {
+		k := envKey{missionID: c.MissionID, seed: c.Seed, airframe: c.Airframe}
+		if byKey[k] == nil {
+			keys = append(keys, k)
+		}
+		byKey[k] = append(byKey[k], i)
+	}
+	sort.Slice(keys, func(a, b int) bool { return keys[a].less(keys[b]) })
+	groups := make([][]int, len(keys))
+	for j, k := range keys {
+		groups[j] = byKey[k]
+	}
+	return groups
+}
+
+// joins sets up how each case of a unit starts: a chain's case from the
+// chain's snapshot at its start, any other case of a multi-case unit from
+// a fresh launch snapshot of its own vehicle, to join the unit's batch at
+// step 0. A case left without a snapshot (its chain or its vehicle could
+// not be built) runs straight, and errors there as it would alone.
+func (r *Runner) joins(cases []Case, chainOf []*chain, idx []int, metrics *runnerMetrics) []join {
+	js := make([]join, len(idx))
+	for j, i := range idx {
+		js[j].parent = r.TraceRoot
+		if ch := chainOf[i]; ch != nil {
+			js[j].fork = true
+			if js[j].cp = r.snapshot(ch, cases[i].Injection.Start, metrics); js[j].cp != nil {
+				js[j].parent = ch.span
+			}
+		} else if len(idx) > 1 {
+			if v, err := r.newVehicle(cases[i]); err == nil {
+				js[j].cp = v.Snapshot()
+			}
 		}
 	}
-	return units
+	return js
+}
+
+// snapshot hands out ch's snapshot at start to one of its cases, flying
+// the chain there unless its newest snapshot already is at start. The
+// chain drops that snapshot once its last case has it.
+func (r *Runner) snapshot(ch *chain, start time.Duration, metrics *runnerMetrics) *sim.Checkpoint {
+	if ch.cp == nil || ch.cpAt != start {
+		ch.cp, ch.cpAt = r.advance(ch, start, metrics), start
+	}
+	cp := ch.cp
+	if ch.handed++; ch.handed == ch.cases {
+		ch.cp = nil
+	}
+	return cp
 }
 
 // advance flies ch to start and returns its snapshot there, building the
@@ -612,61 +718,110 @@ func (r *Runner) advance(ch *chain, start time.Duration, metrics *runnerMetrics)
 }
 
 // runUnit executes one work unit and returns its results plus per-case
-// forked/batched flags (index-aligned with unit.idx). A multi-case unit
-// with snapshots tries the lockstep batch first and falls back to
-// per-case scalar execution if the batch fails: a scalar fork where the
-// snapshot is still held, a straight run where the batch already let it
-// go.
+// forked/batched flags (index-aligned with unit.idx). The unit's cases
+// with a snapshot, when there are two or more, try one lockstep batch;
+// every other case, and every case of a failed batch, runs scalar: a
+// chain's case forks while its snapshot is still held, and runs straight
+// where the batch already let it go or it never had one.
 func (r *Runner) runUnit(cases []Case, unit workUnit, metrics *runnerMetrics) (results []CaseResult, forked, batched []bool) {
-	tr := r.Trace
-	if len(unit.idx) > 1 && unit.cps != nil {
-		span := tr.Start("batch", unit.parent,
-			obs.StrAttr("first", cases[unit.idx[0]].ID),
-			obs.NumAttr("cases", float64(len(unit.idx))))
-		if metrics != nil {
-			metrics.activeBatches.Add(1)
-		}
-		out, ok := r.runBatchChunk(cases, unit.idx, unit.cps)
-		if metrics != nil {
-			metrics.activeBatches.Add(-1)
-		}
-		if ok {
-			// The batch steps its forks interleaved, so per-case duration is
-			// not individually observable: case spans carry identity and
-			// outcome, the batch span carries the wall time.
-			for j := range out {
-				cs := tr.Start("case", span,
-					obs.StrAttr("id", out[j].Case.ID),
-					obs.NumAttr("seed", float64(out[j].Case.Seed)),
-					obs.BoolAttr("batched", true))
-				annotateCaseOutcome(tr, cs, out[j])
-				tr.End(cs)
-			}
-			tr.End(span)
-			flags := make([]bool, len(unit.idx))
-			for j := range flags {
-				flags[j] = true
-			}
-			return out, flags, flags
-		}
-		tr.Annotate(span, obs.BoolAttr("fallback", true))
-		tr.End(span)
-	}
 	results = make([]CaseResult, len(unit.idx))
 	forked = make([]bool, len(unit.idx))
 	batched = make([]bool, len(unit.idx))
-	for j, idx := range unit.idx {
-		var cp *sim.Checkpoint
-		if unit.cps != nil {
-			cp = unit.cps[j]
+	var members []int
+	for j, jn := range unit.joins {
+		if jn.cp != nil {
+			members = append(members, j)
 		}
-		results[j], forked[j] = r.runCaseTraced(cases[idx], cp, unit.parent)
+	}
+	if len(members) > 1 && r.runBatch(cases, unit, members, results, metrics) {
+		for _, j := range members {
+			forked[j], batched[j] = unit.joins[j].fork, true
+		}
+	}
+	for j, idx := range unit.idx {
+		if batched[j] {
+			continue
+		}
+		jn := unit.joins[j]
+		var cp *sim.Checkpoint
+		if jn.fork {
+			cp = jn.cp // a launch snapshot never forks scalar: that is a straight run
+		}
+		results[j], forked[j] = r.runCaseTraced(cases[idx], cp, jn.parent)
 	}
 	return results, forked, batched
 }
 
+// runBatch steps the members of unit (positions in unit.idx, each with a
+// snapshot) in one lockstep batch (sim.Batch) and fills in their results.
+// The batch takes the snapshots over and releases each as its case joins.
+// Any failure — a checkpoint of another environment, an invalid fork, a
+// mid-run IMU draw-window error — reports false with no result filled in
+// and the snapshots still held given back, and the caller falls back to
+// the scalar path; a batch never produces partial results.
+//
+// The batch span sits under the prefix span of the first member that
+// forks, or the root when none does. A forked member's case span sits
+// under the batch span; a member that joined at launch has its case span
+// at the root.
+func (r *Runner) runBatch(cases []Case, unit workUnit, members []int, results []CaseResult, metrics *runnerMetrics) bool {
+	tr := r.Trace
+	parent, forks := r.TraceRoot, false
+	cps := make([]*sim.Checkpoint, len(members))
+	injs := make([]*faultinject.Injection, len(members))
+	for k, j := range members {
+		jn := &unit.joins[j]
+		if jn.fork && !forks {
+			parent, forks = jn.parent, true
+		}
+		cps[k], jn.cp = jn.cp, nil
+		injs[k] = cases[unit.idx[j]].Injection
+	}
+	span := tr.Start("batch", parent,
+		obs.StrAttr("first", cases[unit.idx[members[0]]].ID),
+		obs.NumAttr("cases", float64(len(members))))
+	if metrics != nil {
+		metrics.activeBatches.Add(1)
+	}
+	b, err := sim.NewBatch(cps, injs)
+	var simResults []sim.Result
+	if err == nil {
+		simResults, err = b.Run()
+	}
+	if metrics != nil {
+		metrics.activeBatches.Add(-1)
+	}
+	if err != nil {
+		for k, j := range members {
+			unit.joins[j].cp = cps[k]
+		}
+		tr.Annotate(span, obs.BoolAttr("fallback", true))
+		tr.End(span)
+		return false
+	}
+	// The batch steps its cases interleaved, so per-case duration is not
+	// individually observable: case spans carry identity and outcome, the
+	// batch span carries the wall time.
+	for k, j := range members {
+		res := CaseResult{Case: cases[unit.idx[j]], Result: simResults[k]}
+		results[j] = res
+		csParent := span
+		if !unit.joins[j].fork {
+			csParent = r.TraceRoot
+		}
+		cs := tr.Start("case", csParent,
+			obs.StrAttr("id", res.Case.ID),
+			obs.NumAttr("seed", float64(res.Case.Seed)),
+			obs.BoolAttr("batched", true))
+		annotateCaseOutcome(tr, cs, res)
+		tr.End(cs)
+	}
+	tr.End(span)
+	return true
+}
+
 // runCaseTraced wraps runCase in a case span under parent (the chain's
-// prefix span for forks, the root otherwise), with the outcome and
+// prefix span for a chain's case, the root otherwise), with the outcome and
 // fork/fallback markers annotated after the run.
 func (r *Runner) runCaseTraced(c Case, cp *sim.Checkpoint, parent obs.SpanID) (CaseResult, bool) {
 	tr := r.Trace
@@ -705,31 +860,6 @@ func annotateCaseOutcome(tr *obs.Tracer, span obs.SpanID, res CaseResult) {
 		return
 	}
 	tr.Annotate(span, obs.StrAttr("outcome", res.Result.Outcome.String()))
-}
-
-// runBatchChunk forks every case in the chunk from the chain snapshot at
-// its start and steps them in lockstep (sim.Batch), which releases each
-// snapshot in cps as its fork joins. Any failure — an invalid fork or a
-// mid-run IMU draw-window error — reports !ok and the caller falls back to
-// the scalar path; a batch never produces partial results.
-func (r *Runner) runBatchChunk(cases []Case, idx []int, cps []*sim.Checkpoint) ([]CaseResult, bool) {
-	injs := make([]*faultinject.Injection, len(idx))
-	for j, i := range idx {
-		injs[j] = cases[i].Injection
-	}
-	b, err := sim.NewBatch(cps, injs)
-	if err != nil {
-		return nil, false
-	}
-	simResults, err := b.Run()
-	if err != nil {
-		return nil, false
-	}
-	out := make([]CaseResult, len(idx))
-	for j, i := range idx {
-		out[j] = CaseResult{Case: cases[i], Result: simResults[j]}
-	}
-	return out, true
 }
 
 // runCase executes one case, preferring the forked path when a shared

@@ -259,3 +259,59 @@ func TestStatusSnapshotAllocFree(t *testing.T) {
 		t.Errorf("StatusSource.Snapshot allocates %v per op, want 0", n)
 	}
 }
+
+// TestRunnerTraceEnvironmentBatchShape pins where an environment batch's
+// spans sit: the batch under its first chain's prefix span, a forked
+// case under the batch, and the gold run, which joined at launch, at the
+// root with batched=true. A consumer can then read an injection start
+// off every case under a batch.
+func TestRunnerTraceEnvironmentBatchShape(t *testing.T) {
+	r := NewRunner()
+	r.Missions = shortScenario()
+	r.Workers = 2
+	r.Trace = obs.NewTracer(tickClock(), 256)
+	r.TraceRoot = r.Trace.Start("campaign", 0)
+	cases := startsCases()
+	r.RunAll(context.Background(), cases)
+	r.Trace.End(r.TraceRoot)
+
+	byID := map[obs.SpanID]obs.SpanView{}
+	for _, v := range r.Trace.Spans() {
+		byID[v.ID] = v
+	}
+	attr := func(v obs.SpanView, key string) string {
+		for _, a := range v.Attrs {
+			if a.Key == key {
+				return a.Str
+			}
+		}
+		return ""
+	}
+	batches, underBatch := 0, 0
+	for _, v := range byID {
+		switch v.Name {
+		case "batch":
+			batches++
+			if p := byID[v.Parent]; p.Name != "prefix" {
+				t.Errorf("batch span parented under %q, want a prefix span", p.Name)
+			}
+		case "case":
+			if attr(v, "batched") != "true" {
+				t.Errorf("case %s did not batch", attr(v, "id"))
+			}
+			switch p := byID[v.Parent]; {
+			case attr(v, "id") == "gold":
+				if v.Parent != r.TraceRoot {
+					t.Errorf("gold case span parented under %q, want the root", p.Name)
+				}
+			case p.Name == "batch":
+				underBatch++
+			default:
+				t.Errorf("case %s parented under %q, want its batch", attr(v, "id"), p.Name)
+			}
+		}
+	}
+	if batches != 1 || underBatch != len(cases)-1 {
+		t.Errorf("%d batch spans with %d cases under them; want 1 with %d", batches, underBatch, len(cases)-1)
+	}
+}

@@ -3,6 +3,7 @@ package mitigation
 import (
 	"math"
 
+	"uavres/internal/mathx"
 	"uavres/internal/physics"
 )
 
@@ -62,7 +63,9 @@ func (m *RotorMonitor) Observe(cmd, meas physics.Rotors) bool {
 	}
 	changed := false
 	for i := 0; i < m.n; i++ {
-		m.expected[i] += (m.prevCmd[i] - m.expected[i]) * m.lag
+		// Flushed like the body's rotor lag, so a dead rotor's model
+		// reads exactly 0 rather than a subnormal tail.
+		m.expected[i] = mathx.FlushSubnormal(m.expected[i] + (m.prevCmd[i]-m.expected[i])*m.lag)
 		if m.condemned[i] {
 			continue
 		}

@@ -102,6 +102,77 @@ func TestFaultedRotorCondemnedAfterWindow(t *testing.T) {
 	}
 }
 
+// TestRotorModelFlushIsAbsorbed replays Observe without the subnormal
+// flush beside the monitor: rotor 0 is commanded off long enough for the
+// unflushed model to park on a subnormal, then back on, while rotor 3
+// floats and is condemned. The flushed model reads exactly 0 where the
+// replay reads a subnormal, equals it bit for bit everywhere else, and
+// every strike count and condemnation matches on every cycle.
+func TestRotorModelFlushIsAbsorbed(t *testing.T) {
+	m := testMonitor(5)
+	plant := &motorModel{lag: 1 - math.Exp(-testDt/testTau), n: 4}
+	var (
+		primed                bool
+		prevCmd, expected     physics.Rotors
+		strikes               [physics.MaxRotors]int
+		condemned             [physics.MaxRotors]bool
+		sawSubnormal, onAgain bool
+	)
+	replay := func(cmd, meas physics.Rotors) {
+		if !primed {
+			primed, expected, prevCmd = true, meas, cmd
+			return
+		}
+		for i := 0; i < 4; i++ {
+			expected[i] += (prevCmd[i] - expected[i]) * m.lag
+			if condemned[i] {
+				continue
+			}
+			if math.Abs(meas[i]-expected[i]) > m.tol {
+				if strikes[i]++; strikes[i] >= m.window {
+					condemned[i] = true
+				}
+			} else {
+				strikes[i] = 0
+			}
+		}
+		prevCmd = cmd
+	}
+	for k := 0; k < 22000; k++ {
+		cmd := physics.Rotors{0.7, 0.7, 0.7, 0.7}
+		if k >= 500 && k < 21000 {
+			cmd[0] = 0
+		}
+		meas := plant.state
+		if k >= 1000 && k < 1100 {
+			meas[3] = 0
+		}
+		m.Observe(cmd, meas)
+		replay(cmd, meas)
+		for i := 0; i < 4; i++ {
+			got, want := m.expected[i], expected[i]
+			sub := want != 0 && math.Abs(want) < 0x1p-1022
+			sawSubnormal = sawSubnormal || sub
+			if got != 0 && math.Abs(got) < 0x1p-1022 {
+				t.Fatalf("cycle %d rotor %d: expected %g is subnormal", k, i, got)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) && !(sub && got == 0) {
+				t.Fatalf("cycle %d rotor %d: expected %g, unflushed replay %g", k, i, got, want)
+			}
+			if m.strikes[i] != strikes[i] || m.condemned[i] != condemned[i] {
+				t.Fatalf("cycle %d rotor %d: strikes %d condemned %v, unflushed replay %d %v",
+					k, i, m.strikes[i], m.condemned[i], strikes[i], condemned[i])
+			}
+		}
+		onAgain = onAgain || (k > 21000 && m.expected[0] > 0.1)
+		plant.step(cmd)
+	}
+	if !sawSubnormal || !onAgain || !m.Condemned(3) || m.CondemnedCount() != 1 {
+		t.Errorf("scenario not exercised: subnormal replay %v, rotor 0 back on %v, condemned %d (rotor 3: %v)",
+			sawSubnormal, onAgain, m.CondemnedCount(), m.Condemned(3))
+	}
+}
+
 // TestTransientGlitchResets checks a sub-window burst of anomalies is
 // forgiven once tracking resumes.
 func TestTransientGlitchResets(t *testing.T) {

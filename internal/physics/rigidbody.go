@@ -276,7 +276,9 @@ func (b *Body) StepWithWind(dt float64, windNED mathx.Vec3) {
 	lag := b.lag
 	var rotorThrust Rotors
 	for i := 0; i < b.mixer.n; i++ {
-		s.Rotor[i] += (b.cmd[i] - s.Rotor[i]) * lag
+		// A rotor commanded to 0 would park on a subnormal tail; flush
+		// it to 0, which every consumer absorbs bit for bit.
+		s.Rotor[i] = mathx.FlushSubnormal(s.Rotor[i] + (b.cmd[i]-s.Rotor[i])*lag)
 		rotorThrust[i] = s.Rotor[i] * p.MaxThrustPerRotorN
 	}
 	thrustN, torque := b.mixer.Forward(rotorThrust)

@@ -2,26 +2,30 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 
 	"uavres/internal/ekf"
 	"uavres/internal/faultinject"
 	"uavres/internal/physics"
 )
 
-// Batch steps forks of one prefix flight in lockstep: one donor vehicle
-// advances the shared environment streams (sensor noise, wind gust) and
-// each fork composes those deviates with its own diverged truth via
-// stepEnv. Environment noise depends only on the seed and the time, never
-// on vehicle state, and every component owns its own stream, so the shared
-// draws are bit-identical to what each fork's own streams would produce —
-// the scalar and batch paths yield byte-identical Results
-// (TestBatchBitIdentical).
+// Batch steps forks of one flight environment in lockstep: one donor
+// vehicle advances the shared environment streams (sensor noise, wind
+// gust) and each fork composes those deviates with its own diverged truth
+// via stepEnv. Environment noise depends only on the seed and the time,
+// never on vehicle state or injection, and every component owns its own
+// stream, so the shared draws are bit-identical to what each fork's own
+// streams would produce — the scalar and batch paths yield byte-identical
+// Results (TestBatchBitIdentical).
 //
-// The forks may start at different snapshots of the flight (different
-// injection starts). The donor forks from the earliest, and each fork
+// The forks may start at different snapshots (different injection
+// starts, different prefix flights of the same mission, seed and
+// airframe, or a launch snapshot at step 0 for a gold run or an
+// immediate injection). The donor forks from the earliest, and each fork
 // joins the lockstep loop on the tick the donor reaches its own snapshot:
 // from there on the donor's draws are exactly what the fork's own streams
-// would draw next (TestBatchAcrossStartsBitIdentical).
+// would draw next (TestBatchAcrossStartsBitIdentical,
+// TestBatchAcrossPrefixesBitIdentical).
 //
 // The forks' hot per-tick state (EKF filter, rigid body) is restored into
 // contiguous structure-of-arrays slabs so the kernels stream over the
@@ -53,11 +57,13 @@ type Batch struct {
 }
 
 // NewBatch prepares one fork per injection, fork i from checkpoint cps[i].
-// The checkpoints must be snapshots of one flight in non-decreasing step
-// order, as a prefix chain takes them. Validation is all or nothing: any
-// invalid fork (scope mismatch, window overlap — see ForkWithInjection)
-// fails the whole batch so the caller can fall back to the scalar path
-// case by case.
+// The checkpoints must be in non-decreasing step order and fly one
+// environment: every checkpoint has the Config (seed and airframe
+// included) and mission of cps[0]; they may come from different prefix
+// flights. Validation is all or nothing: a checkpoint of another
+// environment, or any invalid fork (scope mismatch, window overlap — see
+// ForkWithInjection), fails the whole batch so the caller can fall back
+// to the scalar path case by case.
 //
 // The batch takes cps over: Run builds each fork only when it joins and
 // then sets cps[i] to nil, so a snapshot lives no longer than it is needed.
@@ -66,6 +72,9 @@ func NewBatch(cps []*Checkpoint, injs []*faultinject.Injection) (*Batch, error) 
 		return nil, fmt.Errorf("sim: batch of %d checkpoints and %d injections", len(cps), len(injs))
 	}
 	for i, cp := range cps {
+		if cp.cfg != cps[0].cfg || !reflect.DeepEqual(cp.m, cps[0].m) {
+			return nil, fmt.Errorf("sim: batch fork %d: checkpoint flies another environment than fork 0's", i)
+		}
 		if i > 0 && cp.step < cps[i-1].step {
 			return nil, fmt.Errorf("sim: batch fork %d: checkpoint at step %d precedes fork %d's at step %d",
 				i, cp.step, i-1, cps[i-1].step)

@@ -10,6 +10,7 @@ import (
 	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/obs"
+	"uavres/internal/physics"
 	"uavres/internal/sensors"
 )
 
@@ -218,6 +219,88 @@ func TestBatchAcrossStartsBitIdentical(t *testing.T) {
 			}
 			checkStreamsUntouched(t, cps, forks)
 		})
+	}
+}
+
+// TestBatchAcrossPrefixesBitIdentical is the bar for a batch keyed by
+// flight environment: a gold run, an immediate gyro fault and a lone
+// rotor-0 float join from their own launch snapshots, a sensor chain and
+// an actuator chain of the same mission, seed and airframe join from
+// their prefixes' snapshots, and one donor serves them all. The float
+// commands a spinning hexa rotor to 0 for 30 s, long enough for its lag
+// states to decay into the subnormal range, where they are flushed. Every
+// fork must match its straight run.
+func TestBatchAcrossPrefixesBitIdentical(t *testing.T) {
+	cfg := actuatorCfg()
+	m := shortMission()
+	snapshot := func(inj *faultinject.Injection, at float64) *Checkpoint {
+		v, err := NewVehicle(cfg, m, inj, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.RunUntil(at)
+		return v.Snapshot()
+	}
+	sensor := func(p faultinject.Primitive, start float64) *faultinject.Injection {
+		return &faultinject.Injection{Primitive: p, Target: faultinject.TargetGyro,
+			Start: time.Duration(start) * time.Second, Duration: 3 * time.Second, Seed: 5}
+	}
+	immediate, float0 := sensor(faultinject.Noise, 0), actuatorInj(faultinject.FloatRotor, 0, 5)
+	sensorRep, actuatorRep := sensor(faultinject.Freeze, 20), actuatorInj(faultinject.StuckRotor, 2, 15)
+	injs := []*faultinject.Injection{
+		nil, immediate, float0,
+		sensor(faultinject.Zeros, 10), actuatorInj(faultinject.LossOfEffectiveness, 1, 15), sensorRep,
+	}
+	cps := []*Checkpoint{
+		snapshot(nil, 0), snapshot(immediate, 0), snapshot(float0, 0),
+		snapshot(sensorRep, 10), snapshot(actuatorRep, 15), snapshot(sensorRep, 20),
+	}
+	results, forks := runBatch(t, cps, injs)
+	for i, inj := range injs {
+		label := "gold"
+		if inj != nil {
+			label = fmt.Sprintf("%s@%v", inj.Label(), inj.Start)
+		}
+		straight, err := Run(cfg, m, inj, nil)
+		if err != nil {
+			t.Fatalf("%s straight: %v", label, err)
+		}
+		sameResult(t, label, straight, results[i])
+	}
+	checkStreamsUntouched(t, cps, forks)
+}
+
+// TestNewBatchRejectsMixedEnvironment: a batch shares one donor's draws,
+// so a checkpoint of another seed, airframe or mission than fork 0's must
+// fail NewBatch rather than fly on foreign noise.
+func TestNewBatchRejectsMixedEnvironment(t *testing.T) {
+	launch := func(cfg Config, m mission.Mission) *Checkpoint {
+		v, err := NewVehicle(cfg, m, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Snapshot()
+	}
+	base := launch(DefaultConfig(), shortMission())
+	otherSeed, otherFrame := DefaultConfig(), DefaultConfig()
+	otherSeed.Seed++
+	otherFrame.Airframe.Layout = physics.OctoX
+	otherMission := shortMission()
+	otherMission.ID++
+	for _, tc := range []struct {
+		name string
+		cp   *Checkpoint
+	}{
+		{"seed", launch(otherSeed, shortMission())},
+		{"airframe", launch(otherFrame, shortMission())},
+		{"mission", launch(DefaultConfig(), otherMission)},
+	} {
+		if _, err := NewBatch([]*Checkpoint{base, tc.cp}, make([]*faultinject.Injection, 2)); err == nil {
+			t.Errorf("%s: NewBatch accepted a checkpoint of another environment", tc.name)
+		}
+	}
+	if _, err := NewBatch([]*Checkpoint{base, launch(DefaultConfig(), shortMission())}, make([]*faultinject.Injection, 2)); err != nil {
+		t.Errorf("same environment: %v", err)
 	}
 }
 
