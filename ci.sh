@@ -105,7 +105,13 @@ go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmp
 go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmpdir/hexa_scalar.json" -batch=false
 go run ./cmd/campaign -compare-results "$tmpdir/hexa.json,$tmpdir/hexa_scalar.json"
 go run ./cmd/campaign -spec examples/specs/mini-hexa-actuator.json -q -out "$tmpdir/hexa_straight.json" -checkpoint=false
-go run ./cmd/campaign -compare-results "$tmpdir/hexa.json,$tmpdir/hexa_straight.json"
+hexa_cmp=$(go run ./cmd/campaign -compare-results "$tmpdir/hexa.json,$tmpdir/hexa_straight.json")
+echo "$hexa_cmp"
+# The straight run's results header must say so: it forked nothing.
+if ! printf '%s\n' "$hexa_cmp" | grep -q "hexa_straight.json (mode=straight width=0 "; then
+	echo "ci: the -checkpoint=false results header does not name mode=straight" >&2
+	exit 1
+fi
 
 # Observability + resume smoke: run one mission's gyro cases with
 # metrics capture, validate the snapshot schema, then resume over the

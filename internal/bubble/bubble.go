@@ -103,7 +103,7 @@ type Sample struct {
 type Tracker struct {
 	mission  mission.Mission
 	inner    float64
-	outer    *Outer
+	outer    Outer
 	interval float64
 
 	next       float64
@@ -128,7 +128,7 @@ func NewTracker(m mission.Mission, riskR, interval float64) (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tracker{mission: m, inner: inner, outer: outer, interval: interval}, nil
+	return &Tracker{mission: m, inner: inner, outer: *outer, interval: interval}, nil
 }
 
 // InnerRadius returns the mission's static inner bubble radius.
@@ -188,45 +188,3 @@ func (tr *Tracker) Samples() int { return tr.samples }
 
 // Last returns the most recent sample (zero value before the first).
 func (tr *Tracker) Last() Sample { return tr.lastSample }
-
-// TrackerSnapshot captures the tracker's complete dynamic state, including
-// the outer-bubble calculator (checkpointing).
-type TrackerSnapshot struct {
-	next       float64
-	prevPos    mathx.Vec3
-	havePrev   bool
-	innerViol  int
-	outerViol  int
-	samples    int
-	lastSample Sample
-	outer      Outer
-}
-
-// Snapshot captures the tracking clock, violation counts, and the dynamic
-// outer-bubble state.
-func (tr *Tracker) Snapshot() TrackerSnapshot {
-	return TrackerSnapshot{
-		next:       tr.next,
-		prevPos:    tr.prevPos,
-		havePrev:   tr.havePrev,
-		innerViol:  tr.innerViol,
-		outerViol:  tr.outerViol,
-		samples:    tr.samples,
-		lastSample: tr.lastSample,
-		outer:      *tr.outer,
-	}
-}
-
-// Restore reinstates a state captured with Snapshot. The tracker must wrap
-// the same mission and tracking interval as the snapshot source.
-func (tr *Tracker) Restore(s TrackerSnapshot) {
-	tr.next = s.next
-	tr.prevPos = s.prevPos
-	tr.havePrev = s.havePrev
-	tr.innerViol = s.innerViol
-	tr.outerViol = s.outerViol
-	tr.samples = s.samples
-	tr.lastSample = s.lastSample
-	outer := s.outer
-	tr.outer = &outer
-}

@@ -81,31 +81,28 @@ type Diag struct {
 	TorqueNm mathx.Vec3
 }
 
-// Controller is the cascaded flight controller. Not safe for concurrent
-// use; each vehicle owns one.
+// Controller is the cascaded flight controller. It is a plain value, so
+// copying a Controller copies its loops and its allocation. Not safe for
+// concurrent use; each vehicle owns one.
 type Controller struct {
 	gains  Gains
 	params physics.Params
 	// tanMaxTilt is math.Tan(gains.MaxTiltRad), the tilt limit's slope,
 	// computed once in New.
 	tanMaxTilt float64
-	//lint:allow snapshotcomplete immutable after New; Allocate takes its address only to avoid copying it
-	mixer physics.Mixer
+	mixer      physics.Mixer
 
-	velPID  *PID3
-	ratePID *PID3
+	velPID  PID3
+	ratePID PID3
 
-	// alloc, when non-nil, replaces the healthy mixer's allocation with a
-	// reconfigured (condemned-rotor) pseudo-inverse. Derived state: the
-	// vehicle re-installs it from the rotor monitor after any restore.
-	//lint:allow snapshotcomplete derived from the rotor monitor's condemned set; vehicle reapplies on restore
-	alloc *physics.Allocator
+	// alloc, when hasAlloc is set, replaces the healthy mixer's
+	// allocation with a reconfigured (condemned-rotor) pseudo-inverse.
+	alloc    physics.Allocator
+	hasAlloc bool
 
 	// Cached sin/cos of the yaw setpoint, keyed on the exact input. The
 	// guidance yaw is piecewise constant per mission leg, so the trig
 	// pair is computed once per leg instead of at every control step.
-	// Derived state: deliberately absent from ControllerSnapshot.
-	//lint:allow snapshotcomplete derived trig cache keyed on the exact yaw input; recomputed on any change
 	cacheYaw, cacheSinYaw, cacheCosYaw float64
 }
 
@@ -117,13 +114,13 @@ func New(gains Gains, params physics.Params, dt float64) *Controller {
 		params:     params,
 		tanMaxTilt: math.Tan(gains.MaxTiltRad),
 		mixer:      physics.NewMixer(params),
-		velPID: NewPID3(
+		velPID: *NewPID3(
 			gains.VelP, gains.VelI, mathx.Zero3,
 			mathx.V3(3, 3, 4),  // integral clamp (m/s^2)
 			mathx.V3(8, 8, 12), // acceleration clamp (m/s^2)
 			10, dt,
 		),
-		ratePID: NewPID3(
+		ratePID: *NewPID3(
 			gains.RateP, gains.RateI, gains.RateD,
 			mathx.V3(8, 8, 4),    // integral clamp (rad/s^2)
 			mathx.V3(80, 80, 40), // angular accel clamp (rad/s^2)
@@ -132,32 +129,20 @@ func New(gains Gains, params physics.Params, dt float64) *Controller {
 	}
 }
 
-// SetAllocator installs (or, with nil, removes) a reconfigured allocation
-// that overrides the healthy mixer when distributing the wrench.
-func (c *Controller) SetAllocator(a *physics.Allocator) { c.alloc = a }
+// SetAllocator installs a copy of (or, with nil, removes) a reconfigured
+// allocation that overrides the healthy mixer when distributing the
+// wrench.
+func (c *Controller) SetAllocator(a *physics.Allocator) {
+	c.alloc, c.hasAlloc = physics.Allocator{}, a != nil
+	if a != nil {
+		c.alloc = *a
+	}
+}
 
 // Reset clears all integrators (rearm / mode change).
 func (c *Controller) Reset() {
 	c.velPID.Reset()
 	c.ratePID.Reset()
-}
-
-// ControllerSnapshot captures the cascade's dynamic state: the velocity
-// and rate loop integrators and derivative filters (checkpointing).
-type ControllerSnapshot struct {
-	vel  PID3State
-	rate PID3State
-}
-
-// Snapshot captures both PID loops.
-func (c *Controller) Snapshot() ControllerSnapshot {
-	return ControllerSnapshot{vel: c.velPID.Snapshot(), rate: c.ratePID.Snapshot()}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (c *Controller) Restore(s ControllerSnapshot) {
-	c.velPID.Restore(s.vel)
-	c.ratePID.Restore(s.rate)
 }
 
 // Command runs one full cascade cycle and returns normalized motor
@@ -239,7 +224,7 @@ func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Se
 	if d != nil {
 		*d = Diag{VelSp: velSp, AccSp: accSp, AttSp: attSp, RateSp: rateSp, ThrustN: thrustN, TorqueNm: torque}
 	}
-	if c.alloc != nil {
+	if c.hasAlloc {
 		return c.alloc.Allocate(thrustN, torque)
 	}
 	return c.mixer.Allocate(thrustN, torque)

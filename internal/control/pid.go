@@ -24,7 +24,7 @@ type PID struct {
 	OutLimit float64
 
 	integral float64
-	deriv    *mathx.Derivative
+	deriv    mathx.Derivative
 }
 
 // NewPID returns a PID for a loop running every dt seconds; the derivative
@@ -33,7 +33,7 @@ func NewPID(kp, ki, kd, intLimit, outLimit, derivCutoffHz, dt float64) *PID {
 	return &PID{
 		Kp: kp, Ki: ki, Kd: kd,
 		IntLimit: intLimit, OutLimit: outLimit,
-		deriv: mathx.NewDerivative(derivCutoffHz, dt),
+		deriv: *mathx.NewDerivative(derivCutoffHz, dt),
 	}
 }
 
@@ -57,35 +57,18 @@ func (c *PID) Reset() {
 // Integral returns the current integral contribution (diagnostics).
 func (c *PID) Integral() float64 { return c.integral }
 
-// PIDState is the snapshot-able dynamic state of one PID loop.
-type PIDState struct {
-	Integral float64
-	Deriv    mathx.DerivativeState
-}
-
-// Snapshot captures the integral and derivative-filter state.
-func (c *PID) Snapshot() PIDState {
-	return PIDState{Integral: c.integral, Deriv: c.deriv.Snapshot()}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (c *PID) Restore(s PIDState) {
-	c.integral = s.Integral
-	c.deriv.Restore(s.Deriv)
-}
-
 // PID3 applies three independent PID controllers to a vector error.
 type PID3 struct {
-	x, y, z *PID
+	x, y, z PID
 }
 
 // NewPID3 builds a vector PID with per-axis gains. Gains are given as
 // vectors so the vertical axis can be tuned separately.
 func NewPID3(kp, ki, kd mathx.Vec3, intLimit, outLimit mathx.Vec3, derivCutoffHz, dt float64) *PID3 {
 	return &PID3{
-		x: NewPID(kp.X, ki.X, kd.X, intLimit.X, outLimit.X, derivCutoffHz, dt),
-		y: NewPID(kp.Y, ki.Y, kd.Y, intLimit.Y, outLimit.Y, derivCutoffHz, dt),
-		z: NewPID(kp.Z, ki.Z, kd.Z, intLimit.Z, outLimit.Z, derivCutoffHz, dt),
+		x: *NewPID(kp.X, ki.X, kd.X, intLimit.X, outLimit.X, derivCutoffHz, dt),
+		y: *NewPID(kp.Y, ki.Y, kd.Y, intLimit.Y, outLimit.Y, derivCutoffHz, dt),
+		z: *NewPID(kp.Z, ki.Z, kd.Z, intLimit.Z, outLimit.Z, derivCutoffHz, dt),
 	}
 }
 
@@ -103,21 +86,4 @@ func (c *PID3) Reset() {
 	c.x.Reset()
 	c.y.Reset()
 	c.z.Reset()
-}
-
-// PID3State is the snapshot-able dynamic state of a vector PID.
-type PID3State struct {
-	X, Y, Z PIDState
-}
-
-// Snapshot captures all three axes.
-func (c *PID3) Snapshot() PID3State {
-	return PID3State{X: c.x.Snapshot(), Y: c.y.Snapshot(), Z: c.z.Snapshot()}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (c *PID3) Restore(s PID3State) {
-	c.x.Restore(s.X)
-	c.y.Restore(s.Y)
-	c.z.Restore(s.Z)
 }

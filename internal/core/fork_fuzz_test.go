@@ -21,7 +21,8 @@ import (
 // primitives, then the three rotor primitives), its target or rotor,
 // start and duration in 0.5 s steps (start 0 is an immediate injection,
 // which joins at launch), and — for sensor faults — the scope in the
-// fault byte's high bit.
+// fault byte's high bit. One byte after the cases offsets the environment
+// seed from 21, so an input that ends with its cases keeps seed 21.
 func fuzzCases(data []byte) ([]Case, physics.Airframe) {
 	next := func() int {
 		if len(data) == 0 {
@@ -60,6 +61,10 @@ func fuzzCases(data []byte) ([]Case, physics.Airframe) {
 			in.Primitive, in.Target, in.Rotor = rotors[k-len(sensors)], faultinject.TargetRotor, where%4
 		}
 		cases = append(cases, Case{ID: in.Label() + "#" + string(rune('a'+i)), MissionID: 1, Seed: 21, Airframe: airframe, Injection: in})
+	}
+	seed := int64(21 + next())
+	for i := range cases {
+		cases[i].Seed = seed
 	}
 	return cases, frame
 }

@@ -45,9 +45,11 @@ type ResultsHeader struct {
 	SpecHash string `json:"spec_hash,omitempty"`
 	// RNGPolicy is the environment sampler name ("polar" or "ziggurat").
 	RNGPolicy string `json:"rng_policy"`
-	// RunnerMode is "batch" (lockstep fork batches) or "scalar".
+	// RunnerMode is "batch" (lockstep fork batches), "scalar" (one fork
+	// or straight run per case) or "straight" (no checkpoints: every case
+	// flies from launch).
 	RunnerMode string `json:"runner_mode"`
-	// BatchWidth is the lockstep batch cap (0 when RunnerMode is scalar).
+	// BatchWidth is the lockstep batch cap (0 unless RunnerMode is batch).
 	BatchWidth int `json:"batch_width,omitempty"`
 	// Workers is the pool size the campaign ran with.
 	Workers int `json:"workers,omitempty"`
@@ -66,7 +68,11 @@ func (r *Runner) ResultsHeader(specHash string) ResultsHeader {
 		RunnerMode: "scalar",
 		Workers:    r.poolSize(),
 	}
-	if r.Batch {
+	switch {
+	case !r.Checkpoint:
+		// Batch requires Checkpoint: without it nothing forks or batches.
+		h.RunnerMode = "straight"
+	case r.Batch:
 		h.RunnerMode = "batch"
 		h.BatchWidth = r.BatchWidth
 		if h.BatchWidth <= 0 {

@@ -97,6 +97,27 @@ func TestResultsWriterHeader(t *testing.T) {
 	}
 }
 
+// TestResultsHeaderMode: the header names the mode the runner really
+// runs in. Without checkpoints nothing forks or batches, whatever Batch
+// says, so such a run is "straight" and has no batch width.
+func TestResultsHeaderMode(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		r     Runner
+		mode  string
+		width int
+	}{
+		{"default", Runner{Checkpoint: true, Batch: true}, "batch", DefaultBatchWidth},
+		{"batch=false", Runner{Checkpoint: true}, "scalar", 0},
+		{"checkpoint=false", Runner{Batch: true}, "straight", 0},
+	} {
+		h := tc.r.ResultsHeader("hash")
+		if h.RunnerMode != tc.mode || h.BatchWidth != tc.width {
+			t.Errorf("%s: mode=%s width=%d, want mode=%s width=%d", tc.name, h.RunnerMode, h.BatchWidth, tc.mode, tc.width)
+		}
+	}
+}
+
 func TestResultsWriterEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewResultsWriter(&buf)

@@ -178,22 +178,19 @@ func TestDecimationPhaseAndForcing(t *testing.T) {
 }
 
 // TestDecimationSnapshotCarriesWindow: the mid-window accumulator must
-// ride Snapshot/Restore so forked runs resume bit-identically.
+// ride a copy of the filter so forked runs resume bit-identically.
 func TestDecimationSnapshotCarriesWindow(t *testing.T) {
 	f := New(DefaultConfig())
 	const dt = 0.004
 	for i := 0; i < 6; i++ { // pending = 2 (6 mod 4)
 		f.Predict(stationarySample(float64(i)*dt), dt)
 	}
-	snap := f.Snapshot()
-
-	g := New(DefaultConfig())
-	g.Restore(snap)
-	if g.pending != f.pending {
-		t.Fatalf("pending not restored: %d vs %d", g.pending, f.pending)
+	g := *f
+	if g.pending != 2 || g.pending != f.pending {
+		t.Fatalf("pending not copied: %d vs %d", g.pending, f.pending)
 	}
 	if g.acc != f.acc {
-		t.Fatalf("transition accumulator not restored")
+		t.Fatalf("transition accumulator not copied")
 	}
 
 	// Continuing both must stay bit-identical.
@@ -203,10 +200,10 @@ func TestDecimationSnapshotCarriesWindow(t *testing.T) {
 		g.Predict(s, dt)
 	}
 	if f.p != g.p {
-		t.Fatalf("covariance diverged after restore")
+		t.Fatalf("covariance diverged after copy")
 	}
 	if f.st != g.st {
-		t.Fatalf("state diverged after restore")
+		t.Fatalf("state diverged after copy")
 	}
 }
 

@@ -129,7 +129,7 @@ type Health struct {
 	// BaroGateRejects count attempts the innovation gate rejected (for GPS,
 	// an attempt where any axis failed its gate). Cumulative over the
 	// flight — the observability layer exports them as counters, and being
-	// plain value fields they ride FilterSnapshot through checkpoint forks.
+	// plain value fields they ride the filter through checkpoint forks.
 	GPSFusions      int64
 	BaroFusions     int64
 	GPSGateRejects  int64
@@ -146,7 +146,8 @@ type Health struct {
 	Diverged bool
 }
 
-// Filter is the error-state EKF. Not safe for concurrent use; each vehicle
+// Filter is the error-state EKF. It is a plain value, so copying a Filter
+// copies its complete state. Not safe for concurrent use; each vehicle
 // owns one.
 type Filter struct {
 	cfg Config
@@ -159,8 +160,9 @@ type Filter struct {
 	lastBarT float64
 	inited   bool
 
-	// Decimated-covariance state (all value fields, so FilterSnapshot
-	// captures the mid-window phase and forks resume bit-identically).
+	// Decimated-covariance state (all value fields, so a copy of the
+	// filter captures the mid-window phase and forks resume
+	// bit-identically).
 	covFull bool       // full-rate forced (fault window + settle)
 	pending int        // predicts accumulated since the last flush
 	acc     transition // compounded transition over the pending steps
@@ -197,24 +199,6 @@ func (f *Filter) Reset(st State) {
 
 // State returns the current nominal estimate.
 func (f *Filter) State() State { return f.st }
-
-// FilterSnapshot captures the filter's complete dynamic state — nominal
-// state, covariance, health, and fusion timers (checkpointing). Every
-// Filter field is a value type, so the snapshot is a plain copy.
-type FilterSnapshot struct {
-	f Filter
-}
-
-// Snapshot captures the filter's state.
-func (f *Filter) Snapshot() FilterSnapshot { return FilterSnapshot{f: *f} }
-
-// Restore reinstates a state captured with Snapshot, keeping the target's
-// own configuration.
-func (f *Filter) Restore(s FilterSnapshot) {
-	cfg := f.cfg
-	*f = s.f
-	f.cfg = cfg
-}
 
 // Health returns the filter's self-assessment.
 func (f *Filter) Health() Health { return f.health }

@@ -195,27 +195,6 @@ func (m *Monitor) ActivatedAt() float64 { return m.activatedAt }
 // Switches returns how many redundant-sensor switches were performed.
 func (m *Monitor) Switches() int { return m.switches }
 
-// MonitorSnapshot captures the state machine's complete dynamic state
-// (checkpointing). The configuration is a construction parameter and is
-// not part of the snapshot.
-type MonitorSnapshot struct {
-	m Monitor
-}
-
-// Snapshot captures the monitor's state.
-func (m *Monitor) Snapshot() MonitorSnapshot {
-	s := MonitorSnapshot{m: *m}
-	s.m.cfg = Config{} // state only; the target keeps its own config
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (m *Monitor) Restore(s MonitorSnapshot) {
-	cfg := m.cfg
-	*m = s.m
-	m.cfg = cfg
-}
-
 // Update advances the monitor with the latest observation. imus is the
 // redundant set the isolation stage rotates; a nil set disables switching
 // (single-IMU vehicle). Returns the current phase.
@@ -351,26 +330,6 @@ func (c *CrashDetector) At() float64 { return c.at }
 
 // Reason returns a human-readable crash classification.
 func (c *CrashDetector) Reason() string { return c.reason }
-
-// CrashSnapshot captures the crash detector's dynamic state
-// (checkpointing).
-type CrashSnapshot struct {
-	crashed bool
-	at      float64
-	reason  string
-}
-
-// Snapshot captures the latch state.
-func (c *CrashDetector) Snapshot() CrashSnapshot {
-	return CrashSnapshot{crashed: c.crashed, at: c.at, reason: c.reason}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (c *CrashDetector) Restore(s CrashSnapshot) {
-	c.crashed = s.crashed
-	c.at = s.at
-	c.reason = s.reason
-}
 
 // Update feeds ground-truth observations: whether the vehicle is on the
 // ground, its touchdown speed, and its tilt. Once latched, a crash is

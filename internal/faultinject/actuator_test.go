@@ -177,18 +177,21 @@ func TestFloatRotorZeroes(t *testing.T) {
 	}
 }
 
-// TestActuatorSnapshotRestoresFrozenCmd checks the injector snapshot
-// carries the stuck-command capture across checkpoint/restore.
+// TestActuatorSnapshotRestoresFrozenCmd checks a copy of the injector
+// carries the stuck-command capture across a checkpoint, and that the
+// copy and its source evolve independently afterwards.
 func TestActuatorSnapshotRestoresFrozenCmd(t *testing.T) {
 	j := mkActuator(t, actuatorInjection(StuckRotor, 1))
 	j.ApplyActuator(89, physics.Rotors{0.11, 0.22, 0.33, 0.44})
-	snap := j.Snapshot()
+	j2 := *j
+	j.ApplyActuator(89.5, physics.Rotors{0.55, 0.55, 0.55, 0.55})
 
-	j2 := mkActuator(t, actuatorInjection(StuckRotor, 1))
-	j2.Restore(snap)
 	out := j2.ApplyActuator(95, physics.Rotors{0.9, 0.9, 0.9, 0.9})
 	if out[1] != 0.22 {
-		t.Errorf("restored stuck rotor = %v, want 0.22", out[1])
+		t.Errorf("copied stuck rotor = %v, want 0.22", out[1])
+	}
+	if out := j.ApplyActuator(95, physics.Rotors{0.9, 0.9, 0.9, 0.9}); out[1] != 0.55 {
+		t.Errorf("source stuck rotor = %v, want 0.55", out[1])
 	}
 }
 

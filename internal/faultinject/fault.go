@@ -331,11 +331,12 @@ func (in Injection) Validate() error {
 // the range, but large against normal flight signal levels.
 const NoiseAmpFraction = 0.10
 
-// Injector applies one Injection to an IMU sample stream. It is not safe
-// for concurrent use; each simulated vehicle owns one.
+// Injector applies one Injection to an IMU sample stream. It is a plain
+// value, so copying an Injector copies its stream and window state. It is
+// not safe for concurrent use; each simulated vehicle owns one.
 type Injector struct {
 	inj Injection
-	rng *mathx.Rand
+	rng mathx.Rand
 
 	startSec float64
 	endSec   float64
@@ -357,48 +358,10 @@ func New(inj Injection) (*Injector, error) {
 	}
 	return &Injector{
 		inj:      inj,
-		rng:      mathx.NewRand(inj.Seed),
+		rng:      *mathx.NewRand(inj.Seed),
 		startSec: inj.Start.Seconds(),
 		endSec:   inj.Start.Seconds() + inj.Duration.Seconds(),
 	}, nil
-}
-
-// InjectorSnapshot captures the injector's dynamic state (checkpointing).
-type InjectorSnapshot struct {
-	rng           mathx.RandState
-	windowEntered bool
-	frozen        sensors.IMUSample
-	fixedAccel    mathx.Vec3
-	fixedGyro     mathx.Vec3
-	frozenCmd     physics.Rotors
-	applied       int
-}
-
-// Snapshot captures the primitive's randomness stream and lazily captured
-// window state.
-func (j *Injector) Snapshot() InjectorSnapshot {
-	return InjectorSnapshot{
-		rng:           j.rng.State(),
-		windowEntered: j.windowEntered,
-		frozen:        j.frozen,
-		fixedAccel:    j.fixedAccel,
-		fixedGyro:     j.fixedGyro,
-		frozenCmd:     j.frozenCmd,
-		applied:       j.applied,
-	}
-}
-
-// Restore reinstates a state captured with Snapshot. The injector must
-// describe the same Injection as at capture time (the window bounds and
-// seed are construction parameters, not dynamic state).
-func (j *Injector) Restore(s InjectorSnapshot) {
-	j.rng.SetState(s.rng)
-	j.windowEntered = s.windowEntered
-	j.frozen = s.frozen
-	j.fixedAccel = s.fixedAccel
-	j.fixedGyro = s.fixedGyro
-	j.frozenCmd = s.frozenCmd
-	j.applied = s.applied
 }
 
 // SeedFreeze installs the last pre-window sample, as if the injector had

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -182,94 +181,6 @@ func cmp(a, b float64) bool {
 	f := findings[0]
 	if f.Check != metaCheck || f.Pos.Line != 3 || !strings.Contains(f.Message, "unused") {
 		t.Errorf("finding = %v", f)
-	}
-}
-
-// TestMutationSnapshotIntegrity is the analyzer's own mutation test:
-// deleting a real field capture from the repository's Snapshot/Restore
-// code must turn the lint gate red. This is the guarantee the campaign
-// engine leans on — an incomplete checkpoint cannot land silently.
-func TestMutationSnapshotIntegrity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a mutated copy of the whole module")
-	}
-	tmp := t.TempDir()
-	copyModuleSource(t, filepath.Join("..", ".."), tmp)
-
-	// Mutation 1: Vehicle.Snapshot forgets the distance-flown tracker.
-	mutateSource(t, filepath.Join(tmp, "internal", "sim", "checkpoint.go"),
-		`(?m)^\s*distM:\s*v\.distM,\n`)
-	// Mutation 2: Rand.SetState forgets the Box-Muller spare flag.
-	mutateSource(t, filepath.Join(tmp, "internal", "mathx", "rand.go"),
-		`(?m)^\s*r\.haveSpare = s\.HaveSpare\n`)
-
-	r := &Runner{ModPath: "uavres", ModRoot: tmp}
-	findings, err := r.Run(filepath.Join(tmp, "internal", "sim"), filepath.Join(tmp, "internal", "mathx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"distM", "haveSpare"} {
-		found := false
-		for _, f := range findings {
-			if f.Check == "snapshotcomplete" && strings.Contains(f.Message, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("mutation dropping %s not caught; findings: %v", want, findings)
-		}
-	}
-}
-
-// copyModuleSource copies the module's Go sources and go.mod into dst,
-// skipping VCS, fixtures, and hidden directories.
-func copyModuleSource(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if rel != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		if !strings.HasSuffix(path, ".go") && d.Name() != "go.mod" {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// mutateSource deletes the first match of pattern from the file,
-// failing the test if the pattern no longer matches (the mutation
-// target moved — update the test).
-func mutateSource(t *testing.T, path, pattern string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := regexp.MustCompile(pattern)
-	if !re.Match(data) {
-		t.Fatalf("mutation pattern %q matches nothing in %s", pattern, path)
-	}
-	if err := os.WriteFile(path, re.ReplaceAll(data, nil), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 

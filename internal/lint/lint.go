@@ -87,7 +87,6 @@ func All() []Analyzer {
 		WallTime{},
 		MutexHeld{},
 		PanicFree{},
-		SnapshotComplete{},
 		MapIter{},
 		GoroutineSpawn{},
 	}

@@ -66,7 +66,7 @@ func TestFixtures(t *testing.T) {
 	r := fixtureRunner(t)
 	for _, check := range []string{
 		"floatcmp", "globalrand", "walltime", "mutexheld", "panicfree",
-		"snapshotcomplete", "mapiter", "goroutinespawn",
+		"mapiter", "goroutinespawn",
 	} {
 		t.Run(check, func(t *testing.T) {
 			dir := filepath.Join("testdata", check)

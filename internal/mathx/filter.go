@@ -49,25 +49,6 @@ func (lp *LowPass) Update(x float64) float64 {
 // Value returns the current filtered value.
 func (lp *LowPass) Value() float64 { return lp.state }
 
-// LowPassState is the snapshot-able state of a LowPass (the coefficients
-// are configuration, re-derived on construction, so only the dynamic state
-// is captured).
-type LowPassState struct {
-	State  float64
-	Primed bool
-}
-
-// Snapshot captures the filter's dynamic state.
-func (lp *LowPass) Snapshot() LowPassState {
-	return LowPassState{State: lp.state, Primed: lp.primed}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (lp *LowPass) Restore(s LowPassState) {
-	lp.state = s.State
-	lp.primed = s.Primed
-}
-
 // LowPass3 filters a Vec3 component-wise with a shared cutoff.
 type LowPass3 struct {
 	x, y, z LowPass
@@ -97,23 +78,6 @@ func (lp *LowPass3) Update(v Vec3) Vec3 {
 
 // Value returns the current filtered vector.
 func (lp *LowPass3) Value() Vec3 { return Vec3{lp.x.Value(), lp.y.Value(), lp.z.Value()} }
-
-// LowPass3State is the snapshot-able state of a LowPass3.
-type LowPass3State struct {
-	X, Y, Z LowPassState
-}
-
-// Snapshot captures the filter's dynamic state.
-func (lp *LowPass3) Snapshot() LowPass3State {
-	return LowPass3State{X: lp.x.Snapshot(), Y: lp.y.Snapshot(), Z: lp.z.Snapshot()}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (lp *LowPass3) Restore(s LowPass3State) {
-	lp.x.Restore(s.X)
-	lp.y.Restore(s.Y)
-	lp.z.Restore(s.Z)
-}
 
 // Derivative estimates a signal's time derivative with a low-pass smoothed
 // finite difference, the standard D-term implementation in flight
@@ -148,25 +112,6 @@ func (d *Derivative) Reset() {
 	d.seen = false
 	d.lp.primed = false
 	d.lp.state = 0
-}
-
-// DerivativeState is the snapshot-able state of a Derivative.
-type DerivativeState struct {
-	LP   LowPassState
-	Prev float64
-	Seen bool
-}
-
-// Snapshot captures the estimator's dynamic state.
-func (d *Derivative) Snapshot() DerivativeState {
-	return DerivativeState{LP: d.lp.Snapshot(), Prev: d.prev, Seen: d.seen}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (d *Derivative) Restore(s DerivativeState) {
-	d.lp.Restore(s.LP)
-	d.prev = s.Prev
-	d.seen = s.Seen
 }
 
 // RateLimiter limits the slew rate of a signal to maxRatePerSec.

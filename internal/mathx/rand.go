@@ -5,11 +5,9 @@ import (
 	"math"
 )
 
-// NormPolicy names the normal-deviate algorithm a Rand uses. It is
-// configuration, not dynamic state: State/SetState round-trips leave it
-// untouched (the same way ekf.Filter carries its cfg through snapshot
-// restores), and Child streams inherit it, so one policy choice at the
-// campaign level governs every derived noise stream.
+// NormPolicy names the normal-deviate algorithm a Rand uses. Child
+// streams inherit it, so one policy choice at the campaign level governs
+// every derived noise stream.
 type NormPolicy uint8
 
 const (
@@ -45,12 +43,12 @@ func ParseNormPolicy(s string) (NormPolicy, error) {
 	}
 }
 
-// Rand is a small, fast, snapshot-able PRNG (splitmix64 core) exposing the
-// method surface the simulation needs from math/rand: Float64, Int63, and
-// NormFloat64. Unlike math/rand.Rand its complete state is exportable via
-// State/SetState, which is what makes simulation checkpointing possible:
-// a forked run can resume every noise stream bit-exactly where the
-// checkpointed run left it.
+// Rand is a small, fast PRNG (splitmix64 core) exposing the method
+// surface the simulation needs from math/rand: Float64, Int63, and
+// NormFloat64. Unlike math/rand.Rand it is a plain value with no pointer
+// inside, so copying a Rand copies the whole stream: that is what makes
+// simulation checkpointing possible, since a forked run resumes every
+// noise stream bit-exactly where the checkpointed run left it.
 //
 // The zero value is a valid generator seeded with 0. Not safe for
 // concurrent use; each consumer owns its own stream.
@@ -58,14 +56,7 @@ type Rand struct {
 	s         uint64
 	spare     float64 // cached second deviate from the polar method
 	haveSpare bool
-	policy    NormPolicy // configuration, not state: absent from RandState
-}
-
-// RandState is the complete, exportable state of a Rand.
-type RandState struct {
-	S         uint64  `json:"s"`
-	Spare     float64 `json:"spare,omitempty"`
-	HaveSpare bool    `json:"have_spare,omitempty"`
+	policy    NormPolicy
 }
 
 // NewRand returns a generator seeded with seed using the default polar
@@ -116,9 +107,8 @@ func (r *Rand) Float64() float64 {
 // NormFloat64 returns a standard normal deviate using the generator's
 // policy: the Marsaglia polar method by default, or the ziggurat when the
 // stream was built with NormZiggurat. The polar method's second deviate is
-// cached in the state (and captured by State), so a restored stream
-// continues exactly; the ziggurat holds no extra state beyond the uniform
-// stream, so RandState round-trips it for free.
+// cached in the generator, so a copy continues exactly; the ziggurat holds
+// no extra state beyond the uniform stream.
 func (r *Rand) NormFloat64() float64 {
 	if r.policy == NormZiggurat {
 		return r.zigNormFloat64()
@@ -140,19 +130,6 @@ func (r *Rand) NormFloat64() float64 {
 		r.haveSpare = true
 		return u * f
 	}
-}
-
-// State returns the complete generator state.
-func (r *Rand) State() RandState {
-	return RandState{S: r.s, Spare: r.spare, HaveSpare: r.haveSpare}
-}
-
-// SetState restores a state previously captured with State. The policy is
-// configuration and stays as constructed.
-func (r *Rand) SetState(s RandState) {
-	r.s = s.S
-	r.spare = s.Spare
-	r.haveSpare = s.HaveSpare
 }
 
 // Ziggurat tables for the standard normal, 128 layers. zigX[i] is layer

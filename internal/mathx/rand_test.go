@@ -64,8 +64,8 @@ func TestRandNormFloat64Moments(t *testing.T) {
 	}
 }
 
-// TestRandSnapshotResume is the property checkpointing rests on: a stream
-// restored from State continues bit-identically, including across a cached
+// TestRandSnapshotResume is the property checkpointing rests on: a copy
+// of a stream continues bit-identically, including across a cached
 // Box-Muller/polar spare deviate.
 func TestRandSnapshotResume(t *testing.T) {
 	r := NewRand(555)
@@ -73,14 +73,12 @@ func TestRandSnapshotResume(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		r.NormFloat64()
 	}
-	st := r.State()
+	fork := *r
 	var want []float64
 	for i := 0; i < 64; i++ {
 		want = append(want, r.NormFloat64(), r.Float64(), float64(r.Int63()))
 	}
 
-	fork := NewRand(0)
-	fork.SetState(st)
 	for i := 0; i < 64; i++ {
 		got := []float64{fork.NormFloat64(), fork.Float64(), float64(fork.Int63())}
 		for k, g := range got {
@@ -179,21 +177,19 @@ func TestZigguratTailCoverage(t *testing.T) {
 }
 
 // TestZigguratSnapshotResume mirrors TestRandSnapshotResume under the
-// ziggurat policy: RandState carries no policy, so the fork must be
-// constructed with the same policy and then continues bit-identically.
+// ziggurat policy: the copy carries the policy along with the stream and
+// continues bit-identically.
 func TestZigguratSnapshotResume(t *testing.T) {
 	r := NewRandPolicy(555, NormZiggurat)
 	for i := 0; i < 7; i++ {
 		r.NormFloat64()
 	}
-	st := r.State()
+	fork := *r
 	var want []float64
 	for i := 0; i < 256; i++ {
 		want = append(want, r.NormFloat64(), r.Float64())
 	}
 
-	fork := NewRandPolicy(0, NormZiggurat)
-	fork.SetState(st)
 	for i := 0; i < 256; i++ {
 		if g := fork.NormFloat64(); g != want[2*i] {
 			t.Fatalf("restored ziggurat stream diverged at norm draw %d: got %v want %v", i, g, want[2*i])

@@ -118,8 +118,8 @@ func (c Config) Validate() error {
 	if c.GyroClampRad < 0 {
 		return fmt.Errorf("mitigation: negative gyro clamp %v", c.GyroClampRad)
 	}
-	if c.MedianWindow < 0 || c.MedianWindow > 63 {
-		return fmt.Errorf("mitigation: median window %d outside [0, 63]", c.MedianWindow)
+	if c.MedianWindow < 0 || c.MedianWindow > maxMedianWindow {
+		return fmt.Errorf("mitigation: median window %d outside [0, %d]", c.MedianWindow, maxMedianWindow)
 	}
 	if c.StuckWindow < 0 || c.StuckWindow > 10000 {
 		return fmt.Errorf("mitigation: stuck window %d outside [0, 10000]", c.StuckWindow)
@@ -145,16 +145,17 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Pipeline applies the configured stages to an IMU stream. Not safe for
-// concurrent use; each vehicle owns one.
+// Pipeline applies the configured stages to an IMU stream. It is a plain
+// value with fixed-size median windows, so copying a Pipeline copies its
+// complete state. Not safe for concurrent use; each vehicle owns one.
 type Pipeline struct {
 	cfg Config
 
-	medAccel [3]*medianFilter
-	medGyro  [3]*medianFilter
+	medAccel [3]medianFilter // window 0 when the median stage is off
+	medGyro  [3]medianFilter
 
-	lpAccel *mathx.LowPass3
-	lpGyro  *mathx.LowPass3
+	lpAccel mathx.LowPass3 // used when cfg.LowPassHz > 0
+	lpGyro  mathx.LowPass3
 
 	stuckAccel stuckDetector
 	stuckGyro  stuckDetector
@@ -171,8 +172,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 			w++
 		}
 		for i := 0; i < 3; i++ {
-			p.medAccel[i] = newMedianFilter(w)
-			p.medGyro[i] = newMedianFilter(w)
+			p.medAccel[i].window = w
+			p.medGyro[i].window = w
 		}
 	}
 	if cfg.StuckWindow >= 2 {
@@ -184,8 +185,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		if rate <= 0 {
 			rate = 250
 		}
-		p.lpAccel = mathx.NewLowPass3(cfg.LowPassHz, 1/rate)
-		p.lpGyro = mathx.NewLowPass3(cfg.LowPassHz, 1/rate)
+		p.lpAccel = *mathx.NewLowPass3(cfg.LowPassHz, 1/rate)
+		p.lpGyro = *mathx.NewLowPass3(cfg.LowPassHz, 1/rate)
 	}
 	return p, nil
 }
@@ -203,19 +204,22 @@ func (p *Pipeline) Apply(s sensors.IMUSample) (sensors.IMUSample, bool) {
 	if p.cfg.GyroClampRad > 0 {
 		s.Gyro = s.Gyro.Clamp(p.cfg.GyroClampRad)
 	}
-	if p.medAccel[0] != nil {
+	if p.medAccel[0].window > 0 {
+		// One sort scratch for all six axes, on the stack: it carries
+		// nothing from one push to the next.
+		var scratch [maxMedianWindow]float64
 		s.Accel = mathx.Vec3{
-			X: p.medAccel[0].push(s.Accel.X),
-			Y: p.medAccel[1].push(s.Accel.Y),
-			Z: p.medAccel[2].push(s.Accel.Z),
+			X: p.medAccel[0].push(s.Accel.X, &scratch),
+			Y: p.medAccel[1].push(s.Accel.Y, &scratch),
+			Z: p.medAccel[2].push(s.Accel.Z, &scratch),
 		}
 		s.Gyro = mathx.Vec3{
-			X: p.medGyro[0].push(s.Gyro.X),
-			Y: p.medGyro[1].push(s.Gyro.Y),
-			Z: p.medGyro[2].push(s.Gyro.Z),
+			X: p.medGyro[0].push(s.Gyro.X, &scratch),
+			Y: p.medGyro[1].push(s.Gyro.Y, &scratch),
+			Z: p.medGyro[2].push(s.Gyro.Z, &scratch),
 		}
 	}
-	if p.lpAccel != nil {
+	if p.cfg.LowPassHz > 0 {
 		s.Accel = p.lpAccel.Update(s.Accel)
 		s.Gyro = p.lpGyro.Update(s.Gyro)
 	}
@@ -227,123 +231,40 @@ func (p *Pipeline) StuckDetected() bool {
 	return p.stuckAccel.latched || p.stuckGyro.latched
 }
 
-// PipelineSnapshot captures the pipeline's complete dynamic state: the
-// median windows, low-pass states, and stuck-detector latches
-// (checkpointing). Buffers are deep-copied, so one snapshot can seed many
-// forked runs concurrently.
-type PipelineSnapshot struct {
-	medAccel   [3]medianSnapshot
-	medGyro    [3]medianSnapshot
-	lpAccel    mathx.LowPass3State
-	lpGyro     mathx.LowPass3State
-	stuckAccel stuckDetector
-	stuckGyro  stuckDetector
-}
+// maxMedianWindow is the largest median window Validate admits.
+const maxMedianWindow = 63
 
-type medianSnapshot struct {
-	buf    []float64
-	idx    int
-	filled int
-}
-
-func (m *medianFilter) snapshot() medianSnapshot {
-	if m == nil {
-		return medianSnapshot{}
-	}
-	s := medianSnapshot{idx: m.idx, filled: m.filled}
-	s.buf = make([]float64, len(m.buf))
-	copy(s.buf, m.buf)
-	return s
-}
-
-func (m *medianFilter) restore(s medianSnapshot) error {
-	if (m == nil) != (s.buf == nil) {
-		return fmt.Errorf("mitigation: median filter snapshot presence mismatch")
-	}
-	if m == nil {
-		return nil
-	}
-	if len(s.buf) != len(m.buf) {
-		return fmt.Errorf("mitigation: median window %d in snapshot, %d in pipeline", len(s.buf), len(m.buf))
-	}
-	copy(m.buf, s.buf)
-	m.idx = s.idx
-	m.filled = s.filled
-	return nil
-}
-
-// Snapshot captures the pipeline's dynamic state.
-func (p *Pipeline) Snapshot() PipelineSnapshot {
-	s := PipelineSnapshot{stuckAccel: p.stuckAccel, stuckGyro: p.stuckGyro}
-	for i := 0; i < 3; i++ {
-		s.medAccel[i] = p.medAccel[i].snapshot()
-		s.medGyro[i] = p.medGyro[i].snapshot()
-	}
-	if p.lpAccel != nil {
-		s.lpAccel = p.lpAccel.Snapshot()
-		s.lpGyro = p.lpGyro.Snapshot()
-	}
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot. The pipeline must be
-// configured identically to the snapshot source.
-func (p *Pipeline) Restore(s PipelineSnapshot) error {
-	for i := 0; i < 3; i++ {
-		if err := p.medAccel[i].restore(s.medAccel[i]); err != nil {
-			return err
-		}
-		if err := p.medGyro[i].restore(s.medGyro[i]); err != nil {
-			return err
-		}
-	}
-	if p.lpAccel != nil {
-		p.lpAccel.Restore(s.lpAccel)
-		p.lpGyro.Restore(s.lpGyro)
-	}
-	p.stuckAccel = s.stuckAccel
-	p.stuckGyro = s.stuckGyro
-	return nil
-}
-
-// medianFilter is a fixed-window per-axis running median.
+// medianFilter is a fixed-window per-axis running median over the first
+// window slots of buf.
 type medianFilter struct {
-	buf []float64
-	//lint:allow snapshotcomplete scratch slice rebuilt from buf on every push; carries no cross-step state
-	sorted []float64
+	buf    [maxMedianWindow]float64
+	window int
 	idx    int
 	filled int
 }
 
-func newMedianFilter(window int) *medianFilter {
-	return &medianFilter{
-		buf:    make([]float64, window),
-		sorted: make([]float64, 0, window),
-	}
-}
-
-// push adds a sample and returns the current median. Until the window
-// fills, the median of the seen samples is returned.
-func (m *medianFilter) push(x float64) float64 {
+// push adds a sample and returns the current median, sorting in scratch.
+// Until the window fills, the median of the seen samples is returned.
+func (m *medianFilter) push(x float64, scratch *[maxMedianWindow]float64) float64 {
 	m.buf[m.idx] = x
-	m.idx = (m.idx + 1) % len(m.buf)
-	if m.filled < len(m.buf) {
+	m.idx = (m.idx + 1) % m.window
+	if m.filled < m.window {
 		m.filled++
 	}
 	// Insertion into a small sorted scratch slice: windows are <= 63, so
-	// this beats heap bookkeeping and allocates nothing after warm-up.
-	m.sorted = m.sorted[:0]
+	// this beats heap bookkeeping and allocates nothing.
+	sorted := scratch[:0]
 	for i := 0; i < m.filled; i++ {
 		v := m.buf[i]
 		pos := 0
-		for pos < len(m.sorted) && m.sorted[pos] < v {
+		for pos < len(sorted) && sorted[pos] < v {
 			pos++
 		}
-		m.sorted = append(m.sorted, 0)
-		copy(m.sorted[pos+1:], m.sorted[pos:])
-		m.sorted[pos] = v
+		sorted = append(sorted, 0)
+		copy(sorted[pos+1:], sorted[pos:])
+		sorted[pos] = v
 	}
-	return m.sorted[m.filled/2]
+	return sorted[m.filled/2]
 }
 
 // stuckDetector counts exactly-repeated consecutive vectors.

@@ -205,13 +205,14 @@ func TestStuckGuardOneRepeatedSensorSuffices(t *testing.T) {
 // input values and lies between the window min and max.
 func TestMedianWithinInputRange(t *testing.T) {
 	f := func(values []float64) bool {
-		m := newMedianFilter(7)
+		m := medianFilter{window: 7}
+		var scratch [maxMedianWindow]float64
 		window := make([]float64, 0, 7)
 		for _, v := range values {
 			if v != v { // NaN breaks ordering; real sensors never emit it
 				v = 0
 			}
-			out := m.push(v)
+			out := m.push(v, &scratch)
 			window = append(window, v)
 			if len(window) > 7 {
 				window = window[1:]
@@ -231,7 +232,8 @@ func TestMedianWithinInputRange(t *testing.T) {
 // Property: for a full window, push returns the true median.
 func TestMedianMatchesSort(t *testing.T) {
 	f := func(raw [7]float64) bool {
-		m := newMedianFilter(7)
+		m := medianFilter{window: 7}
+		var scratch [maxMedianWindow]float64
 		var out float64
 		vals := make([]float64, 0, 7)
 		for _, v := range raw {
@@ -239,7 +241,7 @@ func TestMedianMatchesSort(t *testing.T) {
 				v = 0
 			}
 			vals = append(vals, v)
-			out = m.push(v)
+			out = m.push(v, &scratch)
 		}
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)

@@ -17,7 +17,8 @@ import (
 // the vehicle then re-solves its control allocation around it.
 //
 // Like the sensor pipeline, the monitor needs no ground truth: a real
-// flight stack reads the same quantities from ESC RPM telemetry.
+// flight stack reads the same quantities from ESC RPM telemetry. It is a
+// plain value, so copying a monitor copies its complete state.
 type RotorMonitor struct {
 	n      int
 	window int
@@ -127,34 +128,4 @@ func (m *RotorMonitor) Weights(frame physics.Airframe, derate float64) physics.R
 		}
 	}
 	return w
-}
-
-// RotorMonitorSnapshot captures the monitor's complete dynamic state
-// (checkpointing).
-type RotorMonitorSnapshot struct {
-	primed    bool
-	prevCmd   physics.Rotors
-	expected  physics.Rotors
-	strikes   [physics.MaxRotors]int
-	condemned [physics.MaxRotors]bool
-}
-
-// Snapshot captures the expected model, strike counters, and condemned set.
-func (m *RotorMonitor) Snapshot() RotorMonitorSnapshot {
-	return RotorMonitorSnapshot{
-		primed:    m.primed,
-		prevCmd:   m.prevCmd,
-		expected:  m.expected,
-		strikes:   m.strikes,
-		condemned: m.condemned,
-	}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (m *RotorMonitor) Restore(s RotorMonitorSnapshot) {
-	m.primed = s.primed
-	m.prevCmd = s.prevCmd
-	m.expected = s.expected
-	m.strikes = s.strikes
-	m.condemned = s.condemned
 }

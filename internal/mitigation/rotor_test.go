@@ -232,9 +232,9 @@ func TestWeights(t *testing.T) {
 	}
 }
 
-// TestRotorMonitorSnapshotRoundTrip checks checkpoint/restore carries the
-// full detection state: a restored monitor condemns at exactly the same
-// cycle the original would have.
+// TestRotorMonitorSnapshotRoundTrip checks a copy carries the full
+// detection state: a copied monitor condemns at exactly the same cycle
+// the original would have.
 func TestRotorMonitorSnapshotRoundTrip(t *testing.T) {
 	a := testMonitor(5)
 	plant := &motorModel{lag: 1 - math.Exp(-testDt/testTau), n: 4}
@@ -243,20 +243,19 @@ func TestRotorMonitorSnapshotRoundTrip(t *testing.T) {
 		a.Observe(cmd, plant.state)
 		plant.step(cmd)
 	}
-	// Two strikes in, snapshot, then let both finish the window.
+	// Two strikes in, copy, then let both finish the window.
 	for k := 0; k < 2; k++ {
 		meas := plant.state
 		meas[3] = 0
 		a.Observe(cmd, meas)
 	}
-	b := testMonitor(5)
-	b.Restore(a.Snapshot())
+	b := *a
 	for k := 0; k < 10; k++ {
 		meas := plant.state
 		meas[3] = 0
 		ra, rb := a.Observe(cmd, meas), b.Observe(cmd, meas)
 		if ra != rb {
-			t.Fatalf("cycle %d: original reported %v, restored %v", k, ra, rb)
+			t.Fatalf("cycle %d: original reported %v, copy %v", k, ra, rb)
 		}
 	}
 	if !a.Condemned(3) || !b.Condemned(3) {

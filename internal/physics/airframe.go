@@ -24,8 +24,8 @@ const (
 )
 
 // MaxRotors is the widest supported airframe. Per-rotor state uses
-// fixed-size vectors of this width so vehicle state stays value-copyable
-// for the batch runner's structure-of-arrays slabs.
+// fixed-size vectors of this width so vehicle state stays one value that
+// a checkpoint copies whole.
 const MaxRotors = 8
 
 // Rotors is a per-rotor value vector sized for the widest airframe. Slots

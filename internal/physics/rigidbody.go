@@ -117,22 +117,19 @@ func (m *Mixer) Allocate(thrustN float64, torque mathx.Vec3) Rotors {
 	return cmd
 }
 
-// Body simulates one multirotor rigid body.
+// Body simulates one multirotor rigid body. It is a plain value holding
+// its wind process, so copying a Body copies its complete dynamic state.
 type Body struct {
-	//lint:allow snapshotcomplete immutable after NewBody; Step takes its address for read-only access
 	params Params
-	//lint:allow snapshotcomplete immutable after NewBody; Forward takes its address only to avoid copying it
-	mixer Mixer
-	state State
-	wind  *Wind
+	mixer  Mixer
+	state  State
+	wind   Wind
 
 	cmd Rotors // latest normalized rotor commands
 
 	// Cached motor-lag coefficient 1-exp(-dt/tau), keyed on the exact
 	// inputs that produced it. The 500 Hz loop always passes the same dt,
 	// so the Exp is computed once per flight instead of per step.
-	// Derived state: deliberately absent from BodySnapshot.
-	//lint:allow snapshotcomplete derived motor-lag cache keyed on the exact (dt, tau) inputs; recomputed on any change
 	cacheLagDt, cacheLagTau, lag float64
 
 	lastSpecificForce mathx.Vec3 // body-frame specific force (what an ideal accel senses)
@@ -141,7 +138,8 @@ type Body struct {
 	wasAirborne       bool
 }
 
-// NewBody returns a body at rest on the ground at the world origin.
+// NewBody returns a body at rest on the ground at the world origin, flying
+// in a copy of wind (calm when nil).
 func NewBody(p Params, wind *Wind) (*Body, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("physics: %w", err)
@@ -155,7 +153,7 @@ func NewBody(p Params, wind *Wind) (*Body, error) {
 		state: State{
 			Att: mathx.QuatIdentity(),
 		},
-		wind: wind,
+		wind: *wind,
 		// On the ground gravity is cancelled by the surface: an ideal
 		// accelerometer reads +1g along body -Z (specific force up).
 		lastSpecificForce: mathx.V3(0, 0, -Gravity),
@@ -173,46 +171,6 @@ func (b *Body) State() State { return b.state }
 
 // SetState overrides the body state (tests and scenario setup).
 func (b *Body) SetState(s State) { b.state = s }
-
-// BodySnapshot captures the rigid body's complete dynamic state, including
-// the wind process it is coupled to (checkpointing).
-type BodySnapshot struct {
-	state             State
-	cmd               Rotors
-	lastSpecificForce mathx.Vec3
-	lastAirspeed      float64
-	touchdownSpeed    float64
-	wasAirborne       bool
-	wind              WindSnapshot
-}
-
-// Snapshot captures the body state, motor commands, derived sensor
-// quantities, and the wind model.
-func (b *Body) Snapshot() BodySnapshot {
-	return BodySnapshot{
-		state:             b.state,
-		cmd:               b.cmd,
-		lastSpecificForce: b.lastSpecificForce,
-		lastAirspeed:      b.lastAirspeed,
-		touchdownSpeed:    b.touchdownSpeed,
-		wasAirborne:       b.wasAirborne,
-		wind:              b.wind.Snapshot(),
-	}
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (b *Body) Restore(s BodySnapshot) error {
-	if err := b.wind.Restore(s.wind); err != nil {
-		return err
-	}
-	b.state = s.state
-	b.cmd = s.cmd
-	b.lastSpecificForce = s.lastSpecificForce
-	b.lastAirspeed = s.lastAirspeed
-	b.touchdownSpeed = s.touchdownSpeed
-	b.wasAirborne = s.wasAirborne
-	return nil
-}
 
 // SetMotorCommands sets the normalized rotor commands in [0, 1]; values
 // outside the range are clamped.

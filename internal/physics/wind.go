@@ -1,7 +1,6 @@
 package physics
 
 import (
-	"fmt"
 	"math"
 
 	"uavres/internal/mathx"
@@ -10,7 +9,8 @@ import (
 // Wind models the air-mass motion as a constant mean wind plus
 // first-order Gauss-Markov gusts (a discrete Ornstein-Uhlenbeck process
 // per axis), a standard light-turbulence approximation of the Dryden
-// model. All velocities are in the world NED frame.
+// model. All velocities are in the world NED frame. A Wind is a plain
+// value: copying it copies the gust state and its random stream.
 type Wind struct {
 	// MeanNED is the steady wind velocity.
 	MeanNED mathx.Vec3
@@ -19,26 +19,28 @@ type Wind struct {
 	// GustTau is the gust correlation time constant (s).
 	GustTau float64
 
-	gust mathx.Vec3
-	rng  *mathx.Rand
+	gust  mathx.Vec3
+	rng   mathx.Rand
+	noisy bool // rng drives the gusts; false is a gust-free model
 
 	// Cached OU discretization constants, keyed on the exact inputs that
 	// produced them. The 500 Hz step loop always passes the same dt, so
 	// the Exp/Sqrt pair is computed once per flight instead of per step.
-	// Derived state: deliberately absent from WindSnapshot.
-	//lint:allow snapshotcomplete derived OU cache keyed on the exact (dt, tau, std) inputs; recomputed on any change
 	cacheDt, cacheTau, cacheStd float64
-	//lint:allow snapshotcomplete derived from the cache keys above; recomputed whenever they change
-	phi, sigma float64
+	phi, sigma                  float64
 }
 
-// NewWind returns a wind model driven by the given random source. A nil rng
-// produces a deterministic, gust-free model.
+// NewWind returns a wind model driven by a copy of the given random
+// source. A nil rng produces a deterministic, gust-free model.
 func NewWind(meanNED mathx.Vec3, gustStd, gustTau float64, rng *mathx.Rand) *Wind {
 	if gustTau <= 0 {
 		gustTau = 1
 	}
-	return &Wind{MeanNED: meanNED, GustStd: gustStd, GustTau: gustTau, rng: rng}
+	w := &Wind{MeanNED: meanNED, GustStd: gustStd, GustTau: gustTau}
+	if rng != nil {
+		w.rng, w.noisy = *rng, true
+	}
+	return w
 }
 
 // CalmWind returns a zero-wind model (used by deterministic tests).
@@ -47,7 +49,7 @@ func CalmWind() *Wind { return &Wind{GustTau: 1} }
 // Step advances the gust process by dt seconds and returns the current
 // total wind velocity.
 func (w *Wind) Step(dt float64) mathx.Vec3 {
-	if w.rng != nil && w.GustStd > 0 {
+	if w.noisy && w.GustStd > 0 {
 		// Exact discretization of the OU process keeps the stationary
 		// variance independent of dt.
 		//lint:allow floatcmp cache key is the exact previous inputs; any change recomputes
@@ -68,34 +70,3 @@ func (w *Wind) Step(dt float64) mathx.Vec3 {
 
 // Current returns the wind velocity without advancing the process.
 func (w *Wind) Current() mathx.Vec3 { return w.MeanNED.Add(w.gust) }
-
-// WindSnapshot captures the wind model's dynamic state (checkpointing).
-type WindSnapshot struct {
-	mean   mathx.Vec3
-	gust   mathx.Vec3
-	rng    mathx.RandState
-	hasRng bool
-}
-
-// Snapshot captures the mean wind, the current gust, and the gust stream.
-func (w *Wind) Snapshot() WindSnapshot {
-	s := WindSnapshot{mean: w.MeanNED, gust: w.gust}
-	if w.rng != nil {
-		s.rng = w.rng.State()
-		s.hasRng = true
-	}
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (w *Wind) Restore(s WindSnapshot) error {
-	if s.hasRng != (w.rng != nil) {
-		return fmt.Errorf("physics: wind snapshot rng presence mismatch")
-	}
-	w.MeanNED = s.mean
-	w.gust = s.gust
-	if w.rng != nil {
-		w.rng.SetState(s.rng)
-	}
-	return nil
-}

@@ -1,10 +1,6 @@
 package sensors
 
-import (
-	"fmt"
-
-	"uavres/internal/mathx"
-)
+import "uavres/internal/mathx"
 
 // GPSSample is one position/velocity fix in the local NED frame.
 type GPSSample struct {
@@ -20,14 +16,20 @@ type GPSSample struct {
 
 // GPS models a GNSS receiver reporting local-frame position and velocity.
 type GPS struct {
-	spec GPSSpec
-	rng  *mathx.Rand
-	tick Ticker
+	spec  GPSSpec
+	rng   mathx.Rand
+	noisy bool // rng drives the noise; false is an ideal sensor
+	tick  Ticker
 }
 
-// NewGPS returns a receiver model; a nil rng yields an ideal sensor.
+// NewGPS returns a receiver model drawing from a copy of rng; a nil rng
+// yields an ideal sensor.
 func NewGPS(spec GPSSpec, rng *mathx.Rand) *GPS {
-	return &GPS{spec: spec, rng: rng, tick: NewTicker(spec.RateHz)}
+	g := &GPS{spec: spec, tick: NewTicker(spec.RateHz)}
+	if rng != nil {
+		g.rng, g.noisy = *rng, true
+	}
+	return g
 }
 
 // Due reports whether a fix is due at sim time t.
@@ -43,7 +45,7 @@ type GPSNoise struct {
 // DrawNoise advances the receiver's noise stream by one fix's worth of
 // deviates, in Sample's exact draw order.
 func (g *GPS) DrawNoise() GPSNoise {
-	if g.rng == nil {
+	if !g.noisy {
 		return GPSNoise{}
 	}
 	return GPSNoise{
@@ -52,7 +54,7 @@ func (g *GPS) DrawNoise() GPSNoise {
 			Y: g.rng.NormFloat64() * g.spec.PosNoiseStdM,
 			Z: g.rng.NormFloat64() * g.spec.AltNoiseStdM,
 		},
-		Vel: randVec(g.rng, g.spec.VelNoiseStd),
+		Vel: randVec(&g.rng, g.spec.VelNoiseStd),
 	}
 }
 
@@ -60,7 +62,7 @@ func (g *GPS) DrawNoise() GPSNoise {
 // bit-identically to Sample.
 func (g *GPS) SampleWith(t float64, truePos, trueVel mathx.Vec3, n GPSNoise) GPSSample {
 	pos, vel := truePos, trueVel
-	if g.rng != nil {
+	if g.noisy {
 		pos = pos.Add(n.Pos)
 		vel = vel.Add(n.Vel)
 	}
@@ -70,35 +72,6 @@ func (g *GPS) SampleWith(t float64, truePos, trueVel mathx.Vec3, n GPSNoise) GPS
 // Sample produces a fix from true position and velocity.
 func (g *GPS) Sample(t float64, truePos, trueVel mathx.Vec3) GPSSample {
 	return g.SampleWith(t, truePos, trueVel, g.DrawNoise())
-}
-
-// GPSSnapshot captures the receiver's dynamic state (checkpointing).
-type GPSSnapshot struct {
-	rng    mathx.RandState
-	hasRng bool
-	tick   Ticker
-}
-
-// Snapshot captures the noise stream and sample clock.
-func (g *GPS) Snapshot() GPSSnapshot {
-	s := GPSSnapshot{tick: g.tick}
-	if g.rng != nil {
-		s.rng = g.rng.State()
-		s.hasRng = true
-	}
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (g *GPS) Restore(s GPSSnapshot) error {
-	if s.hasRng != (g.rng != nil) {
-		return fmt.Errorf("sensors: GPS snapshot rng presence mismatch")
-	}
-	g.tick = s.tick
-	if g.rng != nil {
-		g.rng.SetState(s.rng)
-	}
-	return nil
 }
 
 // BaroSample is one barometric altitude measurement.
@@ -111,18 +84,20 @@ type BaroSample struct {
 
 // Baro models a barometric altimeter.
 type Baro struct {
-	spec BaroSpec
-	bias float64
-	rng  *mathx.Rand
-	tick Ticker
+	spec  BaroSpec
+	bias  float64
+	rng   mathx.Rand
+	noisy bool // rng drives bias and noise; false is an ideal sensor
+	tick  Ticker
 }
 
-// NewBaro returns a barometer whose constant bias is drawn once from rng;
-// a nil rng yields an ideal sensor.
+// NewBaro returns a barometer drawing from a copy of rng, its constant
+// bias drawn once from it; a nil rng yields an ideal sensor.
 func NewBaro(spec BaroSpec, rng *mathx.Rand) *Baro {
-	b := &Baro{spec: spec, rng: rng, tick: NewTicker(spec.RateHz)}
+	b := &Baro{spec: spec, tick: NewTicker(spec.RateHz)}
 	if rng != nil {
-		b.bias = rng.NormFloat64() * spec.BiasStdM
+		b.rng, b.noisy = *rng, true
+		b.bias = b.rng.NormFloat64() * spec.BiasStdM
 	}
 	return b
 }
@@ -132,7 +107,7 @@ func (b *Baro) Due(t float64) bool { return b.tick.Due(t) }
 
 // DrawNoise advances the barometer's noise stream by one sample's deviate.
 func (b *Baro) DrawNoise() float64 {
-	if b.rng == nil {
+	if !b.noisy {
 		return 0
 	}
 	return b.rng.NormFloat64() * b.spec.AltNoiseStdM
@@ -142,7 +117,7 @@ func (b *Baro) DrawNoise() float64 {
 // externally drawn noise term, bit-identically to Sample.
 func (b *Baro) SampleWith(t, trueAltM, noise float64) BaroSample {
 	alt := trueAltM + b.bias
-	if b.rng != nil {
+	if b.noisy {
 		alt += noise
 	}
 	return BaroSample{T: t, AltM: alt}
@@ -151,37 +126,6 @@ func (b *Baro) SampleWith(t, trueAltM, noise float64) BaroSample {
 // Sample produces a measurement from the true altitude (positive up).
 func (b *Baro) Sample(t, trueAltM float64) BaroSample {
 	return b.SampleWith(t, trueAltM, b.DrawNoise())
-}
-
-// BaroSnapshot captures the barometer's dynamic state (checkpointing).
-type BaroSnapshot struct {
-	bias   float64
-	rng    mathx.RandState
-	hasRng bool
-	tick   Ticker
-}
-
-// Snapshot captures the bias, noise stream, and sample clock.
-func (b *Baro) Snapshot() BaroSnapshot {
-	s := BaroSnapshot{bias: b.bias, tick: b.tick}
-	if b.rng != nil {
-		s.rng = b.rng.State()
-		s.hasRng = true
-	}
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (b *Baro) Restore(s BaroSnapshot) error {
-	if s.hasRng != (b.rng != nil) {
-		return fmt.Errorf("sensors: baro snapshot rng presence mismatch")
-	}
-	b.bias = s.bias
-	b.tick = s.tick
-	if b.rng != nil {
-		b.rng.SetState(s.rng)
-	}
-	return nil
 }
 
 // MagSample is one magnetometer-derived heading measurement.
@@ -197,10 +141,11 @@ type MagSample struct {
 // the vehicle still carries one — PX4 would not hold yaw without it — so
 // it is modelled here and never routed through the fault injector.
 type Mag struct {
-	spec MagSpec
-	bias float64
-	rng  *mathx.Rand
-	tick Ticker
+	spec  MagSpec
+	bias  float64
+	rng   mathx.Rand
+	noisy bool // rng drives bias and noise; false is an ideal sensor
+	tick  Ticker
 }
 
 // MagSpec describes the heading-reference error model.
@@ -219,12 +164,13 @@ func DefaultMagSpec() MagSpec {
 	return MagSpec{YawNoiseStd: 0.03, BiasStd: 0.02, RateHz: 10}
 }
 
-// NewMag returns a magnetometer whose constant bias is drawn once from
-// rng; a nil rng yields an ideal sensor.
+// NewMag returns a magnetometer drawing from a copy of rng, its constant
+// bias drawn once from it; a nil rng yields an ideal sensor.
 func NewMag(spec MagSpec, rng *mathx.Rand) *Mag {
-	m := &Mag{spec: spec, rng: rng, tick: NewTicker(spec.RateHz)}
+	m := &Mag{spec: spec, tick: NewTicker(spec.RateHz)}
 	if rng != nil {
-		m.bias = rng.NormFloat64() * spec.BiasStd
+		m.rng, m.noisy = *rng, true
+		m.bias = m.rng.NormFloat64() * spec.BiasStd
 	}
 	return m
 }
@@ -235,7 +181,7 @@ func (m *Mag) Due(t float64) bool { return m.tick.Due(t) }
 // DrawNoise advances the magnetometer's noise stream by one sample's
 // deviate.
 func (m *Mag) DrawNoise() float64 {
-	if m.rng == nil {
+	if !m.noisy {
 		return 0
 	}
 	return m.rng.NormFloat64() * m.spec.YawNoiseStd
@@ -245,7 +191,7 @@ func (m *Mag) DrawNoise() float64 {
 // externally drawn noise term, bit-identically to Sample.
 func (m *Mag) SampleWith(t, trueYawRad, noise float64) MagSample {
 	yaw := trueYawRad + m.bias
-	if m.rng != nil {
+	if m.noisy {
 		yaw += noise
 	}
 	return MagSample{T: t, YawRad: yaw}
@@ -254,35 +200,4 @@ func (m *Mag) SampleWith(t, trueYawRad, noise float64) MagSample {
 // Sample produces a heading measurement from the true yaw.
 func (m *Mag) Sample(t, trueYawRad float64) MagSample {
 	return m.SampleWith(t, trueYawRad, m.DrawNoise())
-}
-
-// MagSnapshot captures the magnetometer's dynamic state (checkpointing).
-type MagSnapshot struct {
-	bias   float64
-	rng    mathx.RandState
-	hasRng bool
-	tick   Ticker
-}
-
-// Snapshot captures the bias, noise stream, and sample clock.
-func (m *Mag) Snapshot() MagSnapshot {
-	s := MagSnapshot{bias: m.bias, tick: m.tick}
-	if m.rng != nil {
-		s.rng = m.rng.State()
-		s.hasRng = true
-	}
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot.
-func (m *Mag) Restore(s MagSnapshot) error {
-	if s.hasRng != (m.rng != nil) {
-		return fmt.Errorf("sensors: mag snapshot rng presence mismatch")
-	}
-	m.bias = s.bias
-	m.tick = s.tick
-	if m.rng != nil {
-		m.rng.SetState(s.rng)
-	}
-	return nil
 }

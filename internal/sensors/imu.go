@@ -18,25 +18,29 @@ type IMUSample struct {
 }
 
 // IMU models one accelerometer+gyroscope pair with constant per-run bias,
-// white noise, and full-scale clipping.
+// white noise, and full-scale clipping. It is a plain value: copying an
+// IMU copies its noise stream and sample clock.
 type IMU struct {
 	spec      IMUSpec
 	accelBias mathx.Vec3
 	gyroBias  mathx.Vec3
-	rng       *mathx.Rand
+	rng       mathx.Rand
+	noisy     bool // rng drives bias and noise; false is an ideal sensor
 	tick      Ticker
 }
 
-// NewIMU returns an IMU whose biases are drawn once from rng. A nil rng
-// yields an ideal (noise- and bias-free) sensor for deterministic tests.
+// NewIMU returns an IMU drawing from a copy of rng, its biases drawn once
+// from it. A nil rng yields an ideal (noise- and bias-free) sensor for
+// deterministic tests.
 func NewIMU(spec IMUSpec, rng *mathx.Rand) (*IMU, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	imu := &IMU{spec: spec, rng: rng, tick: NewTicker(spec.RateHz)}
+	imu := &IMU{spec: spec, tick: NewTicker(spec.RateHz)}
 	if rng != nil {
-		imu.accelBias = randVec(rng, spec.AccelBiasStd)
-		imu.gyroBias = randVec(rng, spec.GyroBiasStd)
+		imu.rng, imu.noisy = *rng, true
+		imu.accelBias = randVec(&imu.rng, spec.AccelBiasStd)
+		imu.gyroBias = randVec(&imu.rng, spec.GyroBiasStd)
 	}
 	return imu, nil
 }
@@ -64,26 +68,26 @@ type IMUNoise struct {
 }
 
 // DrawNoise advances the unit's noise stream by exactly one sample's worth
-// of deviates and returns them. For a noiseless unit (nil rng) it draws
-// nothing and returns zeros.
+// of deviates and returns them. For a noiseless unit it draws nothing and
+// returns zeros.
 func (m *IMU) DrawNoise() IMUNoise {
-	if m.rng == nil {
+	if !m.noisy {
 		return IMUNoise{}
 	}
 	return IMUNoise{
-		Accel: randVec(m.rng, m.spec.AccelNoiseStd),
-		Gyro:  randVec(m.rng, m.spec.GyroNoiseStd),
+		Accel: randVec(&m.rng, m.spec.AccelNoiseStd),
+		Gyro:  randVec(&m.rng, m.spec.GyroNoiseStd),
 	}
 }
 
 // SampleWith composes a measurement at time t from ground truth and
 // externally drawn noise, bit-identically to Sample: the noise add is
-// guarded by rng presence exactly as in the fused path, so a noiseless
+// guarded by the noisy flag exactly as in the fused path, so a noiseless
 // unit never perturbs signed zeros.
 func (m *IMU) SampleWith(t float64, trueAccel, trueGyro mathx.Vec3, n IMUNoise) IMUSample {
 	accel := trueAccel.Add(m.accelBias)
 	gyro := trueGyro.Add(m.gyroBias)
-	if m.rng != nil {
+	if m.noisy {
 		accel = accel.Add(n.Accel)
 		gyro = gyro.Add(n.Gyro)
 	}
@@ -101,44 +105,10 @@ func (m *IMU) Sample(t float64, trueAccel, trueGyro mathx.Vec3) IMUSample {
 	return m.SampleWith(t, trueAccel, trueGyro, m.DrawNoise())
 }
 
-// IMUSnapshot captures one unit's complete dynamic state (checkpointing).
-type IMUSnapshot struct {
-	accelBias mathx.Vec3
-	gyroBias  mathx.Vec3
-	rng       mathx.RandState
-	hasRng    bool
-	tick      Ticker
-}
-
-// Snapshot captures the unit's state: biases, noise stream and sample
-// clock.
-func (m *IMU) Snapshot() IMUSnapshot {
-	s := IMUSnapshot{
-		accelBias: m.accelBias,
-		gyroBias:  m.gyroBias,
-		tick:      m.tick,
-	}
-	if m.rng != nil {
-		s.rng = m.rng.State()
-		s.hasRng = true
-	}
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot. The unit must have
-// been constructed with (or without) an rng matching the snapshot.
-func (m *IMU) Restore(s IMUSnapshot) error {
-	if s.hasRng != (m.rng != nil) {
-		return fmt.Errorf("sensors: IMU snapshot rng presence mismatch")
-	}
-	m.accelBias = s.accelBias
-	m.gyroBias = s.gyroBias
-	m.tick = s.tick
-	if m.rng != nil {
-		m.rng.SetState(s.rng)
-	}
-	return nil
-}
+// MaxIMUs bounds the units of a redundant set. PX4 carries three; the
+// bound lets the set hold its units in a fixed array, so the set is a
+// plain value.
+const MaxIMUs = 4
 
 // RedundantIMUs models PX4's multi-IMU arrangement: one primary plus spare
 // sensors the failsafe isolation stage can switch to. The paper assumes the
@@ -146,16 +116,21 @@ func (m *IMU) Restore(s IMUSnapshot) error {
 // ground-truth input; each unit still carries its own bias and noise
 // stream.
 type RedundantIMUs struct {
-	units   []*IMU
+	units   [MaxIMUs]IMU
+	n       int
 	primary int
 }
 
-// NewRedundantIMUs creates n IMUs (n >= 1) seeded from rng.
+// NewRedundantIMUs creates n IMUs (1 <= n <= MaxIMUs; n < 1 means 1)
+// seeded from rng.
 func NewRedundantIMUs(n int, spec IMUSpec, rng *mathx.Rand) (*RedundantIMUs, error) {
 	if n < 1 {
 		n = 1
 	}
-	units := make([]*IMU, 0, n)
+	if n > MaxIMUs {
+		return nil, fmt.Errorf("sensors: %d IMU units, at most %d", n, MaxIMUs)
+	}
+	r := &RedundantIMUs{n: n}
 	for i := 0; i < n; i++ {
 		var unitRng *mathx.Rand
 		if rng != nil {
@@ -165,13 +140,13 @@ func NewRedundantIMUs(n int, spec IMUSpec, rng *mathx.Rand) (*RedundantIMUs, err
 		if err != nil {
 			return nil, err
 		}
-		units = append(units, u)
+		r.units[i] = *u
 	}
-	return &RedundantIMUs{units: units}, nil
+	return r, nil
 }
 
 // Count returns the number of units in the set.
-func (r *RedundantIMUs) Count() int { return len(r.units) }
+func (r *RedundantIMUs) Count() int { return r.n }
 
 // Primary returns the index of the currently selected unit.
 func (r *RedundantIMUs) Primary() int { return r.primary }
@@ -180,53 +155,20 @@ func (r *RedundantIMUs) Primary() int { return r.primary }
 // index; the failsafe isolation stage calls this when the current primary
 // is declared unhealthy.
 func (r *RedundantIMUs) SwitchPrimary() int {
-	r.primary = (r.primary + 1) % len(r.units)
+	r.primary = (r.primary + 1) % r.n
 	return r.primary
 }
 
 // Exhausted reports whether every unit has been tried at least once, i.e.
 // switching has wrapped around without finding a healthy sensor.
 // The caller tracks switch count; this helper just exposes the set size.
-func (r *RedundantIMUs) Exhausted(switches int) bool { return switches >= len(r.units) }
+func (r *RedundantIMUs) Exhausted(switches int) bool { return switches >= r.n }
 
 // Due reports whether the primary unit is due to sample at time t.
 func (r *RedundantIMUs) Due(t float64) bool { return r.units[r.primary].Due(t) }
 
 // Unit returns unit i for inspection.
-func (r *RedundantIMUs) Unit(i int) *IMU { return r.units[i] }
-
-// RedundantIMUsSnapshot captures the whole set's state (checkpointing).
-type RedundantIMUsSnapshot struct {
-	units   []IMUSnapshot
-	primary int
-}
-
-// Snapshot captures every unit's state plus the primary selection.
-func (r *RedundantIMUs) Snapshot() RedundantIMUsSnapshot {
-	s := RedundantIMUsSnapshot{
-		units:   make([]IMUSnapshot, len(r.units)),
-		primary: r.primary,
-	}
-	for i, u := range r.units {
-		s.units[i] = u.Snapshot()
-	}
-	return s
-}
-
-// Restore reinstates a state captured with Snapshot. The set must have the
-// same unit count as at capture time.
-func (r *RedundantIMUs) Restore(s RedundantIMUsSnapshot) error {
-	if len(s.units) != len(r.units) {
-		return fmt.Errorf("sensors: snapshot has %d IMU units, set has %d", len(s.units), len(r.units))
-	}
-	for i := range r.units {
-		if err := r.units[i].Restore(s.units[i]); err != nil {
-			return err
-		}
-	}
-	r.primary = s.primary
-	return nil
-}
+func (r *RedundantIMUs) Unit(i int) *IMU { return &r.units[i] }
 
 func randVec(rng *mathx.Rand, std float64) mathx.Vec3 {
 	//lint:allow floatcmp zero is the exact noise-disabled sentinel, never a computed value
@@ -250,12 +192,12 @@ func (r *RedundantIMUs) SampleAll(t float64, trueAccel, trueGyro mathx.Vec3) []I
 // SampleAllInto is SampleAll writing into dst (grown if needed), letting
 // the 250 Hz sim loop reuse one buffer instead of allocating per sample.
 func (r *RedundantIMUs) SampleAllInto(dst []IMUSample, t float64, trueAccel, trueGyro mathx.Vec3) []IMUSample {
-	if cap(dst) < len(r.units) {
-		dst = make([]IMUSample, len(r.units))
+	if cap(dst) < r.n {
+		dst = make([]IMUSample, r.n)
 	}
-	dst = dst[:len(r.units)]
-	for i, u := range r.units {
-		dst[i] = u.Sample(t, trueAccel, trueGyro)
+	dst = dst[:r.n]
+	for i := range dst {
+		dst[i] = r.units[i].Sample(t, trueAccel, trueGyro)
 	}
 	return dst
 }
@@ -264,12 +206,12 @@ func (r *RedundantIMUs) SampleAllInto(dst []IMUSample, t float64, trueAccel, tru
 // dst (grown if needed), advancing each unit's stream exactly as
 // SampleAllInto would.
 func (r *RedundantIMUs) DrawNoiseInto(dst []IMUNoise) []IMUNoise {
-	if cap(dst) < len(r.units) {
-		dst = make([]IMUNoise, len(r.units))
+	if cap(dst) < r.n {
+		dst = make([]IMUNoise, r.n)
 	}
-	dst = dst[:len(r.units)]
-	for i, u := range r.units {
-		dst[i] = u.DrawNoise()
+	dst = dst[:r.n]
+	for i := range dst {
+		dst[i] = r.units[i].DrawNoise()
 	}
 	return dst
 }
@@ -278,12 +220,12 @@ func (r *RedundantIMUs) DrawNoiseInto(dst []IMUNoise) []IMUNoise {
 // (index-aligned with DrawNoiseInto's output) instead of advancing the
 // units' own streams.
 func (r *RedundantIMUs) SampleAllWith(dst []IMUSample, t float64, trueAccel, trueGyro mathx.Vec3, noise []IMUNoise) []IMUSample {
-	if cap(dst) < len(r.units) {
-		dst = make([]IMUSample, len(r.units))
+	if cap(dst) < r.n {
+		dst = make([]IMUSample, r.n)
 	}
-	dst = dst[:len(r.units)]
-	for i, u := range r.units {
-		dst[i] = u.SampleWith(t, trueAccel, trueGyro, noise[i])
+	dst = dst[:r.n]
+	for i := range dst {
+		dst[i] = r.units[i].SampleWith(t, trueAccel, trueGyro, noise[i])
 	}
 	return dst
 }

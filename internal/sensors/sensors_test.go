@@ -202,6 +202,16 @@ func TestRedundantIMUsMinimumOne(t *testing.T) {
 	}
 }
 
+func TestRedundantIMUsAtMostMax(t *testing.T) {
+	if _, err := NewRedundantIMUs(MaxIMUs+1, DefaultIMUSpec(), nil); err == nil {
+		t.Errorf("%d units accepted, the array holds %d", MaxIMUs+1, MaxIMUs)
+	}
+	set, err := NewRedundantIMUs(MaxIMUs, DefaultIMUSpec(), nil)
+	if err != nil || set.Count() != MaxIMUs {
+		t.Errorf("MaxIMUs units: count %v, err %v", set, err)
+	}
+}
+
 func TestGPSIdealAndNoisy(t *testing.T) {
 	ideal := NewGPS(DefaultGPSSpec(), nil)
 	pos, vel := mathx.V3(10, 20, -30), mathx.V3(1, 2, 3)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
-	"uavres/internal/ekf"
 	"uavres/internal/faultinject"
-	"uavres/internal/physics"
 )
 
 // Batch steps forks of one flight environment in lockstep: one donor
@@ -27,17 +25,16 @@ import (
 // would draw next (TestBatchAcrossStartsBitIdentical,
 // TestBatchAcrossPrefixesBitIdentical).
 //
-// The forks' hot per-tick state (EKF filter, rigid body) is restored into
-// contiguous structure-of-arrays slabs so the kernels stream over the
-// batch with amortized cache traffic instead of chasing per-fork heap
-// allocations.
+// Each fork's whole state is one contiguous value inside its Vehicle, so
+// the lockstep loop walks the forks one after another with no pointer to
+// chase inside any of them.
 //
 // Forks stay in lockstep for their whole flight, including after a primary
 // IMU switch (redundancy voting, or the failsafe isolation stage rotating
 // sensors). The switch re-phases the fork's IMU ticks, since the new
 // primary's ticker fires on its own schedule, but its k-th IMU tick still
 // consumes the k-th draw of every unit. Each fork therefore reads the
-// donor's IMU draw sets by its own count since launch (Vehicle.imuSets),
+// donor's IMU draw sets by its own count since launch (vehicleState.imuSets),
 // which rides the snapshot, not by tick; GPS, baro, mag and wind schedules
 // do not depend on the primary and stay per tick.
 type Batch struct {
@@ -46,10 +43,6 @@ type Batch struct {
 	injs  []*faultinject.Injection
 	forks []*Vehicle // per fork; nil before it joins and once it finished
 	env   envDraws
-
-	// Contiguous hot-state slabs the forks' pointers are re-aimed at.
-	filters []ekf.Filter
-	bodies  []physics.Body
 
 	// finished, if set, sees each fork as it finishes, before the batch
 	// lets it go (tests inspect the forks' end state through it).
@@ -75,9 +68,9 @@ func NewBatch(cps []*Checkpoint, injs []*faultinject.Injection) (*Batch, error) 
 		if cp.cfg != cps[0].cfg || !reflect.DeepEqual(cp.m, cps[0].m) {
 			return nil, fmt.Errorf("sim: batch fork %d: checkpoint flies another environment than fork 0's", i)
 		}
-		if i > 0 && cp.step < cps[i-1].step {
+		if i > 0 && cp.s.step < cps[i-1].s.step {
 			return nil, fmt.Errorf("sim: batch fork %d: checkpoint at step %d precedes fork %d's at step %d",
-				i, cp.step, i-1, cps[i-1].step)
+				i, cp.s.step, i-1, cps[i-1].s.step)
 		}
 		if err := cp.checkFork(injs[i]); err != nil {
 			return nil, fmt.Errorf("sim: batch fork %d: %w", i, err)
@@ -88,13 +81,11 @@ func NewBatch(cps []*Checkpoint, injs []*faultinject.Injection) (*Batch, error) 
 		return nil, err
 	}
 	return &Batch{
-		donor:   donor,
-		cps:     cps,
-		injs:    injs,
-		forks:   make([]*Vehicle, len(injs)),
-		env:     envDraws{imus: donor.imus, imuFirst: donor.imuSets, imuDrawn: donor.imuSets},
-		filters: make([]ekf.Filter, len(injs)),
-		bodies:  make([]physics.Body, len(injs)),
+		donor: donor,
+		cps:   cps,
+		injs:  injs,
+		forks: make([]*Vehicle, len(injs)),
+		env:   envDraws{imus: &donor.s.imus, imuFirst: donor.s.imuSets, imuDrawn: donor.s.imuSets},
 	}, nil
 }
 
@@ -106,7 +97,7 @@ func (b *Batch) Run() ([]Result, error) {
 	results := make([]Result, len(b.forks))
 	next := 0 // the first fork still to join
 	for {
-		for ; next < len(b.cps) && b.cps[next].step <= b.donor.step; next++ {
+		for ; next < len(b.cps) && b.cps[next].s.step <= b.donor.s.step; next++ {
 			if err := b.join(next); err != nil {
 				return nil, err
 			}
@@ -116,7 +107,7 @@ func (b *Batch) Run() ([]Result, error) {
 			if v == nil {
 				continue
 			}
-			if v.done || v.step >= v.steps {
+			if !v.flying() {
 				results[i] = v.finalize()
 				if b.finished != nil {
 					b.finished(i, v)
@@ -141,21 +132,13 @@ func (b *Batch) Run() ([]Result, error) {
 	}
 }
 
-// join builds fork i from its checkpoint, moves its hot state into the
-// slabs and releases the checkpoint.
+// join builds fork i from its checkpoint and releases the checkpoint.
 func (b *Batch) join(i int) error {
 	v, err := b.cps[i].ForkWithInjection(b.injs[i], nil)
 	if err != nil {
 		return fmt.Errorf("sim: batch fork %d: %w", i, err)
 	}
 	b.cps[i] = nil
-	// Filter is all-value state; Body's only pointer field is its wind
-	// process, which the batch path never steps (the donor owns the shared
-	// wind).
-	b.filters[i] = *v.filter
-	v.filter = &b.filters[i]
-	b.bodies[i] = *v.body
-	v.body = &b.bodies[i]
 	b.forks[i] = v
 	return nil
 }

@@ -150,9 +150,9 @@ func TestBatchAcrossStartsBitIdentical(t *testing.T) {
 					t.Fatalf("fork %d ended (%v) at %.2fs; the scenario needs it to end before fork 3 joins at 30s",
 						i, results[i].Outcome, ended)
 				}
-				newest = max(newest, forks[i].imuSets)
+				newest = max(newest, forks[i].s.imuSets)
 			}
-			if gap := cps[3].imuSets - newest; gap <= imuDrawWindow {
+			if gap := cps[3].s.imuSets - newest; gap <= imuDrawWindow {
 				t.Fatalf("fork 3 joins only %d IMU sets past the others' newest; want more than %d", gap, imuDrawWindow)
 			}
 		},
@@ -330,7 +330,7 @@ func anyPrimarySwitched(t *testing.T, cps []*Checkpoint, forks []*Vehicle) bool 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.imus.Primary() != ref.imus.Primary() {
+		if v.s.imus.Primary() != ref.s.imus.Primary() {
 			return true
 		}
 	}
@@ -348,14 +348,14 @@ func checkStreamsUntouched(t *testing.T, cps []*Checkpoint, forks []*Vehicle) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u := 0; u < ref.imus.Count(); u++ {
-			if v.imus.Unit(u).DrawNoise() != ref.imus.Unit(u).DrawNoise() {
+		for u := 0; u < ref.s.imus.Count(); u++ {
+			if v.s.imus.Unit(u).DrawNoise() != ref.s.imus.Unit(u).DrawNoise() {
 				t.Errorf("fork %d: IMU unit %d stream moved since the checkpoint", i, u)
 			}
 		}
 		dt := v.cfg.PhysicsDt
-		if v.gps.DrawNoise() != ref.gps.DrawNoise() || v.baro.DrawNoise() != ref.baro.DrawNoise() ||
-			v.mag.DrawNoise() != ref.mag.DrawNoise() || v.body.StepWind(dt) != ref.body.StepWind(dt) {
+		if v.s.gps.DrawNoise() != ref.s.gps.DrawNoise() || v.s.baro.DrawNoise() != ref.s.baro.DrawNoise() ||
+			v.s.mag.DrawNoise() != ref.s.mag.DrawNoise() || v.s.body.StepWind(dt) != ref.s.body.StepWind(dt) {
 			t.Errorf("fork %d: a GPS, baro, mag or wind stream moved since the checkpoint", i)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"uavres/internal/faultinject"
+	"uavres/internal/mission"
 )
 
 // sameResult compares two Results for bit-identity (no tolerances: a fork
@@ -194,7 +195,7 @@ func TestForkSameInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Checkpoint INSIDE the fault window: Fork must restore the injector's
+	// Checkpoint INSIDE the fault window: Fork must carry the injector's
 	// rng mid-stream and the already-drawn fixed values.
 	v, err := NewVehicle(cfg, m, inj, nil)
 	if err != nil {
@@ -270,5 +271,67 @@ func TestForkRejectsInvalid(t *testing.T) {
 
 	if _, err := cp.ForkWithInjection(nil, nil); err == nil {
 		t.Error("gold fork from faulty prefix accepted")
+	}
+}
+
+// TestVehicleStateIsOneValue guards the checkpoint's completeness. A
+// checkpoint is a struct copy of vehicleState and a fork copies it back,
+// so the copy is complete, and shares nothing with its source, exactly
+// when the state holds no reference at any depth: no pointer, slice, map,
+// func, chan or interface. Strings are immutable, and mission.Mission's
+// route is read-only and already shared by every fork through
+// Checkpoint.m. The test also names every Vehicle field outside the state
+// with the reason it may stay there: a new mutable field must either go
+// into vehicleState or be argued here.
+func TestVehicleStateIsOneValue(t *testing.T) {
+	missionType := reflect.TypeOf(mission.Mission{})
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			if typ == missionType {
+				return
+			}
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: a copy of the state would share it with its source", path, typ.Kind())
+		}
+	}
+	walk("vehicleState", reflect.TypeOf(vehicleState{}))
+
+	outside := []struct{ field, reason string }{
+		{"cfg", "configuration, fixed at construction"},
+		{"m", "the mission, fixed at construction"},
+		{"inj", "the injection this vehicle flies, fixed at construction"},
+		{"obs", "the telemetry observer, fixed at construction"},
+		{"s", "the state itself"},
+		{"traj", "append-only: a checkpoint keeps traj[:n:n], so a fork's first append reallocates"},
+		{"steps", "derived from cfg"},
+		{"imuDt", "derived from cfg"},
+		{"votePersist", "derived from cfg"},
+		{"voteAccelTol", "derived from cfg"},
+		{"voteGyroTol", "derived from cfg"},
+		{"distCapPerObs", "derived from cfg and the mission"},
+		{"overwritesAll", "derived from the injection; each fork derives it for its own"},
+		{"covFullUntil", "derived from the injection; each fork derives it for its own"},
+		{"sampleBuf", "scratch, overwritten on every IMU tick before it is read"},
+		{"noiseBuf", "scratch, overwritten on every IMU tick before it is read"},
+	}
+	typ := reflect.TypeOf(Vehicle{})
+	for i := 0; i < max(typ.NumField(), len(outside)); i++ {
+		var got, want string
+		if i < typ.NumField() {
+			got = typ.Field(i).Name
+		}
+		if i < len(outside) {
+			want = outside[i].field
+		}
+		if got != want {
+			t.Fatalf("Vehicle field %d is %q, the list argues %q: move a new mutable field into vehicleState, or argue it here in declaration order", i, got, want)
+		}
 	}
 }

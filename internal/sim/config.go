@@ -39,7 +39,8 @@ type Config struct {
 	WindMeanMS  float64
 	WindGustStd float64
 
-	// IMUCount is the number of redundant IMUs (PX4-style: 3).
+	// IMUCount is the number of redundant IMUs (PX4-style: 3; at most
+	// sensors.MaxIMUs).
 	IMUCount int
 	// RedundancyVoting enables per-sample cross-IMU consistency checks:
 	// a primary unit whose output diverges from the median of all units
@@ -135,8 +136,8 @@ func (c Config) Validate() error {
 	if c.MaxSimTime <= 0 {
 		return fmt.Errorf("sim: non-positive max sim time %v", c.MaxSimTime)
 	}
-	if c.IMUCount < 1 {
-		return fmt.Errorf("sim: IMU count %d < 1", c.IMUCount)
+	if c.IMUCount < 1 || c.IMUCount > sensors.MaxIMUs {
+		return fmt.Errorf("sim: IMU count %d outside [1, %d]", c.IMUCount, sensors.MaxIMUs)
 	}
 	if c.CovSettleSec < 0 {
 		return fmt.Errorf("sim: negative covariance settle window %v", c.CovSettleSec)

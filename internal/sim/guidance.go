@@ -35,8 +35,8 @@ type guidance struct {
 	haveYaw     bool
 }
 
-func newGuidance(m mission.Mission) *guidance {
-	return &guidance{
+func newGuidance(m mission.Mission) guidance {
+	return guidance{
 		mission:     m,
 		phase:       phaseTakeoff,
 		climbRate:   1.5,

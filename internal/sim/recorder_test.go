@@ -30,8 +30,8 @@ func TestTraceRingOrderAndEviction(t *testing.T) {
 	}
 }
 
-// TestTraceRingCopyIsIndependent: a recorder copy (what Snapshot and
-// restoreFrom make) shares nothing with its source.
+// TestTraceRingCopyIsIndependent: a recorder copy (what Snapshot and a
+// fork make) shares nothing with its source.
 func TestTraceRingCopyIsIndependent(t *testing.T) {
 	r := newRecorder()
 	r.trace(obs.Event{T: 1, Kind: obs.EventInjectStart, Detail: "gyro"})
@@ -119,8 +119,8 @@ func TestForkAfterTraceOverflow(t *testing.T) {
 	}
 	prefix.RunUntil(250)
 	cp := prefix.Snapshot()
-	if cp.rec.evDropped == 0 || cp.rec.evStart == 0 {
-		t.Fatalf("ring not wrapped at snapshot (start=%d, dropped=%d)", cp.rec.evStart, cp.rec.evDropped)
+	if cp.s.rec.evDropped == 0 || cp.s.rec.evStart == 0 {
+		t.Fatalf("ring not wrapped at snapshot (start=%d, dropped=%d)", cp.s.rec.evStart, cp.s.rec.evDropped)
 	}
 
 	straight, err := Run(cfg, m, inj, nil)
@@ -133,9 +133,9 @@ func TestForkAfterTraceOverflow(t *testing.T) {
 	}
 	got := fork.RunToEnd()
 	sd, fd := straight.Diagnostics, got.Diagnostics
-	if sd.TraceDropped <= cp.rec.evDropped {
+	if sd.TraceDropped <= cp.s.rec.evDropped {
 		t.Fatalf("no events evicted after the snapshot (dropped %d at snapshot, %d at end)",
-			cp.rec.evDropped, sd.TraceDropped)
+			cp.s.rec.evDropped, sd.TraceDropped)
 	}
 	if fd.TraceDropped != sd.TraceDropped {
 		t.Errorf("trace dropped fork=%d straight=%d", fd.TraceDropped, sd.TraceDropped)

@@ -10,6 +10,7 @@ import (
 	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/mitigation"
+	"uavres/internal/sensors"
 )
 
 // shortMission is a fast-running route for unit-level checks.
@@ -326,6 +327,7 @@ func TestConfigValidate(t *testing.T) {
 		{"bad_dt", func(c *Config) { c.PhysicsDt = 0.5 }},
 		{"bad_maxtime", func(c *Config) { c.MaxSimTime = 0 }},
 		{"bad_imus", func(c *Config) { c.IMUCount = 0 }},
+		{"too_many_imus", func(c *Config) { c.IMUCount = sensors.MaxIMUs + 1 }},
 		{"bad_airframe", func(c *Config) { c.Airframe.MassKg = 0 }},
 		{"bad_imuspec", func(c *Config) { c.IMUSpec.RateHz = 0 }},
 	}
@@ -511,7 +513,7 @@ func TestGeoAuthoredMissionFlies(t *testing.T) {
 // TestTenSecondRunAllocCeiling caps the allocations of ten simulated
 // vehicle-seconds of a gold flight: the per-tick kernels allocate nothing
 // (each package pins its own at zero), so what remains is per-run setup.
-// 45 is the count measured under go1.24.0. A per-tick allocation adds
+// 18 is the count measured under go1.24.0. A per-tick allocation adds
 // thousands; even one per bubble observation (1 Hz) adds ten.
 func TestTenSecondRunAllocCeiling(t *testing.T) {
 	cfg := DefaultConfig()
@@ -522,15 +524,15 @@ func TestTenSecondRunAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 45 {
-		t.Errorf("10 s sim.Run allocates %v per run, want <= 45", n)
+	if n > 18 {
+		t.Errorf("10 s sim.Run allocates %v per run, want <= 18", n)
 	}
 }
 
 // TestForkWithInjectionAllocCeiling caps the allocations of one fork off
-// a 30 s mission-1 checkpoint: building the vehicle and restoring every
-// component into it. The recorder is restored by struct assignment, so
-// it adds none. 45 is the count measured under go1.24.0.
+// a 30 s mission-1 checkpoint: the vehicle and its fresh injector. The
+// whole state is copied by one struct assignment, so it adds none. 2 is
+// the count measured under go1.24.0.
 func TestForkWithInjectionAllocCeiling(t *testing.T) {
 	cfg := DefaultConfig()
 	m := mission.Valencia()[0]
@@ -550,8 +552,8 @@ func TestForkWithInjectionAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 45 {
-		t.Errorf("ForkWithInjection allocates %v per fork, want <= 45", n)
+	if n > 2 {
+		t.Errorf("ForkWithInjection allocates %v per fork, want <= 2", n)
 	}
 }
 

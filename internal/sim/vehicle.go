@@ -50,66 +50,32 @@ func Run(cfg Config, m mission.Mission, inj *faultinject.Injection, obs Observer
 // Vehicle is one fully assembled simulated drone mid-run: physics, wind,
 // sensors, fault injector, EKF, controller, failsafe, guidance, and the
 // U-space tracker, plus the step-loop state that used to live in Run's
-// locals. Factoring it out of Run makes a run interruptible: Snapshot
-// captures everything, and Checkpoint.Fork resumes bit-identically —
-// the basis of checkpoint-and-fork campaign execution.
+// locals. Factoring it out of Run makes a run interruptible: every
+// mutable part lives in one value, s, so Snapshot captures the flight by
+// struct copy and Checkpoint.Fork resumes bit-identically — the basis of
+// checkpoint-and-fork campaign execution. The fields outside s are fixed
+// at construction, derived from the inputs, or scratch buffers
+// (TestVehicleStateIsOneValue argues each one).
 type Vehicle struct {
-	//lint:allow snapshotcomplete address-taken read-only in stepOnce; forks are rebuilt from the checkpoint's cfg by NewVehicle
 	cfg Config
 	m   mission.Mission
 	inj *faultinject.Injection
 	obs Observer
 
-	wind *physics.Wind
-	body *physics.Body
-	imus *sensors.RedundantIMUs
-	gps  *sensors.GPS
-	baro *sensors.Baro
-	mag  *sensors.Mag
-	//lint:allow snapshotcomplete deliberately outside restoreFrom: Fork and ForkWithInjection restore different injectors
-	injector *faultinject.Injector
-	filter   *ekf.Filter
-	mitigate *mitigation.Pipeline
-	rotorMon *mitigation.RotorMonitor
-	ctl      *control.Controller
-	monitor  *failsafe.Monitor
-	crash    *failsafe.CrashDetector
-	guide    *guidance
-	tracker  *bubble.Tracker
-	rec      recorder
+	s vehicleState
 
-	res  Result
-	done bool
+	// traj is the recorded trajectory (cfg.RecordTrajectory). Points are
+	// only ever appended, so a checkpoint shares the prefix's points by
+	// keeping traj[:n:n]: a fork's first append reallocates.
+	traj []TrajPoint
 
-	// Step-loop state.
-	step        int // next physics step index; sim time = step * PhysicsDt
-	imuSets     int // IMU draw sets consumed since launch, one per IMU tick
-	steps       int
-	imuDt       float64
-	lastIMU     sensors.IMUSample // post-mitigation primary sample
-	lastClean   sensors.IMUSample // pre-injection primary sample
-	haveIMU     bool
-	sp          control.Setpoint
-	monitorTick sensors.Ticker
-	gravityTick sensors.Ticker
-	guideTick   sensors.Ticker
-	beenAir     bool
-	voteStrikes int
-	prevEstPos  mathx.Vec3
-	havePrevEst bool
-	distM       float64
-
-	// Derived constants (from cfg; never snapshotted).
+	// Derived constants (from cfg, mission and injection).
+	steps         int
+	imuDt         float64
 	votePersist   int
 	voteAccelTol  float64
 	voteGyroTol   float64
 	distCapPerObs float64
-	sampleBuf     []sensors.IMUSample // one sample per unit, reused every IMU tick
-	//lint:allow snapshotcomplete scratch buffer fully overwritten by DrawNoiseInto before every use
-	noiseBuf []sensors.IMUNoise // the straight path's own draw set, reused every IMU tick
-	// noiseArr backs noiseBuf for up to three units (PX4's count) without
-	// an allocation; DrawNoiseInto grows noiseBuf past it.
-	noiseArr [3]sensors.IMUNoise
 	// overwritesAll records that the injection overwrites every IMU unit
 	// with the primary's corrupted sample, so an IMU tick composes only the
 	// primary: nothing reads the other units' own samples. Derived from
@@ -127,15 +93,113 @@ type Vehicle struct {
 	// vehicle's own injection, so checkpoint forks recompute it for THEIR
 	// injection. Negative means never forced (gold runs).
 	covFullUntil float64
+
+	// Scratch buffers, fully overwritten on every IMU tick before use.
+	sampleBuf [sensors.MaxIMUs]sensors.IMUSample // one sample per unit
+	noiseBuf  [sensors.MaxIMUs]sensors.IMUNoise  // the straight path's own draw set
+}
+
+// vehicleState is every mutable part of a Vehicle, held by value: no
+// pointer, slice, map, func, chan or interface inside (strings and the
+// read-only mission route aside), so a copy shares nothing with its
+// source. A checkpoint is a copy of it, and a fork copies it back.
+type vehicleState struct {
+	body     physics.Body
+	imus     sensors.RedundantIMUs
+	gps      sensors.GPS
+	baro     sensors.Baro
+	mag      sensors.Mag
+	injector faultinject.Injector // in use when the vehicle flies an injection
+	filter   ekf.Filter
+	mitigate mitigation.Pipeline
+	rotorMon mitigation.RotorMonitor // in use when rotor FDI is enabled
+	ctl      control.Controller
+	monitor  failsafe.Monitor
+	crash    failsafe.CrashDetector
+	guide    guidance
+	tracker  bubble.Tracker
+	rec      recorder
+
+	// Step-loop state.
+	step        int               // next physics step index; sim time = step * PhysicsDt
+	imuSets     int               // IMU draw sets consumed since launch, one per IMU tick
+	lastIMU     sensors.IMUSample // post-mitigation primary sample
+	lastClean   sensors.IMUSample // pre-injection primary sample
+	haveIMU     bool
+	sp          control.Setpoint
+	monitorTick sensors.Ticker
+	gravityTick sensors.Ticker
+	guideTick   sensors.Ticker
+	beenAir     bool
+	voteStrikes int
+	prevEstPos  mathx.Vec3
+	havePrevEst bool
+	distM       float64
+
+	// The outcome, once reached (zero while flying), and the Result
+	// fields the step loop sets with it.
+	outcome       Outcome
+	flightSec     float64
+	failsafeCause string
+	crashReason   string
+}
+
+// newShell validates a vehicle's inputs and derives everything outside
+// its state. NewVehicle then builds the state at launch; a fork copies it
+// from a checkpoint, so both reject the same inputs with the same errors.
+func newShell(cfg Config, m mission.Mission, inj *faultinject.Injection, obs Observer) (*Vehicle, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if inj != nil {
+		if err := inj.Validate(); err != nil {
+			return nil, err
+		}
+		if !inj.SensorTarget() && inj.Rotor >= cfg.Airframe.Layout.Rotors() {
+			return nil, fmt.Errorf("sim: rotor fault on rotor %d but airframe %s has %d rotors",
+				inj.Rotor, cfg.Airframe.Layout, cfg.Airframe.Layout.Rotors())
+		}
+	}
+	v := &Vehicle{
+		cfg:           cfg,
+		m:             m,
+		inj:           inj,
+		obs:           obs,
+		steps:         int(cfg.MaxSimTime / cfg.PhysicsDt),
+		imuDt:         1 / cfg.IMUSpec.RateHz,
+		votePersist:   cfg.VotePersistSamples,
+		voteAccelTol:  cfg.VoteAccelTol,
+		voteGyroTol:   cfg.VoteGyroTol,
+		distCapPerObs: 3 * m.Drone.MaxSpeedMS * cfg.TrackingInterval,
+		covFullUntil:  -1,
+	}
+	if inj != nil {
+		v.covFullUntil = (inj.Start + inj.Duration).Seconds() + cfg.CovSettleSec
+		v.overwritesAll = inj.SensorTarget()
+		for i := 0; i < cfg.IMUCount; i++ {
+			v.overwritesAll = v.overwritesAll && inj.AffectsUnit(i)
+		}
+	}
+	if v.votePersist <= 0 {
+		v.votePersist = 5
+	}
+	if v.voteAccelTol <= 0 {
+		v.voteAccelTol = 3.0
+	}
+	if v.voteGyroTol <= 0 {
+		v.voteGyroTol = 0.3
+	}
+	return v, nil
 }
 
 // NewVehicle assembles a vehicle at mission start. inj is nil for a gold
 // run; obs may be nil.
 func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs Observer) (*Vehicle, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
+	v, err := newShell(cfg, m, inj, obs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -168,18 +232,6 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 	baro := sensors.NewBaro(cfg.BaroSpec, rng.Child())
 	mag := sensors.NewMag(cfg.MagSpec, rng.Child())
 
-	var injector *faultinject.Injector
-	if inj != nil {
-		injector, err = faultinject.New(*inj)
-		if err != nil {
-			return nil, err
-		}
-		if !inj.SensorTarget() && inj.Rotor >= cfg.Airframe.Layout.Rotors() {
-			return nil, fmt.Errorf("sim: rotor fault on rotor %d but airframe %s has %d rotors",
-				inj.Rotor, cfg.Airframe.Layout, cfg.Airframe.Layout.Rotors())
-		}
-	}
-
 	filter := ekf.New(cfg.EKF)
 	filter.Reset(ekf.State{Att: mathx.QuatIdentity(), Pos: m.Start})
 
@@ -193,61 +245,35 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 		return nil, err
 	}
 
-	v := &Vehicle{
-		cfg:      cfg,
-		m:        m,
-		inj:      inj,
-		obs:      obs,
-		wind:     wind,
-		body:     body,
-		imus:     imus,
-		gps:      gps,
-		baro:     baro,
-		mag:      mag,
-		injector: injector,
-		filter:   filter,
-		mitigate: mitigate,
-		ctl:      control.New(cfg.Gains, cfg.Airframe, 1/cfg.IMUSpec.RateHz),
-		monitor:  failsafe.NewMonitor(cfg.Failsafe),
-		crash:    failsafe.NewCrashDetector(cfg.Failsafe),
+	v.s = vehicleState{
+		body:     *body,
+		imus:     *imus,
+		gps:      *gps,
+		baro:     *baro,
+		mag:      *mag,
+		filter:   *filter,
+		mitigate: *mitigate,
+		ctl:      *control.New(cfg.Gains, cfg.Airframe, v.imuDt),
+		monitor:  *failsafe.NewMonitor(cfg.Failsafe),
+		crash:    *failsafe.NewCrashDetector(cfg.Failsafe),
 		guide:    newGuidance(m),
-		tracker:  tracker,
+		tracker:  *tracker,
 		rec:      newRecorder(),
 
-		res:         Result{MissionID: m.ID, Injection: inj},
-		steps:       int(cfg.MaxSimTime / cfg.PhysicsDt),
-		imuDt:       1 / cfg.IMUSpec.RateHz,
 		monitorTick: sensors.NewTicker(50),
 		gravityTick: sensors.NewTicker(25),
 		guideTick:   sensors.NewTicker(50),
 		prevEstPos:  m.Start,
-
-		votePersist:   cfg.VotePersistSamples,
-		voteAccelTol:  cfg.VoteAccelTol,
-		voteGyroTol:   cfg.VoteGyroTol,
-		distCapPerObs: 3 * m.Drone.MaxSpeedMS * cfg.TrackingInterval,
-		sampleBuf:     make([]sensors.IMUSample, imus.Count()),
-		covFullUntil:  -1,
 	}
-	v.noiseBuf = v.noiseArr[:0]
 	if inj != nil {
-		v.covFullUntil = (inj.Start + inj.Duration).Seconds() + cfg.CovSettleSec
-		v.overwritesAll = inj.SensorTarget()
-		for i := 0; i < imus.Count(); i++ {
-			v.overwritesAll = v.overwritesAll && inj.AffectsUnit(i)
+		injector, err := faultinject.New(*inj)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if v.votePersist <= 0 {
-		v.votePersist = 5
-	}
-	if v.voteAccelTol <= 0 {
-		v.voteAccelTol = 3.0
-	}
-	if v.voteGyroTol <= 0 {
-		v.voteGyroTol = 0.3
+		v.s.injector = *injector
 	}
 	if cfg.Mitigation.RotorFDIEnabled() {
-		v.rotorMon = mitigation.NewRotorMonitor(
+		v.s.rotorMon = *mitigation.NewRotorMonitor(
 			cfg.Mitigation, cfg.Airframe.Layout.Rotors(), cfg.Airframe.MotorTau, v.imuDt)
 	}
 	if cfg.RecordTrajectory {
@@ -255,23 +281,27 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 		if interval <= 0 {
 			interval = bubble.DefaultTrackingInterval
 		}
-		v.res.Trajectory = make([]TrajPoint, 0, int(cfg.MaxSimTime/interval)+1)
+		v.traj = make([]TrajPoint, 0, int(cfg.MaxSimTime/interval)+1)
 	}
 	// On the pad the controller needs an initial setpoint.
-	v.sp = v.guide.update(0, m.Start, 0, true)
+	v.s.sp = v.s.guide.update(0, m.Start, 0, true)
 	return v, nil
 }
 
 // T returns the sim time of the next step to execute (s).
-func (v *Vehicle) T() float64 { return float64(v.step) * v.cfg.PhysicsDt }
+func (v *Vehicle) T() float64 { return float64(v.s.step) * v.cfg.PhysicsDt }
 
 // Done reports whether the run reached an outcome before MaxSimTime.
-func (v *Vehicle) Done() bool { return v.done }
+func (v *Vehicle) Done() bool { return v.s.outcome != 0 }
+
+// flying reports whether the run has steps left: no outcome yet and
+// MaxSimTime not reached.
+func (v *Vehicle) flying() bool { return v.s.outcome == 0 && v.s.step < v.steps }
 
 // RunToEnd executes remaining steps until an outcome or MaxSimTime and
 // returns the final result.
 func (v *Vehicle) RunToEnd() Result {
-	for !v.done && v.step < v.steps {
+	for v.flying() {
 		v.stepOnce()
 	}
 	return v.finalize()
@@ -282,7 +312,7 @@ func (v *Vehicle) RunToEnd() Result {
 // first with t >= tLimit, which makes the split point exact: forking at
 // tLimit and running straight through execute identical step sequences.
 func (v *Vehicle) RunUntil(tLimit float64) {
-	for !v.done && v.step < v.steps && float64(v.step)*v.cfg.PhysicsDt < tLimit {
+	for v.flying() && float64(v.s.step)*v.cfg.PhysicsDt < tLimit {
 		v.stepOnce()
 	}
 }
@@ -290,21 +320,29 @@ func (v *Vehicle) RunUntil(tLimit float64) {
 // finalize derives the Result fields computed after the step loop. It does
 // not mutate the vehicle, so it is safe to call more than once.
 func (v *Vehicle) finalize() Result {
-	res := v.res
+	res := Result{
+		MissionID:         v.m.ID,
+		Injection:         v.inj,
+		Outcome:           v.s.outcome,
+		FlightDurationSec: v.s.flightSec,
+		DistanceKm:        v.s.distM / 1000,
+		InnerViolations:   v.s.tracker.InnerViolations(),
+		OuterViolations:   v.s.tracker.OuterViolations(),
+		WaypointsReached:  v.s.guide.waypointsReached(),
+		FailsafeCause:     v.s.failsafeCause,
+		CrashReason:       v.s.crashReason,
+		Trajectory:        v.traj,
+	}
 	if res.Outcome == 0 {
 		res.Outcome = OutcomeTimeout
 		res.FlightDurationSec = v.cfg.MaxSimTime
 	}
-	res.DistanceKm = v.distM / 1000
-	res.InnerViolations = v.tracker.InnerViolations()
-	res.OuterViolations = v.tracker.OuterViolations()
-	res.WaypointsReached = v.guide.waypointsReached()
 	// The black-box tail is attached only to the flights the black-box
 	// dumper archives — crashes and containment violations: campaign
 	// results stay lean (and benign timeouts allocation-free) while
 	// every dumped case carries the trajectory evidence.
 	withTail := res.Outcome == OutcomeCrash || res.OuterViolations > 0
-	res.Diagnostics = v.rec.diagnostics(v.filter.Health(), withTail)
+	res.Diagnostics = v.s.rec.diagnostics(v.s.filter.Health(), withTail)
 	return res
 }
 
@@ -315,11 +353,11 @@ const imuDrawWindow = 8
 // envDraws carries the environment deviates a batch's donor vehicle draws
 // once for every lockstep fork (see Batch). GPS, baro, mag and wind are
 // drawn per tick (drawEnv); IMU draw sets are indexed by their count since
-// launch (Vehicle.imuSets) and drawn on request (imuNoise). The buffers
+// launch (vehicleState.imuSets) and drawn on request (imuNoise). The buffers
 // are reused.
 type envDraws struct {
 	imus      *sensors.RedundantIMUs // the donor's units
-	imuSets   [imuDrawWindow][]sensors.IMUNoise
+	imuSets   [imuDrawWindow][sensors.MaxIMUs]sensors.IMUNoise
 	imuFirst  int // the donor's first set: earlier ones were drawn before its checkpoint
 	imuDrawn  int // the next set the donor's units will draw
 	gpsNoise  sensors.GPSNoise
@@ -338,10 +376,9 @@ func (e *envDraws) imuNoise(k int) ([]sensors.IMUNoise, error) {
 		return nil, fmt.Errorf("sim: IMU draw set %d outside the window of %d sets ending at %d", k, imuDrawWindow, e.imuDrawn)
 	}
 	for ; e.imuDrawn <= k; e.imuDrawn++ {
-		set := &e.imuSets[e.imuDrawn%imuDrawWindow]
-		*set = e.imus.DrawNoiseInto(*set)
+		e.imus.DrawNoiseInto(e.imuSets[e.imuDrawn%imuDrawWindow][:0])
 	}
-	return e.imuSets[k%imuDrawWindow], nil
+	return e.imuSets[k%imuDrawWindow][:e.imus.Count()], nil
 }
 
 // drawEnv advances the vehicle's GPS, baro, mag and wind streams by one
@@ -350,18 +387,18 @@ func (e *envDraws) imuNoise(k int) ([]sensors.IMUNoise, error) {
 // caller is the batch runner's donor vehicle: no physics, EKF, control, or
 // guidance runs, and the vehicle must never be stepped for real afterwards.
 func (v *Vehicle) drawEnv(env *envDraws) {
-	t := float64(v.step) * v.cfg.PhysicsDt
-	if v.gps.Due(t) {
-		env.gpsNoise = v.gps.DrawNoise()
+	t := float64(v.s.step) * v.cfg.PhysicsDt
+	if v.s.gps.Due(t) {
+		env.gpsNoise = v.s.gps.DrawNoise()
 	}
-	if v.baro.Due(t) {
-		env.baroNoise = v.baro.DrawNoise()
+	if v.s.baro.Due(t) {
+		env.baroNoise = v.s.baro.DrawNoise()
 	}
-	if v.mag.Due(t) {
-		env.magNoise = v.mag.DrawNoise()
+	if v.s.mag.Due(t) {
+		env.magNoise = v.s.mag.DrawNoise()
 	}
-	env.wind = v.body.StepWind(v.cfg.PhysicsDt)
-	v.step++
+	env.wind = v.s.body.StepWind(v.cfg.PhysicsDt)
+	v.s.step++
 }
 
 // stepOnce advances the simulation by one physics step, drawing all
@@ -371,158 +408,157 @@ func (v *Vehicle) stepOnce() { _ = v.stepEnv(nil) }
 // stepEnv advances the simulation by one physics step. With a nil env it
 // draws environment noise from the vehicle's own streams (the scalar
 // path); otherwise it composes the shared deviates in env, reading IMU
-// draw set v.imuSets on each IMU tick, and leaves its own environment
+// draw set v.s.imuSets on each IMU tick, and leaves its own environment
 // streams untouched (the batch path). The two paths differ only in where
 // an IMU draw set comes from; both compose it with the same code and
 // count the sets they consume.
 func (v *Vehicle) stepEnv(env *envDraws) error {
 	cfg := &v.cfg
-	t := float64(v.step) * cfg.PhysicsDt
+	t := float64(v.s.step) * cfg.PhysicsDt
 
 	// --- Sense (250 Hz), corrupt, estimate, control.
-	if v.imus.Due(t) {
+	if v.s.imus.Due(t) {
 		var noise []sensors.IMUNoise
 		if env == nil {
 			// Every unit draws, even when only the primary is composed:
 			// a snapshot of this vehicle must carry every stream forward.
-			v.noiseBuf = v.imus.DrawNoiseInto(v.noiseBuf)
-			noise = v.noiseBuf
+			noise = v.s.imus.DrawNoiseInto(v.noiseBuf[:0])
 		} else {
 			var err error
-			if noise, err = env.imuNoise(v.imuSets); err != nil {
+			if noise, err = env.imuNoise(v.s.imuSets); err != nil {
 				return err
 			}
 		}
-		v.imuSets++
-		all := v.sampleBuf
+		v.s.imuSets++
+		all := v.sampleBuf[:v.s.imus.Count()]
 		if v.overwritesAll {
 			// The injector below overwrites every unit, so only the
 			// primary's own sample is ever read. The vote then compares
 			// identical units and cannot flag.
-			all[v.imus.Primary()] = v.imus.SamplePrimaryWith(t, v.body.SpecificForce(), v.body.AngularRate(), noise)
+			all[v.s.imus.Primary()] = v.s.imus.SamplePrimaryWith(t, v.s.body.SpecificForce(), v.s.body.AngularRate(), noise)
 		} else {
-			all = v.imus.SampleAllWith(all, t, v.body.SpecificForce(), v.body.AngularRate(), noise)
+			all = v.s.imus.SampleAllWith(all, t, v.s.body.SpecificForce(), v.s.body.AngularRate(), noise)
 		}
-		clean := all[v.imus.Primary()]
-		v.lastClean = clean
-		if v.injector != nil {
+		clean := all[v.s.imus.Primary()]
+		v.s.lastClean = clean
+		if v.inj != nil {
 			if v.inj.SensorTarget() {
 				// The fault corrupts the sensor output stream: every
 				// affected unit reads the same corrupted values.
-				corrupted := v.injector.Apply(clean)
+				corrupted := v.s.injector.Apply(clean)
 				for i := range all {
 					if v.inj.AffectsUnit(i) {
 						all[i] = corrupted
 					}
 				}
 			}
-			v.rec.onInjection(t, v.injector.Active(t))
+			v.s.rec.onInjection(t, v.s.injector.Active(t))
 		}
-		raw := all[v.imus.Primary()]
+		raw := all[v.s.imus.Primary()]
 
 		// Cross-IMU consistency voting (redundancy management): a
 		// primary that persistently disagrees with the unit majority
 		// is switched out long before the failsafe-level checks see
 		// anything.
 		if cfg.RedundancyVoting {
-			if sensors.VoteOutlier(all, v.imus.Primary(), v.voteAccelTol, v.voteGyroTol) {
-				v.voteStrikes++
-				if v.voteStrikes >= v.votePersist {
-					v.imus.SwitchPrimary()
-					v.rec.onSensorSwitch(t)
-					v.voteStrikes = 0
-					raw = all[v.imus.Primary()]
+			if sensors.VoteOutlier(all, v.s.imus.Primary(), v.voteAccelTol, v.voteGyroTol) {
+				v.s.voteStrikes++
+				if v.s.voteStrikes >= v.votePersist {
+					v.s.imus.SwitchPrimary()
+					v.s.rec.onSensorSwitch(t)
+					v.s.voteStrikes = 0
+					raw = all[v.s.imus.Primary()]
 					// The outgoing unit polluted recent predictions:
 					// reopen uncertainty and coarse-realign attitude
 					// from the incoming (trusted) unit.
-					v.filter.NotifySensorSwitch()
-					v.filter.RealignLevel(raw.Accel)
+					v.s.filter.NotifySensorSwitch()
+					v.s.filter.RealignLevel(raw.Accel)
 				}
 			} else {
-				v.voteStrikes = 0
+				v.s.voteStrikes = 0
 			}
 		}
 		if cfg.Mitigation.Enabled() {
 			// The mitigation pipeline sits where a real flight stack
 			// would deploy it: after the (possibly faulty) sensor
 			// output, before every consumer.
-			raw, _ = v.mitigate.Apply(raw)
-			v.rec.onMitigation(t, v.mitigate.StuckDetected())
+			raw, _ = v.s.mitigate.Apply(raw)
+			v.s.rec.onMitigation(t, v.s.mitigate.StuckDetected())
 		}
-		v.lastIMU = raw
-		v.haveIMU = true
+		v.s.lastIMU = raw
+		v.s.haveIMU = true
 
 		ekfSample := raw
 		if cfg.ShieldEKF {
 			ekfSample = clean // ablation: estimation path protected
 		}
-		if v.injector != nil {
+		if v.inj != nil {
 			// Faulted flight: covariance at full rate from launch through
 			// the fault window plus settle margin (see covFullUntil), so
 			// decimation can neither seed a pre-fault difference for the
 			// fault to amplify nor blur the fault-response transient.
-			v.filter.SetCovarianceFullRate(t < v.covFullUntil)
+			v.s.filter.SetCovarianceFullRate(t < v.covFullUntil)
 		}
-		v.filter.Predict(ekfSample, v.imuDt)
-		if v.gravityTick.Due(t) {
-			v.filter.FuseGravity(ekfSample)
+		v.s.filter.Predict(ekfSample, v.imuDt)
+		if v.s.gravityTick.Due(t) {
+			v.s.filter.FuseGravity(ekfSample)
 		}
 
-		est := v.filter.State()
+		est := v.s.filter.State()
 		rateFeedback := raw.Gyro
 		if cfg.ShieldRateLoop {
 			rateFeedback = clean.Gyro // ablation: control path protected
 		}
-		cmd := v.ctl.Command(v.imuDt, control.Estimate{Att: est.Att, Vel: est.Vel, Pos: est.Pos}, rateFeedback, v.sp)
-		if v.rotorMon != nil {
+		cmd := v.s.ctl.Command(v.imuDt, control.Estimate{Att: est.Att, Vel: est.Vel, Pos: est.Pos}, rateFeedback, v.s.sp)
+		if v.cfg.Mitigation.RotorFDIEnabled() {
 			// FDI compares what the controller intends against what the
 			// rotors measurably did; the fault acts between the two.
-			if v.rotorMon.Observe(cmd, v.body.RotorStates()) {
+			if v.s.rotorMon.Observe(cmd, v.s.body.RotorStates()) {
 				v.onRotorCondemned(t)
 			}
 		}
-		if v.injector != nil && !v.inj.SensorTarget() {
+		if v.inj != nil && !v.inj.SensorTarget() {
 			// Actuator faults corrupt the command on its way to the ESC.
-			cmd = v.injector.ApplyActuator(t, cmd)
+			cmd = v.s.injector.ApplyActuator(t, cmd)
 		}
-		v.body.SetMotorCommands(cmd)
+		v.s.body.SetMotorCommands(cmd)
 	}
 
 	// Hoist the per-step state copies: the body state is constant until
 	// body.Step below, and the filter state is constant once the aiding
 	// fusions for this step have run, so each is copied at most once per
 	// step instead of per consumer.
-	gpsDue := v.gps.Due(t)
-	baroDue := v.baro.Due(t)
-	magDue := v.mag.Due(t)
-	monitorDue := v.monitorTick.Due(t)
-	guideDue := v.guideTick.Due(t)
-	trackDue := v.tracker.Due(t)
+	gpsDue := v.s.gps.Due(t)
+	baroDue := v.s.baro.Due(t)
+	magDue := v.s.mag.Due(t)
+	monitorDue := v.s.monitorTick.Due(t)
+	guideDue := v.s.guideTick.Due(t)
+	trackDue := v.s.tracker.Due(t)
 
 	var bst physics.State
 	if gpsDue || baroDue || magDue || monitorDue || guideDue || trackDue {
-		bst = v.body.State()
+		bst = v.s.body.State()
 	}
 
 	if gpsDue {
 		var s sensors.GPSSample
 		if env == nil {
-			s = v.gps.Sample(t, bst.Pos, bst.Vel)
+			s = v.s.gps.Sample(t, bst.Pos, bst.Vel)
 		} else {
-			s = v.gps.SampleWith(t, bst.Pos, bst.Vel, env.gpsNoise)
+			s = v.s.gps.SampleWith(t, bst.Pos, bst.Vel, env.gpsNoise)
 		}
-		v.filter.FuseGPS(s)
-		v.rec.afterGPS(t, v.filter.Health())
+		v.s.filter.FuseGPS(s)
+		v.s.rec.afterGPS(t, v.s.filter.Health())
 	}
 	if baroDue {
 		var s sensors.BaroSample
 		if env == nil {
-			s = v.baro.Sample(t, bst.AltitudeM())
+			s = v.s.baro.Sample(t, bst.AltitudeM())
 		} else {
-			s = v.baro.SampleWith(t, bst.AltitudeM(), env.baroNoise)
+			s = v.s.baro.SampleWith(t, bst.AltitudeM(), env.baroNoise)
 		}
-		v.filter.FuseBaro(s)
-		v.rec.afterBaro(t, v.filter.Health())
+		v.s.filter.FuseBaro(s)
+		v.s.rec.afterBaro(t, v.s.filter.Health())
 	}
 	if magDue {
 		// The magnetometer is not a fault-injection target (paper
@@ -530,88 +566,76 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 		_, _, trueYaw := bst.Att.Euler()
 		var s sensors.MagSample
 		if env == nil {
-			s = v.mag.Sample(t, trueYaw)
+			s = v.s.mag.Sample(t, trueYaw)
 		} else {
-			s = v.mag.SampleWith(t, trueYaw, env.magNoise)
+			s = v.s.mag.SampleWith(t, trueYaw, env.magNoise)
 		}
-		v.filter.FuseMag(s)
+		v.s.filter.FuseMag(s)
 	}
 
 	var est ekf.State
 	if monitorDue || guideDue || trackDue {
-		est = v.filter.State()
+		est = v.s.filter.State()
 	}
 
 	// --- Protective layer (50 Hz).
-	if monitorDue && v.haveIMU {
+	if monitorDue && v.s.haveIMU {
 		fobs := failsafe.Observation{
-			T: t, IMU: v.lastIMU, Health: v.filter.Health(),
+			T: t, IMU: v.s.lastIMU, Health: v.s.filter.Health(),
 			EstVelHorizMS: est.Vel.NormXY(),
 			MaxSpeedMS:    v.m.Drone.MaxSpeedMS,
-			StuckSensor:   v.mitigate.StuckDetected(),
+			StuckSensor:   v.s.mitigate.StuckDetected(),
 		}
-		v.rec.onTilt(mathx.Rad2Deg(bst.Att.TiltAngle()))
-		if v.monitor.Update(fobs, v.imus) == failsafe.PhaseActive {
+		v.s.rec.onTilt(mathx.Rad2Deg(bst.Att.TiltAngle()))
+		if v.s.monitor.Update(fobs, &v.s.imus) == failsafe.PhaseActive {
 			// Flight termination: record and stop.
-			v.res.Outcome = OutcomeFailsafe
-			v.res.FailsafeCause = v.monitor.Cause().String()
-			v.res.FlightDurationSec = t
-			v.rec.onOutcome(t, obs.EventFailsafe, v.res.FailsafeCause)
-			v.done = true
+			v.s.failsafeCause = v.s.monitor.Cause().String()
+			v.end(t, OutcomeFailsafe, obs.EventFailsafe, v.s.failsafeCause)
 			return nil
 		}
 		if bst.AltitudeM() > 2 {
-			v.beenAir = true
+			v.s.beenAir = true
 		}
-		if v.beenAir {
-			v.crash.Update(t, bst.OnGround(), v.body.TouchdownSpeed(), bst.Att.TiltAngle())
-			if v.crash.Crashed() {
-				v.res.Outcome = OutcomeCrash
-				v.res.CrashReason = v.crash.Reason()
-				v.res.FlightDurationSec = t
-				v.rec.onOutcome(t, obs.EventCrash, v.res.CrashReason)
-				v.done = true
+		if v.s.beenAir {
+			v.s.crash.Update(t, bst.OnGround(), v.s.body.TouchdownSpeed(), bst.Att.TiltAngle())
+			if v.s.crash.Crashed() {
+				v.s.crashReason = v.s.crash.Reason()
+				v.end(t, OutcomeCrash, obs.EventCrash, v.s.crashReason)
 				return nil
 			}
 		}
 		if !bst.IsFinite() {
 			// Integration blow-up counts as a crash: the vehicle is
 			// physically gone.
-			v.res.Outcome = OutcomeCrash
-			v.res.CrashReason = "state blow-up"
-			v.res.FlightDurationSec = t
-			v.rec.onOutcome(t, obs.EventCrash, v.res.CrashReason)
-			v.done = true
+			v.s.crashReason = "state blow-up"
+			v.end(t, OutcomeCrash, obs.EventCrash, v.s.crashReason)
 			return nil
 		}
 	}
 
 	// --- Guidance (50 Hz).
 	if guideDue {
-		v.sp = v.guide.update(t, est.Pos, est.Vel.Norm(), bst.OnGround())
-		v.rec.onPhase(t, v.guide.phase)
-		if v.guide.done() {
-			v.res.Outcome = OutcomeCompleted
-			v.res.FlightDurationSec = t
-			v.rec.onOutcome(t, obs.EventComplete, "")
-			v.done = true
+		v.s.sp = v.s.guide.update(t, est.Pos, est.Vel.Norm(), bst.OnGround())
+		v.s.rec.onPhase(t, v.s.guide.phase)
+		if v.s.guide.done() {
+			v.end(t, OutcomeCompleted, obs.EventComplete, "")
 			return nil
 		}
 	}
 
 	// --- U-space tracking (1 Hz): bubbles, distance, telemetry.
 	if trackDue {
-		if s, ok := v.tracker.Observe(t, est.Pos, v.body.Airspeed()); ok {
-			if v.havePrevEst {
-				d := est.Pos.Dist(v.prevEstPos)
+		if s, ok := v.s.tracker.Observe(t, est.Pos, v.s.body.Airspeed()); ok {
+			if v.s.havePrevEst {
+				d := est.Pos.Dist(v.s.prevEstPos)
 				// Tracker plausibility filter: a diverged estimate can
 				// teleport; the tracking system bounds per-interval travel
 				// by the drone's physical capability.
-				v.distM += math.Min(d, v.distCapPerObs)
+				v.s.distM += math.Min(d, v.distCapPerObs)
 			}
-			v.prevEstPos = est.Pos
-			v.havePrevEst = true
-			v.rec.onTrack(t, s.InnerViolated, s.OuterViolated, v.distM)
+			v.s.prevEstPos = est.Pos
+			v.s.havePrevEst = true
+			v.s.rec.onTrack(t, s.InnerViolated, s.OuterViolated, v.s.distM)
 
 			point := TrajPoint{
 				T: t, TruePos: bst.Pos, EstPos: est.Pos,
@@ -619,55 +643,55 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 			}
 			// The black-box ring captures the tail unconditionally; the
 			// full trajectory only when the (figure-oriented) flag asks.
-			v.rec.onTailPoint(point)
+			v.s.rec.onTailPoint(point)
 			if cfg.RecordTrajectory {
-				v.res.Trajectory = append(v.res.Trajectory, point)
+				v.traj = append(v.traj, point)
 			}
 			if v.obs != nil {
 				v.obs(Telemetry{
 					T: t, MissionID: v.m.ID,
 					EstPos: est.Pos, EstVel: est.Vel,
-					TruePos: bst.Pos, Airspeed: v.body.Airspeed(),
-					Bubble: s, Phase: v.guide.phase.label(),
-					Health: v.filter.Health(), EstState: est, TrueAtt: bst.Att,
+					TruePos: bst.Pos, Airspeed: v.s.body.Airspeed(),
+					Bubble: s, Phase: v.s.guide.phase.label(),
+					Health: v.s.filter.Health(), EstState: est, TrueAtt: bst.Att,
 				})
 			}
 		}
 	}
 
 	if env == nil {
-		v.body.Step(cfg.PhysicsDt)
+		v.s.body.Step(cfg.PhysicsDt)
 	} else {
-		v.body.StepWithWind(cfg.PhysicsDt, env.wind)
+		v.s.body.StepWithWind(cfg.PhysicsDt, env.wind)
 	}
-	v.step++
+	v.s.step++
 	return nil
+}
+
+// end records the outcome reached at sim time t, which stops the step
+// loop.
+func (v *Vehicle) end(t float64, o Outcome, kind obs.EventKind, detail string) {
+	v.s.outcome = o
+	v.s.flightSec = t
+	v.s.rec.onOutcome(t, kind, detail)
 }
 
 // onRotorCondemned reacts to the FDI monitor latching a new condemned
 // rotor: record the event and, when configured, re-solve the control
-// allocation around the condemned set.
+// allocation around the condemned set. When too few healthy rotors are
+// left to reconfigure, the vehicle keeps flying on the nominal allocation
+// and the failsafe judges the outcome.
 func (v *Vehicle) onRotorCondemned(t float64) {
-	v.rec.onRotorReconfig(t)
-	if v.cfg.Mitigation.ReconfigAllocation {
-		v.ctl.SetAllocator(v.reconfiguredAllocator())
+	v.s.rec.onRotorReconfig(t)
+	if !v.cfg.Mitigation.ReconfigAllocation {
+		return
 	}
-}
-
-// reconfiguredAllocator maps the monitor's current condemned set to a
-// weighted allocation, or nil when the airframe cannot be reconfigured
-// (nothing condemned, or too few healthy rotors — then the vehicle keeps
-// flying on the nominal allocation and the failsafe judges the outcome).
-func (v *Vehicle) reconfiguredAllocator() *physics.Allocator {
-	if v.rotorMon == nil || !v.rotorMon.AnyCondemned() {
-		return nil
-	}
-	w := v.rotorMon.Weights(v.cfg.Airframe.Layout, v.cfg.Mitigation.OppositeDerate)
-	a, err := v.body.Mixer().ReconfiguredAllocator(w)
+	w := v.s.rotorMon.Weights(v.cfg.Airframe.Layout, v.cfg.Mitigation.OppositeDerate)
+	a, err := v.s.body.Mixer().ReconfiguredAllocator(w)
 	if err != nil {
-		return nil
+		a = nil
 	}
-	return a
+	v.s.ctl.SetAllocator(a)
 }
 
 // label formats the phase for telemetry without allocating on the common
