@@ -272,11 +272,7 @@ func BenchmarkUavlint(b *testing.B) {
 func BenchmarkMicroCodecRoundTrip(b *testing.B) {
 	pos := telemetry.Position{TimeSec: 1, X: 2, Y: 3, Z: -15, VX: 1}
 	for i := 0; i < b.N; i++ {
-		f, err := telemetry.EncodePosition(uint8(i), 1, pos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw, err := f.Encode()
+		raw, err := telemetry.EncodePosition(uint8(i), 1, pos).Encode()
 		if err != nil {
 			b.Fatal(err)
 		}

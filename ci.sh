@@ -5,9 +5,9 @@
 # allocs/op; internal/paperdata flies the 850-case paper campaign and
 # byte-compares its report with the committed RESULTS.md, and
 # cmd/figures compares the figure outcomes with
-# cmd/figures/testdata/figures.txt), the race detector over the
-# concurrent packages (broker, tracker, campaign runner, metrics
-# registry), a one-iteration smoke of the root micro-benchmarks, the
+# cmd/figures/testdata/figures.txt), the race detector over the campaign
+# runner and the packages its workers share (sweep, sim, obs), a
+# one-iteration smoke of the root micro-benchmarks, the
 # campaign benchmark's own vet and tests (it compiles against this tree
 # and its traced mini-grid test runs every benchsuite/micro body), spec
 # validation for the shipped example campaign specs, and three
@@ -22,7 +22,8 @@
 # flight environment must match its straight-through and scalar-fork
 # runs bit for bit. Short
 # fuzz passes cover the resume decoder, the spec decoder and compiler,
-# the -select expression parser, and fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
+# the -select expression parser, the telemetry frame decoder and
+# fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
 set -eux
@@ -45,7 +46,7 @@ go run ./cmd/uavlint -unused-suppressions -json ./... >"$tmpdir/lint.json" || {
 	exit 1
 }
 go test ./...
-go test -race ./internal/telemetry/ ./internal/sweep/ ./internal/uspace/ ./internal/core/ ./internal/sim/ ./internal/obs/
+go test -race ./internal/sweep/ ./internal/core/ ./internal/sim/ ./internal/obs/
 go test -run XXX -bench Micro -benchtime=1x -benchmem .
 # The campaign benchmark is its own module over this tree: vet and test it
 # here so a change that breaks its build fails CI, not the benchmark run.
@@ -61,6 +62,11 @@ go test -run XXX -fuzz FuzzParseCompile -fuzztime 10s ./internal/spec/
 # internal/spec/testdata/fuzz): no panic, and every accepted selector
 # validates, has a non-negative mission and survives a JSON round trip.
 go test -run XXX -fuzz FuzzParseSelector -fuzztime 10s ./internal/spec/
+# Short fuzz pass over the telemetry frame decoder (seed corpus under
+# internal/telemetry/testdata/fuzz): no panic from the frame and message
+# decoders or Tracker.Ingest, and every accepted frame or message
+# re-encodes to the bytes it came from.
+go test -run XXX -fuzz FuzzReadFrame -fuzztime 10s ./internal/telemetry/
 # Short fuzz pass over fault parameters (primitive, target or rotor,
 # scope, start, duration): chained forks equal straight runs, and every
 # outcome is enumerated with finite numbers.

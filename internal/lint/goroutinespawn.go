@@ -9,17 +9,15 @@ import (
 // goroutine inside the per-case stack makes memory ordering and
 // completion order scheduler-dependent, which silently breaks the
 // checkpoint-and-fork bit-identity the campaign results rest on. The
-// campaign runner (internal/core) owns the one sanctioned worker pool,
-// and the serving layers (internal/telemetry, internal/uspace) are
-// concurrent by design; everything else in internal/ must stay
-// goroutine-free. This analyzer replaces the old `grep 'go func'` CI
-// gate and, unlike it, also catches method-value spawns (`go m.run()`)
-// and survives file renames.
+// campaign runner (internal/core) owns the one sanctioned worker pool;
+// everything else in internal/ must stay goroutine-free. This analyzer
+// replaces the old `grep 'go func'` CI gate and, unlike it, also catches
+// method-value spawns (`go m.run()`) and survives file renames.
 type GoroutineSpawn struct{}
 
 func (GoroutineSpawn) Name() string { return "goroutinespawn" }
 func (GoroutineSpawn) Doc() string {
-	return "forbid go statements outside the sanctioned concurrent packages (core, telemetry, uspace)"
+	return "forbid go statements in internal packages other than core, the campaign runner's worker pool"
 }
 
 func (GoroutineSpawn) Visitor(pkg *Package, f *File, report ReportFunc) VisitFunc {

@@ -100,18 +100,11 @@ var simCriticalPkgs = map[string]bool{
 	"core": true, "sweep": true, "faultinject": true,
 }
 
-// goroutineFreePkgs lists the internal packages allowed to own
+// goroutineFreePkgs reports whether an internal package must not own
 // goroutines. core owns the one sanctioned worker pool (the campaign
-// runner), and telemetry/uspace are the concurrent serving layers;
-// everything else in internal/ is deterministic per-case simulation code
+// runner); everything else in internal/ is deterministic per-case code
 // where a spawned goroutine would make step order scheduler-dependent.
-var goroutineFreePkgs = func(base string) bool {
-	switch base {
-	case "core", "telemetry", "uspace":
-		return false
-	}
-	return true
-}
+var goroutineFreePkgs = func(base string) bool { return base != "core" }
 
 // internalBase returns the first path element under internal/ ("" when
 // the package is not internal).
@@ -139,7 +132,7 @@ type Package struct {
 	// findings here.
 	SimCritical bool
 	// GoroutineFree reports that the package may not own goroutines
-	// (every internal package except the sanctioned concurrent layers).
+	// (every internal package except core).
 	GoroutineFree bool
 	Fset          *token.FileSet
 	Files         []*File

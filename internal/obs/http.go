@@ -9,8 +9,7 @@ import (
 // Prometheus-text metrics at /metrics plus the Go profiling handlers
 // under /debug/pprof/, on a private mux so nothing else in the process
 // can accidentally extend the default mux into the same listener.
-// cmd/trackerd serves it as-is; cmd/campaign layers its live /status
-// handlers on top.
+// cmd/campaign and cmd/campaignd layer their own handlers on top.
 func MetricsMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -4,10 +4,10 @@
 // simulator's flight-data recorder fills its fixed-size event ring with.
 //
 // The package is dependency-free (standard library only, no other
-// internal packages) so every layer of the stack — sim, ekf, core,
-// telemetry, and the cmd/ entry points — can instrument itself without
-// import cycles. Exposition formats are Prometheus text (WritePrometheus)
-// and a JSON snapshot document (WriteJSON / ValidateSnapshotJSON).
+// internal packages) so every layer of the stack — sim, ekf, core and the
+// cmd/ entry points — can instrument itself without import cycles.
+// Exposition formats are Prometheus text (WritePrometheus) and a JSON
+// snapshot document (WriteJSON / ValidateSnapshotJSON).
 //
 // Time never comes from the host clock here: library code receives a
 // Clock value and cmd/ entry points decide whether it is wall time or a

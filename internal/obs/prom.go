@@ -45,8 +45,8 @@ func promFloat(v float64) string {
 }
 
 // WritePrometheus writes every registered metric in the Prometheus text
-// exposition format (version 0.0.4), the scrape payload cmd/trackerd's
-// /metrics endpoint serves. Metrics appear sorted by name.
+// exposition format (version 0.0.4), the scrape payload of the /metrics
+// endpoint MetricsMux serves. Metrics appear sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	s := r.Snapshot()
 	bw := bufio.NewWriter(w)

@@ -19,7 +19,8 @@ import (
 )
 
 // Telemetry is the 1 Hz tracker-rate observation delivered to an optional
-// observer (the telemetry/U-space pipeline or a live monitor).
+// observer (telemetry.EncodeTelemetry turns one into the frames
+// uspace.Tracker ingests; cmd/figures records the Fig. 2 bubble series).
 type Telemetry struct {
 	T         float64
 	MissionID int

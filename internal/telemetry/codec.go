@@ -1,16 +1,19 @@
-// Package telemetry implements the flight-data distribution path of the
-// paper's experimental platform (Fig. 1): a compact MAVLink-flavoured
-// binary message codec, a TCP publish/subscribe broker (the "core broker"
-// / "edge broker" pair), and a tracker client that feeds U-space with
-// 1 Hz position reports.
+// Package telemetry is the wire format of the paper's tracking path
+// (Fig. 1): a compact MAVLink-flavoured binary frame codec for the 1 Hz
+// position and bubble reports a vehicle sends to the U-space tracker.
+// EncodeTelemetry turns one sim.Telemetry observation into those two
+// frames; ReadFrameBytes is the one decoder. The paper's edge and core
+// brokers only forward frames, so no transport is modelled: the frames go
+// straight to uspace.Tracker.Ingest.
 package telemetry
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"uavres/internal/sim"
 )
 
 // Frame layout (little-endian payloads):
@@ -31,12 +34,8 @@ const (
 
 // Message IDs.
 const (
-	// MsgHeartbeat announces a live system.
-	MsgHeartbeat uint8 = 0
 	// MsgPosition carries the EKF position/velocity solution.
 	MsgPosition uint8 = 33
-	// MsgAttitude carries attitude and body rates.
-	MsgAttitude uint8 = 30
 	// MsgBubble carries the U-space bubble status.
 	MsgBubble uint8 = 100
 )
@@ -89,41 +88,6 @@ func (f Frame) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// ReadFrame reads and validates one frame from r.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	if hdr[0] != frameMagic {
-		return Frame{}, ErrBadMagic
-	}
-	n := int(hdr[1])
-	rest := make([]byte, n+crcLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return Frame{}, ErrShortFrame
-		}
-		return Frame{}, err
-	}
-	want := binary.LittleEndian.Uint16(rest[n:])
-	crcInput := make([]byte, 0, headerLen-1+n)
-	crcInput = append(crcInput, hdr[1:]...)
-	crcInput = append(crcInput, rest[:n]...)
-	if crc16(crcInput) != want {
-		return Frame{}, ErrBadCRC
-	}
-	return Frame{Seq: hdr[2], SysID: hdr[3], MsgID: hdr[4], Payload: rest[:n]}, nil
-}
-
-// Heartbeat announces a live system and its state.
-type Heartbeat struct {
-	// TimeSec is the sender's sim time.
-	TimeSec float64
-	// Phase encodes the flight phase (mission-executor state).
-	Phase uint8
-}
-
 // Position is the EKF navigation solution in the local NED frame.
 type Position struct {
 	TimeSec          float64
@@ -131,13 +95,6 @@ type Position struct {
 	VX, VY, VZ       float64 // m/s, NED
 	AirspeedMS       float64
 	WaypointsReached uint8
-}
-
-// Attitude is the vehicle attitude and body rates.
-type Attitude struct {
-	TimeSec          float64
-	Roll, Pitch, Yaw float64 // rad
-	P, Q, R          float64 // rad/s body rates
 }
 
 // Bubble is the U-space bubble status at a tracking instant.
@@ -159,35 +116,15 @@ func getF64(b []byte, off int) (float64, int) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[off:])), off + 8
 }
 
-// EncodeHeartbeat builds a heartbeat frame.
-func EncodeHeartbeat(seq, sysID uint8, h Heartbeat) (Frame, error) {
-	p := make([]byte, 9)
-	off := putF64(p, 0, h.TimeSec)
-	p[off] = h.Phase
-	return Frame{Seq: seq, SysID: sysID, MsgID: MsgHeartbeat, Payload: p}, nil
-}
-
-// DecodeHeartbeat parses a heartbeat payload.
-func DecodeHeartbeat(f Frame) (Heartbeat, error) {
-	if f.MsgID != MsgHeartbeat || len(f.Payload) != 9 {
-		return Heartbeat{}, fmt.Errorf("telemetry: not a heartbeat frame (msg %d, %d bytes)", f.MsgID, len(f.Payload))
-	}
-	var h Heartbeat
-	var off int
-	h.TimeSec, off = getF64(f.Payload, 0)
-	h.Phase = f.Payload[off]
-	return h, nil
-}
-
 // EncodePosition builds a position frame.
-func EncodePosition(seq, sysID uint8, m Position) (Frame, error) {
+func EncodePosition(seq, sysID uint8, m Position) Frame {
 	p := make([]byte, 8*8+1)
 	off := 0
 	for _, v := range []float64{m.TimeSec, m.X, m.Y, m.Z, m.VX, m.VY, m.VZ, m.AirspeedMS} {
 		off = putF64(p, off, v)
 	}
 	p[off] = m.WaypointsReached
-	return Frame{Seq: seq, SysID: sysID, MsgID: MsgPosition, Payload: p}, nil
+	return Frame{Seq: seq, SysID: sysID, MsgID: MsgPosition, Payload: p}
 }
 
 // DecodePosition parses a position payload.
@@ -204,31 +141,8 @@ func DecodePosition(f Frame) (Position, error) {
 	return m, nil
 }
 
-// EncodeAttitude builds an attitude frame.
-func EncodeAttitude(seq, sysID uint8, m Attitude) (Frame, error) {
-	p := make([]byte, 7*8)
-	off := 0
-	for _, v := range []float64{m.TimeSec, m.Roll, m.Pitch, m.Yaw, m.P, m.Q, m.R} {
-		off = putF64(p, off, v)
-	}
-	return Frame{Seq: seq, SysID: sysID, MsgID: MsgAttitude, Payload: p}, nil
-}
-
-// DecodeAttitude parses an attitude payload.
-func DecodeAttitude(f Frame) (Attitude, error) {
-	if f.MsgID != MsgAttitude || len(f.Payload) != 7*8 {
-		return Attitude{}, fmt.Errorf("telemetry: not an attitude frame (msg %d, %d bytes)", f.MsgID, len(f.Payload))
-	}
-	var m Attitude
-	off := 0
-	for _, dst := range []*float64{&m.TimeSec, &m.Roll, &m.Pitch, &m.Yaw, &m.P, &m.Q, &m.R} {
-		*dst, off = getF64(f.Payload, off)
-	}
-	return m, nil
-}
-
 // EncodeBubble builds a bubble-status frame.
-func EncodeBubble(seq, sysID uint8, m Bubble) (Frame, error) {
+func EncodeBubble(seq, sysID uint8, m Bubble) Frame {
 	p := make([]byte, 4*8+1)
 	off := 0
 	for _, v := range []float64{m.TimeSec, m.DeviationM, m.InnerRadiusM, m.OuterRadiusM} {
@@ -242,7 +156,7 @@ func EncodeBubble(seq, sysID uint8, m Bubble) (Frame, error) {
 		flags |= 2
 	}
 	p[off] = flags
-	return Frame{Seq: seq, SysID: sysID, MsgID: MsgBubble, Payload: p}, nil
+	return Frame{Seq: seq, SysID: sysID, MsgID: MsgBubble, Payload: p}
 }
 
 // DecodeBubble parses a bubble-status payload.
@@ -256,13 +170,16 @@ func DecodeBubble(f Frame) (Bubble, error) {
 		*dst, off = getF64(f.Payload, off)
 	}
 	flags := f.Payload[off]
+	if flags&^3 != 0 {
+		return Bubble{}, fmt.Errorf("telemetry: bubble flags %#x set reserved bits", flags)
+	}
 	m.InnerViolated = flags&1 != 0
 	m.OuterViolated = flags&2 != 0
 	return m, nil
 }
 
-// ReadFrameBytes decodes one frame from a byte slice (allocation-light
-// counterpart of ReadFrame for benchmarks and in-memory paths).
+// ReadFrameBytes decodes and validates one frame at the start of raw.
+// Bytes past the frame are ignored; the payload aliases raw.
 func ReadFrameBytes(raw []byte) (Frame, error) {
 	if len(raw) < headerLen+crcLen {
 		return Frame{}, ErrShortFrame
@@ -279,4 +196,24 @@ func ReadFrameBytes(raw []byte) (Frame, error) {
 		return Frame{}, ErrBadCRC
 	}
 	return Frame{Seq: raw[2], SysID: raw[3], MsgID: raw[4], Payload: raw[headerLen : headerLen+n]}, nil
+}
+
+// EncodeTelemetry turns one 1 Hz observation into the two frames a
+// vehicle reports to U-space: its EKF position and its bubble status.
+func EncodeTelemetry(seq, sysID uint8, tel sim.Telemetry) (pos, bub Frame) {
+	pos = EncodePosition(seq, sysID, Position{
+		TimeSec: tel.T,
+		X:       tel.EstPos.X, Y: tel.EstPos.Y, Z: tel.EstPos.Z,
+		VX: tel.EstVel.X, VY: tel.EstVel.Y, VZ: tel.EstVel.Z,
+		AirspeedMS: tel.Airspeed,
+	})
+	bub = EncodeBubble(seq, sysID, Bubble{
+		TimeSec:       tel.T,
+		DeviationM:    tel.Bubble.Deviation,
+		InnerRadiusM:  tel.Bubble.InnerRadius,
+		OuterRadiusM:  tel.Bubble.OuterRadius,
+		InnerViolated: tel.Bubble.InnerViolated,
+		OuterViolated: tel.Bubble.OuterViolated,
+	})
+	return pos, bub
 }

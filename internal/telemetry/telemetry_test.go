@@ -7,7 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"uavres/internal/obs"
+	"uavres/internal/bubble"
+	"uavres/internal/mathx"
+	"uavres/internal/sim"
 )
 
 func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
@@ -16,7 +18,7 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(bytes.NewReader(raw))
+	got, err := ReadFrameBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestFrameRejectsOversizedPayload(t *testing.T) {
 
 func TestReadFrameBadMagic(t *testing.T) {
 	raw := []byte{0x55, 0, 0, 0, 0, 0, 0}
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadMagic) {
+	if _, err := ReadFrameBytes(raw); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("err = %v, want ErrBadMagic", err)
 	}
 }
@@ -46,7 +48,7 @@ func TestReadFrameCorruptCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw[6] ^= 0xFF // flip a payload bit
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadCRC) {
+	if _, err := ReadFrameBytes(raw); !errors.Is(err, ErrBadCRC) {
 		t.Errorf("err = %v, want ErrBadCRC", err)
 	}
 }
@@ -57,7 +59,7 @@ func TestReadFrameTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(raw[:len(raw)-3])); !errors.Is(err, ErrShortFrame) {
+	if _, err := ReadFrameBytes(raw[:len(raw)-3]); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("err = %v, want ErrShortFrame", err)
 	}
 }
@@ -70,63 +72,52 @@ func TestCRC16KnownValue(t *testing.T) {
 }
 
 func TestMessageRoundTrips(t *testing.T) {
-	hb := Heartbeat{TimeSec: 12.5, Phase: 2}
-	f, err := EncodeHeartbeat(1, 4, hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeHeartbeat(f); err != nil || got != hb {
-		t.Errorf("heartbeat round trip = %+v, %v", got, err)
-	}
-
 	pos := Position{TimeSec: 90, X: 1.5, Y: -2.5, Z: -15, VX: 3, VY: -1, VZ: 0.1, AirspeedMS: 3.2, WaypointsReached: 2}
-	f, err = EncodePosition(2, 4, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodePosition(f); err != nil || got != pos {
+	if got, err := DecodePosition(EncodePosition(2, 4, pos)); err != nil || got != pos {
 		t.Errorf("position round trip = %+v, %v", got, err)
 	}
 
-	att := Attitude{TimeSec: 90, Roll: 0.1, Pitch: -0.05, Yaw: 1.7, P: 0.01, Q: 0, R: -0.02}
-	f, err = EncodeAttitude(3, 4, att)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeAttitude(f); err != nil || got != att {
-		t.Errorf("attitude round trip = %+v, %v", got, err)
-	}
-
 	bub := Bubble{TimeSec: 91, DeviationM: 6.2, InnerRadiusM: 5.8, OuterRadiusM: 5.8, InnerViolated: true}
-	f, err = EncodeBubble(4, 4, bub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeBubble(f); err != nil || got != bub {
+	if got, err := DecodeBubble(EncodeBubble(4, 4, bub)); err != nil || got != bub {
 		t.Errorf("bubble round trip = %+v, %v", got, err)
 	}
 }
 
 func TestDecodeWrongMessageType(t *testing.T) {
-	f, err := EncodeHeartbeat(0, 1, Heartbeat{})
-	if err != nil {
-		t.Fatal(err)
+	pf := EncodePosition(0, 1, Position{})
+	if _, err := DecodeBubble(pf); err == nil {
+		t.Error("position decoded as bubble")
 	}
-	if _, err := DecodePosition(f); err == nil {
-		t.Error("heartbeat decoded as position")
+	bf := EncodeBubble(0, 1, Bubble{})
+	if _, err := DecodePosition(bf); err == nil {
+		t.Error("bubble decoded as position")
 	}
-	if _, err := DecodeBubble(f); err == nil {
-		t.Error("heartbeat decoded as bubble")
+	// A bubble frame with reserved flag bits set would not re-encode to
+	// the same bytes, so it is malformed.
+	bf.Payload[len(bf.Payload)-1] = 4
+	if _, err := DecodeBubble(bf); err == nil {
+		t.Error("bubble flags with reserved bits accepted")
 	}
-	if _, err := DecodeAttitude(f); err == nil {
-		t.Error("heartbeat decoded as attitude")
+}
+
+// TestEncodeTelemetry: one observation becomes a position frame and a
+// bubble frame that carry its estimate and bubble verdict unchanged.
+func TestEncodeTelemetry(t *testing.T) {
+	tel := sim.Telemetry{
+		T: 91, EstPos: mathx.V3(1, 2, -15), EstVel: mathx.V3(3, 0, 0.5), Airspeed: 3.1,
+		Bubble: bubble.Sample{Deviation: 7, InnerRadius: 5.5, OuterRadius: 6.5, InnerViolated: true, OuterViolated: true},
 	}
-	pf, err := EncodePosition(0, 1, Position{})
-	if err != nil {
-		t.Fatal(err)
+	pf, bf := EncodeTelemetry(3, 5, tel)
+	if pf.Seq != 3 || pf.SysID != 5 || bf.Seq != 3 || bf.SysID != 5 {
+		t.Errorf("headers %+v / %+v", pf, bf)
 	}
-	if _, err := DecodeHeartbeat(pf); err == nil {
-		t.Error("position decoded as heartbeat")
+	want := Position{TimeSec: 91, X: 1, Y: 2, Z: -15, VX: 3, VZ: 0.5, AirspeedMS: 3.1}
+	if got, err := DecodePosition(pf); err != nil || got != want {
+		t.Errorf("position = %+v, %v; want %+v", got, err, want)
+	}
+	wantB := Bubble{TimeSec: 91, DeviationM: 7, InnerRadiusM: 5.5, OuterRadiusM: 6.5, InnerViolated: true, OuterViolated: true}
+	if got, err := DecodeBubble(bf); err != nil || got != wantB {
+		t.Errorf("bubble = %+v, %v; want %+v", got, err, wantB)
 	}
 }
 
@@ -141,7 +132,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := ReadFrame(bytes.NewReader(raw))
+		out, err := ReadFrameBytes(raw)
 		if err != nil {
 			return false
 		}
@@ -159,235 +150,10 @@ func TestPositionRoundTripProperty(t *testing.T) {
 			return true // NaN != NaN; skip
 		}
 		in := Position{X: x, Y: y, Z: z, VX: vx}
-		fr, err := EncodePosition(0, 1, in)
-		if err != nil {
-			return false
-		}
-		out, err := DecodePosition(fr)
+		out, err := DecodePosition(EncodePosition(0, 1, in))
 		return err == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBrokerEndToEnd(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	sub, err := NewSubscriber(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	pub, err := NewPublisher(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	// Give the broker a moment to register the subscriber.
-	b.WaitStats(func(st BrokerStats) bool { return st.Subscribers == 1 })
-
-	want := Position{TimeSec: 42, X: 1, Y: 2, Z: -15}
-	f, err := EncodePosition(0, 9, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(f); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := sub.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SysID != 9 {
-		t.Errorf("sysID = %d", got.SysID)
-	}
-	pos, err := DecodePosition(got)
-	if err != nil || pos != want {
-		t.Errorf("received %+v, %v", pos, err)
-	}
-}
-
-func TestBrokerMultipleSubscribers(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	subs := make([]*Subscriber, 3)
-	for i := range subs {
-		s, err := NewSubscriber(b.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		subs[i] = s
-	}
-	b.WaitStats(func(st BrokerStats) bool { return st.Subscribers == 3 })
-
-	pub, err := NewPublisher(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	f, err := EncodeHeartbeat(0, 1, Heartbeat{TimeSec: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(f); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range subs {
-		got, err := s.Next()
-		if err != nil {
-			t.Fatalf("subscriber %d: %v", i, err)
-		}
-		if got.MsgID != MsgHeartbeat {
-			t.Errorf("subscriber %d got msg %d", i, got.MsgID)
-		}
-	}
-}
-
-func TestBrokerSequenceStamping(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	sub, err := NewSubscriber(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	b.WaitStats(func(st BrokerStats) bool { return st.Subscribers == 1 })
-
-	pub, err := NewPublisher(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	for i := 0; i < 3; i++ {
-		f, err := EncodeHeartbeat(0, 1, Heartbeat{TimeSec: float64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pub.Publish(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		got, err := sub.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(got.Seq) != i {
-			t.Errorf("frame %d has seq %d", i, got.Seq)
-		}
-	}
-}
-
-func TestBrokerDisconnectedPublisherOnCorruptStream(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	pub, err := NewPublisher(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	b.WaitStats(func(st BrokerStats) bool { return st.Publishers == 1 })
-
-	// Inject a full header of garbage directly: the broker must drop the
-	// connection on the bad magic byte.
-	if _, err := pub.conn.Write([]byte{0x00, 0x01, 0x02, 0x03, 0x04}); err != nil {
-		t.Fatal(err)
-	}
-	b.WaitStats(func(st BrokerStats) bool { return st.Publishers == 0 })
-}
-
-func TestBrokerCloseIdempotent(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Errorf("second close: %v", err)
-	}
-}
-
-// TestBrokerRegisterMetrics: the broker's counters are re-exported as live
-// gauges through an obs registry, tracking Stats() without a second set of
-// counters.
-func TestBrokerRegisterMetrics(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	reg := obs.NewRegistry()
-	b.RegisterMetrics(reg)
-
-	gauge := func(s obs.Snapshot, name string) (float64, bool) {
-		for _, g := range s.Gauges {
-			if g.Name == name {
-				return g.Value, true
-			}
-		}
-		return 0, false
-	}
-
-	s := reg.Snapshot()
-	for _, name := range []string{
-		"telemetry_frames_in", "telemetry_frames_out", "telemetry_frames_dropped",
-		"telemetry_subscribers", "telemetry_publishers",
-	} {
-		if v, found := gauge(s, name); !found || v != 0 {
-			t.Errorf("%s = %v, %v; want 0, true", name, v, found)
-		}
-	}
-
-	sub, err := NewSubscriber(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	pub, err := NewPublisher(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	b.WaitStats(func(st BrokerStats) bool { return st.Subscribers == 1 && st.Publishers == 1 })
-
-	f, err := EncodePosition(0, 9, Position{TimeSec: 1, X: 1, Y: 2, Z: -15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(f); err != nil {
-		t.Fatal(err)
-	}
-	b.WaitStats(func(st BrokerStats) bool { return st.FramesIn == 1 && st.FramesOut == 1 })
-
-	s = reg.Snapshot()
-	if v, _ := gauge(s, "telemetry_frames_in"); v != 1 {
-		t.Errorf("frames_in gauge = %v, want 1", v)
-	}
-	if v, _ := gauge(s, "telemetry_subscribers"); v != 1 {
-		t.Errorf("subscribers gauge = %v, want 1", v)
 	}
 }

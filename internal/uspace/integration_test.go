@@ -1,104 +1,81 @@
 package uspace
 
 import (
-	"errors"
-	"io"
-	"sync"
+	"math"
 	"testing"
+	"time"
 
-	"uavres/internal/mathx"
+	"uavres/internal/faultinject"
 	"uavres/internal/mission"
 	"uavres/internal/sim"
 	"uavres/internal/telemetry"
 )
 
-// TestFlightThroughBrokerToUspace exercises the full Fig. 1 data path:
-// a simulated flight publishes tracker-rate telemetry through the TCP
-// broker; the U-space tracking service consumes it and reconstructs the
-// flight's bubble-violation record.
-func TestFlightThroughBrokerToUspace(t *testing.T) {
-	broker, err := telemetry.NewBroker("127.0.0.1:0")
+// TestFig2ViolationsThroughCodecToTracker is the oracle for the Fig. 1
+// tracking path. It flies the Fig. 2 case exactly as cmd/figures does
+// (acc Zeros on mission 5 at 90 s for 30 s), a flight that crosses both
+// bubble layers, and sends every 1 Hz observation through the wire:
+// EncodeTelemetry, Frame.Encode, ReadFrameBytes, Tracker.Ingest. The
+// tracker must count the recorder's inner and outer violations (19/8,
+// pinned in cmd/figures/testdata/figures.txt) and hold the last
+// observation's position and bubble radii bit for bit.
+func TestFig2ViolationsThroughCodecToTracker(t *testing.T) {
+	m := mission.Valencia()[4]
+	inj := faultinject.Injection{
+		Primitive: faultinject.Zeros, Target: faultinject.TargetAccel,
+		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 6,
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Seed = 42
+	cfg.RecordTrajectory = true
+
+	sysID := uint8(m.ID)
+	tr := NewTracker()
+	var last sim.Telemetry
+	var n int
+	res, err := sim.Run(cfg, m, &inj, func(tel sim.Telemetry) {
+		pf, bf := telemetry.EncodeTelemetry(uint8(n), sysID, tel)
+		for _, f := range []telemetry.Frame{pf, bf} {
+			raw, err := f.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := telemetry.ReadFrameBytes(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Ingest(got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last = tel
+		n++
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer broker.Close()
-
-	sub, err := telemetry.NewSubscriber(broker.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	tracker := NewTracker()
-	var pumpWG sync.WaitGroup
-	pumpWG.Add(1)
-	var pumpErr error
-	go func() {
-		defer pumpWG.Done()
-		pumpErr = Pump(sub, tracker)
-	}()
-
-	// Subscriber registration is asynchronous (the broker registers it
-	// after reading the role byte); under load the whole flight could
-	// stream before that happens and every frame would fan out to nobody.
-	broker.WaitStats(func(st telemetry.BrokerStats) bool { return st.Subscribers >= 1 })
-
-	pub, err := telemetry.NewPublisher(broker.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := telemetry.NewTrackerClient(pub, 42)
-
-	m := mission.Mission{
-		ID: 42, Name: "telemetry hop", CruiseSpeedMS: 3.3, AltitudeM: 15,
-		Drone:     mission.DroneSpec{Name: "t", DimensionM: 0.8, SafetyDistM: 2, MaxSpeedMS: 5},
-		Start:     mathx.V3(0, 0, 0),
-		Waypoints: []mathx.Vec3{{X: 0, Y: 100, Z: -15}},
-	}
-	res, err := sim.Run(sim.DefaultConfig(), m, nil, client.Observe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != sim.OutcomeCompleted {
-		t.Fatalf("flight outcome = %v", res.Outcome)
-	}
-	select {
-	case err := <-client.Errs():
-		t.Fatalf("telemetry publish error: %v", err)
-	default:
-	}
-	pub.Close()
-	// Closing the broker immediately would race the tail of the stream:
-	// under load (race detector, parallel packages) it can tear down
-	// before ingesting the publisher's final frames. Once the broker has
-	// observed the publisher's disconnect it has read — and synchronously
-	// fanned out — everything the publisher ever sent; Close then flushes
-	// the subscriber's queued frames before dropping its connection.
-	broker.WaitStats(func(st telemetry.BrokerStats) bool { return st.Publishers == 0 })
-	broker.Close()
-	pumpWG.Wait()
-	if pumpErr != nil && !errors.Is(pumpErr, io.EOF) {
-		// Connection teardown errors are expected forms of stream end.
-		t.Logf("pump ended with: %v", pumpErr)
+	if res.InnerViolations == 0 || res.OuterViolations == 0 {
+		t.Fatalf("Fig. 2 flight violated %d/%d; the oracle needs both layers crossed",
+			res.InnerViolations, res.OuterViolations)
 	}
 
-	d, tracked := tracker.Drone(42)
+	d, tracked := tr.Drone(sysID)
 	if !tracked {
-		t.Fatal("U-space never saw drone 42")
+		t.Fatalf("tracker never saw drone %d over %d observations", sysID, n)
 	}
-	// The last report should be near the landing site (waypoint, ground).
-	if d.Pos.DistXY(mathx.V3(0, 100, 0)) > 10 {
-		t.Errorf("last tracked position %v, want near (0, 100)", d.Pos)
-	}
-	// A gold run reports no violations; radii must have been transported.
 	if d.InnerViolations != res.InnerViolations || d.OuterViolations != res.OuterViolations {
-		t.Errorf("U-space violations %d/%d, sim reported %d/%d",
+		t.Errorf("tracker counted %d/%d violations, recorder %d/%d",
 			d.InnerViolations, d.OuterViolations, res.InnerViolations, res.OuterViolations)
 	}
-	if d.InnerRadius <= 0 || d.OuterRadius < d.InnerRadius {
-		t.Errorf("bubble radii %v/%v", d.InnerRadius, d.OuterRadius)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(d.Pos.X, last.EstPos.X) || !same(d.Pos.Y, last.EstPos.Y) || !same(d.Pos.Z, last.EstPos.Z) {
+		t.Errorf("last tracked position %v, last observation %v", d.Pos, last.EstPos)
 	}
-	if got := broker.Stats(); got.FramesIn < 50 {
-		t.Errorf("broker forwarded only %d frames for a ~55 s flight", got.FramesIn)
+	if !same(d.InnerRadius, last.Bubble.InnerRadius) || !same(d.OuterRadius, last.Bubble.OuterRadius) {
+		t.Errorf("last tracked radii %v/%v, last observation %v/%v",
+			d.InnerRadius, d.OuterRadius, last.Bubble.InnerRadius, last.Bubble.OuterRadius)
+	}
+	if !same(d.TimeSec, last.T) {
+		t.Errorf("last tracked time %v, last observation %v", d.TimeSec, last.T)
 	}
 }

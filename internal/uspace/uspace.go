@@ -1,17 +1,17 @@
 // Package uspace implements the U-space-side tracking service: it
-// consumes telemetry position reports from the broker, maintains the last
-// known state of every drone in the airspace, and monitors pairwise
-// separation using the two-layer bubble model — the "tracker" box of the
-// paper's platform (Fig. 1) and the conflict-rate machinery of the
-// authors' companion study.
+// ingests telemetry position and bubble frames, keeps the last known
+// state of every drone in the airspace, and monitors pairwise separation
+// using the two-layer bubble model — the "tracker" box of the paper's
+// platform (Fig. 1) and the conflict-rate machinery of the authors'
+// companion study. A Tracker is single-threaded: one caller feeds it and
+// queries it.
 package uspace
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"uavres/internal/mathx"
+	"uavres/internal/telemetry"
 )
 
 // DroneState is the tracker's last known state for one drone.
@@ -49,43 +49,58 @@ type Conflict struct {
 	Critical bool
 }
 
-// Tracker is the U-space tracking/separation service. Safe for concurrent
-// use: the telemetry pump and monitoring queries may run on different
-// goroutines.
+// Tracker is the U-space tracking/separation service.
 type Tracker struct {
-	mu     sync.Mutex
-	drones map[uint8]*DroneState // guarded by mu
+	// drones is indexed by SysID, so a scan visits drones in ascending
+	// SysID order and conflicts are recorded in a fixed order.
+	drones [256]*DroneState
 	// conflicts accumulates detected infringements (deduplicated per
-	// pair per tracking second). guarded by mu.
+	// pair per tracking second).
 	conflicts []Conflict
-	lastPair  map[[2]uint8]float64 // guarded by mu
+	lastPair  map[[2]uint8]float64
 }
 
 // NewTracker returns an empty tracking service.
 func NewTracker() *Tracker {
-	return &Tracker{
-		drones:   map[uint8]*DroneState{},
-		lastPair: map[[2]uint8]float64{},
+	return &Tracker{lastPair: map[[2]uint8]float64{}}
+}
+
+// Ingest decodes one telemetry frame into a position or bubble report.
+// A malformed frame or an unknown message ID returns an error and leaves
+// the tracker unchanged.
+func (tr *Tracker) Ingest(f telemetry.Frame) error {
+	switch f.MsgID {
+	case telemetry.MsgPosition:
+		p, err := telemetry.DecodePosition(f)
+		if err != nil {
+			return err
+		}
+		tr.ReportPosition(f.SysID, p.TimeSec, mathx.V3(p.X, p.Y, p.Z), mathx.V3(p.VX, p.VY, p.VZ))
+	case telemetry.MsgBubble:
+		b, err := telemetry.DecodeBubble(f)
+		if err != nil {
+			return err
+		}
+		tr.ReportBubble(f.SysID, b.TimeSec, b.InnerRadiusM, b.OuterRadiusM, b.InnerViolated, b.OuterViolated)
+	default:
+		return fmt.Errorf("uspace: unknown message ID %d from system %d", f.MsgID, f.SysID)
 	}
+	return nil
 }
 
 // ReportPosition ingests a position report and re-evaluates separation.
 func (tr *Tracker) ReportPosition(sysID uint8, timeSec float64, pos, vel mathx.Vec3) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	d := tr.droneLocked(sysID)
+	d := tr.drone(sysID)
 	d.TimeSec = timeSec
 	d.Pos = pos
 	d.Vel = vel
 	d.HasPosition = true
-	tr.checkSeparationLocked(d)
+	tr.checkSeparation(d)
 }
 
 // ReportBubble ingests a bubble status report.
 func (tr *Tracker) ReportBubble(sysID uint8, timeSec float64, innerR, outerR float64, innerViolated, outerViolated bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	d := tr.droneLocked(sysID)
+	d := tr.drone(sysID)
 	d.TimeSec = timeSec
 	d.InnerRadius = innerR
 	d.OuterRadius = outerR
@@ -97,20 +112,20 @@ func (tr *Tracker) ReportBubble(sysID uint8, timeSec float64, innerR, outerR flo
 	}
 }
 
-func (tr *Tracker) droneLocked(sysID uint8) *DroneState {
-	d, exists := tr.drones[sysID]
-	if !exists {
+func (tr *Tracker) drone(sysID uint8) *DroneState {
+	d := tr.drones[sysID]
+	if d == nil {
 		d = &DroneState{SysID: sysID}
 		tr.drones[sysID] = d
 	}
 	return d
 }
 
-// checkSeparationLocked evaluates the moved drone against every other
-// tracked drone. The caller holds tr.mu, as the name demands.
-func (tr *Tracker) checkSeparationLocked(moved *DroneState) {
+// checkSeparation evaluates the moved drone against every other tracked
+// drone, in ascending SysID order.
+func (tr *Tracker) checkSeparation(moved *DroneState) {
 	for _, other := range tr.drones {
-		if other.SysID == moved.SysID || !other.HasPosition {
+		if other == nil || other.SysID == moved.SysID || !other.HasPosition {
 			continue
 		}
 		// Stale tracks (no report within 5 s of the mover's clock) are
@@ -149,36 +164,30 @@ func pairKey(a, b uint8) [2]uint8 {
 	return [2]uint8{a, b}
 }
 
-// Drones returns a snapshot of all tracked drones, ordered by SysID.
+// Drones returns a copy of every tracked drone, ordered by SysID.
 func (tr *Tracker) Drones() []DroneState {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]DroneState, 0, len(tr.drones))
+	var out []DroneState
 	for _, d := range tr.drones {
-		out = append(out, *d)
+		if d != nil {
+			out = append(out, *d)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SysID < out[j].SysID })
 	return out
 }
 
 // Drone returns the state for one drone.
 func (tr *Tracker) Drone(sysID uint8) (DroneState, bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	d, exists := tr.drones[sysID]
-	if !exists {
+	d := tr.drones[sysID]
+	if d == nil {
 		return DroneState{}, false
 	}
 	return *d, true
 }
 
-// Conflicts returns a snapshot of all recorded separation conflicts.
+// Conflicts returns a copy of all recorded separation conflicts, in the
+// order they were detected.
 func (tr *Tracker) Conflicts() []Conflict {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]Conflict, len(tr.conflicts))
-	copy(out, tr.conflicts)
-	return out
+	return append([]Conflict(nil), tr.conflicts...)
 }
 
 // Summary renders a one-line-per-drone airspace picture.

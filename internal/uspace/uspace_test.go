@@ -1,11 +1,12 @@
 package uspace
 
 import (
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"uavres/internal/mathx"
+	"uavres/internal/telemetry"
 )
 
 func TestTrackerMaintainsStates(t *testing.T) {
@@ -140,31 +141,78 @@ func TestSummaryRendering(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccess(t *testing.T) {
-	tr := NewTracker()
-	var wg sync.WaitGroup
-	for id := uint8(1); id <= 4; id++ {
-		wg.Add(1)
-		go func(id uint8) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tm := float64(i) * 0.01
-				tr.ReportPosition(id, tm, mathx.V3(float64(id)*100, float64(i), -15), mathx.Zero3)
-				tr.ReportBubble(id, tm, 5, 8, i%7 == 0, false)
-			}
-		}(id)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			tr.Drones()
-			tr.Conflicts()
+// TestConflictOrderIsDeterministic: when one position report conflicts
+// with several drones, the conflicts are recorded in ascending SysID
+// order, whatever order the drones first appeared in. The same reports
+// go to many fresh trackers; every conflict list must be identical.
+func TestConflictOrderIsDeterministic(t *testing.T) {
+	feed := func(tr *Tracker) {
+		// Three drones far apart; drone 3 appears first.
+		for _, id := range []uint8{3, 2, 1} {
+			tr.ReportBubble(id, 10, 5, 8, false, false)
 		}
-	}()
-	wg.Wait()
-	<-done
-	if len(tr.Drones()) != 4 {
-		t.Errorf("drones = %d", len(tr.Drones()))
+		tr.ReportPosition(3, 10, mathx.V3(0, 100, 0), mathx.Zero3)
+		tr.ReportPosition(2, 10, mathx.V3(100, 0, 0), mathx.Zero3)
+		tr.ReportPosition(1, 10, mathx.Zero3, mathx.Zero3)
+		// They converge: drone 2 closes on drone 1, then drone 3's one
+		// report conflicts with both.
+		tr.ReportPosition(2, 11, mathx.V3(6, 0, 0), mathx.Zero3)
+		tr.ReportPosition(3, 11, mathx.V3(0, 6, 0), mathx.Zero3)
+	}
+	want := [][2]uint8{{1, 2}, {1, 3}, {2, 3}}
+	var first []Conflict
+	for i := 0; i < 50; i++ {
+		tr := NewTracker()
+		feed(tr)
+		got := tr.Conflicts()
+		if i == 0 {
+			first = got
+			var pairs [][2]uint8
+			for _, c := range got {
+				pairs = append(pairs, [2]uint8{c.A, c.B})
+			}
+			if !reflect.DeepEqual(pairs, want) {
+				t.Fatalf("conflict pairs %v, want %v", pairs, want)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("tracker %d: conflicts %+v, first tracker %+v", i, got, first)
+		}
+	}
+}
+
+// TestIngestFeedsTracker: position and bubble frames update the sender's
+// track; an unknown message ID or a malformed payload returns an error
+// and creates no track.
+func TestIngestFeedsTracker(t *testing.T) {
+	tr := NewTracker()
+	for _, f := range []telemetry.Frame{
+		telemetry.EncodePosition(0, 7, telemetry.Position{TimeSec: 5, X: 10, Y: 20, Z: -15}),
+		telemetry.EncodeBubble(1, 7, telemetry.Bubble{TimeSec: 5, InnerRadiusM: 5, OuterRadiusM: 6, InnerViolated: true}),
+	} {
+		if err := tr.Ingest(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, exists := tr.Drone(7)
+	if !exists {
+		t.Fatal("drone 7 not tracked")
+	}
+	if d.Pos.X != 10 || d.InnerRadius != 5 || d.InnerViolations != 1 {
+		t.Errorf("tracked state = %+v", d)
+	}
+
+	for _, bad := range []telemetry.Frame{
+		{SysID: 9, MsgID: 0, Payload: make([]byte, 9)},
+		{SysID: 9, MsgID: telemetry.MsgPosition, Payload: []byte{1, 2, 3}},
+		{SysID: 9, MsgID: telemetry.MsgBubble, Payload: []byte{1, 2, 3}},
+	} {
+		if err := tr.Ingest(bad); err == nil {
+			t.Errorf("frame %+v accepted", bad)
+		}
+	}
+	if _, exists := tr.Drone(9); exists {
+		t.Error("rejected frame created a track")
 	}
 }
