@@ -22,7 +22,8 @@
 # flight environment must match its straight-through and scalar-fork
 # runs bit for bit. Short
 # fuzz passes cover the resume decoder, the spec decoder and compiler,
-# the -select expression parser, the telemetry frame decoder and
+# the -select expression parser and the selection it makes (against the
+# pre-compilation reference predicate), the telemetry frame decoder and
 # fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
@@ -61,6 +62,9 @@ go test -run XXX -fuzz FuzzParseCompile -fuzztime 10s ./internal/spec/
 # Short fuzz pass over the -select expression parser (seed corpus under
 # internal/spec/testdata/fuzz): no panic, and every accepted selector
 # validates, has a non-negative mission and survives a JSON round trip.
+# It also selects: over each mini example spec, ApplySelectors and
+# Compile with the selector as the select list keep exactly the cases the
+# reference predicate keeps.
 go test -run XXX -fuzz FuzzParseSelector -fuzztime 10s ./internal/spec/
 # Short fuzz pass over the telemetry frame decoder (seed corpus under
 # internal/telemetry/testdata/fuzz): no panic from the frame and message

@@ -2,8 +2,10 @@ package spec
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"uavres/internal/core"
 	"uavres/internal/mission"
 )
 
@@ -65,10 +67,29 @@ func FuzzParseCompile(f *testing.F) {
 // FuzzParseSelector feeds arbitrary strings through ParseSelector: no
 // input may panic, and every accepted selector passes Validate, has a
 // non-negative mission and survives a JSON round trip (the form a spec's
-// select list takes). Seed corpus: testdata/fuzz/FuzzParseSelector (the
-// selector examples of README.md and ci.sh plus a negative mission that
-// once parsed and then selected nothing).
+// select list takes). It also selects: over each mini example spec's
+// unselected compile, ApplySelectors keeps what the reference predicate
+// keeps, and compiling the spec with the selector as its select list
+// gives the same cases. Seed corpus: testdata/fuzz/FuzzParseSelector (the
+// selector examples of README.md and ci.sh, a negative mission that once
+// parsed and then selected nothing, and selectors on starts, rotors and
+// airframes).
 func FuzzParseSelector(f *testing.F) {
+	type mini struct {
+		spec CampaignSpec
+		all  []core.Case
+	}
+	var minis []mini
+	for name, s := range exampleSpecs(f) {
+		if !strings.HasPrefix(name, "mini-") {
+			continue
+		}
+		all, err := s.Compile(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		minis = append(minis, mini{s, all})
+	}
 	f.Fuzz(func(t *testing.T, expr string) {
 		s, err := ParseSelector(expr)
 		if err != nil {
@@ -79,6 +100,22 @@ func FuzzParseSelector(f *testing.F) {
 		}
 		if s.Mission < 0 {
 			t.Fatalf("ParseSelector(%q) accepted mission %d", expr, s.Mission)
+		}
+		sels := []Selector{s}
+		for _, m := range minis {
+			want := referenceSelect(m.all, sels)
+			if diff := sameCases(ApplySelectors(m.all, sels), want); diff != "" {
+				t.Fatalf("%s, %q: ApplySelectors %s", m.spec.Name, expr, diff)
+			}
+			spec := m.spec
+			spec.Select = sels
+			got, err := spec.Compile(nil)
+			if err != nil {
+				t.Fatalf("%s, %q: %v", m.spec.Name, expr, err)
+			}
+			if diff := sameCases(got, want); diff != "" {
+				t.Fatalf("%s, %q: Compile %s", m.spec.Name, expr, diff)
+			}
 		}
 		data, err := json.Marshal(s)
 		if err != nil {

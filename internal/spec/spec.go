@@ -333,10 +333,16 @@ func (m Matrix) parse() (parsedMatrix, error) {
 
 // Compile expands the spec against a scenario into executable cases, in
 // deterministic order: missions in scenario order, gold first, then
-// targets x primitives x durations x starts. Selectors are applied last.
-// Compiled cases carry no fingerprint yet — the hash depends on the
-// final effective sim config, so AttachFingerprints runs after every
-// override source (spec and CLI) has been folded in.
+// targets x primitives x durations x starts, then actuator primitives x
+// rotors x durations x starts. The select list is applied during the
+// expansion: each level (mission, airframe, target or actuator primitive,
+// primitive, window) keeps only the selectors its value passes, a
+// subtree no selector reaches is skipped, and a case is built only for a
+// cell that some selector keeps, so set-up costs what is selected, not
+// what the matrix enumerates. Compiled cases carry no fingerprint yet —
+// the hash depends on the final effective sim config, so
+// AttachFingerprints runs after every override source (spec and CLI) has
+// been folded in.
 func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -363,31 +369,79 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 		return nil, err
 	}
 
-	perFrame := (len(m.targets)*len(m.primitives) + len(m.actuators)*len(m.rotors)) *
-		len(m.durations) * len(m.starts)
-	cases := make([]core.Case, 0, len(missions)*len(frames)*(perFrame+1))
+	var cases []core.Case
+	compiled := compileSelectors(s.Select)
+	if len(s.Select) == 0 {
+		// No select list keeps every cell: one matcher with no field set.
+		compiled = []matcher{{}}
+		perFrame := (len(m.targets)*len(m.primitives) + len(m.actuators)*len(m.rotors)) *
+			len(m.durations) * len(m.starts)
+		cases = make([]core.Case, 0, len(missions)*len(frames)*(perFrame+1))
+	}
+	all := make([]*matcher, len(compiled))
+	for i := range compiled {
+		all[i] = &compiled[i]
+	}
+	// The live selectors at each expansion level, in storage reused across
+	// iterations.
+	byMission := make([]*matcher, 0, len(all))
+	byFrame := make([]*matcher, 0, len(all))
+	byTarget := make([]*matcher, 0, len(all))
+	byPrim := make([]*matcher, 0, len(all))
 	for _, ms := range missions {
+		byMission = narrow(byMission, all, func(sel *matcher) bool { return sel.missionOK(ms.ID) })
 		// Every airframe of one mission shares the environment seed: the
 		// redundancy comparison varies the vehicle, not the weather.
 		envSeed := s.Seeds.envSeed(base, ms.ID)
 		for _, frame := range frames {
+			// Checked before any selector prunes: a rotor the airframe
+			// lacks is a spec error whether or not its cells are kept.
+			for _, rotor := range m.rotors {
+				if rotor >= frame.Rotors() {
+					return nil, fmt.Errorf("spec: actuator rotor %d does not exist on %s (%d rotors)",
+						rotor, frame, frame.Rotors())
+				}
+			}
+			byFrame = narrow(byFrame, byMission, func(sel *matcher) bool { return sel.frameOK(frame) })
+			if len(byFrame) == 0 {
+				continue
+			}
 			suffix, airframe := "", ""
 			if frame != physics.QuadX {
 				suffix = "-" + frame.Slug()
 				airframe = frame.String()
 			}
 			if gold {
-				cases = append(cases, core.Case{
-					ID:        fmt.Sprintf("m%02d-gold%s", ms.ID, suffix),
-					MissionID: ms.ID,
-					Seed:      envSeed,
-					Airframe:  airframe,
+				id, ok := pick(byFrame, (*matcher).goldOK, func() string {
+					return fmt.Sprintf("m%02d-gold%s", ms.ID, suffix)
 				})
+				if ok {
+					cases = append(cases, core.Case{
+						ID:        id,
+						MissionID: ms.ID,
+						Seed:      envSeed,
+						Airframe:  airframe,
+					})
+				}
 			}
 			for _, target := range m.targets {
+				byTarget = narrow(byTarget, byFrame, func(sel *matcher) bool { return sel.targetOK(target) })
+				if len(byTarget) == 0 {
+					continue
+				}
 				for _, prim := range m.primitives {
+					byPrim = narrow(byPrim, byTarget, func(sel *matcher) bool { return sel.faultOK(target, prim) })
+					if len(byPrim) == 0 {
+						continue
+					}
 					for _, dur := range m.durations {
 						for _, start := range m.starts {
+							id, ok := pick(byPrim, func(sel *matcher) bool { return sel.windowOK(dur, start) }, func() string {
+								return caseID(ms.ID, target, prim, dur, start) + suffix
+							})
+							if !ok {
+								continue
+							}
 							inj := &faultinject.Injection{
 								Primitive: prim,
 								Target:    target,
@@ -397,7 +451,7 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 								Seed:      s.Seeds.injSeed(base, ms.ID, target, prim, dur, start),
 							}
 							cases = append(cases, core.Case{
-								ID:        caseID(ms.ID, target, prim, dur, start) + suffix,
+								ID:        id,
 								MissionID: ms.ID,
 								Injection: inj,
 								Seed:      envSeed,
@@ -408,13 +462,21 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 				}
 			}
 			for _, prim := range m.actuators {
+				// Selectors have no rotor field, so the rotor level prunes
+				// nothing.
+				byPrim = narrow(byPrim, byFrame, func(sel *matcher) bool { return sel.faultOK(faultinject.TargetRotor, prim) })
+				if len(byPrim) == 0 {
+					continue
+				}
 				for _, rotor := range m.rotors {
-					if rotor >= frame.Rotors() {
-						return nil, fmt.Errorf("spec: actuator rotor %d does not exist on %s (%d rotors)",
-							rotor, frame, frame.Rotors())
-					}
 					for _, dur := range m.durations {
 						for _, start := range m.starts {
+							id, ok := pick(byPrim, func(sel *matcher) bool { return sel.windowOK(dur, start) }, func() string {
+								return actuatorCaseID(ms.ID, rotor, prim, dur, start) + suffix
+							})
+							if !ok {
+								continue
+							}
 							inj := &faultinject.Injection{
 								Primitive: prim,
 								Target:    faultinject.TargetRotor,
@@ -429,7 +491,7 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 								inj.Factor = m.loe
 							}
 							cases = append(cases, core.Case{
-								ID:        actuatorCaseID(ms.ID, rotor, prim, dur, start) + suffix,
+								ID:        id,
 								MissionID: ms.ID,
 								Injection: inj,
 								Seed:      envSeed,
@@ -441,7 +503,6 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 			}
 		}
 	}
-	cases = ApplySelectors(cases, s.Select)
 	if err := checkUniqueIDs(cases); err != nil {
 		return nil, err
 	}

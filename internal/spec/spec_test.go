@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -327,6 +329,13 @@ func TestParseSelector(t *testing.T) {
 			t.Errorf("ParseSelector(%q) accepted", bad)
 		}
 	}
+	// A zero start or duration means any, so "start=0" would keep every
+	// start; it is rejected rather than silently widened.
+	for _, zero := range []string{"mission=1,start=0", "start=0s", "duration=0", "dur=-0"} {
+		if _, err := ParseSelector(zero); err == nil || !strings.Contains(err.Error(), "0 means any") {
+			t.Errorf("ParseSelector(%q) = %v, want the 0-means-any error", zero, err)
+		}
+	}
 }
 
 // TestIDGlobMatchesSubstring pins that the ID glob "*SUBSTR*" selects
@@ -385,21 +394,59 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// fingerprintPayload is the struct whose json.Marshal encoding the
+// fingerprint digests; fingerprint assembles the same bytes from the case
+// and a config encoded once.
+type fingerprintPayload struct {
+	Version int        `json:"version"`
+	Case    core.Case  `json:"case"`
+	Config  sim.Config `json:"config"`
+}
+
+// TestAttachFingerprints: every example spec's cases, under the default
+// config, its own overrides and primary-unit scope, get distinct
+// fingerprints equal to Fingerprint's and to the digest of the
+// fingerprintPayload encoding.
 func TestAttachFingerprints(t *testing.T) {
-	cases, err := Paper(1).Compile(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	AttachFingerprints(cases, sim.DefaultConfig())
-	seen := map[string]bool{}
-	for _, c := range cases {
-		if c.Hash == "" {
-			t.Fatalf("%s: empty fingerprint", c.ID)
+	for name, s := range exampleSpecs(t) {
+		primary := s
+		primary.Matrix.Scope = "primary"
+		overridden := sim.DefaultConfig()
+		s.Overrides.Apply(&overridden)
+		for _, v := range []struct {
+			label string
+			spec  CampaignSpec
+			cfg   sim.Config
+		}{
+			{"default config", s, sim.DefaultConfig()},
+			{"spec overrides", s, overridden},
+			{"primary scope", primary, overridden},
+		} {
+			cases, err := v.spec.Compile(nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			AttachFingerprints(cases, v.cfg)
+			seen := map[string]bool{}
+			for _, c := range cases {
+				if c.Hash == "" || seen[c.Hash] {
+					t.Fatalf("%s, %s: %s: empty or colliding fingerprint %q", name, v.label, c.ID, c.Hash)
+				}
+				seen[c.Hash] = true
+				if want := Fingerprint(c, v.cfg); c.Hash != want {
+					t.Fatalf("%s, %s: %s: AttachFingerprints %s, Fingerprint %s", name, v.label, c.ID, c.Hash, want)
+				}
+				ref := c
+				ref.Hash = ""
+				payload, err := json.Marshal(fingerprintPayload{Version: Version, Case: ref, Config: v.cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sum := sha256.Sum256(payload); c.Hash != hex.EncodeToString(sum[:8]) {
+					t.Fatalf("%s, %s: %s: fingerprint %s is not the payload digest %x", name, v.label, c.ID, c.Hash, sum[:8])
+				}
+			}
 		}
-		if seen[c.Hash] {
-			t.Fatalf("%s: fingerprint collision", c.ID)
-		}
-		seen[c.Hash] = true
 	}
 }
 

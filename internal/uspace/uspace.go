@@ -189,16 +189,3 @@ func (tr *Tracker) Drone(sysID uint8) (DroneState, bool) {
 func (tr *Tracker) Conflicts() []Conflict {
 	return append([]Conflict(nil), tr.conflicts...)
 }
-
-// Summary renders a one-line-per-drone airspace picture.
-func (tr *Tracker) Summary() string {
-	drones := tr.Drones()
-	conflicts := tr.Conflicts()
-	s := fmt.Sprintf("airspace: %d drones, %d conflicts\n", len(drones), len(conflicts))
-	for _, d := range drones {
-		s += fmt.Sprintf("  drone %d: t=%.1fs pos=%s bubbles=%.1f/%.1fm violations=%d/%d\n",
-			d.SysID, d.TimeSec, d.Pos, d.InnerRadius, d.OuterRadius,
-			d.InnerViolations, d.OuterViolations)
-	}
-	return s
-}

@@ -2,7 +2,6 @@ package uspace
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"uavres/internal/mathx"
@@ -129,15 +128,6 @@ func TestZeroBubblesNeverConflict(t *testing.T) {
 	tr.ReportPosition(2, 10, mathx.V3(0.5, 0, 0), mathx.Zero3)
 	if got := tr.Conflicts(); len(got) != 0 {
 		t.Errorf("conflicts without bubbles = %+v", got)
-	}
-}
-
-func TestSummaryRendering(t *testing.T) {
-	tr := NewTracker()
-	tr.ReportPosition(4, 10, mathx.V3(1, 2, -15), mathx.Zero3)
-	s := tr.Summary()
-	if !strings.Contains(s, "1 drones") || !strings.Contains(s, "drone 4") {
-		t.Errorf("summary = %q", s)
 	}
 }
 
