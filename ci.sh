@@ -1,42 +1,46 @@
 #!/usr/bin/env sh
-# Full CI gate: build, vet, a gofmt check over the tracked Go files,
-# simulation-aware lint, tests (the per-package
-# AllocsPerRun guards among them pin every sim-tick kernel at 0
-# allocs/op; internal/paperdata flies the 850-case paper campaign and
-# byte-compares its report with the committed RESULTS.md, and
-# cmd/figures compares the figure outcomes with
+# Full CI gate: build, vet, a gofmt check over the tracked Go files, a
+# check that no internal/ package links net, simulation-aware lint,
+# tests (the per-package AllocsPerRun guards among them pin every
+# sim-tick kernel at 0 allocs/op; internal/paperdata flies the 850-case
+# paper campaign and byte-compares its report with the committed
+# RESULTS.md, and cmd/figures compares the figure outcomes with
 # cmd/figures/testdata/figures.txt), the race detector over the campaign
 # runner and the packages its workers share (sweep, sim, obs), a
 # one-iteration smoke of the root micro-benchmarks, the
 # campaign benchmark's own vet and tests (it compiles against this tree
 # and its traced mini-grid test runs every benchsuite/micro body), spec
-# validation for the shipped example campaign specs, and three
-# end-to-end smokes: a mini spec-driven campaign must emit a metrics
-# snapshot that passes the schema validator, re-running it with -resume
-# over the completed results file must simulate zero cases (its cache
-# reports 0 misses), cmd/report over it must render verdicts without the
-# paper-grid shape checks, and the observability surface (trace-event
+# validation for the shipped example campaign specs, and end-to-end
+# smokes: a mini spec-driven campaign must emit a metrics snapshot that
+# passes the schema validator, re-running it with -resume over the
+# completed results file must simulate zero cases (its cache reports 0
+# misses), cmd/report over it must render verdicts without the
+# paper-grid shape checks, the observability surface (trace-event
 # export, live status endpoint, black-box dumps) must produce valid,
-# loadable artifacts, and a multi-start campaign whose forks come off
-# two prefix chains and whose cases, gold run included, all batch in one
+# loadable artifacts, a multi-start campaign whose forks come off two
+# prefix chains and whose cases, gold run included, all batch in one
 # flight environment must match its straight-through and scalar-fork
-# runs bit for bit. Short
+# runs bit for bit, and campaign -store must replay a warm grid from the
+# result store and simulate only the new cells of a wider one. Short
 # fuzz passes cover the resume decoder, the spec decoder and compiler,
 # the -select expression parser and the selection it makes (against the
-# pre-compilation reference predicate), the telemetry frame decoder and
-# fork-versus-straight equivalence. Any failure fails the gate. Timing is gated by the campaign benchmark
+# pre-compilation reference predicate), the telemetry frame decoder,
+# fork-versus-straight equivalence and the result store's index replay.
+# Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
 set -eux
 
 tmpdir=$(mktemp -d)
-trap 'kill "${CAMPAIGND_PID:-}" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
+trap 'rm -rf "$tmpdir"' EXIT
 
 go build ./...
 go vet ./...
 # Formatting: tracked files only, so module caches under .bench_build/
 # are never scanned.
 test -z "$(gofmt -l $(git ls-files '*.go'))"
+# The library links no network code; only cmd/campaign serves HTTP.
+test -z "$(go list -deps ./internal/... | grep -E '^net(/|$)')"
 # Simulation-aware lint over the whole module, stale suppressions
 # included; the machine-readable report lands next to the other CI
 # artifacts. goroutinespawn inside the suite enforces that sim-critical
@@ -75,6 +79,11 @@ go test -run XXX -fuzz FuzzReadFrame -fuzztime 10s ./internal/telemetry/
 # scope, start, duration): chained forks equal straight runs, and every
 # outcome is enumerated with finite numbers.
 go test -run XXX -fuzz FuzzForkMatchesStraight -fuzztime 10s ./internal/core/
+# Short fuzz pass over the result store's index replay (seed corpus under
+# internal/store/testdata/fuzz): Open never fails, Get never returns a
+# result filed under another fingerprint, and a put survives a reopen
+# whatever the index held.
+go test -run XXX -fuzz FuzzOpenIndex -fuzztime 10s ./internal/store/
 
 # Example campaign specs stay loadable and compilable.
 go run ./cmd/campaign -validate-spec examples/specs/paper-850.json
@@ -170,40 +179,22 @@ go run ./cmd/replay -blackbox "$(ls "$tmpdir/obs/blackbox"/*.blackbox.json | hea
 # stream, driven by the package test against the real handler stack.
 go test -run 'TestStatusEndpointMidRun' ./cmd/campaign/
 
-# campaignd + content-addressed store smoke: start the daemon on a free
-# port, submit the mini grid twice — the second run must be >=95% cache
-# hits (here: 100%, zero misses) and its merged results file must
-# bit-compare equal to a direct cmd/campaign run of the same spec — then
-# submit the overlapping wider grid, which may simulate only the two new
-# duration cells.
-go build -o "$tmpdir/campaignd" ./cmd/campaignd
-"$tmpdir/campaignd" -addr 127.0.0.1:0 -addr-file "$tmpdir/campaignd.addr" \
-	-store "$tmpdir/store" -out-dir "$tmpdir/campaignd-out" -q &
-CAMPAIGND_PID=$!
-for _ in $(seq 1 100); do
-	[ -s "$tmpdir/campaignd.addr" ] && break
-	sleep 0.1
-done
-CAMPAIGND_ADDR=$(cat "$tmpdir/campaignd.addr")
-"$tmpdir/campaignd" -submit examples/specs/mini-grid.json -addr "$CAMPAIGND_ADDR" | tee "$tmpdir/run1.json"
-"$tmpdir/campaignd" -submit examples/specs/mini-grid.json -addr "$CAMPAIGND_ADDR" | tee "$tmpdir/run2.json"
-grep -q '"cache_misses": 0' "$tmpdir/run2.json"
-grep -q '"cache_hit_ratio": 1' "$tmpdir/run2.json"
-warm_results=$(grep -o '"results_path": *"[^"]*"' "$tmpdir/run2.json" | cut -d'"' -f4)
-go run ./cmd/campaign -spec examples/specs/mini-grid.json -q -out "$tmpdir/direct.json"
-go run ./cmd/campaign -compare-results "$warm_results,$tmpdir/direct.json"
-"$tmpdir/campaignd" -submit examples/specs/mini-grid-wide.json -addr "$CAMPAIGND_ADDR" | tee "$tmpdir/run3.json"
-grep -q '"cache_hits": 5' "$tmpdir/run3.json"
-grep -q '"cache_misses": 2' "$tmpdir/run3.json"
-kill "$CAMPAIGND_PID"
-CAMPAIGND_PID=
-
-# The same store serves cmd/campaign directly: a -store run over the
-# warmed cache must simulate nothing new for the overlapping cells.
+# Content-addressed store smoke, all through campaign -store: the mini
+# grid into a fresh store simulates all 5 cases; a rerun replays all 5
+# from the store, zero simulate, and its results file bit-compares equal
+# to a storeless direct run; the overlapping wider grid simulates only
+# its two new duration cells.
 go run ./cmd/campaign -spec examples/specs/mini-grid.json -q \
-	-out "$tmpdir/store_direct.json" -store "$tmpdir/store" \
-	-metrics-out "$tmpdir/store_metrics.json" | tee "$tmpdir/store_run.log"
-grep -q 'store .*: 5 hits, 0 misses' "$tmpdir/store_run.log"
+	-out "$tmpdir/store_cold.json" -store "$tmpdir/store" | tee "$tmpdir/store_cold.log"
+grep -q 'store .*: 0 hits, 5 misses' "$tmpdir/store_cold.log"
+go run ./cmd/campaign -spec examples/specs/mini-grid.json -q \
+	-out "$tmpdir/store_warm.json" -store "$tmpdir/store" \
+	-metrics-out "$tmpdir/store_metrics.json" | tee "$tmpdir/store_warm.log"
+grep -q 'store .*: 5 hits, 0 misses' "$tmpdir/store_warm.log"
 grep -q 'campaign_cache_hits_total' "$tmpdir/store_metrics.json"
 grep -q 'store_objects' "$tmpdir/store_metrics.json"
-go run ./cmd/campaign -compare-results "$tmpdir/store_direct.json,$tmpdir/direct.json"
+go run ./cmd/campaign -spec examples/specs/mini-grid.json -q -out "$tmpdir/direct.json"
+go run ./cmd/campaign -compare-results "$tmpdir/store_warm.json,$tmpdir/direct.json"
+go run ./cmd/campaign -spec examples/specs/mini-grid-wide.json -q \
+	-out "$tmpdir/store_wide.json" -store "$tmpdir/store" | tee "$tmpdir/store_wide.log"
+grep -q 'store .*: 5 hits, 2 misses' "$tmpdir/store_wide.log"

@@ -25,9 +25,9 @@
 //	campaign [-trace-out trace.json] [-status-addr :8080] [-blackbox-dir out/blackbox]
 //	campaign -validate-trace trace.json
 //
-// With -store, fingerprint-stored cases replay from the shared
-// content-addressed result store (the same store campaignd serves)
-// instead of simulating. -resume is the same mechanism over the -out
+// With -store, fingerprint-stored cases replay from the
+// content-addressed result store instead of simulating, and fresh
+// results are stored back. -resume is the same mechanism over the -out
 // file: its prior results seed the runner's cache. To select by ID
 // substring, use -select "id=*SUBSTR*".
 package main
@@ -68,7 +68,7 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "campaign base seed (overrides the spec's seed when set explicitly)")
 		out        = flag.String("out", "campaign_results.json", "JSON results output path (empty = skip)")
 		specPath   = flag.String("spec", "", "campaign spec JSON path (empty = the built-in paper-850 spec)")
-		storeDir   = flag.String("store", "", "content-addressed result store directory: fingerprint-stored cases return as cache hits, fresh results are stored back (shared with campaignd)")
+		storeDir   = flag.String("store", "", "content-addressed result store directory: fingerprint-stored cases return as cache hits, fresh results are stored back")
 		resume     = flag.Bool("resume", false, "load the -out results file and run only the missing, stale, or errored cases")
 		checkpoint = flag.Bool("checkpoint", true, "share pre-injection prefixes between cases (checkpoint-and-fork; false = simulate every case straight through)")
 		scope      = flag.String("scope", "all", "fault scope: all (paper assumption: every redundant IMU) | primary (unit 0 only — redundancy ablation)")

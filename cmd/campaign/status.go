@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"uavres/internal/core"
@@ -15,8 +16,26 @@ import (
 // slow enough that a dashboard costs nothing against the worker pool.
 const statusStreamInterval = 500 * time.Millisecond
 
-// addStatusHandlers layers the live campaign endpoints over the standard
-// metrics mux: /status is a one-shot JSON snapshot, /status/stream an SSE
+// metricsMux builds the observability endpoint over a registry:
+// Prometheus-text metrics at /metrics plus the Go profiling handlers
+// under /debug/pprof/, on a private mux so nothing else in the process
+// can extend the default mux into the same listener.
+func metricsMux(reg *obs.Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// addStatusHandlers layers the live campaign endpoints over the metrics
+// mux: /status is a one-shot JSON snapshot, /status/stream an SSE
 // feed that emits a snapshot every interval until the client disconnects
 // (or immediately-then-forever-after the campaign finishes).
 func addStatusHandlers(mux *http.ServeMux, src *core.StatusSource) {
@@ -63,7 +82,7 @@ func addStatusHandlers(mux *http.ServeMux, src *core.StatusSource) {
 // fails the campaign before any case runs. The returned closer stops the
 // listener.
 func serveStatus(addr string, reg *obs.Registry, src *core.StatusSource) (func(), error) {
-	mux := obs.MetricsMux(reg)
+	mux := metricsMux(reg)
 	addStatusHandlers(mux, src)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -63,7 +63,7 @@ func TestStatusEndpointMidRun(t *testing.T) {
 		Workers:    2,
 		Clock:      clock,
 	})
-	mux := obs.MetricsMux(reg)
+	mux := metricsMux(reg)
 	addStatusHandlers(mux, src)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

@@ -254,8 +254,14 @@ func TestParseRoundTripAndUnknownFields(t *testing.T) {
 	if !reflect.DeepEqual(back, s) {
 		t.Errorf("round trip changed the spec:\n in  %+v\n out %+v", s, back)
 	}
-	if _, err := Parse([]byte(`{"version":1,"missoins":[1]}`)); err == nil {
-		t.Error("typoed field accepted silently")
+	for name, bad := range map[string]string{
+		"not json":      `{`,
+		"unknown field": `{"version":1,"missoins":[1]}`,
+		"wrong version": `{"version":99}`,
+	} {
+		if _, err := Parse([]byte(bad)); err == nil {
+			t.Errorf("%s: Parse accepted %s", name, bad)
+		}
 	}
 	if !strings.Contains(string(data), `"version":1`) {
 		t.Errorf("serialized spec missing version: %s", data)

@@ -13,13 +13,13 @@
 //	index.log                         "v1 <fingerprint> <size> <caseID>" lines
 //
 // The index is a cache of the object tree, never the source of truth: a
-// missing or unparsable index is rebuilt by scanning the shards, a torn
-// tail line (a crash mid-append) is dropped, and every Get re-reads and
-// verifies the object itself — a corrupt or truncated object is dropped
-// and reported as a miss, mirroring core.LoadPartialResults' stance
-// that interrupted writes cost a re-run, never an error. Eviction is
-// explicit: Prune removes oldest-first (by modification time) until the
-// store fits a byte budget; nothing expires on its own.
+// missing index, an unparsable line or a torn tail (a crash mid-append)
+// makes Open rebuild it by scanning the shards, and every Get re-reads
+// and verifies the object itself — a corrupt or truncated object is
+// dropped and reported as a miss, mirroring core.LoadPartialResults'
+// stance that interrupted writes cost a re-run, never an error. Nothing
+// is evicted; deleting objects by hand is safe, since a missing object
+// is a miss.
 package store
 
 import (
@@ -45,17 +45,15 @@ const indexVersion = "v1"
 // plus this session's traffic.
 type Stats struct {
 	// Objects and Bytes describe the persistent contents.
-	Objects int   `json:"objects"`
-	Bytes   int64 `json:"bytes"`
-	// Shards counts the non-empty two-hex-char fan-out directories.
-	Shards int `json:"shards"`
+	Objects int
+	Bytes   int64
 	// Hits, Misses, and Puts count this session's traffic.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Puts   int64 `json:"puts"`
+	Hits   int64
+	Misses int64
+	Puts   int64
 	// Corrupt counts objects dropped this session because they failed
 	// verification on read.
-	Corrupt int64 `json:"corrupt"`
+	Corrupt int64
 }
 
 // Store is the on-disk content-addressed result store. It implements
@@ -76,9 +74,9 @@ type Store struct {
 	err     error // first persistence error (see Err)
 }
 
-// Open creates (or reopens) the store rooted at dir. A readable index
-// is loaded tolerantly — a torn final line is dropped — and a missing
-// or corrupt index is rebuilt by scanning the object tree.
+// Open creates (or reopens) the store rooted at dir. A clean index is
+// loaded; a missing, corrupt or torn one is rebuilt by scanning the
+// object tree, so the append handle always starts on a line boundary.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty root directory")
@@ -133,32 +131,27 @@ func validHash(hash string) bool {
 }
 
 // loadIndex reads index.log. ok=false means the index is absent or
-// untrustworthy (a malformed line before the tail) and must be rebuilt;
-// a torn final line alone is dropped silently — that is the one
-// corruption a crashed append legitimately produces.
+// untrustworthy and must be rebuilt: a malformed line anywhere, or a
+// final line without its newline. A torn tail (a crashed append) can
+// still parse when it breaks inside the case ID, and the next append
+// would join it and be swallowed into that ID, so it is never kept.
 func (s *Store) loadIndex() (map[string]int64, bool) {
 	data, err := os.ReadFile(s.indexPath())
-	if err != nil {
+	if err != nil || (len(data) > 0 && data[len(data)-1] != '\n') {
 		return nil, false
 	}
 	sizes := make(map[string]int64)
-	lines := strings.Split(string(data), "\n")
-	for i, line := range lines {
+	for _, line := range strings.Split(string(data), "\n") {
 		if line == "" {
 			continue
 		}
 		fields := strings.SplitN(line, " ", 4)
-		bad := len(fields) < 3 || fields[0] != indexVersion || !validHash(fields[1])
-		var size int64
-		if !bad {
-			size, err = strconv.ParseInt(fields[2], 10, 64)
-			bad = err != nil || size < 0
+		if len(fields) < 3 || fields[0] != indexVersion || !validHash(fields[1]) {
+			return nil, false
 		}
-		if bad {
-			if i == len(lines)-1 || (i == len(lines)-2 && lines[len(lines)-1] == "") {
-				continue // torn tail: drop the half-written line
-			}
-			return nil, false // mid-file corruption: rebuild from objects
+		size, err := strconv.ParseInt(fields[2], 10, 64)
+		if err != nil || size < 0 {
+			return nil, false
 		}
 		sizes[fields[1]] = size
 	}
@@ -363,16 +356,9 @@ func (s *Store) Stats() Stats {
 		Puts:    s.puts,
 		Corrupt: s.corrupt,
 	}
-	shards := make(map[string]bool, 256)
-	for h, size := range s.sizes {
+	for _, size := range s.sizes {
 		st.Bytes += size
-		prefix := h
-		if len(prefix) > 2 {
-			prefix = prefix[:2]
-		}
-		shards[prefix] = true
 	}
-	st.Shards = len(shards)
 	return st
 }
 
@@ -387,81 +373,6 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 		defer s.mu.Unlock()
 		return float64(s.corrupt)
 	})
-}
-
-// Prune evicts objects oldest-first (by file modification time) until
-// the persistent contents fit maxBytes, and rewrites the index. It
-// returns how many objects were removed. The store stays fully usable
-// afterwards; evicted cells simply cost a re-run on their next lookup.
-func (s *Store) Prune(maxBytes int64) (int, error) {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	s.mu.Lock()
-	type obj struct {
-		hash string
-		size int64
-	}
-	objs := make([]obj, 0, len(s.sizes))
-	var total int64
-	for h, size := range s.sizes {
-		objs = append(objs, obj{h, size})
-		total += size
-	}
-	s.mu.Unlock()
-	if total <= maxBytes {
-		return 0, nil
-	}
-	// Oldest-first by mtime; ties (filesystems with coarse timestamps)
-	// break on the hash so eviction order stays deterministic.
-	type aged struct {
-		obj
-		mtime int64
-	}
-	ages := make([]aged, 0, len(objs))
-	for _, o := range objs {
-		info, err := os.Stat(s.objectPath(o.hash))
-		if err != nil {
-			continue
-		}
-		ages = append(ages, aged{o, info.ModTime().UnixNano()})
-	}
-	sort.Slice(ages, func(i, j int) bool {
-		if ages[i].mtime != ages[j].mtime {
-			return ages[i].mtime < ages[j].mtime
-		}
-		return ages[i].hash < ages[j].hash
-	})
-	removed := 0
-	for _, a := range ages {
-		if total <= maxBytes {
-			break
-		}
-		s.drop(a.hash)
-		total -= a.size
-		removed++
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sizes := make(map[string]int64, len(s.sizes))
-	for h, size := range s.sizes {
-		sizes[h] = size
-	}
-	if err := s.rewriteIndex(sizes); err != nil {
-		return removed, err
-	}
-	// The append handle still points at the renamed-over inode; reopen it
-	// so subsequent puts land in the fresh index.
-	if s.indexF != nil {
-		s.indexF.Close()
-		f, err := os.OpenFile(s.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			s.indexF = nil
-			return removed, fmt.Errorf("store: reopening index: %w", err)
-		}
-		s.indexF = f
-	}
-	return removed, nil
 }
 
 // Close flushes and closes the index append handle. The store must not

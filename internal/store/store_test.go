@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,8 +11,10 @@ import (
 
 	"uavres/internal/core"
 	"uavres/internal/faultinject"
+	"uavres/internal/mission"
 	"uavres/internal/obs"
 	"uavres/internal/sim"
+	"uavres/internal/spec"
 )
 
 // result fabricates one stored-shape case result: a fingerprinted case
@@ -77,8 +80,12 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Objects != 1 || st.Puts != 1 || st.Hits != 1 || st.Shards != 1 {
+	if st.Objects != 1 || st.Puts != 1 || st.Hits != 1 {
 		t.Fatalf("stats after one put + one hit: %+v", st)
+	}
+	// The object lands in its two-hex-char shard directory.
+	if _, err := os.Stat(filepath.Join(s.root, "objects", "00", want.Case.Hash+".json")); err != nil {
+		t.Fatalf("object not at objects/<hh>/<hash>.json: %v", err)
 	}
 }
 
@@ -114,7 +121,7 @@ func TestReopenLoadsIndex(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, dir)
-	if st := s2.Stats(); st.Objects != 2 || st.Shards != 2 {
+	if st := s2.Stats(); st.Objects != 2 {
 		t.Fatalf("reopened stats: %+v", st)
 	}
 	got, ok, _ := s2.Get("bb11223344556677")
@@ -145,26 +152,46 @@ func TestRebuildsMissingOrCorruptIndex(t *testing.T) {
 }
 
 // TestTornIndexTailDropped: a crash mid-append leaves a half-written
-// final line; the store drops it and keeps the clean prefix, exactly
-// like core.LoadPartialResults does for results files.
+// final line. The store keeps only the clean prefix, and the next
+// session's first put starts on a fresh line, so it survives the
+// following reopen. A line torn inside the case ID still parses, and a
+// put appended to it would vanish into its case ID.
 func TestTornIndexTailDropped(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	if err := s.Put(result("a", "aa11223344556677", sim.OutcomeCompleted)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	idx := filepath.Join(dir, "index.log")
-	f, err := os.OpenFile(idx, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("v1 bb112233445566") // torn: no size, no newline
-	f.Close()
+	for name, tail := range map[string]string{
+		"no-size":    "v1 bb112233445566",
+		"in-case-id": "v1 cc11223344556677 512 m0",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir)
+			if err := s.Put(result("a", "aa11223344556677", sim.OutcomeCompleted)); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			f, err := os.OpenFile(filepath.Join(dir, "index.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteString(tail) // torn: no newline
+			f.Close()
 
-	s2 := mustOpen(t, dir)
-	if st := s2.Stats(); st.Objects != 1 {
-		t.Fatalf("torn tail not dropped: %+v", st)
+			s2 := mustOpen(t, dir)
+			if st := s2.Stats(); st.Objects != 1 {
+				t.Fatalf("torn tail not dropped: %+v", st)
+			}
+			e := result("e", "ee11223344556677", sim.OutcomeCrash)
+			if err := s2.Put(e); err != nil {
+				t.Fatal(err)
+			}
+			s2.Close()
+			s3 := mustOpen(t, dir)
+			if _, ok, _ := s3.Get(e.Case.Hash); !ok {
+				t.Error("put after a torn index tail lost across reopen")
+			}
+			if st := s3.Stats(); st.Objects != 2 {
+				t.Errorf("store counts %d objects, want 2: %+v", st.Objects, st)
+			}
+		})
 	}
 }
 
@@ -202,46 +229,69 @@ func TestCorruptObjectIsAMiss(t *testing.T) {
 	}
 }
 
-func TestPruneEvictsOldestFirst(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	old := result("old", "aa11223344556677", sim.OutcomeCompleted)
-	recent := result("new", "bb11223344556677", sim.OutcomeCompleted)
-	if err := s.Put(old); err != nil {
-		t.Fatal(err)
+// gyroGrid is one mission's gyro grid: 1 target x 2 primitives x 2
+// durations + 1 gold run = 5 cases.
+const gyroGrid = `{
+ "version": 1,
+ "name": "store-test",
+ "missions": [1],
+ "matrix": {"targets": ["gyro"], "primitives": ["freeze", "zeros"], "durations_sec": [2, 5]}
+}`
+
+// TestRunnerOverStore runs a grid through core.Runner with the store as
+// its cache, as campaign -store does: a cold run simulates every case, a
+// warm rerun replays them all with identical results, and a grid widened
+// by one duration simulates only its two new cells.
+func TestRunnerOverStore(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	run := func(specJSON string) (results []core.CaseResult, hits, misses int64) {
+		t.Helper()
+		cs, err := spec.Parse([]byte(specJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases, err := cs.Compile(mission.Valencia())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.DefaultConfig()
+		cs.Overrides.Apply(&cfg)
+		spec.AttachFingerprints(cases, cfg)
+		reg := obs.NewRegistry()
+		r := core.NewRunner()
+		r.Config = cfg
+		r.Cache = s
+		r.Obs = reg
+		results = r.RunAll(context.Background(), cases)
+		for _, cr := range results {
+			if cr.Err != "" {
+				t.Fatalf("case %s: %s", cr.Case.ID, cr.Err)
+			}
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return results, reg.Counter("campaign_cache_hits_total").Value(), reg.Counter("campaign_cache_misses_total").Value()
 	}
-	if err := s.Put(recent); err != nil {
-		t.Fatal(err)
+
+	cold, hits, misses := run(gyroGrid)
+	if len(cold) != 5 || hits != 0 || misses != 5 {
+		t.Fatalf("cold run: %d cases, %d hits, %d misses; want 5, 0, 5", len(cold), hits, misses)
 	}
-	// Make the eviction order unambiguous on coarse-mtime filesystems.
-	past := time.Unix(1_000_000, 0)
-	if err := os.Chtimes(filepath.Join(dir, "objects", "aa", "aa11223344556677.json"), past, past); err != nil {
-		t.Fatal(err)
+	if n := s.Stats().Objects; n != 5 {
+		t.Fatalf("store holds %d objects after the cold run, want 5", n)
 	}
-	perObject := s.Stats().Bytes / 2
-	removed, err := s.Prune(perObject)
-	if err != nil {
-		t.Fatal(err)
+	warm, hits, misses := run(gyroGrid)
+	if hits != 5 || misses != 0 {
+		t.Fatalf("warm run: %d hits, %d misses; want 5, 0", hits, misses)
 	}
-	if removed != 1 {
-		t.Fatalf("removed %d objects, want 1", removed)
+	if !reflect.DeepEqual(warm, cold) {
+		t.Error("warm run's results differ from the cold run's")
 	}
-	if _, ok, _ := s.Get(old.Case.Hash); ok {
-		t.Error("oldest object survived prune")
-	}
-	if _, ok, _ := s.Get(recent.Case.Hash); !ok {
-		t.Error("newest object evicted")
-	}
-	// The rewritten index and reopened append handle stay consistent:
-	// a post-prune put must survive reopen.
-	c := result("c", "cc11223344556677", sim.OutcomeCompleted)
-	if err := s.Put(c); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2 := mustOpen(t, dir)
-	if _, ok, _ := s2.Get(c.Case.Hash); !ok {
-		t.Error("post-prune put lost across reopen")
+	wider := strings.Replace(gyroGrid, `"durations_sec": [2, 5]`, `"durations_sec": [2, 5, 10]`, 1)
+	wide, hits, misses := run(wider)
+	if len(wide) != 7 || hits != 5 || misses != 2 {
+		t.Fatalf("widened run: %d cases, %d hits, %d misses; want 7, 5, 2", len(wide), hits, misses)
 	}
 }
 
@@ -273,4 +323,46 @@ func TestResultCacheSurface(t *testing.T) {
 	if !found {
 		t.Errorf("store_objects gauge missing or wrong: %+v", snap.Gauges)
 	}
+}
+
+// FuzzOpenIndex replays arbitrary index.log bytes over a store holding
+// one real object (seed corpus under testdata/fuzz/FuzzOpenIndex). Open
+// never fails, Get never returns a result filed under another
+// fingerprint, and a lookup-then-put, the runner's order, survives a
+// reopen whatever the index held.
+func FuzzOpenIndex(f *testing.F) {
+	stored := result("a", "aa11223344556677", sim.OutcomeCompleted)
+	fresh := result("e", "ee11223344556677", sim.OutcomeCrash)
+	f.Fuzz(func(t *testing.T, index []byte) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir)
+		if err := s.Put(stored); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if err := os.WriteFile(filepath.Join(dir, "index.log"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s2 := mustOpen(t, dir)
+		keys := []string{stored.Case.Hash}
+		for h := range s2.sizes {
+			keys = append(keys, h)
+		}
+		for _, h := range keys {
+			if got, ok, err := s2.Get(h); err != nil || (ok && got.Case.Hash != h) {
+				t.Fatalf("Get(%s) = %q, ok=%v, err=%v", h, got.Case.Hash, ok, err)
+			}
+		}
+		if _, ok, _ := s2.Get(fresh.Case.Hash); ok {
+			t.Fatal("phantom hit before the put")
+		}
+		if err := s2.Put(fresh); err != nil {
+			t.Fatal(err)
+		}
+		s2.Close()
+		if _, ok, _ := mustOpen(t, dir).Get(fresh.Case.Hash); !ok {
+			t.Fatalf("put lost across reopen over index %q", index)
+		}
+	})
 }
