@@ -254,17 +254,33 @@ func TestParseRoundTripAndUnknownFields(t *testing.T) {
 	if !reflect.DeepEqual(back, s) {
 		t.Errorf("round trip changed the spec:\n in  %+v\n out %+v", s, back)
 	}
+	if _, err := Parse([]byte(`{"version":1,"missoins":[1]}`)); err == nil {
+		t.Error("typoed field accepted silently")
+	}
+	if !strings.Contains(string(data), `"version":1`) {
+		t.Errorf("serialized spec missing version: %s", data)
+	}
+}
+
+// TestParseRejectsBadSpecs: a spec file that is not JSON, carries an
+// unknown field or a foreign version fails Parse, and one naming a
+// mission the table lacks parses but fails Compile, before any case runs.
+func TestParseRejectsBadSpecs(t *testing.T) {
 	for name, bad := range map[string]string{
 		"not json":      `{`,
-		"unknown field": `{"version":1,"missoins":[1]}`,
-		"wrong version": `{"version":99}`,
+		"unknown field": `{"version": 1, "bogus": true}`,
+		"wrong version": `{"version": 99}`,
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("%s: Parse accepted %s", name, bad)
 		}
 	}
-	if !strings.Contains(string(data), `"version":1`) {
-		t.Errorf("serialized spec missing version: %s", data)
+	s, err := Parse([]byte(`{"version": 1, "missions": [42]}`))
+	if err != nil {
+		t.Fatalf("unknown mission: Parse: %v", err)
+	}
+	if _, err := s.Compile(mission.Valencia()); err == nil {
+		t.Error("unknown mission: spec compiled without error")
 	}
 }
 

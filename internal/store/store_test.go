@@ -238,58 +238,68 @@ const gyroGrid = `{
  "matrix": {"targets": ["gyro"], "primitives": ["freeze", "zeros"], "durations_sec": [2, 5]}
 }`
 
-// TestRunnerOverStore runs a grid through core.Runner with the store as
-// its cache, as campaign -store does: a cold run simulates every case, a
-// warm rerun replays them all with identical results, and a grid widened
-// by one duration simulates only its two new cells.
-func TestRunnerOverStore(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
-	run := func(specJSON string) (results []core.CaseResult, hits, misses int64) {
-		t.Helper()
-		cs, err := spec.Parse([]byte(specJSON))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases, err := cs.Compile(mission.Valencia())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sim.DefaultConfig()
-		cs.Overrides.Apply(&cfg)
-		spec.AttachFingerprints(cases, cfg)
-		reg := obs.NewRegistry()
-		r := core.NewRunner()
-		r.Config = cfg
-		r.Cache = s
-		r.Obs = reg
-		results = r.RunAll(context.Background(), cases)
-		for _, cr := range results {
-			if cr.Err != "" {
-				t.Fatalf("case %s: %s", cr.Case.ID, cr.Err)
-			}
-		}
-		if err := s.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return results, reg.Counter("campaign_cache_hits_total").Value(), reg.Counter("campaign_cache_misses_total").Value()
+// runGrid runs a grid spec through core.Runner with s as its cache, as
+// campaign -store does, and returns the results with the cache's hit and
+// miss counts for this run.
+func runGrid(t *testing.T, s *Store, specJSON string) (results []core.CaseResult, hits, misses int64) {
+	t.Helper()
+	cs, err := spec.Parse([]byte(specJSON))
+	if err != nil {
+		t.Fatal(err)
 	}
+	cases, err := cs.Compile(mission.Valencia())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cs.Overrides.Apply(&cfg)
+	spec.AttachFingerprints(cases, cfg)
+	reg := obs.NewRegistry()
+	r := core.NewRunner()
+	r.Config = cfg
+	r.Cache = s
+	r.Obs = reg
+	results = r.RunAll(context.Background(), cases)
+	for _, cr := range results {
+		if cr.Err != "" {
+			t.Fatalf("case %s: %s", cr.Case.ID, cr.Err)
+		}
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return results, reg.Counter("campaign_cache_hits_total").Value(), reg.Counter("campaign_cache_misses_total").Value()
+}
 
-	cold, hits, misses := run(gyroGrid)
+// TestRunnerOverStoreColdThenWarm: a cold run simulates every case and
+// files each one; a warm rerun replays them all with identical results.
+func TestRunnerOverStoreColdThenWarm(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	cold, hits, misses := runGrid(t, s, gyroGrid)
 	if len(cold) != 5 || hits != 0 || misses != 5 {
 		t.Fatalf("cold run: %d cases, %d hits, %d misses; want 5, 0, 5", len(cold), hits, misses)
 	}
 	if n := s.Stats().Objects; n != 5 {
 		t.Fatalf("store holds %d objects after the cold run, want 5", n)
 	}
-	warm, hits, misses := run(gyroGrid)
+	warm, hits, misses := runGrid(t, s, gyroGrid)
 	if hits != 5 || misses != 0 {
 		t.Fatalf("warm run: %d hits, %d misses; want 5, 0", hits, misses)
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Error("warm run's results differ from the cold run's")
 	}
+}
+
+// TestRunnerOverStoreRunsOnlyNewCells: a grid widened by one duration
+// over a warmed store simulates only its two new cells.
+func TestRunnerOverStoreRunsOnlyNewCells(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	if _, _, misses := runGrid(t, s, gyroGrid); misses != 5 {
+		t.Fatalf("first run: %d misses, want 5", misses)
+	}
 	wider := strings.Replace(gyroGrid, `"durations_sec": [2, 5]`, `"durations_sec": [2, 5, 10]`, 1)
-	wide, hits, misses := run(wider)
+	wide, hits, misses := runGrid(t, s, wider)
 	if len(wide) != 7 || hits != 5 || misses != 2 {
 		t.Fatalf("widened run: %d cases, %d hits, %d misses; want 7, 5, 2", len(wide), hits, misses)
 	}
