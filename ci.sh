@@ -20,12 +20,14 @@
 # loadable artifacts, a multi-start campaign whose forks come off two
 # prefix chains and whose cases, gold run included, all batch in one
 # flight environment must match its straight-through and scalar-fork
-# runs bit for bit, and campaign -store must replay a warm grid from the
-# result store and simulate only the new cells of a wider one. Short
-# fuzz passes cover the resume decoder, the spec decoder and compiler,
+# runs bit for bit, campaign -store must replay a warm grid from the
+# result store and simulate only the new cells of a wider one, and a
+# uavsim black-box dump must load in replay and export its trajectory.
+# Short fuzz passes cover the resume decoder, the spec decoder and compiler,
 # the -select expression parser and the selection it makes (against the
 # pre-compilation reference predicate), the telemetry frame decoder,
-# fork-versus-straight equivalence and the result store's index replay.
+# fork-versus-straight equivalence, the result store's index replay and
+# the black-box dump decoder.
 # Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
@@ -84,6 +86,10 @@ go test -run XXX -fuzz FuzzForkMatchesStraight -fuzztime 10s ./internal/core/
 # result filed under another fingerprint, and a put survives a reopen
 # whatever the index held.
 go test -run XXX -fuzz FuzzOpenIndex -fuzztime 10s ./internal/store/
+# Short fuzz pass over the black-box dump decoder, the one flight-record
+# format (seed corpus under internal/blackbox/testdata/fuzz): no panic,
+# and every accepted dump survives a write and reload unchanged.
+go test -run XXX -fuzz FuzzLoadBlackbox -fuzztime 10s ./internal/blackbox/
 
 # Example campaign specs stay loadable and compilable.
 go run ./cmd/campaign -validate-spec examples/specs/paper-850.json
@@ -175,6 +181,20 @@ go run ./cmd/campaign -validate-trace "$tmpdir/obs/trace.json"
 # Every crash/violation case yielded a black box, and replay loads one.
 ls "$tmpdir/obs/blackbox"/*.blackbox.json
 go run ./cmd/replay -blackbox "$(ls "$tmpdir/obs/blackbox"/*.blackbox.json | head -n 1)" >/dev/null
+# Single-flight record smoke: uavsim writes its flight as a black-box
+# dump with the full trajectory; replay loads it, exports a CSV with one
+# row per point and an SVG, and reports the outcome uavsim printed.
+go run ./cmd/uavsim -mission 1 -fault acc:zeros -dur 30s \
+	-blackbox "$tmpdir/f.blackbox.json" | tee "$tmpdir/uavsim.log"
+go run ./cmd/replay -blackbox "$tmpdir/f.blackbox.json" \
+	-csv "$tmpdir/f.csv" -svg "$tmpdir/f.svg" | tee "$tmpdir/replay.log"
+test "$(wc -l <"$tmpdir/f.csv")" -gt 1
+test -s "$tmpdir/f.svg"
+outcome() { sed -n 's/^ *outcome: *//p' "$1"; }
+if [ -z "$(outcome "$tmpdir/uavsim.log")" ] || [ "$(outcome "$tmpdir/uavsim.log")" != "$(outcome "$tmpdir/replay.log")" ]; then
+	echo "ci: replay reports outcome '$(outcome "$tmpdir/replay.log")', uavsim '$(outcome "$tmpdir/uavsim.log")'" >&2
+	exit 1
+fi
 # Live status endpoint: mid-run 200 with well-formed JSON plus the SSE
 # stream, driven by the package test against the real handler stack.
 go test -run 'TestStatusEndpointMidRun' ./cmd/campaign/

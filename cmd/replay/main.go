@@ -1,25 +1,26 @@
-// Command replay reads a binary flight log written by cmd/uavsim (or the
-// library's flightlog package), prints a summary, and optionally exports
-// CSV or an SVG figure — offline analysis of recorded flights, the same
-// role the paper's platform's log review plays. It also loads the
-// black-box dumps cmd/campaign writes for crash/violation cases.
+// Command replay loads a black-box dump — written by cmd/campaign for its
+// crash/violation cases, or by cmd/uavsim for one flight with its full
+// trajectory — prints the failure story, and optionally exports the
+// trajectory as CSV or an SVG figure: offline analysis of recorded
+// flights, the role the paper's platform's log review plays.
 //
 // Usage:
 //
-//	replay -in flight.bin
-//	replay -in flight.bin -csv flight.csv -svg flight.svg
-//	replay -blackbox out/blackbox/m01-zeros-accel-s1.blackbox.json
+//	replay -blackbox out/blackbox/m01-acc-zeros-5s.blackbox.json
+//	replay -blackbox flight.blackbox.json -csv flight.csv -svg flight.svg
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
+	"strconv"
 
 	"uavres/internal/blackbox"
-	"uavres/internal/flightlog"
 	"uavres/internal/plot"
+	"uavres/internal/sim"
 )
 
 func main() {
@@ -28,119 +29,50 @@ func main() {
 
 func run() int {
 	var (
-		in       = flag.String("in", "", "binary flight log path")
-		bboxPath = flag.String("blackbox", "", "black-box dump path (from campaign -blackbox-dir)")
-		csvPath  = flag.String("csv", "", "export records as CSV")
-		svgPath  = flag.String("svg", "", "export altitude/deviation figure as SVG")
+		bboxPath = flag.String("blackbox", "", "black-box dump path (from campaign -blackbox-dir or uavsim -blackbox)")
+		csvPath  = flag.String("csv", "", "export the trajectory as CSV")
+		svgPath  = flag.String("svg", "", "export an altitude/estimation-error figure as SVG")
 	)
 	flag.Parse()
-	if *bboxPath != "" {
-		return runBlackBox(*bboxPath, *svgPath)
-	}
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "replay: -in or -blackbox is required")
+	if *bboxPath == "" {
+		fmt.Fprintln(os.Stderr, "replay: -blackbox is required")
 		flag.Usage()
 		return 1
 	}
-
-	f, err := os.Open(*in)
+	d, err := blackbox.Load(*bboxPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		return 1
 	}
-	hdr, records, err := flightlog.Read(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "replay:", err)
-		return 1
-	}
+	printDump(d)
 
-	fmt.Printf("flight log: mission %d, %q, %d records\n", hdr.MissionID, hdr.Label, len(records))
-	if len(records) == 0 {
-		return 0
-	}
-
-	var (
-		maxAlt, maxDev, maxTilt float64
-		innerViol, outerViol    int
-		faultSamples            int
-		dist                    float64
-	)
-	for i, r := range records {
-		maxAlt = math.Max(maxAlt, -r.TrueZ)
-		maxDev = math.Max(maxDev, r.DeviationM)
-		maxTilt = math.Max(maxTilt, r.TiltDeg)
-		if r.Flags&flightlog.FlagInnerViolation != 0 {
-			innerViol++
-		}
-		if r.Flags&flightlog.FlagOuterViolation != 0 {
-			outerViol++
-		}
-		if r.Flags&flightlog.FlagFaultActive != 0 {
-			faultSamples++
-		}
-		if i > 0 {
-			p := records[i-1]
-			dx, dy, dz := r.TrueX-p.TrueX, r.TrueY-p.TrueY, r.TrueZ-p.TrueZ
-			dist += math.Sqrt(dx*dx + dy*dy + dz*dz)
-		}
-	}
-	span := records[len(records)-1].TimeSec - records[0].TimeSec
-	fmt.Printf("  duration:         %.1f s\n", span)
-	fmt.Printf("  distance (truth): %.3f km\n", dist/1000)
-	fmt.Printf("  max altitude:     %.1f m\n", maxAlt)
-	fmt.Printf("  max deviation:    %.1f m\n", maxDev)
-	fmt.Printf("  max tilt:         %.1f deg\n", maxTilt)
-	fmt.Printf("  violations:       inner=%d outer=%d\n", innerViol, outerViol)
-	if faultSamples > 0 {
-		fmt.Printf("  fault window:     %d samples flagged\n", faultSamples)
-	}
-
+	points := exportPoints(d)
 	if *csvPath != "" {
-		out, err := os.Create(*csvPath)
-		if err != nil {
+		if err := writeFile(*csvPath, func(w io.Writer) error { return writeCSV(w, points) }); err != nil {
 			fmt.Fprintln(os.Stderr, "replay:", err)
 			return 1
 		}
-		err = flightlog.WriteCSV(out, records)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			return 1
-		}
-		fmt.Printf("csv written to %s\n", *csvPath)
+		fmt.Printf("csv written to %s (%d points)\n", *csvPath, len(points))
 	}
-
-	if *svgPath != "" {
-		times := make([]float64, len(records))
-		alts := make([]float64, len(records))
-		devs := make([]float64, len(records))
-		for i, r := range records {
-			times[i] = r.TimeSec
-			alts[i] = -r.TrueZ
-			devs[i] = r.DeviationM
+	if *svgPath != "" && len(points) > 0 {
+		times := make([]float64, len(points))
+		alts := make([]float64, len(points))
+		errs := make([]float64, len(points))
+		for i, p := range points {
+			times[i] = p.T
+			alts[i] = -p.TruePos.Z
+			errs[i] = p.TruePos.Dist(p.EstPos)
 		}
 		chart := plot.Chart{
-			Title:  fmt.Sprintf("mission %d — %s", hdr.MissionID, hdr.Label),
+			Title:  fmt.Sprintf("black box — %s (%s)", d.CaseID, d.Outcome),
 			XLabel: "time (s)",
 			YLabel: "meters",
 			Series: []plot.Series{
 				{Name: "altitude (m)", X: times, Y: alts},
-				{Name: "deviation from route (m)", X: times, Y: devs},
+				{Name: "estimation error (m)", X: times, Y: errs},
 			},
 		}
-		out, err := os.Create(*svgPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			return 1
-		}
-		err = chart.WriteSVG(out)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeFile(*svgPath, chart.WriteSVG); err != nil {
 			fmt.Fprintln(os.Stderr, "replay:", err)
 			return 1
 		}
@@ -149,15 +81,9 @@ func run() int {
 	return 0
 }
 
-// runBlackBox loads a campaign black-box dump and prints the failure
-// story: case identity, outcome, EKF aiding statistics, the event
-// timeline, and the trajectory tail. An optional SVG plots the tail.
-func runBlackBox(path, svgPath string) int {
-	d, err := blackbox.Load(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "replay:", err)
-		return 1
-	}
+// printDump prints the failure story: case identity, outcome, EKF aiding
+// statistics, the event timeline, and the trajectory tail.
+func printDump(d blackbox.Dump) {
 	fmt.Printf("black box: case %s (mission %d, seed %d)\n", d.CaseID, d.MissionID, d.Seed)
 	if d.SpecHash != "" {
 		fmt.Printf("  spec:             %s\n", d.SpecHash)
@@ -166,13 +92,16 @@ func runBlackBox(path, svgPath string) int {
 		fmt.Printf("  injection:        %s at t=%s for %s\n",
 			d.Injection.Label(), d.Injection.Start, d.Injection.Duration)
 	}
-	fmt.Printf("  outcome:          %s\n", d.Outcome)
-	if d.CrashReason != "" {
-		fmt.Printf("  crash reason:     %s\n", d.CrashReason)
+	// The outcome line reads as cmd/uavsim prints it: the crash reason or
+	// failsafe cause in parentheses.
+	outcome := d.Outcome
+	switch {
+	case d.CrashReason != "":
+		outcome += " (" + d.CrashReason + ")"
+	case d.FailsafeCause != "":
+		outcome += " (" + d.FailsafeCause + ")"
 	}
-	if d.FailsafeCause != "" {
-		fmt.Printf("  failsafe cause:   %s\n", d.FailsafeCause)
-	}
+	fmt.Printf("  outcome:          %s\n", outcome)
 	fmt.Printf("  flight duration:  %.1f s\n", d.FlightDurationSec)
 	fmt.Printf("  distance:         %.3f km\n", d.DistanceKm)
 	fmt.Printf("  violations:       inner=%d outer=%d\n", d.InnerViolations, d.OuterViolations)
@@ -181,7 +110,7 @@ func runBlackBox(path, svgPath string) int {
 	diag := d.Diagnostics
 	if diag == nil {
 		fmt.Println("  (no diagnostics block)")
-		return 0
+		return
 	}
 	fmt.Printf("  ekf:              gps %d fused / %d rejected (max ratio %.2f), baro %d fused / %d rejected (max ratio %.2f), %d resets\n",
 		diag.GPSFusions, diag.GPSGateRejects, diag.MaxGPSRatio,
@@ -209,39 +138,50 @@ func runBlackBox(path, svgPath string) int {
 			p.T, p.TruePos.X, p.TruePos.Y, p.TruePos.Z,
 			p.EstPos.X, p.EstPos.Y, p.EstPos.Z, p.TiltDeg)
 	}
+}
 
-	if svgPath != "" && len(tail) > 0 {
-		times := make([]float64, len(tail))
-		alts := make([]float64, len(tail))
-		errs := make([]float64, len(tail))
-		for i, p := range tail {
-			times[i] = p.T
-			alts[i] = -p.TruePos.Z
-			errs[i] = p.TruePos.Dist(p.EstPos)
-		}
-		chart := plot.Chart{
-			Title:  fmt.Sprintf("black box — %s (%s)", d.CaseID, d.Outcome),
-			XLabel: "time (s)",
-			YLabel: "meters",
-			Series: []plot.Series{
-				{Name: "altitude (m)", X: times, Y: alts},
-				{Name: "estimation error (m)", X: times, Y: errs},
-			},
-		}
-		out, err := os.Create(svgPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			return 1
-		}
-		err = chart.WriteSVG(out)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			return 1
-		}
-		fmt.Printf("figure written to %s\n", svgPath)
+// exportPoints is what -csv and -svg export: the full trajectory when the
+// dump has one, otherwise the black-box tail.
+func exportPoints(d blackbox.Dump) []sim.TrajPoint {
+	if len(d.Trajectory) > 0 || d.Diagnostics == nil {
+		return d.Trajectory
 	}
-	return 0
+	return d.Diagnostics.TrajectoryTail
+}
+
+// csvHeader names the sim.TrajPoint fields in export order.
+const csvHeader = "t,true_x,true_y,true_z,est_x,est_y,est_z,tilt_deg\n"
+
+// writeCSV exports trajectory points one per row. Floats use the shortest
+// formatting that parses back to the same float64, so the CSV is exact.
+func writeCSV(w io.Writer, points []sim.TrajPoint) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(csvHeader)
+	var buf []byte
+	for _, p := range points {
+		buf = buf[:0]
+		for i, v := range [...]float64{p.T, p.TruePos.X, p.TruePos.Y, p.TruePos.Z, p.EstPos.X, p.EstPos.Y, p.EstPos.Z, p.TiltDeg} {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+		}
+		buf = append(buf, '\n')
+		bw.Write(buf)
+	}
+	return bw.Flush()
+}
+
+// writeFile creates path, lets write fill it, and reports the first of
+// the write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

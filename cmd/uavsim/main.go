@@ -1,7 +1,8 @@
 // Command uavsim flies one Valencia mission, optionally under an IMU
 // fault, and reports the paper's metrics for that flight. It can also
-// write the trajectory as a flight log (binary) and CSV — the data behind
-// the paper's Figures 3-5.
+// write the flight as a black-box dump carrying the full trajectory — the
+// data behind the paper's Figures 3-5, exported by cmd/replay — and as a
+// paper-style trajectory figure.
 //
 // Usage:
 //
@@ -9,7 +10,7 @@
 //	uavsim -mission 5 -fault gyro:random -dur 30s           # Fig. 4 setup
 //	uavsim -mission 5 -fault imu:random -dur 30s            # Fig. 5 setup
 //	uavsim -mission 4                                       # gold run
-//	uavsim -mission 4 -csv flight.csv -log flight.bin
+//	uavsim -mission 4 -blackbox flight.blackbox.json -svg flight.svg
 package main
 
 import (
@@ -19,12 +20,13 @@ import (
 	"strings"
 	"time"
 
-	"uavres/internal/bubble"
+	"uavres/internal/blackbox"
+	"uavres/internal/core"
 	"uavres/internal/faultinject"
-	"uavres/internal/flightlog"
 	"uavres/internal/mission"
 	"uavres/internal/plot"
 	"uavres/internal/sim"
+	"uavres/internal/spec"
 )
 
 func main() {
@@ -38,8 +40,7 @@ func run() int {
 		dur       = flag.Duration("dur", 10*time.Second, "injection duration (paper: 2s/5s/10s/30s)")
 		start     = flag.Duration("start", 90*time.Second, "injection start after takeoff")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		csvPath   = flag.String("csv", "", "write trajectory CSV to this path")
-		logPath   = flag.String("log", "", "write binary flight log to this path")
+		bboxPath  = flag.String("blackbox", "", "write the flight as a black-box dump with its full trajectory to this path (read it with cmd/replay)")
 		svgPath   = flag.String("svg", "", "write a paper-style trajectory figure (SVG) to this path")
 	)
 	flag.Parse()
@@ -83,7 +84,7 @@ func run() int {
 
 	cfg := sim.DefaultConfig()
 	cfg.Seed = *seed
-	cfg.RecordTrajectory = *csvPath != "" || *logPath != "" || *svgPath != ""
+	cfg.RecordTrajectory = *bboxPath != "" || *svgPath != ""
 
 	label := "Gold Run"
 	if inj != nil {
@@ -111,84 +112,42 @@ func run() int {
 	fmt.Printf("bubble violations:  inner=%d outer=%d\n", res.InnerViolations, res.OuterViolations)
 	fmt.Printf("waypoints reached:  %d/%d\n", res.WaypointsReached, len(m.Waypoints))
 
-	if cfg.RecordTrajectory {
-		if err := writeOutputs(*csvPath, *logPath, m, label, inj, res); err != nil {
+	if *bboxPath != "" {
+		// The campaign's case ID, so one flight has one name whichever
+		// tool flew it.
+		id := fmt.Sprintf("m%02d-gold", m.ID)
+		if inj != nil {
+			id = spec.CaseID(m.ID, inj.Target, inj.Primitive, inj.Duration, inj.Start)
+		}
+		c := core.CaseResult{
+			Case:   core.Case{ID: id, MissionID: m.ID, Injection: inj, Seed: *seed},
+			Result: res,
+		}
+		if err := blackbox.WriteFile(*bboxPath, blackbox.FromCase(c, "")); err != nil {
 			fmt.Fprintln(os.Stderr, "uavsim:", err)
 			return 1
 		}
-		if *svgPath != "" {
-			faultStart := 0.0
-			if inj != nil {
-				faultStart = inj.Start.Seconds()
-			}
-			f, err := os.Create(*svgPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "uavsim:", err)
-				return 1
-			}
-			err = plot.TrajectoryFigure(f, m, res, faultStart)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "uavsim:", err)
-				return 1
-			}
-			fmt.Printf("trajectory figure:  %s\n", *svgPath)
+		fmt.Printf("black box:          %s (%d trajectory points)\n", *bboxPath, len(res.Trajectory))
+	}
+	if *svgPath != "" {
+		faultStart := 0.0
+		if inj != nil {
+			faultStart = inj.Start.Seconds()
 		}
+		f, err := os.Create(*svgPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "uavsim:", err)
+			return 1
+		}
+		err = plot.TrajectoryFigure(f, m, res, faultStart)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "uavsim:", err)
+			return 1
+		}
+		fmt.Printf("trajectory figure:  %s\n", *svgPath)
 	}
 	return 0
-}
-
-func writeOutputs(csvPath, logPath string, m mission.Mission, label string, inj *faultinject.Injection, res sim.Result) error {
-	innerRadius := bubble.InnerRadius(m.Drone, bubble.DefaultTrackingInterval)
-	records := make([]flightlog.Record, 0, len(res.Trajectory))
-	for _, p := range res.Trajectory {
-		r := flightlog.Record{
-			TimeSec: p.T,
-			TrueX:   p.TruePos.X, TrueY: p.TruePos.Y, TrueZ: p.TruePos.Z,
-			EstX: p.EstPos.X, EstY: p.EstPos.Y, EstZ: p.EstPos.Z,
-			TiltDeg:    p.TiltDeg,
-			DeviationM: m.CrossTrackDistance(p.EstPos),
-		}
-		if r.DeviationM > innerRadius {
-			r.Flags |= flightlog.FlagInnerViolation
-		}
-		if inj != nil && p.T >= inj.Start.Seconds() && p.T < (inj.Start+inj.Duration).Seconds() {
-			r.Flags |= flightlog.FlagFaultActive
-		}
-		records = append(records, r)
-	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := flightlog.WriteCSV(f, records); err != nil {
-			return err
-		}
-		fmt.Printf("trajectory CSV:     %s (%d points)\n", csvPath, len(records))
-	}
-	if logPath != "" {
-		f, err := os.Create(logPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w, err := flightlog.NewWriter(f, flightlog.Header{MissionID: uint16(m.ID), Label: label})
-		if err != nil {
-			return err
-		}
-		for _, r := range records {
-			if err := w.Append(r); err != nil {
-				return err
-			}
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("flight log:         %s\n", logPath)
-	}
-	return nil
 }

@@ -1,9 +1,11 @@
-// Package blackbox archives failed campaign cases as standalone
-// flight-recorder files. A dump is the per-case evidence that the
+// Package blackbox writes and reads the one on-disk flight record: a
+// versioned JSON dump per case. A dump is the per-case evidence that the
 // aggregate outcome tables flatten away — the last seconds of trajectory,
-// the EKF innovation/gate-reject statistics, and the drained trace ring —
-// written as one JSON file per crash/violation case so a failing paper
-// case is an inspectable artifact, not just a row in campaign_results.
+// the EKF innovation/gate-reject statistics, and the drained trace ring.
+// cmd/campaign writes one per crash/violation case, so a failing paper
+// case is an inspectable artifact, not just a row in campaign_results;
+// cmd/uavsim writes one for its single flight, with the full trajectory
+// behind the paper's Figs. 3-5. cmd/replay reads both.
 package blackbox
 
 import (
@@ -23,7 +25,8 @@ const Version = 1
 
 // Dump is one case's black-box record. It embeds the full Diagnostics
 // block (trajectory tail, trace events, EKF health statistics) plus
-// enough case identity to re-run the exact flight.
+// enough case identity to re-run the exact flight, and the full
+// trajectory when the flight recorded one.
 type Dump struct {
 	Version   int    `json:"version"`
 	CaseID    string `json:"case_id"`
@@ -43,6 +46,11 @@ type Dump struct {
 	WaypointsReached  int     `json:"waypoints_reached"`
 
 	Diagnostics *sim.Diagnostics `json:"diagnostics,omitempty"`
+
+	// Trajectory is the whole flight at 1 Hz, present only when the run
+	// set sim.Config.RecordTrajectory (cmd/uavsim does; campaigns do not,
+	// so their dumps carry the tail alone).
+	Trajectory []sim.TrajPoint `json:"trajectory,omitempty"`
 }
 
 // ShouldDump reports whether a finished case warrants a black-box file:
@@ -80,6 +88,7 @@ func FromCase(res core.CaseResult, specHash string) Dump {
 		WaypointsReached:  r.WaypointsReached,
 
 		Diagnostics: r.Diagnostics,
+		Trajectory:  r.Trajectory,
 	}
 }
 
@@ -101,21 +110,26 @@ func (d Dump) Filename() string {
 	return id + ".blackbox.json"
 }
 
-// Write persists the dump under dir (created if missing) and returns the
-// file path.
+// Write persists the dump under dir as d.Filename() and returns the file
+// path.
 func Write(dir string, d Dump) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("blackbox: %w", err)
+	path := filepath.Join(dir, d.Filename())
+	return path, WriteFile(path, d)
+}
+
+// WriteFile persists the dump at path, creating its directory if missing.
+func WriteFile(path string, d Dump) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("blackbox: %w", err)
 	}
 	data, err := json.MarshalIndent(d, "", " ")
 	if err != nil {
-		return "", fmt.Errorf("blackbox: marshal %s: %w", d.CaseID, err)
+		return fmt.Errorf("blackbox: marshal %s: %w", d.CaseID, err)
 	}
-	path := filepath.Join(dir, d.Filename())
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("blackbox: %w", err)
+		return fmt.Errorf("blackbox: %w", err)
 	}
-	return path, nil
+	return nil
 }
 
 // Load reads and validates one dump file.

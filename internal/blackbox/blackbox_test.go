@@ -55,29 +55,51 @@ func TestShouldDump(t *testing.T) {
 	}
 }
 
+// trajectoryResult is a gold flight recorded with RecordTrajectory, as
+// cmd/uavsim writes it: no tail, the whole path in Result.Trajectory.
+func trajectoryResult() core.CaseResult {
+	return core.CaseResult{
+		Case: core.Case{ID: "m04-gold", MissionID: 4, Seed: 1},
+		Result: sim.Result{
+			MissionID: 4, Outcome: sim.OutcomeCompleted, FlightDurationSec: 2.5,
+			Trajectory: []sim.TrajPoint{
+				{T: 0, TruePos: mathx.V3(0.1, -0.2, 0), EstPos: mathx.V3(0.1000000000000001, -0.2, -1e-17)},
+				{T: 1, TruePos: mathx.V3(0.3, -0.2, -4.25), EstPos: mathx.V3(0.3, -0.2, -4.5), TiltDeg: 6.727539424182159},
+				{T: 2, TruePos: mathx.V3(1, 0, -12), EstPos: mathx.V3(1, 0, -12), TiltDeg: 0.5},
+			},
+			Diagnostics: &sim.Diagnostics{FirstInnerViolationSec: -1, FirstOuterViolationSec: -1},
+		},
+	}
+}
+
 func TestWriteLoadRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "nested", "blackbox")
-	res := crashResult()
-	d := FromCase(res, "deadbeef")
-	path, err := Write(dir, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "m01-zeros-accel-s1.blackbox.json" {
-		t.Errorf("unexpected filename %s", path)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, d) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, d)
-	}
-	if got.Outcome != "crash" || got.SpecHash != "deadbeef" || got.Seed != 42 {
-		t.Errorf("fields lost: %+v", got)
-	}
-	if len(got.Diagnostics.TrajectoryTail) != 2 {
-		t.Errorf("tail lost: %+v", got.Diagnostics)
+	for file, res := range map[string]core.CaseResult{
+		"m01-zeros-accel-s1.blackbox.json": crashResult(),
+		"m04-gold.blackbox.json":           trajectoryResult(),
+	} {
+		dir := filepath.Join(t.TempDir(), "nested", "blackbox")
+		d := FromCase(res, "deadbeef")
+		path, err := Write(dir, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(path) != file {
+			t.Errorf("unexpected filename %s", path)
+		}
+		got, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, d) {
+			t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, d)
+		}
+		if got.Outcome != res.Result.Outcome.String() || got.SpecHash != "deadbeef" || got.Seed != res.Case.Seed {
+			t.Errorf("fields lost: %+v", got)
+		}
+		if len(got.Diagnostics.TrajectoryTail) != len(res.Result.Diagnostics.TrajectoryTail) ||
+			len(got.Trajectory) != len(res.Result.Trajectory) {
+			t.Errorf("%s: tail or trajectory lost: %+v", file, got)
+		}
 	}
 }
 
@@ -107,6 +129,7 @@ func TestLoadRejects(t *testing.T) {
 		"no-outcome.json": `{"version":1,"case_id":"x"}`,
 		"future.json":     `{"version":99,"case_id":"x","outcome":"crash"}`,
 		"zero-ver.json":   `{"case_id":"x","outcome":"crash"}`,
+		"truncated.json":  `{"version":1,"case_id":"x","outcome":"crash","trajectory":[{"t":0,"true_pos":{"x":1,`,
 	}
 	for name, content := range cases {
 		if _, err := Load(write(name, content)); err == nil {
@@ -116,4 +139,50 @@ func TestLoadRejects(t *testing.T) {
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file loaded")
 	}
+}
+
+// FuzzLoadBlackbox feeds arbitrary bytes to Load, the one flight-record
+// decoder (seed corpus under testdata/fuzz/FuzzLoadBlackbox). Load never
+// panics, and a dump it accepts survives Write → Load unchanged.
+func FuzzLoadBlackbox(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.blackbox.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Load(in)
+		if err != nil {
+			return
+		}
+		// WriteFile, not Write: a case ID that is no valid file name
+		// fails Write by design, which says nothing about the decoder.
+		out := filepath.Join(dir, "out.blackbox.json")
+		if err := WriteFile(out, d); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(out)
+		if err != nil {
+			t.Fatalf("a written dump does not load: %v", err)
+		}
+		// Write omits empty lists and maps, so a literal [] or {} in the
+		// input loads back as nil; that is the one permitted difference.
+		if len(d.Trajectory) == 0 {
+			d.Trajectory = nil
+		}
+		if diag := d.Diagnostics; diag != nil {
+			if len(diag.Trace) == 0 {
+				diag.Trace = nil
+			}
+			if len(diag.TraceSummary) == 0 {
+				diag.TraceSummary = nil
+			}
+			if len(diag.TrajectoryTail) == 0 {
+				diag.TrajectoryTail = nil
+			}
+		}
+		if !reflect.DeepEqual(got, d) {
+			t.Fatalf("round trip changed the dump:\ngot  %+v\nwant %+v", got, d)
+		}
+	})
 }

@@ -437,7 +437,7 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 					for _, dur := range m.durations {
 						for _, start := range m.starts {
 							id, ok := pick(byPrim, func(sel *matcher) bool { return sel.windowOK(dur, start) }, func() string {
-								return caseID(ms.ID, target, prim, dur, start) + suffix
+								return CaseID(ms.ID, target, prim, dur, start) + suffix
 							})
 							if !ok {
 								continue
@@ -560,10 +560,11 @@ func parseAirframes(names []string) ([]physics.Airframe, error) {
 	return out, nil
 }
 
-// caseID builds the stable case identifier. At the paper's canonical
-// start the format is the legacy one ("m04-gyro-freeze-10s"); other
-// starts append "-tNNs" so grid specs stay collision-free.
-func caseID(missionID int, target faultinject.Target, prim faultinject.Primitive, dur, start time.Duration) string {
+// CaseID builds the stable case identifier of a sensor fault case. At
+// the paper's canonical start the format is the legacy one
+// ("m04-gyro-freeze-10s"); other starts append "-tNNs" so grid specs
+// stay collision-free. cmd/uavsim names its single flight with it too.
+func CaseID(missionID int, target faultinject.Target, prim faultinject.Primitive, dur, start time.Duration) string {
 	id := fmt.Sprintf("m%02d-%s-%s-%ss", missionID,
 		core.Slug(target.String()), core.Slug(prim.String()), formatSec(dur.Seconds()))
 	if start != PaperStartSec*time.Second {

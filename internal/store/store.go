@@ -10,16 +10,18 @@
 // Layout under the root directory:
 //
 //	objects/<hh>/<fingerprint>.json   one core.CaseResult per object
-//	index.log                         "v1 <fingerprint> <size> <caseID>" lines
+//	index.log                         "v1 <fingerprint> <size> <caseID>" lines,
+//	                                  "v1 <fingerprint> drop" tombstones
 //
 // The index is a cache of the object tree, never the source of truth: a
 // missing index, an unparsable line or a torn tail (a crash mid-append)
 // makes Open rebuild it by scanning the shards, and every Get re-reads
 // and verifies the object itself — a corrupt or truncated object is
 // dropped and reported as a miss, mirroring core.LoadPartialResults'
-// stance that interrupted writes cost a re-run, never an error. Nothing
-// is evicted; deleting objects by hand is safe, since a missing object
-// is a miss.
+// stance that interrupted writes cost a re-run, never an error. A drop
+// appends a tombstone, so the next Open no longer counts the object.
+// Nothing is evicted; deleting objects by hand is safe, since a missing
+// object is a miss.
 package store
 
 import (
@@ -40,6 +42,9 @@ import (
 // indexVersion tags index.log lines so a future layout change cannot be
 // misread as today's.
 const indexVersion = "v1"
+
+// tombstone stands in an index line's size field to record a drop.
+const tombstone = "drop"
 
 // Stats is one point-in-time view of the store: persistent contents
 // plus this session's traffic.
@@ -130,11 +135,12 @@ func validHash(hash string) bool {
 	return true
 }
 
-// loadIndex reads index.log. ok=false means the index is absent or
-// untrustworthy and must be rebuilt: a malformed line anywhere, or a
-// final line without its newline. A torn tail (a crashed append) can
-// still parse when it breaks inside the case ID, and the next append
-// would join it and be swallowed into that ID, so it is never kept.
+// loadIndex reads index.log, replaying puts and tombstones in order.
+// ok=false means the index is absent or untrustworthy and must be
+// rebuilt: a malformed line anywhere, or a final line without its
+// newline. A torn tail (a crashed append) can still parse when it breaks
+// inside the case ID, and the next append would join it and be
+// swallowed into that ID, so it is never kept.
 func (s *Store) loadIndex() (map[string]int64, bool) {
 	data, err := os.ReadFile(s.indexPath())
 	if err != nil || (len(data) > 0 && data[len(data)-1] != '\n') {
@@ -148,6 +154,10 @@ func (s *Store) loadIndex() (map[string]int64, bool) {
 		fields := strings.SplitN(line, " ", 4)
 		if len(fields) < 3 || fields[0] != indexVersion || !validHash(fields[1]) {
 			return nil, false
+		}
+		if fields[2] == tombstone && len(fields) == 3 {
+			delete(sizes, fields[1])
+			continue
 		}
 		size, err := strconv.ParseInt(fields[2], 10, 64)
 		if err != nil || size < 0 {
@@ -328,10 +338,16 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// drop forgets a fingerprint and removes its object file (best effort).
+// drop forgets a fingerprint, records a tombstone in the index so a
+// reopen forgets it too, and removes its object file (best effort).
 func (s *Store) drop(hash string) {
 	s.mu.Lock()
-	delete(s.sizes, hash)
+	if _, known := s.sizes[hash]; known {
+		delete(s.sizes, hash)
+		if _, err := fmt.Fprintf(s.indexF, "%s %s %s\n", indexVersion, hash, tombstone); err != nil && s.err == nil {
+			s.err = fmt.Errorf("store: appending index: %w", err)
+		}
+	}
 	s.mu.Unlock()
 	os.Remove(s.objectPath(hash))
 }

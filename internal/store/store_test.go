@@ -229,6 +229,44 @@ func TestCorruptObjectIsAMiss(t *testing.T) {
 	}
 }
 
+// TestDropSurvivesReopen: an object deleted by hand is dropped on its
+// next Get, and the drop is recorded in the index, so later sessions
+// count only the survivor.
+func TestDropSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	a := result("a", "aa11223344556677", sim.OutcomeCompleted)
+	b := result("b", "bb11223344556677", sim.OutcomeCrash)
+	for _, r := range []core.CaseResult{a, b} {
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, err := os.Stat(filepath.Join(dir, "objects", "aa", a.Case.Hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "objects", "bb", b.Case.Hash+".json")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(b.Case.Hash); ok || err != nil {
+		t.Fatalf("deleted object: ok=%v err=%v", ok, err)
+	}
+	s.Close()
+	for i := 1; i <= 2; i++ {
+		s := mustOpen(t, dir)
+		if st := s.Stats(); st.Objects != 1 || st.Bytes != info.Size() {
+			t.Errorf("reopen %d: Objects=%d Bytes=%d, want 1 and %d", i, st.Objects, st.Bytes, info.Size())
+		}
+		s.Close()
+	}
+	// Both reopens replayed the tombstone rather than rebuilding the
+	// index from the object tree, which would have rewritten it.
+	if index, _ := os.ReadFile(filepath.Join(dir, "index.log")); !strings.Contains(string(index), b.Case.Hash+" drop\n") {
+		t.Errorf("index lost its tombstone:\n%s", index)
+	}
+}
+
 // gyroGrid is one mission's gyro grid: 1 target x 2 primitives x 2
 // durations + 1 gold run = 5 cases.
 const gyroGrid = `{
