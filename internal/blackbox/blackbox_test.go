@@ -1,6 +1,7 @@
 package blackbox
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,33 +74,62 @@ func trajectoryResult() core.CaseResult {
 }
 
 func TestWriteLoadRoundTrip(t *testing.T) {
-	for file, res := range map[string]core.CaseResult{
-		"m01-zeros-accel-s1.blackbox.json": crashResult(),
-		"m04-gold.blackbox.json":           trajectoryResult(),
-	} {
-		dir := filepath.Join(t.TempDir(), "nested", "blackbox")
-		d := FromCase(res, "deadbeef")
-		path, err := Write(dir, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if filepath.Base(path) != file {
-			t.Errorf("unexpected filename %s", path)
-		}
-		got, err := Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, d) {
-			t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, d)
-		}
-		if got.Outcome != res.Result.Outcome.String() || got.SpecHash != "deadbeef" || got.Seed != res.Case.Seed {
-			t.Errorf("fields lost: %+v", got)
-		}
-		if len(got.Diagnostics.TrajectoryTail) != len(res.Result.Diagnostics.TrajectoryTail) ||
-			len(got.Trajectory) != len(res.Result.Trajectory) {
-			t.Errorf("%s: tail or trajectory lost: %+v", file, got)
-		}
+	dir := filepath.Join(t.TempDir(), "nested", "blackbox")
+	res := crashResult()
+	d := FromCase(res, "deadbeef")
+	path, err := Write(dir, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(path) != "m01-zeros-accel-s1.blackbox.json" {
+		t.Errorf("unexpected filename %s", path)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, d) {
+		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, d)
+	}
+	if got.Outcome != "crash" || got.SpecHash != "deadbeef" || got.Seed != 42 {
+		t.Errorf("fields lost: %+v", got)
+	}
+	if len(got.Diagnostics.TrajectoryTail) != 2 {
+		t.Errorf("tail lost: %+v", got.Diagnostics)
+	}
+	if got.Trajectory != nil {
+		t.Errorf("campaign dump gained a trajectory: %+v", got.Trajectory)
+	}
+}
+
+// TestWriteLoadTrajectoryRoundTrip writes a flight recorded with its whole
+// trajectory, as cmd/uavsim -blackbox does, and reads every point back
+// bit for bit.
+func TestWriteLoadTrajectoryRoundTrip(t *testing.T) {
+	res := trajectoryResult()
+	d := FromCase(res, "deadbeef")
+	path, err := Write(t.TempDir(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(path) != "m04-gold.blackbox.json" {
+		t.Errorf("unexpected filename %s", path)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, d) {
+		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, d)
+	}
+	if !reflect.DeepEqual(got.Trajectory, res.Result.Trajectory) {
+		t.Errorf("trajectory changed:\ngot  %+v\nwant %+v", got.Trajectory, res.Result.Trajectory)
+	}
+	if got.Outcome != "completed" || got.MissionID != 4 || got.Seed != 1 {
+		t.Errorf("fields lost: %+v", got)
+	}
+	if len(got.Diagnostics.TrajectoryTail) != 0 {
+		t.Errorf("trajectory flight gained a tail: %+v", got.Diagnostics.TrajectoryTail)
 	}
 }
 
@@ -129,7 +159,6 @@ func TestLoadRejects(t *testing.T) {
 		"no-outcome.json": `{"version":1,"case_id":"x"}`,
 		"future.json":     `{"version":99,"case_id":"x","outcome":"crash"}`,
 		"zero-ver.json":   `{"case_id":"x","outcome":"crash"}`,
-		"truncated.json":  `{"version":1,"case_id":"x","outcome":"crash","trajectory":[{"t":0,"true_pos":{"x":1,`,
 	}
 	for name, content := range cases {
 		if _, err := Load(write(name, content)); err == nil {
@@ -138,6 +167,34 @@ func TestLoadRejects(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file loaded")
+	}
+}
+
+// TestLoadDetectsTruncation cuts a written trajectory dump short at every
+// byte before its closing brace: Load rejects each cut instead of
+// returning a dump with points missing.
+func TestLoadDetectsTruncation(t *testing.T) {
+	dir := t.TempDir()
+	path, err := Write(dir, FromCase(trajectoryResult(), "deadbeef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := bytes.LastIndexByte(raw, '}')
+	if end < 0 {
+		t.Fatalf("dump has no closing brace: %q", raw)
+	}
+	cut := filepath.Join(dir, "cut.blackbox.json")
+	for n := 0; n < end; n++ {
+		if err := os.WriteFile(cut, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(cut); err == nil {
+			t.Fatalf("dump cut to %d of %d bytes loaded without error", n, len(raw))
+		}
 	}
 }
 
