@@ -31,7 +31,6 @@ import (
 	"uavres/internal/mitigation"
 	"uavres/internal/obs"
 	"uavres/internal/sim"
-	"uavres/internal/telemetry"
 )
 
 // BenchmarkAblationRateSource is the factorial fault-path ablation: where
@@ -266,21 +265,7 @@ func BenchmarkUavlint(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks outside the sim tick (telemetry, RNG policy, obs) ---
-
-// BenchmarkMicroCodecRoundTrip measures telemetry encode+decode.
-func BenchmarkMicroCodecRoundTrip(b *testing.B) {
-	pos := telemetry.Position{TimeSec: 1, X: 2, Y: 3, Z: -15, VX: 1}
-	for i := 0; i < b.N; i++ {
-		raw, err := telemetry.EncodePosition(uint8(i), 1, pos).Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := telemetry.ReadFrameBytes(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Micro-benchmarks outside the sim tick (RNG policy, obs, live status) ---
 
 // BenchmarkMicroNormFloat64Ziggurat measures one normal deviate under the
 // 128-layer ziggurat sampler (inside-rectangle fast path ~98% of draws).

@@ -23,11 +23,11 @@
 # runs bit for bit, campaign -store must replay a warm grid from the
 # result store and simulate only the new cells of a wider one, and a
 # uavsim black-box dump must load in replay and export its trajectory.
-# Short fuzz passes cover the resume decoder, the spec decoder and compiler,
-# the -select expression parser and the selection it makes (against the
-# pre-compilation reference predicate), the telemetry frame decoder,
-# fork-versus-straight equivalence, the result store's index replay and
-# the black-box dump decoder.
+# Short fuzz passes cover the results-file decoder, the spec decoder and
+# compiler, the -select expression parser and the selection it makes
+# (against the pre-compilation reference predicate), fork-versus-straight
+# equivalence, the result store's index replay and the black-box dump
+# decoder.
 # Any failure fails the gate. Timing is gated by the campaign benchmark
 # (BENCHMARK.json, benchsuite/run.sh), which compares interleaved runs on
 # one host; this script gates none.
@@ -58,8 +58,10 @@ go test -run XXX -bench Micro -benchtime=1x -benchmem .
 # The campaign benchmark is its own module over this tree: vet and test it
 # here so a change that breaks its build fails CI, not the benchmark run.
 (cd benchsuite && go vet ./... && go test ./...)
-# Short fuzz pass over the resume decoder (seed corpus under
-# internal/core/testdata/fuzz): no panic, and a writer round trip.
+# Short fuzz pass over the one results-file decoder, which every reader
+# of a results file goes through (-resume, cmd/report, -compare-results,
+# the campaign benchmark's check); seed corpus under
+# internal/core/testdata/fuzz: no panic, and a writer round trip.
 go test -run XXX -fuzz FuzzLoadPartialResults -fuzztime 10s ./internal/core/
 # Short fuzz pass over the spec decoder and compiler (seed corpus under
 # internal/spec/testdata/fuzz): no panic, and every compiled case has a
@@ -72,11 +74,6 @@ go test -run XXX -fuzz FuzzParseCompile -fuzztime 10s ./internal/spec/
 # Compile with the selector as the select list keep exactly the cases the
 # reference predicate keeps.
 go test -run XXX -fuzz FuzzParseSelector -fuzztime 10s ./internal/spec/
-# Short fuzz pass over the telemetry frame decoder (seed corpus under
-# internal/telemetry/testdata/fuzz): no panic from the frame and message
-# decoders or Tracker.Ingest, and every accepted frame or message
-# re-encodes to the bytes it came from.
-go test -run XXX -fuzz FuzzReadFrame -fuzztime 10s ./internal/telemetry/
 # Short fuzz pass over fault parameters (primitive, target or rotor,
 # scope, start, duration): chained forks equal straight runs, and every
 # outcome is enumerated with finite numbers.

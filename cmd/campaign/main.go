@@ -298,7 +298,7 @@ func run() int {
 	// parsing, before any compile work.
 	resumeNote := ""
 	if *resume {
-		prior, truncated, err := core.LoadPartialResultsFile(*out)
+		_, prior, truncated, err := core.LoadPartialResultsFile(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "campaign:", err)
 			return 1

@@ -93,9 +93,7 @@ func render(outdir string, w io.Writer) error {
 		},
 	}
 	missions := mission.Valencia()
-	cfg := sim.DefaultConfig()
-	cfg.Seed = 42
-	cfg.RecordTrajectory = true
+	cfg := figureConfig()
 
 	for _, spec := range specs {
 		m := missions[spec.missionIx]
@@ -121,15 +119,9 @@ func render(outdir string, w io.Writer) error {
 		}
 	}
 
-	// Figure 2: bubble layers over time during an accelerometer fault
-	// that drives the vehicle through both layers.
-	m := missions[4]
-	inj := faultinject.Injection{
-		Primitive: faultinject.Zeros, Target: faultinject.TargetAccel,
-		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 6,
-	}
+	// Figure 2: bubble layers over time, from the 1 Hz observations.
 	var times, devs, inner, outer []float64
-	res, err := sim.Run(cfg, m, &inj, func(tel sim.Telemetry) {
+	m, res, err := flyFig2(func(tel sim.Telemetry) {
 		times = append(times, tel.T)
 		devs = append(devs, tel.Bubble.Deviation)
 		inner = append(inner, tel.Bubble.InnerRadius)
@@ -138,12 +130,40 @@ func render(outdir string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "fig2_bubble: %s on mission %d -> %v, %d/%d violations; paper: both layers crossed %s\n",
-		inj.Label(), m.ID, res.Outcome, res.InnerViolations, res.OuterViolations,
-		verdict(res.InnerViolations > 0 && res.OuterViolations > 0))
-	return writeFigure(filepath.Join(outdir, "fig2_bubble.svg"), func(f *os.File) error {
+	fmt.Fprintf(w, "%s: %s on mission %d -> %v, %d/%d violations; paper: %s %s\n",
+		fig2.name, fig2.inj.Label(), m.ID, res.Outcome, res.InnerViolations, res.OuterViolations,
+		fig2.paper, verdict(fig2.holds(res)))
+	return writeFigure(filepath.Join(outdir, fig2.name+".svg"), func(f *os.File) error {
 		return plot.BubbleFigure(f, times, devs, inner, outer)
 	})
+}
+
+// figureConfig is the configuration every figure flies under.
+func figureConfig() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.Seed = 42
+	cfg.RecordTrajectory = true
+	return cfg
+}
+
+// fig2 is Figure 2's case: an accelerometer fault that drives the
+// vehicle through both bubble layers.
+var fig2 = figureSpec{
+	name: "fig2_bubble", missionIx: 4,
+	inj: faultinject.Injection{
+		Primitive: faultinject.Zeros, Target: faultinject.TargetAccel,
+		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 6,
+	},
+	paper: "both layers crossed",
+	holds: func(res sim.Result) bool { return res.InnerViolations > 0 && res.OuterViolations > 0 },
+}
+
+// flyFig2 flies Figure 2's case, handing every 1 Hz observation to obs.
+func flyFig2(obs sim.Observer) (mission.Mission, sim.Result, error) {
+	m := mission.Valencia()[fig2.missionIx]
+	inj := fig2.inj
+	res, err := sim.Run(figureConfig(), m, &inj, obs)
+	return m, res, err
 }
 
 func verdict(holds bool) string {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"uavres/internal/sim"
 )
 
 // TestRenderMatchesGolden flies every figure and requires the printed
@@ -37,5 +39,40 @@ func TestRenderMatchesGolden(t *testing.T) {
 		if st.Size() == 0 {
 			t.Errorf("%s is empty", name)
 		}
+	}
+}
+
+// TestFig2ViolationsFromObserver recounts Figure 2's bubble violations
+// from the 1 Hz observer stream alone: a sample whose deviation exceeds
+// its inner (outer) radius is one inner (outer) violation. The recount
+// must cross both layers, equal the run's counts and agree with every
+// sample's own violation flags. testdata/figures.txt pins the counts.
+func TestFig2ViolationsFromObserver(t *testing.T) {
+	var inner, outer, samples int
+	_, res, err := flyFig2(func(tel sim.Telemetry) {
+		b := tel.Bubble
+		in, out := b.Deviation > b.InnerRadius, b.Deviation > b.OuterRadius
+		if in {
+			inner++
+		}
+		if out {
+			outer++
+		}
+		if b.InnerViolated != in || b.OuterViolated != out {
+			t.Errorf("sample at %.1f s: deviation %.3f, radii %.3f/%.3f, flagged inner=%v outer=%v",
+				b.T, b.Deviation, b.InnerRadius, b.OuterRadius, b.InnerViolated, b.OuterViolated)
+		}
+		samples++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner == 0 || outer == 0 {
+		t.Fatalf("%d observations recount %d/%d violations; Figure 2 needs both layers crossed",
+			samples, inner, outer)
+	}
+	if inner != res.InnerViolations || outer != res.OuterViolations {
+		t.Errorf("observer recounts %d/%d violations, the run %d/%d",
+			inner, outer, res.InnerViolations, res.OuterViolations)
 	}
 }

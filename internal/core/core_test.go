@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -214,39 +213,6 @@ func TestFindRow(t *testing.T) {
 	}
 	if _, exists := Find(rows, "zzz"); exists {
 		t.Error("Find located a missing label")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	in := []CaseResult{
-		mkResult(1, inj(faultinject.Freeze, faultinject.TargetIMU, 5*time.Second), sim.OutcomeFailsafe, 3, 2, 99.5, 0.4),
-		mkResult(2, nil, sim.OutcomeCompleted, 0, 0, 490, 3.6),
-	}
-	var buf bytes.Buffer
-	if err := SaveResults(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := LoadResults(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("loaded %d results", len(out))
-	}
-	if out[0].Result.Outcome != sim.OutcomeFailsafe || out[0].Result.InnerViolations != 3 {
-		t.Errorf("round trip lost data: %+v", out[0].Result)
-	}
-	if out[0].Case.Injection == nil || out[0].Case.Injection.Primitive != faultinject.Freeze {
-		t.Errorf("round trip lost injection: %+v", out[0].Case)
-	}
-	if out[1].Case.Injection != nil {
-		t.Error("gold case grew an injection")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadResults(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 

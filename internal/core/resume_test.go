@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,14 +74,14 @@ func TestResumeRunsOnlyMissingCases(t *testing.T) {
 	}
 
 	full, ends := run(newRunner(), cases)
-	want, truncated, err := LoadPartialResults(bytes.NewReader(full))
+	_, want, truncated, err := LoadPartialResults(bytes.NewReader(full))
 	if err != nil || truncated || len(want) != len(cases) {
 		t.Fatalf("full run: %d results, truncated=%v, err=%v", len(want), truncated, err)
 	}
 
 	// The process died halfway through writing the third case.
 	cut := full[:(ends[1]+ends[2])/2]
-	prior, truncated, err := LoadPartialResults(bytes.NewReader(cut))
+	_, prior, truncated, err := LoadPartialResults(bytes.NewReader(cut))
 	if err != nil || !truncated || len(prior) != 2 {
 		t.Fatalf("cut file: %d results, truncated=%v, err=%v", len(prior), truncated, err)
 	}
@@ -108,7 +111,7 @@ func TestResumeRunsOnlyMissingCases(t *testing.T) {
 		t.Errorf("resume replayed %d cases, want 1", got)
 	}
 
-	got, truncated, err := LoadPartialResults(bytes.NewReader(out))
+	_, got, truncated, err := LoadPartialResults(bytes.NewReader(out))
 	if err != nil || truncated {
 		t.Fatalf("resumed file: truncated=%v, err=%v", truncated, err)
 	}
@@ -222,7 +225,7 @@ func resumeResults() []CaseResult {
 
 func TestLoadPartialResultsComplete(t *testing.T) {
 	text := writeResults(t, resumeResults(), true)
-	got, truncated, err := LoadPartialResults(strings.NewReader(text))
+	_, got, truncated, err := LoadPartialResults(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,16 +238,18 @@ func TestLoadPartialResultsComplete(t *testing.T) {
 }
 
 // TestLoadPartialResultsTruncated: a file cut off mid-element (the
-// process died writing) yields the clean prefix and truncated=true.
+// process died writing) yields the clean prefix and truncated=true, and
+// LoadResultsFile, which wants a finished campaign, refuses it.
 func TestLoadPartialResultsTruncated(t *testing.T) {
 	text := writeResults(t, resumeResults(), false) // no closing bracket
-	for _, cut := range []string{
+	dir := t.TempDir()
+	for i, cut := range []string{
 		text,                 // unterminated array, whole elements
 		text[:len(text)*3/4], // torn element
 		text[:len(text)/2],   // torn earlier
 		"",                   // nothing written yet
 	} {
-		got, truncated, err := LoadPartialResults(strings.NewReader(cut))
+		_, got, truncated, err := LoadPartialResults(strings.NewReader(cut))
 		if err != nil {
 			t.Fatalf("cut %d bytes: %v", len(cut), err)
 		}
@@ -255,6 +260,13 @@ func TestLoadPartialResultsTruncated(t *testing.T) {
 			if cr.Case.ID == "" {
 				t.Errorf("cut %d bytes: torn element surfaced: %+v", len(cut), cr)
 			}
+		}
+		path := filepath.Join(dir, fmt.Sprintf("cut%d.json", i))
+		if err := os.WriteFile(path, []byte(cut), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := LoadResultsFile(path); err == nil {
+			t.Errorf("cut %d bytes: LoadResultsFile accepted a truncated file (%d results)", len(cut), len(res))
 		}
 	}
 }
@@ -283,7 +295,7 @@ func TestLoadPartialResultsHeaderOnly(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, truncated, err := LoadPartialResults(strings.NewReader(buf.String()))
+			_, got, truncated, err := LoadPartialResults(strings.NewReader(buf.String()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +327,7 @@ func TestLoadPartialResultsCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := strings.Replace(buf.String(), `"header"`, `"header" ###`, 1)
-	_, _, err := LoadPartialResults(strings.NewReader(text))
+	_, _, _, err := LoadPartialResults(strings.NewReader(text))
 	if err == nil {
 		t.Fatal("corrupt header accepted")
 	}
@@ -324,33 +336,38 @@ func TestLoadPartialResultsCorruptHeader(t *testing.T) {
 	}
 }
 
-// TestLoadPartialResultsCorrupt: corruption inside the file is a real
-// error and it names the line, not a panic and not a silent partial.
+// TestLoadPartialResultsCorrupt: corruption inside the file, a document
+// that is not a results array and an element without a case ID are real
+// errors that name a line, not a panic and not a silent partial.
 func TestLoadPartialResultsCorrupt(t *testing.T) {
-	text := writeResults(t, resumeResults(), true)
-	lines := strings.Split(text, "\n")
+	lines := strings.Split(writeResults(t, resumeResults(), true), "\n")
 	// Garble a line inside the first element.
-	corruptLine := 3
-	lines[corruptLine-1] = `   "mission_id": ###,`
-	corrupt := strings.Join(lines, "\n")
-
-	_, _, err := LoadPartialResults(strings.NewReader(corrupt))
-	if err == nil {
-		t.Fatal("corrupt file loaded without error")
-	}
-	if !strings.Contains(err.Error(), "line") {
-		t.Errorf("error does not name a line: %v", err)
-	}
-	// Not-an-array documents are rejected too.
-	if _, _, err := LoadPartialResults(strings.NewReader(`{"a":1}`)); err == nil {
-		t.Error("non-array document accepted")
+	lines[2] = `   "mission_id": ###,`
+	for _, tc := range []struct {
+		name, text string
+		line       bool
+	}{
+		{"garbled element", strings.Join(lines, "\n"), true},
+		{"object", `{"a":1}`, false},
+		{"not json", "not json", true},
+		{"no case ID", `[{"mission_id": 1}]`, true},
+	} {
+		_, _, _, err := LoadPartialResults(strings.NewReader(tc.text))
+		if err == nil {
+			t.Errorf("%s: loaded without error", tc.name)
+			continue
+		}
+		if tc.line && !strings.Contains(err.Error(), "line") {
+			t.Errorf("%s: error does not name a line: %v", tc.name, err)
+		}
 	}
 }
 
-// FuzzLoadPartialResults feeds arbitrary bytes to the resume decoder,
-// the only way a results file reaches the runner's cache. Any input
-// loads or fails with an error, never a panic; whatever loads carries a
-// case ID on every result and survives a ResultsWriter round trip.
+// FuzzLoadPartialResults feeds arbitrary bytes to the one results-file
+// decoder, the only way a results file reaches the runner's cache, a
+// report or a comparison. Any input loads or fails with an error, never
+// a panic; whatever loads carries a case ID on every result and survives
+// a ResultsWriter round trip.
 //
 // omitempty writes an empty slice or map exactly like an absent one, so
 // a first load may hold an empty value the writer drops (the
@@ -360,14 +377,14 @@ func TestLoadPartialResultsCorrupt(t *testing.T) {
 func FuzzLoadPartialResults(f *testing.F) {
 	load := func(t *testing.T, text string) []CaseResult {
 		t.Helper()
-		results, truncated, err := LoadPartialResults(strings.NewReader(text))
+		_, results, truncated, err := LoadPartialResults(strings.NewReader(text))
 		if err != nil || truncated {
 			t.Fatalf("re-written results do not load: truncated=%v, err=%v", truncated, err)
 		}
 		return results
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		results, _, err := LoadPartialResults(bytes.NewReader(data))
+		_, results, _, err := LoadPartialResults(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -12,9 +12,10 @@ import (
 
 // ResultsWriter streams campaign results as an incrementally written JSON
 // array, element by element, so a campaign can persist each case as it
-// finishes instead of accumulating all of them in memory first. The output
-// is read back by LoadResults; wire Write into Runner.OnResult to bound
-// resident memory at the in-flight cases (see Runner.OnResult).
+// finishes instead of accumulating all of them in memory first. It is the
+// one results writer; LoadPartialResults is the one reader. Wire Write
+// into Runner.OnResult to bound resident memory at the in-flight cases
+// (see Runner.OnResult).
 //
 // Write and Close must be called from one goroutine at a time —
 // Runner.OnResult already serializes its calls.
@@ -38,8 +39,8 @@ func NewResultsWriter(w io.Writer) *ResultsWriter {
 // array's FIRST entry, wrapped as {"header": {...}} so readers can tell it
 // from a case result. It records how the results were produced — the
 // execution mode and the RNG policy — so two results files are never
-// compared across modes silently. LoadPartialResults skips header
-// elements, so resume works unchanged over headered files.
+// compared across modes silently. LoadPartialResults returns it apart
+// from the case results, so resume works unchanged over headered files.
 type ResultsHeader struct {
 	// SpecHash identifies the compiled campaign (spec.CampaignSpec.Hash).
 	SpecHash string `json:"spec_hash,omitempty"`

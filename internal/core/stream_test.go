@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,40 +12,31 @@ import (
 	"uavres/internal/sim"
 )
 
+// TestResultsWriterRoundTrip: whatever ResultsWriter writes,
+// LoadPartialResults reads back complete and unchanged.
 func TestResultsWriterRoundTrip(t *testing.T) {
-	in := []CaseResult{
-		mkResult(1, inj(faultinject.Freeze, faultinject.TargetIMU, 5*time.Second), sim.OutcomeFailsafe, 3, 2, 99.5, 0.4),
-		mkResult(2, nil, sim.OutcomeCompleted, 0, 0, 490, 3.6),
-		{Case: Case{ID: "broken", MissionID: 7}, Err: "boom"},
-	}
-	var buf bytes.Buffer
-	w := NewResultsWriter(&buf)
-	for _, r := range in {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
+	freeze := mkResult(1, inj(faultinject.Freeze, faultinject.TargetIMU, 5*time.Second), sim.OutcomeFailsafe, 3, 2, 99.5, 0.4)
+	gold := mkResult(2, nil, sim.OutcomeCompleted, 0, 0, 490, 3.6)
+	for _, tc := range []struct {
+		name string
+		in   []CaseResult
+	}{
+		{"fault and gold", []CaseResult{freeze, gold}},
+		{"errored case", []CaseResult{{Case: Case{ID: "broken", MissionID: 7}, Err: "boom"}}},
+	} {
+		_, out, truncated, err := LoadPartialResults(strings.NewReader(writeResults(t, tc.in, true)))
+		if err != nil || truncated {
+			t.Fatalf("%s: streamed output not loadable: truncated=%v, err=%v", tc.name, truncated, err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := LoadResults(&buf)
-	if err != nil {
-		t.Fatalf("streamed output not loadable: %v", err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("loaded %d results, wrote %d", len(out), len(in))
-	}
-	if out[0].Result.Outcome != sim.OutcomeFailsafe || out[0].Case.Injection == nil {
-		t.Errorf("round trip lost data: %+v", out[0])
-	}
-	if out[2].Err != "boom" {
-		t.Errorf("round trip lost error: %+v", out[2])
+		if !reflect.DeepEqual(out, tc.in) {
+			t.Errorf("%s: round trip changed the results:\nwrote  %+v\nloaded %+v", tc.name, tc.in, out)
+		}
 	}
 }
 
 // TestResultsWriterHeader: the run-metadata header round-trips through
-// both loaders — LoadResultsWithHeader surfaces it, LoadResults and
-// LoadPartialResults skip it — and is rejected anywhere but first.
+// the one decoder, which returns it apart from the case results, and
+// the writer rejects it anywhere but first.
 func TestResultsWriterHeader(t *testing.T) {
 	hdr := ResultsHeader{
 		SpecHash:   "abc123",
@@ -69,31 +62,18 @@ func TestResultsWriterHeader(t *testing.T) {
 	}
 
 	data := buf.Bytes()
-	got, out, err := LoadResultsWithHeader(bytes.NewReader(data))
+	got, out, truncated, err := LoadPartialResults(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("headered stream not loadable: %v (%q)", err, data)
+	}
+	if truncated {
+		t.Error("complete headered file reported truncated")
 	}
 	if got == nil || *got != hdr {
 		t.Errorf("header round trip: got %+v, want %+v", got, hdr)
 	}
 	if len(out) != 1 || out[0].Case.ID != res.Case.ID {
 		t.Errorf("results alongside header: %+v", out)
-	}
-
-	plain, err := LoadResults(bytes.NewReader(data))
-	if err != nil || len(plain) != 1 {
-		t.Errorf("LoadResults over headered file: %d results, err %v", len(plain), err)
-	}
-
-	partial, truncated, err := LoadPartialResults(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("LoadPartialResults over headered file: %v", err)
-	}
-	if truncated {
-		t.Error("complete headered file reported truncated")
-	}
-	if len(partial) != 1 || partial[0].Case.ID != res.Case.ID {
-		t.Errorf("resume load over headered file: %+v", partial)
 	}
 }
 
@@ -124,9 +104,9 @@ func TestResultsWriterEmpty(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := LoadResults(&buf)
-	if err != nil {
-		t.Fatalf("empty stream not loadable: %v (%q)", err, buf.String())
+	_, out, truncated, err := LoadPartialResults(&buf)
+	if err != nil || truncated {
+		t.Fatalf("empty stream not loadable: truncated=%v, err=%v (%q)", truncated, err, buf.String())
 	}
 	if len(out) != 0 {
 		t.Fatalf("empty stream decoded to %d results", len(out))

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 )
 
@@ -109,76 +106,3 @@ func RenderFaultModel() string {
 // Registry re-exports the fault model for table rendering without forcing
 // callers through the faultinject package.
 var Registry = registryFunc
-
-// SaveResults writes campaign results as JSON.
-func SaveResults(w io.Writer, results []CaseResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(results); err != nil {
-		return fmt.Errorf("core: encoding results: %w", err)
-	}
-	return nil
-}
-
-// LoadResults reads campaign results from JSON, skipping any run-metadata
-// header element (see ResultsWriter.WriteHeader).
-func LoadResults(r io.Reader) ([]CaseResult, error) {
-	_, out, err := LoadResultsWithHeader(r)
-	return out, err
-}
-
-// LoadResultsWithHeader is LoadResults plus the run-metadata header, when
-// the file carries one (nil otherwise). Only the first header element is
-// returned.
-func LoadResultsWithHeader(r io.Reader) (*ResultsHeader, []CaseResult, error) {
-	var els []resultsElement
-	if err := json.NewDecoder(r).Decode(&els); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding results: %w", err)
-	}
-	var hdr *ResultsHeader
-	out := make([]CaseResult, 0, len(els))
-	for _, el := range els {
-		if el.Header != nil {
-			if hdr == nil {
-				hdr = el.Header
-			}
-			continue
-		}
-		out = append(out, el.CaseResult)
-	}
-	return hdr, out, nil
-}
-
-// SaveResultsFile and LoadResultsFile are the file-path conveniences the
-// campaign and report commands share.
-func SaveResultsFile(path string, results []CaseResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	if err := SaveResults(f, results); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadResultsFile reads campaign results from a JSON file.
-func LoadResultsFile(path string) ([]CaseResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	return LoadResults(f)
-}
-
-// LoadResultsFileWithHeader is LoadResultsWithHeader over a file path.
-func LoadResultsFileWithHeader(path string) (*ResultsHeader, []CaseResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	return LoadResultsWithHeader(f)
-}

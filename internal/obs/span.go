@@ -81,10 +81,10 @@ const DefaultMaxSpans = 1 << 20
 type Tracer struct {
 	mu           sync.Mutex
 	clock        Clock
-	spans        []spanRec
+	spans        []spanRec // guarded by mu
 	max          int
-	dropped      int64
-	droppedAttrs int64
+	dropped      int64 // guarded by mu
+	droppedAttrs int64 // guarded by mu
 }
 
 // NewTracer returns a tracer reading time from clock (Stopped when nil)

@@ -19,8 +19,8 @@ import (
 )
 
 // Telemetry is the 1 Hz tracker-rate observation delivered to an optional
-// observer (telemetry.EncodeTelemetry turns one into the frames
-// uspace.Tracker ingests; cmd/figures records the Fig. 2 bubble series).
+// observer: one per bubble tracking instant, carrying that instant's
+// bubble sample (cmd/figures records the Fig. 2 bubble series from it).
 type Telemetry struct {
 	T         float64
 	MissionID int

@@ -70,13 +70,13 @@ type Store struct {
 	root string
 
 	mu      sync.Mutex
-	sizes   map[string]int64 // fingerprint -> object size
-	indexF  *os.File         // append handle for index.log
-	hits    int64
-	misses  int64
-	puts    int64
-	corrupt int64
-	err     error // first persistence error (see Err)
+	sizes   map[string]int64 // fingerprint -> object size; guarded by mu
+	indexF  *os.File         // append handle for index.log; guarded by mu
+	hits    int64            // guarded by mu
+	misses  int64            // guarded by mu
+	puts    int64            // guarded by mu
+	corrupt int64            // guarded by mu
+	err     error            // first persistence error (see Err); guarded by mu
 }
 
 // Open creates (or reopens) the store rooted at dir. A clean index is

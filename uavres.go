@@ -286,12 +286,24 @@ func StatsByAirframe(results []CaseResult) []GroupStats { return core.ByAirframe
 // ActuatorPrimitives lists the rotor-fault primitives.
 func ActuatorPrimitives() []Primitive { return faultinject.ActuatorPrimitives() }
 
-// SaveResults and LoadResults persist campaign results as JSON files.
+// SaveResults and LoadResults persist campaign results as JSON files, in
+// the format cmd/campaign -out streams. Every result needs a case ID.
 func SaveResults(path string, results []CaseResult) error {
-	return core.SaveResultsFile(path, results)
+	w, err := core.NewResultsFileWriter(path)
+	if err != nil {
+		return err
+	}
+	for _, r := range results {
+		if err := w.Write(r); err != nil {
+			w.Close()
+			return err
+		}
+	}
+	return w.Close()
 }
 
-// LoadResults reads campaign results saved by SaveResults.
+// LoadResults reads campaign results saved by SaveResults or written by
+// cmd/campaign; a truncated file is an error.
 func LoadResults(path string) ([]CaseResult, error) {
 	return core.LoadResultsFile(path)
 }
