@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -213,6 +215,63 @@ func TestFindRow(t *testing.T) {
 	}
 	if _, exists := Find(rows, "zzz"); exists {
 		t.Error("Find located a missing label")
+	}
+}
+
+// TestSaveLoadRoundTrip: a results file written by ResultsFileWriter
+// loads back through LoadResultsFile unchanged.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	in := []CaseResult{
+		mkResult(1, inj(faultinject.Freeze, faultinject.TargetIMU, 5*time.Second), sim.OutcomeFailsafe, 3, 2, 99.5, 0.4),
+		mkResult(2, nil, sim.OutcomeCompleted, 0, 0, 490, 3.6),
+	}
+	path := filepath.Join(t.TempDir(), "results.json")
+	w, err := NewResultsFileWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range in {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := LoadResultsFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 {
+		t.Fatalf("loaded %d results", len(out))
+	}
+	if out[0].Result.Outcome != sim.OutcomeFailsafe || out[0].Result.InnerViolations != 3 {
+		t.Errorf("round trip lost data: %+v", out[0].Result)
+	}
+	if out[0].Case.Injection == nil || out[0].Case.Injection.Primitive != faultinject.Freeze {
+		t.Errorf("round trip lost injection: %+v", out[0].Case)
+	}
+	if out[1].Case.Injection != nil {
+		t.Error("gold case grew an injection")
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("round trip changed the results:\nwrote  %+v\nloaded %+v", in, out)
+	}
+}
+
+// TestLoadRejectsGarbage: a results file that is not JSON is an error
+// that names the file.
+func TestLoadRejectsGarbage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "garbage.json")
+	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadResultsFile(path)
+	if err == nil {
+		t.Fatal("garbage accepted")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error does not name the file: %v", err)
 	}
 }
 
