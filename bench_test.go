@@ -72,34 +72,6 @@ func BenchmarkAblationRateSource(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGyroThreshold sweeps the failsafe gyro threshold (the
-// paper quotes PX4's 60 deg/s default as configurable) and reports how
-// detection latency and outcome change. (DESIGN.md ablation #2.)
-func BenchmarkAblationGyroThreshold(b *testing.B) {
-	m := mission.Valencia()[4]
-	// Gyro Noise (±200 °/s perturbation) straddles realistic thresholds;
-	// a full-scale fault would trip every setting identically.
-	inj := &faultinject.Injection{
-		Primitive: faultinject.Noise, Target: faultinject.TargetGyro,
-		Start: 90 * time.Second, Duration: 30 * time.Second, Seed: 1,
-	}
-	for i := 0; i < b.N; i++ {
-		for _, degS := range []float64{30, 60, 120, 240} {
-			cfg := sim.DefaultConfig()
-			cfg.Failsafe.GyroRateThreshold = mathx.Deg2Rad(degS)
-			res, err := sim.Run(cfg, m, inj, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == b.N-1 {
-				b.Logf("threshold %3.0f°/s -> %v at %.1f s (%s%s)",
-					degS, res.Outcome, res.FlightDurationSec, res.FailsafeCause, res.CrashReason)
-				b.ReportMetric(res.FlightDurationSec, fmt.Sprintf("t%.0fdegs_flight_s", degS))
-			}
-		}
-	}
-}
-
 // BenchmarkAblationIsolationDelay varies the redundant-sensor isolation
 // stage (the paper: failsafe takes >= 1900 ms because isolation runs
 // first) and reports the time from fault onset to failsafe.

@@ -6,7 +6,7 @@
 # paper campaign and byte-compares its report with the committed
 # RESULTS.md, and cmd/figures compares the figure outcomes with
 # cmd/figures/testdata/figures.txt), the race detector over the campaign
-# runner and the packages its workers share (sweep, sim, obs), a
+# runner and the packages its workers share (sim, obs), a
 # one-iteration smoke of the root micro-benchmarks, the
 # campaign benchmark's own vet and tests (it compiles against this tree
 # and its traced mini-grid test runs every benchsuite/micro body), spec
@@ -17,7 +17,9 @@
 # misses), cmd/report over it must render verdicts without the
 # paper-grid shape checks, the observability surface (trace-event
 # export, live status endpoint, black-box dumps) must produce valid,
-# loadable artifacts, a multi-start campaign whose forks come off two
+# loadable artifacts, a gyro-threshold variants campaign must match its
+# straight-through run bit for bit with a distinct fingerprint per case
+# and differing outcomes across variants, a multi-start campaign whose forks come off two
 # prefix chains and whose cases, gold run included, all batch in one
 # flight environment must match its straight-through and scalar-fork
 # runs bit for bit, campaign -store must replay a warm grid from the
@@ -46,14 +48,13 @@ test -z "$(go list -deps ./internal/... | grep -E '^net(/|$)')"
 # Simulation-aware lint over the whole module, stale suppressions
 # included; the machine-readable report lands next to the other CI
 # artifacts. goroutinespawn inside the suite enforces that sim-critical
-# packages (sweep among them) spawn no goroutines, so no grep gate is
-# needed. On findings, replay the report for humans and fail.
+# packages spawn no goroutines, so no grep gate is needed. On findings, replay the report for humans and fail.
 go run ./cmd/uavlint -unused-suppressions -json ./... >"$tmpdir/lint.json" || {
 	cat "$tmpdir/lint.json" >&2
 	exit 1
 }
 go test ./...
-go test -race ./internal/sweep/ ./internal/core/ ./internal/sim/ ./internal/obs/
+go test -race ./internal/core/ ./internal/sim/ ./internal/obs/
 go test -run XXX -bench Micro -benchtime=1x -benchmem .
 # The campaign benchmark is its own module over this tree: vet and test it
 # here so a change that breaks its build fails CI, not the benchmark run.
@@ -96,6 +97,29 @@ go run ./cmd/campaign -validate-spec examples/specs/mini-grid-wide.json
 go run ./cmd/campaign -validate-spec examples/specs/redundancy-matrix.json
 go run ./cmd/campaign -validate-spec examples/specs/mini-hexa-actuator.json
 go run ./cmd/campaign -validate-spec examples/specs/mini-starts.json
+go run ./cmd/campaign -validate-spec examples/specs/start-sweep.json
+go run ./cmd/campaign -validate-spec examples/specs/gyro-threshold-variants.json
+
+# Variants smoke: the gyro-threshold spec flies the same grid (Gyro
+# Noise for 10 s and 30 s on every mission, plus gold runs) under four
+# failsafe thresholds. Each variant flies its own batches, bit-identical
+# to straight runs; every case's fingerprint is distinct (the variant's
+# overrides are hashed with the case), and the variants do not all end
+# the same way.
+go run ./cmd/campaign -spec examples/specs/gyro-threshold-variants.json -q -out "$tmpdir/thr.json"
+go run ./cmd/campaign -spec examples/specs/gyro-threshold-variants.json -q -out "$tmpdir/thr_straight.json" -checkpoint=false
+go run ./cmd/campaign -compare-results "$tmpdir/thr.json,$tmpdir/thr_straight.json"
+hashes=$(sed -n 's/^ *"hash": "\([0-9a-f]*\)".*/\1/p' "$tmpdir/thr.json")
+if [ "$(printf '%s\n' "$hashes" | wc -l | tr -d ' ')" != 120 ] || [ -n "$(printf '%s\n' "$hashes" | sort | uniq -d)" ]; then
+	echo "ci: the threshold variants do not carry 120 distinct fingerprints" >&2
+	exit 1
+fi
+go run ./cmd/report -in "$tmpdir/thr.json" -out "$tmpdir/thr.md"
+grep -q '^## By variant' "$tmpdir/thr.md"
+if [ "$(grep -c '^m[0-9]*-gyro-noise-[0-9]*s-thr30 failsafe ' "$tmpdir/thr.md")" = "$(grep -c '^m[0-9]*-gyro-noise-[0-9]*s-thr240 failsafe ' "$tmpdir/thr.md")" ]; then
+	echo "ci: the 30 and 240 deg/s threshold variants failsafe equally often" >&2
+	exit 1
+fi
 
 # Multi-start equivalence smoke: mission 1's sensor and rotor faults at
 # four injection starts form two prefix chains, each flown once under its

@@ -92,7 +92,7 @@ func run() int {
 		blackboxDir     = flag.String("blackbox-dir", "", "write a black-box dump per crash/violation case into this directory (load with replay -blackbox)")
 	)
 	var selectors []spec.Selector
-	flag.Func("select", "case selector (repeatable, OR across flags): key=value terms ANDed within one flag — id (exact or glob), mission, target, primitive, duration, start, gold, airframe", func(expr string) error {
+	flag.Func("select", "case selector (repeatable, OR across flags, ANDed with the spec's select list): key=value terms ANDed within one flag — id (exact or glob), mission, target, primitive, duration, start, gold, airframe", func(expr string) error {
 		sel, err := spec.ParseSelector(expr)
 		if err != nil {
 			return err
@@ -191,28 +191,13 @@ func run() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Assemble the effective spec: file or built-in, CLI-adjusted.
-	var s spec.CampaignSpec
-	if *specPath != "" {
-		var err error
-		if s, err = spec.Load(*specPath); err != nil {
-			fmt.Fprintln(os.Stderr, "campaign:", err)
-			return 1
-		}
-		if explicit["seed"] {
-			s.Seed = *seed
-		}
-	} else {
-		s = spec.Paper(*seed)
+	s, err := effectiveSpec(*specPath, *seed, explicit["seed"], *scope, explicit["scope"], selectors)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "campaign:", err)
+		return 1
 	}
-	if explicit["scope"] || s.Matrix.Scope == "" {
-		s.Matrix.Scope = *scope
-	}
-
 	if *printSpec {
-		s2 := s
-		s2.Select = append(append([]spec.Selector{}, s.Select...), selectors...)
-		data, err := json.MarshalIndent(s2, "", "  ")
+		data, err := json.MarshalIndent(s, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "campaign:", err)
 			return 1
@@ -226,7 +211,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		return 1
 	}
-	cases = spec.ApplySelectors(cases, selectors)
 	if len(cases) == 0 {
 		fmt.Fprintln(os.Stderr, "campaign: no cases selected")
 		return 1
@@ -511,6 +495,30 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// effectiveSpec assembles the spec a campaign runs: the file at path, or
+// the built-in paper spec, with the CLI seed (when set, or always for the
+// built-in spec), scope (when set, or when the spec has none) and
+// selectors folded in. The selectors AND with the spec's select list, so
+// Compile prunes for both, and -print-spec prints the very plan that runs.
+func effectiveSpec(path string, seed int64, seedSet bool, scope string, scopeSet bool, selectors []spec.Selector) (spec.CampaignSpec, error) {
+	s := spec.Paper(seed)
+	if path != "" {
+		var err error
+		if s, err = spec.Load(path); err != nil {
+			return s, err
+		}
+		if seedSet {
+			s.Seed = seed
+		}
+	}
+	if scopeSet || s.Matrix.Scope == "" {
+		s.Matrix.Scope = scope
+	}
+	var err error
+	s.Select, err = spec.AndSelectors(s.Select, selectors)
+	return s, err
 }
 
 // ensureParentDir creates the parent directory of an output path so a

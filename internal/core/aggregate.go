@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"time"
 
 	"uavres/internal/faultinject"
@@ -97,25 +98,32 @@ func GoldStats(results []CaseResult) GroupStats {
 	return aggregate("Gold Run", sims(gold))
 }
 
+// groupRows aggregates runs into one row per key, in the order compare
+// gives the keys, each labelled by label.
+func groupRows[K comparable](runs []CaseResult, key func(CaseResult) K, compare func(a, b K) int, label func(K) string) []GroupStats {
+	groups := map[K][]sim.Result{}
+	var keys []K
+	for _, cr := range runs {
+		k := key(cr)
+		if _, seen := groups[k]; !seen {
+			keys = append(keys, k)
+		}
+		groups[k] = append(groups[k], cr.Result)
+	}
+	slices.SortFunc(keys, compare)
+	out := make([]GroupStats, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, aggregate(label(k), groups[k]))
+	}
+	return out
+}
+
 // ByDuration groups faulty runs by injection duration (Table II rows).
 // Rows are ordered by increasing duration.
 func ByDuration(results []CaseResult) []GroupStats {
 	_, faulty := ok(results)
-	groups := map[time.Duration][]sim.Result{}
-	for _, cr := range faulty {
-		d := cr.Case.Injection.Duration
-		groups[d] = append(groups[d], cr.Result)
-	}
-	durs := make([]time.Duration, 0, len(groups))
-	for d := range groups {
-		durs = append(durs, d)
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	out := make([]GroupStats, 0, len(durs))
-	for _, d := range durs {
-		out = append(out, aggregate(fmt.Sprintf("%d seconds", int(d.Seconds())), groups[d]))
-	}
-	return out
+	return groupRows(faulty, func(cr CaseResult) time.Duration { return cr.Case.Injection.Duration },
+		cmp.Compare, func(d time.Duration) string { return fmt.Sprintf("%d seconds", int(d.Seconds())) })
 }
 
 // ByFault groups faulty runs by the 21 injection labels (Table III rows).
@@ -123,89 +131,41 @@ func ByDuration(results []CaseResult) []GroupStats {
 // completion within each component, matching the paper's presentation.
 func ByFault(results []CaseResult) []GroupStats {
 	_, faulty := ok(results)
-	groups := map[string][]sim.Result{}
-	for _, cr := range faulty {
-		label := cr.Case.Injection.Label()
-		groups[label] = append(groups[label], cr.Result)
-	}
-	labels := make([]string, 0, len(groups))
-	for label := range groups {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	var out []GroupStats
-	for _, target := range reportTargets() {
-		var rows []GroupStats
-		for _, label := range labels {
-			if strings.HasPrefix(label, target.String()+" ") {
-				rows = append(rows, aggregate(label, groups[label]))
-			}
-		}
-		sort.Slice(rows, func(i, j int) bool {
-			//lint:allow floatcmp exact compare is required for a strict weak sort order
-			if rows[i].CompletedPct != rows[j].CompletedPct {
-				return rows[i].CompletedPct > rows[j].CompletedPct
-			}
-			return rows[i].Label < rows[j].Label
-		})
-		out = append(out, rows...)
-	}
-	return out
+	target := map[string]faultinject.Target{}
+	rows := groupRows(faulty, func(cr CaseResult) string {
+		inj := cr.Case.Injection
+		target[inj.Label()] = inj.Target
+		return inj.Label()
+	}, cmp.Compare, func(label string) string { return label })
+	// By component, then most completed first; ties keep label order.
+	slices.SortStableFunc(rows, func(a, b GroupStats) int {
+		return cmp.Or(cmp.Compare(target[a.Label], target[b.Label]), cmp.Compare(b.CompletedPct, a.CompletedPct))
+	})
+	return rows
 }
 
-// ByComponent groups faulty runs by injection target (Table IV, bottom).
+// ByComponent groups faulty runs by injection target (Table IV, bottom):
+// the paper's three sensor targets, then the actuator extension.
 func ByComponent(results []CaseResult) []GroupStats {
 	_, faulty := ok(results)
-	groups := map[faultinject.Target][]sim.Result{}
-	for _, cr := range faulty {
-		tg := cr.Case.Injection.Target
-		groups[tg] = append(groups[tg], cr.Result)
-	}
-	out := make([]GroupStats, 0, 4)
-	for _, tg := range reportTargets() {
-		if runs, exists := groups[tg]; exists {
-			out = append(out, aggregate(tg.String(), runs))
-		}
-	}
-	return out
-}
-
-// reportTargets is the table row order: the paper's three sensor targets
-// followed by the actuator extension.
-func reportTargets() []faultinject.Target {
-	return append(faultinject.Targets(), faultinject.TargetRotor)
+	return groupRows(faulty, func(cr CaseResult) faultinject.Target { return cr.Case.Injection.Target },
+		cmp.Compare, faultinject.Target.String)
 }
 
 // ByAirframe groups ALL runs (gold and faulty) by the case's airframe —
 // the redundancy comparison: identical fault matrices flown on quad-x,
-// hexa-x, and octo-x layouts. An empty Case.Airframe reports as quad-x.
+// hexa-x, and octo-x layouts — in rotor-count order, unknown labels
+// last. An empty Case.Airframe reports as quad-x.
 func ByAirframe(results []CaseResult) []GroupStats {
 	gold, faulty := ok(results)
-	groups := map[string][]sim.Result{}
-	for _, cr := range append(gold, faulty...) {
-		label := cr.Case.Airframe
-		if label == "" {
-			label = physics.QuadX.String()
+	return groupRows(append(gold, faulty...), func(cr CaseResult) string {
+		if cr.Case.Airframe == "" {
+			return physics.QuadX.String()
 		}
-		groups[label] = append(groups[label], cr.Result)
-	}
-	labels := make([]string, 0, len(groups))
-	for label := range groups {
-		labels = append(labels, label)
-	}
-	// Order by rotor count (quad, hexa, octo), unknown labels last.
-	sort.Slice(labels, func(i, j int) bool {
-		ri, rj := airframeRank(labels[i]), airframeRank(labels[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return labels[i] < labels[j]
-	})
-	out := make([]GroupStats, 0, len(labels))
-	for _, label := range labels {
-		out = append(out, aggregate(label, groups[label]))
-	}
-	return out
+		return cr.Case.Airframe
+	}, func(a, b string) int {
+		return cmp.Or(cmp.Compare(airframeRank(a), airframeRank(b)), cmp.Compare(a, b))
+	}, func(label string) string { return label })
 }
 
 func airframeRank(label string) int {
@@ -214,6 +174,25 @@ func airframeRank(label string) int {
 		return physics.MaxRotors + 1
 	}
 	return frame.Rotors()
+}
+
+// ByStart groups faulty runs by injection start, earliest first: the
+// flight-phase comparison of a spec with several starts_sec.
+func ByStart(results []CaseResult) []GroupStats {
+	_, faulty := ok(results)
+	return groupRows(faulty, func(cr CaseResult) time.Duration { return cr.Case.Injection.Start },
+		cmp.Compare, func(st time.Duration) string {
+			return "T+" + strconv.FormatFloat(st.Seconds(), 'g', -1, 64) + " s"
+		})
+}
+
+// ByVariant groups ALL runs (gold and faulty) by the case's variant:
+// cases with none first, as "default", then the names in order.
+func ByVariant(results []CaseResult) []GroupStats {
+	gold, faulty := ok(results)
+	return groupRows(append(gold, faulty...), CaseResult.variantName, cmp.Compare, func(name string) string {
+		return cmp.Or(name, "default")
+	})
 }
 
 // Find returns the stats row with the given label, if present.

@@ -37,6 +37,10 @@ type Case struct {
 	// empty means the default quad-x, so pre-airframe plans and stored
 	// results keep their fingerprints.
 	Airframe string `json:"airframe,omitempty"`
+	// Variant is the named configuration the case flies under (a spec's
+	// variants axis); nil is the runner's config as is, so plans without
+	// variants keep their fingerprints.
+	Variant *Variant `json:"variant,omitempty"`
 	// Hash is the case's content fingerprint: a stable digest of the
 	// experiment description plus the code-relevant simulation config
 	// (see internal/spec.Fingerprint). Cases planned outside the spec
@@ -90,9 +94,9 @@ func Plan(missions []mission.Mission, baseSeed int64) []Case {
 }
 
 // CaseSeed derives a deterministic, well-spread seed for one case
-// (splitmix64-style mixing). It is the "mixed" seed policy of the spec
-// compiler (internal/spec) and the seed function of the legacy Plan;
-// both must agree bit-for-bit, which is why it lives here once.
+// (splitmix64-style mixing). It is the seed function of the spec
+// compiler (internal/spec) and of the legacy Plan; both must agree
+// bit-for-bit, which is why it lives here once.
 func CaseSeed(base int64, mission, target, prim, durSec int) int64 {
 	x := uint64(base)*0x9E3779B97F4A7C15 ^
 		uint64(mission)*0xBF58476D1CE4E5B9 ^

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -394,6 +395,47 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Error("no case marked cancelled after pre-cancelled context")
+	}
+}
+
+// TestRunnerCancelFromOnResult: a cancel mid-run stops the rest. The
+// consumer cancels after the first finished case; the one worker may
+// still take the unit the feed loop was offering, and every other case
+// comes back cancelled without reaching the consumer.
+func TestRunnerCancelFromOnResult(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner()
+	r.Missions = shortScenario()
+	r.Workers = 1
+	r.Checkpoint = false // one case per unit
+	streamed := map[string]bool{}
+	r.OnResult = func(res CaseResult) {
+		streamed[res.Case.ID] = true
+		cancel()
+	}
+	var cases []Case
+	for i := 0; i < 5; i++ {
+		cases = append(cases, Case{ID: fmt.Sprintf("gold-%d", i), MissionID: 1, Seed: int64(i + 1)})
+	}
+	results := r.RunAll(ctx, cases)
+	if results[0].Err != "" {
+		t.Fatalf("first case: %s", results[0].Err)
+	}
+	cancelled := 0
+	for _, res := range results {
+		switch {
+		case res.Err == "cancelled":
+			cancelled++
+			if streamed[res.Case.ID] {
+				t.Errorf("%s streamed and then marked cancelled", res.Case.ID)
+			}
+		case res.Err != "" || !streamed[res.Case.ID]:
+			t.Errorf("%s: err %q, streamed %v", res.Case.ID, res.Err, streamed[res.Case.ID])
+		}
+	}
+	if cancelled < len(cases)-2 {
+		t.Errorf("%d of %d cases cancelled, want at least %d", cancelled, len(cases), len(cases)-2)
 	}
 }
 

@@ -10,23 +10,27 @@ import (
 )
 
 // TestSortPrefixKeys locks the chain scheduling order: keys must sort
-// by (mission, seed, airframe, family, scope) regardless of the
+// by (mission, seed, airframe, variant, family, scope) regardless of the
 // map-iteration order they were collected in.
 func TestSortPrefixKeys(t *testing.T) {
+	env := func(mission int, seed int64, airframe, variant string) envKey {
+		return envKey{missionID: mission, seed: seed, airframe: airframe, variant: variant}
+	}
 	want := []prefixKey{
-		{missionID: 1, seed: 3, scope: faultinject.ScopeAllUnits},
-		{missionID: 1, seed: 3, scope: faultinject.ScopePrimaryUnit},
-		{missionID: 1, seed: 3, actuator: true, scope: faultinject.ScopeAllUnits},
-		{missionID: 1, seed: 3, airframe: "hexa-x", scope: faultinject.ScopeAllUnits},
-		{missionID: 1, seed: 7, scope: faultinject.ScopeAllUnits},
-		{missionID: 2, seed: 1, scope: faultinject.ScopeAllUnits},
+		{env: env(1, 3, "", ""), scope: faultinject.ScopeAllUnits},
+		{env: env(1, 3, "", ""), scope: faultinject.ScopePrimaryUnit},
+		{env: env(1, 3, "", ""), actuator: true, scope: faultinject.ScopeAllUnits},
+		{env: env(1, 3, "", "thr30"), scope: faultinject.ScopeAllUnits},
+		{env: env(1, 3, "hexa-x", ""), scope: faultinject.ScopeAllUnits},
+		{env: env(1, 7, "", ""), scope: faultinject.ScopeAllUnits},
+		{env: env(2, 1, "", ""), scope: faultinject.ScopeAllUnits},
 	}
 	// Feed several adversarial permutations; every one must sort to the
 	// same canonical order.
 	perms := [][]int{
-		{5, 4, 3, 2, 1, 0},
-		{2, 0, 4, 1, 5, 3},
-		{1, 4, 0, 5, 3, 2},
+		{6, 5, 4, 3, 2, 1, 0},
+		{2, 0, 6, 4, 1, 5, 3},
+		{1, 4, 0, 5, 3, 6, 2},
 	}
 	for _, p := range perms {
 		keys := make([]prefixKey, len(want))

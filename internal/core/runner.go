@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -38,8 +40,8 @@ type Runner struct {
 	// outcome fields that remain.
 	OnResult func(CaseResult)
 	// Checkpoint enables checkpoint-and-fork execution: the faulted cases
-	// sharing a mission, environment seed, airframe, injection family and
-	// injection scope form one chain, a single fault-free flight
+	// sharing a mission, environment seed, airframe, variant, injection
+	// family and injection scope form one chain, a single fault-free flight
 	// snapshotted at each of their injection starts; every case forks from
 	// the snapshot at its own start, bit-identical to a straight-through
 	// run (sim.TestForkFromChainBitIdentical). With the paper's plan, the
@@ -49,14 +51,14 @@ type Runner struct {
 	// straight through.
 	Checkpoint bool
 	// Batch additionally steps the cases of one flight environment (one
-	// mission, environment seed and airframe) in lockstep (sim.Batch), in
-	// chunks of up to BatchWidth cases in join order: one donor vehicle
-	// draws the shared environment noise once per tick for all of them,
-	// across chains, families and starts. A chain case joins from its
-	// chain's snapshot on the tick the donor reaches its start; any other
-	// case joins at launch from a fresh snapshot of its own vehicle. This
-	// eliminates the dominant per-case NormFloat64 cost. Outcomes stay
-	// bit-identical to straight runs (sim.TestBatchBitIdentical,
+	// mission, environment seed, airframe and variant) in lockstep
+	// (sim.Batch), in chunks of up to BatchWidth cases in join order: one
+	// donor vehicle draws the shared environment noise once per tick for
+	// all of them, across chains, families and starts. A chain case joins
+	// from its chain's snapshot on the tick the donor reaches its start;
+	// any other case joins at launch from a fresh snapshot of its own
+	// vehicle. This eliminates the dominant per-case NormFloat64 cost.
+	// Outcomes stay bit-identical to straight runs (sim.TestBatchBitIdentical,
 	// sim.TestBatchAcrossStartsBitIdentical,
 	// sim.TestBatchAcrossPrefixesBitIdentical). Requires Checkpoint; a
 	// one-case chunk forks scalar or runs straight, and a failed batch
@@ -429,41 +431,39 @@ feed:
 }
 
 // envKey identifies a flight environment: the cases of one mission,
-// environment seed and airframe draw bit-identical environment streams
-// (sensor noise and wind depend only on the seed and the time), whatever
-// their injections, so one batch donor can draw for all of them.
+// environment seed, airframe and variant fly one config and draw
+// bit-identical environment streams (sensor noise and wind depend only on
+// the seed and the time), whatever their injections, so one batch donor
+// can draw for all of them.
 type envKey struct {
 	missionID int
 	seed      int64
 	airframe  string
+	variant   string
 }
 
-// less orders environments by (mission, seed, airframe).
-func (a envKey) less(b envKey) bool {
-	if a.missionID != b.missionID {
-		return a.missionID < b.missionID
-	}
-	if a.seed != b.seed {
-		return a.seed < b.seed
-	}
-	return a.airframe < b.airframe
+func caseEnvKey(c Case) envKey {
+	return envKey{missionID: c.MissionID, seed: c.Seed, airframe: c.Airframe, variant: c.variantName()}
+}
+
+// compare orders environments by (mission, seed, airframe, variant).
+func (a envKey) compare(b envKey) int {
+	return cmp.Or(cmp.Compare(a.missionID, b.missionID), cmp.Compare(a.seed, b.seed),
+		cmp.Compare(a.airframe, b.airframe), cmp.Compare(a.variant, b.variant))
 }
 
 // prefixKey identifies the cases that can share one prefix chain:
-// identical mission, environment seed, airframe, injection family and
-// injection scope mean identical vehicle state up to each case's own
-// injection start. The family matters because a sensor injector
+// identical flight environment, injection family and injection scope
+// mean identical vehicle state up to each case's own injection start. The family matters because a sensor injector
 // overwrites affected units with the primary's sample even before its
 // window opens, while an actuator injector leaves the sensor stream
 // alone (see sim.Checkpoint.ForkWithInjection). The start does not: before
 // its window an injector only remembers the last clean sample or command,
 // which a fork re-seeds.
 type prefixKey struct {
-	missionID int
-	seed      int64
-	airframe  string
-	actuator  bool
-	scope     faultinject.Scope
+	env      envKey
+	actuator bool
+	scope    faultinject.Scope
 }
 
 // casePrefixKey returns the case's sharing key, or the zero key for cases
@@ -473,26 +473,20 @@ func casePrefixKey(c Case) prefixKey {
 		return prefixKey{}
 	}
 	return prefixKey{
-		missionID: c.MissionID,
-		seed:      c.Seed,
-		airframe:  c.Airframe,
-		actuator:  !c.Injection.SensorTarget(),
-		scope:     c.Injection.Scope,
+		env:      caseEnvKey(c),
+		actuator: !c.Injection.SensorTarget(),
+		scope:    c.Injection.Scope,
 	}
 }
 
-func (k prefixKey) env() envKey {
-	return envKey{missionID: k.missionID, seed: k.seed, airframe: k.airframe}
-}
-
-// sortPrefixKeys orders prefix keys by (mission, seed, airframe, family,
-// scope), the total order that makes chain scheduling independent of map
-// iteration order.
+// sortPrefixKeys orders prefix keys by (environment, family, scope), the
+// total order that makes chain scheduling independent of map iteration
+// order.
 func sortPrefixKeys(keys []prefixKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
-		if ea, eb := a.env(), b.env(); ea != eb {
-			return ea.less(eb)
+		if c := a.env.compare(b.env); c != 0 {
+			return c < 0
 		}
 		if a.actuator != b.actuator {
 			return !a.actuator // sensor prefixes before actuator prefixes
@@ -630,13 +624,13 @@ func envGroups(cases []Case) [][]int {
 	byKey := map[envKey][]int{}
 	var keys []envKey
 	for i, c := range cases {
-		k := envKey{missionID: c.MissionID, seed: c.Seed, airframe: c.Airframe}
+		k := caseEnvKey(c)
 		if byKey[k] == nil {
 			keys = append(keys, k)
 		}
 		byKey[k] = append(byKey[k], i)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].less(keys[b]) })
+	slices.SortFunc(keys, envKey.compare)
 	groups := make([][]int, len(keys))
 	for j, k := range keys {
 		groups[j] = byKey[k]
@@ -893,9 +887,10 @@ func (r *Runner) newVehicle(c Case) (*sim.Vehicle, error) {
 }
 
 // caseConfig derives the simulation config for one case from the runner's
-// base config: the seed always comes from the case, and a non-empty
-// Airframe overrides the rotor layout. An empty Airframe keeps the base
-// config byte-for-byte, so legacy quad campaigns stay bit-identical.
+// base config: the seed always comes from the case, a non-empty Airframe
+// overrides the rotor layout, and a Variant's overrides go on top. A case
+// with neither keeps the base config byte-for-byte, so legacy quad
+// campaigns stay bit-identical.
 func (r *Runner) caseConfig(c Case) (sim.Config, error) {
 	cfg := r.Config
 	cfg.Seed = c.Seed
@@ -905,6 +900,9 @@ func (r *Runner) caseConfig(c Case) (sim.Config, error) {
 			return cfg, fmt.Errorf("core: case %s: %w", c.ID, err)
 		}
 		cfg.Airframe.Layout = frame
+	}
+	if c.Variant != nil {
+		c.Variant.Overrides.Apply(&cfg)
 	}
 	return cfg, nil
 }

@@ -97,7 +97,7 @@ func All() []Analyzer {
 // simulation stack plus the plan/merge layers. MapIter applies here.
 var simCriticalPkgs = map[string]bool{
 	"sim": true, "ekf": true, "spec": true,
-	"core": true, "sweep": true, "faultinject": true,
+	"core": true, "faultinject": true,
 }
 
 // goroutineFreePkgs reports whether an internal package must not own

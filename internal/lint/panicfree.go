@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// PanicFree forbids panic in internal/ library code. A panic in a sweep
+// PanicFree forbids panic in internal/ library code. A panic in a campaign
 // worker tears down the whole campaign instead of failing one case;
 // library code must return errors. Conventional escape hatches remain:
 // init functions and Must* constructors, whose documented contract is to

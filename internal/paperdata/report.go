@@ -13,7 +13,8 @@ import (
 
 // Report renders everything the repository reports for a set of campaign
 // results as one Markdown document: Table I, the measured Tables II-IV,
-// the per-airframe table when the results span more than one airframe,
+// a per-airframe, per-start and per-variant table each when the results
+// span more than one airframe, injection start or variant,
 // the paper-vs-measured comparison when the results are the paper grid,
 // the secondary analysis, and one verdict line per case.
 //
@@ -40,10 +41,22 @@ func Report(results []core.CaseResult) string {
 	b.WriteString(core.RenderTableIV(sorted))
 	b.WriteString("```\n\n")
 
-	if len(core.ByAirframe(sorted)) > 1 {
-		b.WriteString("## Redundancy by airframe\n\n```\n")
-		b.WriteString(core.RenderAirframeTable(sorted))
-		b.WriteString("```\n\n")
+	for _, g := range []struct {
+		head, title, key string
+		rows             []core.GroupStats
+	}{
+		{"Redundancy by airframe", "REDUNDANCY: Average summary of all missions and faults, grouped by airframe.",
+			"Airframe", core.ByAirframe(sorted)},
+		{"By injection start", "START: Average summary of all missions and faults, grouped by injection start.",
+			"Injection Start", core.ByStart(sorted)},
+		{"By variant", "VARIANTS: Average summary of all missions and faults, grouped by config variant.",
+			"Variant", core.ByVariant(sorted)},
+	} {
+		if len(g.rows) > 1 {
+			fmt.Fprintf(&b, "## %s\n\n```\n", g.head)
+			b.WriteString(core.RenderGroupTable(g.title, g.key, g.rows))
+			b.WriteString("```\n\n")
+		}
 	}
 
 	if IsPaperGrid(sorted) {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"uavres/internal/core"
 	"uavres/internal/faultinject"
@@ -132,5 +133,44 @@ func TestReportOrderIndependent(t *testing.T) {
 	})
 	if want, got := Report(sorted), Report(shuffled); got != want {
 		t.Errorf("report depends on result order:\n%s", diffLines(want, got))
+	}
+}
+
+// TestReportStartAndVariantSections: the per-start and per-variant
+// tables appear only when the results span more than one start or
+// variant, with one row per group; the paper grid has neither.
+func TestReportStartAndVariantSections(t *testing.T) {
+	grid := Report(planResults())
+	for _, head := range []string{"## By injection start", "## By variant"} {
+		if strings.Contains(grid, head) {
+			t.Errorf("paper-grid report has a %q section", head)
+		}
+	}
+
+	// Two starts x {no variant: completed, thr30: gyro-rate failsafe}.
+	var results []core.CaseResult
+	for i, v := range []*core.Variant{nil, nil, {Name: "thr30"}, {Name: "thr30"}} {
+		res := core.CaseResult{
+			Case: core.Case{ID: fmt.Sprint(i), MissionID: 1, Variant: v, Injection: &faultinject.Injection{
+				Primitive: faultinject.Noise, Target: faultinject.TargetGyro,
+				Start: time.Duration(30+60*(i%2)) * time.Second, Duration: 2 * time.Second}},
+			Result: sim.Result{Outcome: sim.OutcomeCompleted, FlightDurationSec: 180},
+		}
+		if v != nil {
+			res.Result.Outcome, res.Result.FailsafeCause = sim.OutcomeFailsafe, "gyro-rate"
+		}
+		results = append(results, res)
+	}
+	got := Report(results)
+	for _, want := range []string{
+		"## By injection start\n\n```\nSTART: Average summary of all missions and faults, grouped by injection start.",
+		"\nT+30 s ", "\nT+90 s ",
+		"## By variant\n\n```\nVARIANTS: Average summary of all missions and faults, grouped by config variant.",
+		fmt.Sprintf("\n%-20s %10.2f %10.2f %14.2f%% %15.2f %14.2f\n", "default", 0.0, 0.0, 100.0, 180.0, 0.0),
+		fmt.Sprintf("\n%-20s %25.2f%% %9.1f%% %12.1f%%\n", "thr30", 100.0, 0.0, 100.0),
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report lacks %q:\n%s", want, got)
+		}
 	}
 }

@@ -66,8 +66,11 @@ func TestPinnedFingerprints(t *testing.T) {
 		t.Errorf("scoped fingerprint = %s, want pinned 5d48bb2311489b35", got)
 	}
 
-	if got := Paper(1).Hash(); got != "88cca60c440ba965" {
-		t.Errorf("Paper(1) spec hash = %s, want pinned 88cca60c440ba965", got)
+	// The spec hash names a plan in bench metadata and results headers;
+	// nothing keys a stored result on it, so unlike the fingerprints above
+	// it may be re-pinned when the spec schema changes.
+	if got := Paper(1).Hash(); got != "0ee0c6139aa674bf" {
+		t.Errorf("Paper(1) spec hash = %s, want pinned 0ee0c6139aa674bf", got)
 	}
 }
 

@@ -26,16 +26,17 @@ func matrixProduct(s CampaignSpec, scenario []mission.Mission) float64 {
 	if len(s.Missions) > 0 {
 		missions = float64(len(s.Missions))
 	}
-	frames := float64(max(1, len(s.Airframes)))
+	frames := float64(max(1, len(s.Airframes)) * max(1, len(s.Variants)))
 	perFrame := float64(len(m.targets)*len(m.primitives)+len(m.actuators)*len(m.rotors)) *
 		float64(len(m.durations)) * float64(len(m.starts))
 	return missions * frames * (perFrame + 1)
 }
 
 // FuzzParseCompile feeds arbitrary bytes through Parse and Compile: no
-// input may panic, and every spec that compiles yields unique case IDs
-// and injections with a positive duration and a non-negative start.
-// Seed corpus: testdata/fuzz/FuzzParseCompile (the example specs plus
+// input may panic, and every spec that compiles yields unique case IDs,
+// injections with a positive duration and a non-negative start, and
+// variant cases whose IDs end in their variant's name. Seed corpus:
+// testdata/fuzz/FuzzParseCompile (the example specs, a variants spec, and
 // out-of-range times that once compiled to wrapped durations).
 func FuzzParseCompile(f *testing.F) {
 	scenario := mission.Valencia()
@@ -59,6 +60,9 @@ func FuzzParseCompile(f *testing.F) {
 			seen[c.ID] = true
 			if inj := c.Injection; inj != nil && (inj.Duration <= 0 || inj.Start < 0) {
 				t.Fatalf("case %s: injection start %v, duration %v", c.ID, inj.Start, inj.Duration)
+			}
+			if v := c.Variant; (v == nil) != (len(s.Variants) == 0) || v != nil && !strings.HasSuffix(c.ID, "-"+v.Name) {
+				t.Fatalf("case %s: variant %+v of a spec with %d variants", c.ID, v, len(s.Variants))
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
 	"path"
 	"strconv"
@@ -109,6 +110,62 @@ func ApplySelectors(cases []core.Case, sels []Selector) []core.Case {
 		}
 	}
 	return out
+}
+
+// AndSelectors returns one select list that keeps exactly the cases both
+// lists keep, an empty list keeping every case: the pairwise conjunctions
+// of their selectors, less the pairs whose equality terms conflict. Two
+// different ID patterns cannot be joined into one glob and are an error,
+// and so are two lists that no pair can satisfy (the empty result would
+// keep everything). Both lists must be valid.
+func AndSelectors(a, b []Selector) ([]Selector, error) {
+	if len(a) == 0 || len(b) == 0 {
+		return append(append([]Selector(nil), a...), b...), nil
+	}
+	var out []Selector
+	for _, x := range a {
+		for _, y := range b {
+			both, ok, err := x.and(y)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, both)
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("spec: the two select lists keep no case in common")
+	}
+	return out, nil
+}
+
+// and conjoins two selectors: the fields either sets, or false when both
+// set one field to different values.
+func (s Selector) and(o Selector) (Selector, bool, error) {
+	if s.ID != "" && o.ID != "" && s.ID != o.ID {
+		return s, false, fmt.Errorf("spec: cannot AND the id patterns %q and %q", s.ID, o.ID)
+	}
+	a, b := s.compile(), o.compile()
+	if (a.mission != 0 && b.mission != 0 && a.mission != b.mission) ||
+		(a.gold != anyCase && b.gold != anyCase && a.gold != b.gold) ||
+		(a.hasFrame && b.hasFrame && a.frame != b.frame) ||
+		(a.hasTarget && b.hasTarget && a.target != b.target) ||
+		(a.hasPrim && b.hasPrim && a.prim != b.prim) ||
+		(a.hasDur && b.hasDur && a.dur != b.dur) ||
+		(a.hasStart && b.hasStart && a.start != b.start) {
+		return s, false, nil
+	}
+	return Selector{
+		ID:          cmp.Or(s.ID, o.ID),
+		Mission:     cmp.Or(s.Mission, o.Mission),
+		Target:      cmp.Or(s.Target, o.Target),
+		Primitive:   cmp.Or(s.Primitive, o.Primitive),
+		DurationSec: cmp.Or(s.DurationSec, o.DurationSec),
+		StartSec:    cmp.Or(s.StartSec, o.StartSec),
+		Gold:        cmp.Or(s.Gold, o.Gold),
+		Airframe:    cmp.Or(s.Airframe, o.Airframe),
+	}, true, nil
 }
 
 // goldFilter is a selector's gold field: unset, gold only or faulty only.

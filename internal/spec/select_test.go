@@ -326,3 +326,43 @@ func TestCompileSelectedAllocs(t *testing.T) {
 		t.Errorf("compile made %.0f allocations, ceiling 4400", allocs)
 	}
 }
+
+// TestAndSelectors: the folded list keeps exactly the cases both lists
+// keep, drops the pairs whose terms conflict, and refuses two different
+// ID patterns and two lists with no pair that can match.
+func TestAndSelectors(t *testing.T) {
+	all, err := Paper(1).Compile(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := [][]Selector{
+		nil,
+		{{Mission: 4}, {Mission: 7, Target: "gyro"}},
+		{{Target: "gyrometer"}, {Gold: boolp(true)}},
+		{{DurationSec: 10, Primitive: "freeze"}, {ID: "m07-*"}},
+		{{ID: "m07-*", StartSec: 90}},
+	}
+	for i, a := range lists {
+		for j, b := range lists {
+			both, err := AndSelectors(a, b)
+			if err != nil {
+				t.Fatalf("lists %d and %d: %v", i, j, err)
+			}
+			want := referenceSelect(referenceSelect(all, a), b)
+			if msg := sameCases(referenceSelect(all, both), want); msg != "" {
+				t.Errorf("lists %d and %d: folded %+v: %s", i, j, both, msg)
+			}
+		}
+	}
+
+	both, err := AndSelectors([]Selector{{Mission: 4}, {Mission: 7}}, []Selector{{Mission: 7, Target: "acc"}})
+	if err != nil || len(both) != 1 || both[0].Mission != 7 || both[0].Target != "acc" {
+		t.Errorf("conflicting pair kept: %+v, %v", both, err)
+	}
+	if _, err := AndSelectors([]Selector{{ID: "m04-*"}}, []Selector{{ID: "*freeze*"}}); err == nil {
+		t.Error("two different id patterns folded into one")
+	}
+	if _, err := AndSelectors([]Selector{{Mission: 4}}, []Selector{{Mission: 7}}); err == nil {
+		t.Error("lists with no common case folded into a keep-everything list")
+	}
+}

@@ -1,11 +1,13 @@
 // Package spec defines the declarative, versioned campaign specification:
-// the experiment plan as data. A CampaignSpec names the missions, an
-// injection matrix (targets x primitives x durations x start times), a
-// seed policy, simulation-config overrides, and case selectors; Compile
-// turns it into the []core.Case the one execution engine (core.Runner)
-// consumes. The paper's 850-case design is the canonical built-in spec
-// (Paper), golden-tested to reproduce core.Plan's case IDs and seeds
-// bit-for-bit; sweeps, grids, and ablations are just other specs.
+// the experiment plan as data. A CampaignSpec names the missions, the
+// airframes, an injection matrix (targets x primitives x durations x
+// start times), simulation-config overrides, named config variants, and
+// case selectors; Compile turns it into the []core.Case the one execution
+// engine (core.Runner) consumes. The paper's 850-case design is the
+// canonical built-in spec (Paper), golden-tested to reproduce core.Plan's
+// case IDs and seeds bit-for-bit. A start or duration sweep is a spec with
+// several starts_sec or durations_sec, and a threshold or risk sweep is a
+// spec with variants.
 //
 // Specs are plain JSON, so an experiment is reviewable, diffable, and
 // hashable: Fingerprint digests one case plus the code-relevant sim
@@ -25,10 +27,8 @@ import (
 
 	"uavres/internal/core"
 	"uavres/internal/faultinject"
-	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/physics"
-	"uavres/internal/sim"
 )
 
 // Version is the spec schema version this package compiles.
@@ -63,10 +63,15 @@ type CampaignSpec struct {
 	Gold *bool `json:"gold,omitempty"`
 	// Matrix is the injection grid; its zero value is the paper's.
 	Matrix Matrix `json:"matrix"`
-	// Seeds selects how per-case seeds derive from Seed.
-	Seeds SeedPolicy `json:"seeds,omitempty"`
 	// Overrides adjusts the simulation config for every case.
-	Overrides Overrides `json:"overrides,omitempty"`
+	Overrides core.Overrides `json:"overrides,omitempty"`
+	// Variants flies the whole matrix once per named variant, its
+	// overrides on top of Overrides. Empty means one unnamed variant: case
+	// IDs and fingerprints as without the axis. A named variant suffixes
+	// every case ID ("-thr30") and stamps Case.Variant. Every variant
+	// shares the missions' environment and injection seeds, so variants
+	// differ in configuration only.
+	Variants []core.Variant `json:"variants,omitempty"`
 	// Select keeps only matching cases (OR across selectors; empty
 	// keeps everything).
 	Select []Selector `json:"select,omitempty"`
@@ -101,69 +106,6 @@ type Matrix struct {
 	// LoEFactor is the thrust multiplier "loe" cases apply to the faulted
 	// rotor; 0 means faultinject.DefaultLoEFactor.
 	LoEFactor float64 `json:"loe_factor,omitempty"`
-}
-
-// SeedPolicy selects the per-case seed derivation.
-type SeedPolicy struct {
-	// Kind is "mixed" (default: core.CaseSeed splitmix-style mixing, the
-	// paper plan's policy) or "affine" (linear in the mission ID, the
-	// historical sweep policy).
-	Kind string `json:"kind,omitempty"`
-	// Affine parameters: env seed = base + missionID*EnvStride;
-	// injection seed = base + missionID*InjStride + InjOffset.
-	EnvStride int64 `json:"env_stride,omitempty"`
-	InjStride int64 `json:"inj_stride,omitempty"`
-	InjOffset int64 `json:"inj_offset,omitempty"`
-}
-
-// Overrides are the spec-addressable simulation-config knobs. Pointers
-// distinguish "leave the default" (null) from an explicit value.
-type Overrides struct {
-	// GyroThresholdDegS overrides the failsafe gyro-rate threshold
-	// (paper default 60 deg/s).
-	GyroThresholdDegS *float64 `json:"gyro_threshold_deg_s,omitempty"`
-	// RiskR overrides the outer-bubble risk factor (paper: 1).
-	RiskR *float64 `json:"risk_r,omitempty"`
-	// CovDecimation overrides the EKF covariance decimation factor.
-	CovDecimation *int `json:"cov_decimation,omitempty"`
-	// CovSettleSec overrides the post-fault full-rate settle window.
-	CovSettleSec *float64 `json:"cov_settle_sec,omitempty"`
-	// RedundancyVoting toggles cross-IMU consistency voting.
-	RedundancyVoting *bool `json:"redundancy_voting,omitempty"`
-	// RNGPolicy selects the environment normal-deviate sampler: "polar"
-	// (default, bit-compatible with recorded campaigns) or "ziggurat"
-	// (see mathx.ParseNormPolicy).
-	RNGPolicy *string `json:"rng_policy,omitempty"`
-	// RotorReconfig, when true, arms the per-rotor FDI monitor and the
-	// reconfiguring control allocator (mitigation.RotorDefaults) — the
-	// mitigation actuator faults need. Omitted or false leaves the legacy
-	// sensor-only pipeline (and its fingerprints) untouched.
-	RotorReconfig *bool `json:"rotor_reconfig,omitempty"`
-}
-
-// Apply folds the overrides into a simulation config.
-func (o Overrides) Apply(cfg *sim.Config) {
-	if o.RNGPolicy != nil {
-		cfg.RNGPolicy = *o.RNGPolicy
-	}
-	if o.GyroThresholdDegS != nil {
-		cfg.Failsafe.GyroRateThreshold = mathx.Deg2Rad(*o.GyroThresholdDegS)
-	}
-	if o.RiskR != nil {
-		cfg.RiskR = *o.RiskR
-	}
-	if o.CovDecimation != nil {
-		cfg.EKF.CovarianceDecimation = *o.CovDecimation
-	}
-	if o.CovSettleSec != nil {
-		cfg.CovSettleSec = *o.CovSettleSec
-	}
-	if o.RedundancyVoting != nil {
-		cfg.RedundancyVoting = *o.RedundancyVoting
-	}
-	if o.RotorReconfig != nil && *o.RotorReconfig {
-		cfg.Mitigation = cfg.Mitigation.RotorDefaults()
-	}
 }
 
 // Paper returns the canonical built-in spec: the paper's 850-case design
@@ -210,17 +152,20 @@ func (s CampaignSpec) Validate() error {
 	if _, err := parseAirframes(s.Airframes); err != nil {
 		return err
 	}
-	switch s.Seeds.Kind {
-	case "", "mixed", "affine":
-	default:
-		return fmt.Errorf("spec: unknown seed policy %q (want mixed or affine)", s.Seeds.Kind)
+	if err := s.Overrides.Validate(); err != nil {
+		return fmt.Errorf("spec: overrides: %w", err)
 	}
-	if o := s.Overrides; o.CovDecimation != nil && *o.CovDecimation < 1 {
-		return fmt.Errorf("spec: cov_decimation %d < 1", *o.CovDecimation)
-	}
-	if o := s.Overrides; o.RNGPolicy != nil {
-		if _, err := mathx.ParseNormPolicy(*o.RNGPolicy); err != nil {
-			return fmt.Errorf("spec: %w", err)
+	names := make(map[string]bool, len(s.Variants))
+	for i, v := range s.Variants {
+		if !validVariantName(v.Name) {
+			return fmt.Errorf("spec: variant %d: name %q is not a lowercase slug ([a-z0-9][a-z0-9._-]*)", i, v.Name)
+		}
+		if names[v.Name] {
+			return fmt.Errorf("spec: duplicate variant %q", v.Name)
+		}
+		names[v.Name] = true
+		if err := v.Overrides.Validate(); err != nil {
+			return fmt.Errorf("spec: variant %s: %w", v.Name, err)
 		}
 	}
 	for i, sel := range s.Select {
@@ -229,6 +174,20 @@ func (s CampaignSpec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validVariantName reports whether a variant name is a lowercase slug
+// ([a-z0-9][a-z0-9._-]*): it suffixes case IDs and black-box file names.
+func validVariantName(name string) bool {
+	for i, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+		case i > 0 && (r == '.' || r == '_' || r == '-'):
+		default:
+			return false
+		}
+	}
+	return name != ""
 }
 
 // parsedMatrix is the matrix with every axis resolved to values.
@@ -245,43 +204,33 @@ type parsedMatrix struct {
 
 func (m Matrix) parse() (parsedMatrix, error) {
 	var p parsedMatrix
-	if len(m.Targets) == 0 {
-		p.targets = faultinject.Targets()
-	} else {
-		for _, s := range m.Targets {
-			t, err := faultinject.ParseTarget(s)
-			if err != nil {
-				return p, fmt.Errorf("spec: %w", err)
-			}
-			if t == faultinject.TargetRotor {
-				return p, fmt.Errorf("spec: target %q is the actuator side; list rotor faults under the actuators axis instead", s)
-			}
-			p.targets = append(p.targets, t)
+	var err error
+	if p.targets, err = parseAxis(m.Targets, faultinject.Targets(), func(s string) (faultinject.Target, error) {
+		t, err := faultinject.ParseTarget(s)
+		if err == nil && t == faultinject.TargetRotor {
+			err = fmt.Errorf("target %q is the actuator side; list rotor faults under the actuators axis instead", s)
 		}
+		return t, err
+	}); err != nil {
+		return p, err
 	}
-	if len(m.Primitives) == 0 {
-		p.primitives = faultinject.Primitives()
-	} else {
-		for _, s := range m.Primitives {
-			pr, err := faultinject.ParsePrimitive(s)
-			if err != nil {
-				return p, fmt.Errorf("spec: %w", err)
-			}
-			if pr.Actuator() {
-				return p, fmt.Errorf("spec: primitive %q is an actuator fault; list it under the actuators axis instead", s)
-			}
-			p.primitives = append(p.primitives, pr)
-		}
-	}
-	for _, s := range m.Actuators {
+	if p.primitives, err = parseAxis(m.Primitives, faultinject.Primitives(), func(s string) (faultinject.Primitive, error) {
 		pr, err := faultinject.ParsePrimitive(s)
-		if err != nil {
-			return p, fmt.Errorf("spec: %w", err)
+		if err == nil && pr.Actuator() {
+			err = fmt.Errorf("primitive %q is an actuator fault; list it under the actuators axis instead", s)
 		}
-		if !pr.Actuator() {
-			return p, fmt.Errorf("spec: actuator %q is a sensor fault; list it under the primitives axis instead", s)
+		return pr, err
+	}); err != nil {
+		return p, err
+	}
+	if p.actuators, err = parseAxis(m.Actuators, nil, func(s string) (faultinject.Primitive, error) {
+		pr, err := faultinject.ParsePrimitive(s)
+		if err == nil && !pr.Actuator() {
+			err = fmt.Errorf("actuator %q is a sensor fault; list it under the primitives axis instead", s)
 		}
-		p.actuators = append(p.actuators, pr)
+		return pr, err
+	}); err != nil {
+		return p, err
 	}
 	if len(p.actuators) > 0 {
 		p.rotors = m.ActuatorRotors
@@ -301,48 +250,47 @@ func (m Matrix) parse() (parsedMatrix, error) {
 		return p, fmt.Errorf("spec: loe_factor %v outside (0, 1)", m.LoEFactor)
 	}
 	p.loe = m.LoEFactor
-	durs := m.DurationsSec
-	if len(durs) == 0 {
-		durs = []float64{2, 5, 10, 30}
+	if p.durations, err = parseAxis(m.DurationsSec, core.Durations(), durationSec); err != nil {
+		return p, err
 	}
-	for _, sec := range durs {
-		d, err := durationSec(sec)
-		if err != nil {
-			return p, fmt.Errorf("spec: %w", err)
-		}
-		p.durations = append(p.durations, d)
+	if p.starts, err = parseAxis(m.StartsSec, []time.Duration{PaperStartSec * time.Second}, startSec); err != nil {
+		return p, err
 	}
-	starts := m.StartsSec
-	if len(starts) == 0 {
-		starts = []float64{PaperStartSec}
-	}
-	for _, sec := range starts {
-		st, err := startSec(sec)
-		if err != nil {
-			return p, fmt.Errorf("spec: %w", err)
-		}
-		p.starts = append(p.starts, st)
-	}
-	scope, err := faultinject.ParseScope(m.Scope)
-	if err != nil {
+	if p.scope, err = faultinject.ParseScope(m.Scope); err != nil {
 		return p, fmt.Errorf("spec: %w", err)
 	}
-	p.scope = scope
 	return p, nil
 }
 
+// parseAxis parses each value of a matrix axis, or returns def for an
+// empty axis.
+func parseAxis[V, T any](values []V, def []T, parse func(V) (T, error)) ([]T, error) {
+	if len(values) == 0 {
+		return def, nil
+	}
+	out := make([]T, 0, len(values))
+	for _, v := range values {
+		t, err := parse(v)
+		if err != nil {
+			return nil, fmt.Errorf("spec: %w", err)
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
 // Compile expands the spec against a scenario into executable cases, in
-// deterministic order: missions in scenario order, gold first, then
-// targets x primitives x durations x starts, then actuator primitives x
-// rotors x durations x starts. The select list is applied during the
-// expansion: each level (mission, airframe, target or actuator primitive,
-// primitive, window) keeps only the selectors its value passes, a
-// subtree no selector reaches is skipped, and a case is built only for a
-// cell that some selector keeps, so set-up costs what is selected, not
-// what the matrix enumerates. Compiled cases carry no fingerprint yet —
-// the hash depends on the final effective sim config, so
-// AttachFingerprints runs after every override source (spec and CLI) has
-// been folded in.
+// deterministic order: missions in scenario order, then variants, then
+// airframes, each with gold first, then targets x primitives x durations
+// x starts, then actuator primitives x rotors x durations x starts. The
+// select list is applied during the expansion: each level (mission,
+// airframe, target or actuator primitive, primitive, window) keeps only
+// the selectors its value passes, a subtree no selector reaches is
+// skipped, and a case is built only for a cell that some selector keeps,
+// so set-up costs what is selected, not what the matrix enumerates.
+// Compiled cases carry no fingerprint yet — the hash depends on the final
+// effective sim config, so AttachFingerprints runs after every override
+// source (spec and CLI) has been folded in.
 func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -368,6 +316,15 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One nil variant when the axis is absent: the runner's config as is.
+	variants := []*core.Variant{nil}
+	if len(s.Variants) > 0 {
+		variants = make([]*core.Variant, len(s.Variants))
+		for i := range s.Variants {
+			v := s.Variants[i]
+			variants[i] = &v
+		}
+	}
 
 	var cases []core.Case
 	compiled := compileSelectors(s.Select)
@@ -376,7 +333,7 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 		compiled = []matcher{{}}
 		perFrame := (len(m.targets)*len(m.primitives) + len(m.actuators)*len(m.rotors)) *
 			len(m.durations) * len(m.starts)
-		cases = make([]core.Case, 0, len(missions)*len(frames)*(perFrame+1))
+		cases = make([]core.Case, 0, len(missions)*len(variants)*len(frames)*(perFrame+1))
 	}
 	all := make([]*matcher, len(compiled))
 	for i := range compiled {
@@ -390,113 +347,108 @@ func (s CampaignSpec) Compile(scenario []mission.Mission) ([]core.Case, error) {
 	byPrim := make([]*matcher, 0, len(all))
 	for _, ms := range missions {
 		byMission = narrow(byMission, all, func(sel *matcher) bool { return sel.missionOK(ms.ID) })
-		// Every airframe of one mission shares the environment seed: the
-		// redundancy comparison varies the vehicle, not the weather.
-		envSeed := s.Seeds.envSeed(base, ms.ID)
-		for _, frame := range frames {
-			// Checked before any selector prunes: a rotor the airframe
-			// lacks is a spec error whether or not its cells are kept.
-			for _, rotor := range m.rotors {
-				if rotor >= frame.Rotors() {
-					return nil, fmt.Errorf("spec: actuator rotor %d does not exist on %s (%d rotors)",
-						rotor, frame, frame.Rotors())
+		// Every airframe and variant of one mission shares the environment
+		// seed: those comparisons vary the vehicle or its config, not the
+		// weather.
+		envSeed := core.CaseSeed(base, ms.ID, 0, 0, 0)
+		for _, variant := range variants {
+			for _, frame := range frames {
+				// Checked before any selector prunes: a rotor the airframe
+				// lacks is a spec error whether or not its cells are kept.
+				for _, rotor := range m.rotors {
+					if rotor >= frame.Rotors() {
+						return nil, fmt.Errorf("spec: actuator rotor %d does not exist on %s (%d rotors)",
+							rotor, frame, frame.Rotors())
+					}
 				}
-			}
-			byFrame = narrow(byFrame, byMission, func(sel *matcher) bool { return sel.frameOK(frame) })
-			if len(byFrame) == 0 {
-				continue
-			}
-			suffix, airframe := "", ""
-			if frame != physics.QuadX {
-				suffix = "-" + frame.Slug()
-				airframe = frame.String()
-			}
-			if gold {
-				id, ok := pick(byFrame, (*matcher).goldOK, func() string {
-					return fmt.Sprintf("m%02d-gold%s", ms.ID, suffix)
-				})
-				if ok {
-					cases = append(cases, core.Case{
-						ID:        id,
-						MissionID: ms.ID,
-						Seed:      envSeed,
-						Airframe:  airframe,
-					})
-				}
-			}
-			for _, target := range m.targets {
-				byTarget = narrow(byTarget, byFrame, func(sel *matcher) bool { return sel.targetOK(target) })
-				if len(byTarget) == 0 {
+				byFrame = narrow(byFrame, byMission, func(sel *matcher) bool { return sel.frameOK(frame) })
+				if len(byFrame) == 0 {
 					continue
 				}
-				for _, prim := range m.primitives {
-					byPrim = narrow(byPrim, byTarget, func(sel *matcher) bool { return sel.faultOK(target, prim) })
-					if len(byPrim) == 0 {
+				suffix, airframe := "", ""
+				if frame != physics.QuadX {
+					suffix = "-" + frame.Slug()
+					airframe = frame.String()
+				}
+				if variant != nil {
+					suffix += "-" + variant.Name
+				}
+				cell := core.Case{MissionID: ms.ID, Seed: envSeed, Airframe: airframe, Variant: variant}
+				add := func(id string, inj *faultinject.Injection) {
+					c := cell
+					c.ID, c.Injection = id, inj
+					cases = append(cases, c)
+				}
+				if gold {
+					id, ok := pick(byFrame, (*matcher).goldOK, func() string {
+						return fmt.Sprintf("m%02d-gold%s", ms.ID, suffix)
+					})
+					if ok {
+						add(id, nil)
+					}
+				}
+				for _, target := range m.targets {
+					byTarget = narrow(byTarget, byFrame, func(sel *matcher) bool { return sel.targetOK(target) })
+					if len(byTarget) == 0 {
 						continue
 					}
-					for _, dur := range m.durations {
-						for _, start := range m.starts {
-							id, ok := pick(byPrim, func(sel *matcher) bool { return sel.windowOK(dur, start) }, func() string {
-								return CaseID(ms.ID, target, prim, dur, start) + suffix
-							})
-							if !ok {
-								continue
+					for _, prim := range m.primitives {
+						byPrim = narrow(byPrim, byTarget, func(sel *matcher) bool { return sel.faultOK(target, prim) })
+						if len(byPrim) == 0 {
+							continue
+						}
+						for _, dur := range m.durations {
+							for _, start := range m.starts {
+								id, ok := pick(byPrim, func(sel *matcher) bool { return sel.windowOK(dur, start) }, func() string {
+									return CaseID(ms.ID, target, prim, dur, start) + suffix
+								})
+								if !ok {
+									continue
+								}
+								inj := &faultinject.Injection{
+									Primitive: prim,
+									Target:    target,
+									Start:     start,
+									Duration:  dur,
+									Scope:     m.scope,
+									Seed:      injSeed(base, ms.ID, target, prim, dur, start),
+								}
+								add(id, inj)
 							}
-							inj := &faultinject.Injection{
-								Primitive: prim,
-								Target:    target,
-								Start:     start,
-								Duration:  dur,
-								Scope:     m.scope,
-								Seed:      s.Seeds.injSeed(base, ms.ID, target, prim, dur, start),
-							}
-							cases = append(cases, core.Case{
-								ID:        id,
-								MissionID: ms.ID,
-								Injection: inj,
-								Seed:      envSeed,
-								Airframe:  airframe,
-							})
 						}
 					}
 				}
-			}
-			for _, prim := range m.actuators {
-				// Selectors have no rotor field, so the rotor level prunes
-				// nothing.
-				byPrim = narrow(byPrim, byFrame, func(sel *matcher) bool { return sel.faultOK(faultinject.TargetRotor, prim) })
-				if len(byPrim) == 0 {
-					continue
-				}
-				for _, rotor := range m.rotors {
-					for _, dur := range m.durations {
-						for _, start := range m.starts {
-							id, ok := pick(byPrim, func(sel *matcher) bool { return sel.windowOK(dur, start) }, func() string {
-								return actuatorCaseID(ms.ID, rotor, prim, dur, start) + suffix
-							})
-							if !ok {
-								continue
+				for _, prim := range m.actuators {
+					// Selectors have no rotor field, so the rotor level prunes
+					// nothing.
+					byPrim = narrow(byPrim, byFrame, func(sel *matcher) bool { return sel.faultOK(faultinject.TargetRotor, prim) })
+					if len(byPrim) == 0 {
+						continue
+					}
+					for _, rotor := range m.rotors {
+						for _, dur := range m.durations {
+							for _, start := range m.starts {
+								id, ok := pick(byPrim, func(sel *matcher) bool { return sel.windowOK(dur, start) }, func() string {
+									return actuatorCaseID(ms.ID, rotor, prim, dur, start) + suffix
+								})
+								if !ok {
+									continue
+								}
+								inj := &faultinject.Injection{
+									Primitive: prim,
+									Target:    faultinject.TargetRotor,
+									Rotor:     rotor,
+									Start:     start,
+									Duration:  dur,
+									// Rotor faults have no per-IMU addressing.
+									Scope: faultinject.ScopeAllUnits,
+									Seed:  actuatorSeed(base, ms.ID, prim, rotor, dur, start),
+								}
+								if prim == faultinject.LossOfEffectiveness {
+									inj.Factor = m.loe
+								}
+								add(id, inj)
 							}
-							inj := &faultinject.Injection{
-								Primitive: prim,
-								Target:    faultinject.TargetRotor,
-								Rotor:     rotor,
-								Start:     start,
-								Duration:  dur,
-								// Rotor faults have no per-IMU addressing.
-								Scope: faultinject.ScopeAllUnits,
-								Seed:  s.Seeds.actuatorSeed(base, ms.ID, prim, rotor, dur, start),
-							}
-							if prim == faultinject.LossOfEffectiveness {
-								inj.Factor = m.loe
-							}
-							cases = append(cases, core.Case{
-								ID:        id,
-								MissionID: ms.ID,
-								Injection: inj,
-								Seed:      envSeed,
-								Airframe:  airframe,
-							})
 						}
 					}
 				}
@@ -644,24 +596,14 @@ func checkUniqueIDs(cases []core.Case) error {
 	return nil
 }
 
-// envSeed derives one mission's shared environment seed: every case of a
-// mission uses the same env seed so the runner can fork a shared
-// pre-injection prefix (checkpoint-and-fork).
-func (p SeedPolicy) envSeed(base int64, missionID int) int64 {
-	if p.Kind == "affine" {
-		return base + int64(missionID)*p.EnvStride
-	}
-	return core.CaseSeed(base, missionID, 0, 0, 0)
-}
-
-// injSeed derives one case's injection seed. The mixed policy reproduces
-// the legacy plan exactly at the paper's grid (integer durations,
-// T+90 s start) and folds the float bits of off-grid durations/starts
-// into the mix so every grid cell keeps an independent fault stream.
-func (p SeedPolicy) injSeed(base int64, missionID int, target faultinject.Target, prim faultinject.Primitive, dur, start time.Duration) int64 {
-	if p.Kind == "affine" {
-		return base + int64(missionID)*p.InjStride + p.InjOffset
-	}
+// injSeed derives one case's injection seed with core.CaseSeed. It
+// reproduces the legacy plan exactly at the paper's grid (integer
+// durations, T+90 s start) and folds the float bits of off-grid
+// durations/starts into the mix so every grid cell keeps an independent
+// fault stream. Every case of a mission shares one environment seed,
+// core.CaseSeed(base, mission, 0, 0, 0), so the runner can fork a shared
+// pre-injection prefix.
+func injSeed(base int64, missionID int, target faultinject.Target, prim faultinject.Primitive, dur, start time.Duration) int64 {
 	durSec := dur.Seconds()
 	seed := core.CaseSeed(base+1, missionID, int(target), int(prim), int(durSec))
 	//lint:allow floatcmp exact integrality test gates seed folding; must be bit-stable, not approximate
@@ -677,8 +619,8 @@ func (p SeedPolicy) injSeed(base int64, missionID int, target faultinject.Target
 // actuatorSeed derives an actuator case's injection seed the same way
 // injSeed does (TargetRotor stands in for the sensor target), folding a
 // nonzero rotor index so every rotor keeps an independent fault stream.
-func (p SeedPolicy) actuatorSeed(base int64, missionID int, prim faultinject.Primitive, rotor int, dur, start time.Duration) int64 {
-	seed := p.injSeed(base, missionID, faultinject.TargetRotor, prim, dur, start)
+func actuatorSeed(base int64, missionID int, prim faultinject.Primitive, rotor int, dur, start time.Duration) int64 {
+	seed := injSeed(base, missionID, faultinject.TargetRotor, prim, dur, start)
 	if rotor != 0 {
 		seed = foldSeed(seed, uint64(rotor))
 	}

@@ -61,9 +61,13 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		"start-overflow":    {Version: 1, Matrix: Matrix{StartsSec: []float64{1e300}}},
 		"duration-zero-ns":  {Version: 1, Matrix: Matrix{DurationsSec: []float64{1e-12}}},
 		"scope":             {Version: 1, Matrix: Matrix{Scope: "tertiary"}},
-		"seeds":             {Version: 1, Seeds: SeedPolicy{Kind: "fibonacci"}},
 		"mission":           {Version: 1, Missions: []int{99}},
-		"decim":             {Version: 1, Overrides: Overrides{CovDecimation: intp(0)}},
+		"decim":             {Version: 1, Overrides: core.Overrides{CovDecimation: intp(0)}},
+		"variant-name":      {Version: 1, Variants: []core.Variant{{Name: "Thr 30"}}},
+		"variant-unnamed":   {Version: 1, Variants: []core.Variant{{}}},
+		"variant-dup":       {Version: 1, Variants: []core.Variant{{Name: "a"}, {Name: "a"}}},
+		"variant-decim": {Version: 1, Variants: []core.Variant{
+			{Name: "a", Overrides: core.Overrides{CovDecimation: intp(0)}}}},
 		// A negative mission ID once validated and selected nothing.
 		"select-mission": {Version: 1, Select: []Selector{{Mission: -3}}},
 	} {
@@ -151,34 +155,6 @@ func TestCompileGridIDsAndSeeds(t *testing.T) {
 	}
 }
 
-func TestAffineSeedPolicyMatchesLegacySweep(t *testing.T) {
-	s := CampaignSpec{
-		Version: 1,
-		Seed:    3,
-		Gold:    boolp(false),
-		Matrix: Matrix{
-			Targets:      []string{"gyro"},
-			Primitives:   []string{"min"},
-			DurationsSec: []float64{5},
-			StartsSec:    []float64{20},
-		},
-		Seeds: SeedPolicy{Kind: "affine", EnvStride: 1009, InjStride: 31, InjOffset: 7},
-	}
-	cases, err := s.Compile(mission.Valencia())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cases {
-		// The historical sweep formulas, verbatim.
-		if want := int64(3) + int64(c.MissionID)*1009; c.Seed != want {
-			t.Errorf("%s: env seed %d, want %d", c.ID, c.Seed, want)
-		}
-		if want := int64(3) + int64(c.MissionID)*31 + 7; c.Injection.Seed != want {
-			t.Errorf("%s: inj seed %d, want %d", c.ID, c.Injection.Seed, want)
-		}
-	}
-}
-
 func TestScopeCompiles(t *testing.T) {
 	s := Paper(1)
 	s.Matrix.Scope = "primary"
@@ -195,7 +171,7 @@ func TestScopeCompiles(t *testing.T) {
 
 func TestOverridesApply(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	o := Overrides{
+	o := core.Overrides{
 		GyroThresholdDegS: f64p(120),
 		RiskR:             f64p(2.5),
 		CovDecimation:     intp(1),
@@ -216,7 +192,7 @@ func TestOverridesApply(t *testing.T) {
 	}
 	// A zero Overrides must leave the config untouched.
 	clean := sim.DefaultConfig()
-	Overrides{}.Apply(&clean)
+	core.Overrides{}.Apply(&clean)
 	if !reflect.DeepEqual(clean, def) {
 		t.Error("zero overrides mutated the config")
 	}
@@ -270,6 +246,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"not json":      `{`,
 		"unknown field": `{"version": 1, "bogus": true}`,
 		"wrong version": `{"version": 99}`,
+		"seeds block":   `{"version": 1, "seeds": {"kind": "affine"}}`,
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("%s: Parse accepted %s", name, bad)

@@ -145,8 +145,8 @@ type (
 	// GroupStats is one aggregated table row.
 	GroupStats = core.GroupStats
 	// CampaignSpec is a declarative, serializable experiment plan:
-	// missions, injection matrix, seed policy, config overrides, and
-	// selectors, compiled to cases by CompileSpec.
+	// missions, airframes, injection matrix, config overrides, named
+	// variants, and selectors, compiled to cases by CompileSpec.
 	CampaignSpec = spec.CampaignSpec
 	// Selector filters compiled cases by ID (exact or glob) or by
 	// injection fields.
