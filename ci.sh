@@ -22,9 +22,11 @@
 # and differing outcomes across variants, a multi-start campaign whose forks come off two
 # prefix chains and whose cases, gold run included, all batch in one
 # flight environment must match its straight-through and scalar-fork
-# runs bit for bit, campaign -store must replay a warm grid from the
-# result store and simulate only the new cells of a wider one, and a
-# uavsim black-box dump must load in replay and export its trajectory.
+# runs bit for bit, the hexa actuator mini-spec and the redundancy
+# matrix's mission-1 octo-x slice (rotor FDI and reconfigured allocation)
+# must match their straight-through runs bit for bit, campaign -store
+# must replay a warm grid from the result store and simulate only the
+# new cells of a wider one, and a uavsim black-box dump must load in replay and export its trajectory.
 # Short fuzz passes cover the results-file decoder, the spec decoder and
 # compiler, the -select expression parser and the selection it makes
 # (against the pre-compilation reference predicate), fork-versus-straight
@@ -158,6 +160,17 @@ if ! printf '%s\n' "$hexa_cmp" | grep -q "hexa_straight.json (mode=straight widt
 	echo "ci: the -checkpoint=false results header does not name mode=straight" >&2
 	exit 1
 fi
+
+# Octo-x equivalence smoke: the redundancy matrix's mission-1 octo-x
+# slice (21 sensor forks, 3 actuator forks with rotor FDI and
+# reconfigured allocation, and the gold run) in lockstep batches and
+# straight through, so the eight-rotor mixer that allocation and
+# reconfiguration are built from runs end to end too.
+octo="-spec examples/specs/redundancy-matrix.json -select mission=1,airframe=octo-x -q"
+go run ./cmd/campaign $octo -out "$tmpdir/octo.json"
+go run ./cmd/campaign $octo -out "$tmpdir/octo_straight.json" -checkpoint=false
+go run ./cmd/campaign -compare-results "$tmpdir/octo.json,$tmpdir/octo_straight.json" | tee "$tmpdir/octo_cmp.log"
+grep -q ': 25 cases bit-identical' "$tmpdir/octo_cmp.log"
 
 # Observability + resume smoke: run one mission's gyro cases with
 # metrics capture, validate the snapshot schema, then resume over the

@@ -499,8 +499,9 @@ func run() int {
 
 // effectiveSpec assembles the spec a campaign runs: the file at path, or
 // the built-in paper spec, with the CLI seed (when set, or always for the
-// built-in spec), scope (when set, or when the spec has none) and
-// selectors folded in. The selectors AND with the spec's select list, so
+// built-in spec), scope (when set) and selectors folded in. A spec with
+// no scope compiles as all-units, so an unset -scope leaves the spec, and
+// its hash, as written. The selectors AND with the spec's select list, so
 // Compile prunes for both, and -print-spec prints the very plan that runs.
 func effectiveSpec(path string, seed int64, seedSet bool, scope string, scopeSet bool, selectors []spec.Selector) (spec.CampaignSpec, error) {
 	s := spec.Paper(seed)
@@ -513,7 +514,7 @@ func effectiveSpec(path string, seed int64, seedSet bool, scope string, scopeSet
 			s.Seed = seed
 		}
 	}
-	if scopeSet || s.Matrix.Scope == "" {
+	if scopeSet {
 		s.Matrix.Scope = scope
 	}
 	var err error

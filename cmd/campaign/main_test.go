@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -63,4 +64,35 @@ func caseIDs(t *testing.T, s spec.CampaignSpec, sels []spec.Selector) []string {
 		ids = append(ids, c.ID)
 	}
 	return ids
+}
+
+// TestRunHashIsTheSpecHash: with no flag but the spec, a run's results
+// header carries the hash of the spec file as written (the hash
+// -validate-spec prints), and the built-in run the hash of spec.Paper.
+// An unset -scope must not write its default into the spec.
+func TestRunHashIsTheSpecHash(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs: %v", err)
+	}
+	for _, path := range paths {
+		file, err := spec.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := effectiveSpec(path, 1, false, "all", false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := run.Hash(), file.Hash(); got != want {
+			t.Errorf("%s: run header hash %s, spec file hash %s", filepath.Base(path), got, want)
+		}
+	}
+	run, err := effectiveSpec("", 2, false, "all", false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := run.Hash(), spec.Paper(2).Hash(); got != want {
+		t.Errorf("built-in run header hash %s, spec.Paper(2) hash %s", got, want)
+	}
 }

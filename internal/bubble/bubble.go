@@ -47,14 +47,14 @@ type Outer struct {
 
 // NewOuter returns an outer-bubble calculator over the given inner radius.
 // R values below 1 are raised to 1, matching the paper's constraint.
-func NewOuter(innerRadius, riskR float64) (*Outer, error) {
+func NewOuter(innerRadius, riskR float64) (Outer, error) {
 	if innerRadius <= 0 {
-		return nil, fmt.Errorf("bubble: non-positive inner radius %v", innerRadius)
+		return Outer{}, fmt.Errorf("bubble: non-positive inner radius %v", innerRadius)
 	}
 	if riskR < 1 {
 		riskR = 1
 	}
-	return &Outer{R: riskR, inner: innerRadius, lastRadius: innerRadius * riskR}, nil
+	return Outer{R: riskR, inner: innerRadius, lastRadius: innerRadius * riskR}, nil
 }
 
 // Update advances the dynamic bubble with the current airspeed and the
@@ -116,9 +116,9 @@ type Tracker struct {
 }
 
 // NewTracker returns a tracker for one mission with the given risk factor.
-func NewTracker(m mission.Mission, riskR, interval float64) (*Tracker, error) {
+func NewTracker(m mission.Mission, riskR, interval float64) (Tracker, error) {
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("bubble: %w", err)
+		return Tracker{}, fmt.Errorf("bubble: %w", err)
 	}
 	if interval <= 0 {
 		interval = DefaultTrackingInterval
@@ -126,9 +126,9 @@ func NewTracker(m mission.Mission, riskR, interval float64) (*Tracker, error) {
 	inner := InnerRadius(m.Drone, interval)
 	outer, err := NewOuter(inner, riskR)
 	if err != nil {
-		return nil, err
+		return Tracker{}, err
 	}
-	return &Tracker{mission: m, inner: inner, outer: *outer, interval: interval}, nil
+	return Tracker{mission: m, inner: inner, outer: outer, interval: interval}, nil
 }
 
 // InnerRadius returns the mission's static inner bubble radius.

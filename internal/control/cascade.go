@@ -81,17 +81,24 @@ type Diag struct {
 	TorqueNm mathx.Vec3
 }
 
-// Controller is the cascaded flight controller. It is a plain value, so
-// copying a Controller copies its loops and its allocation. Not safe for
-// concurrent use; each vehicle owns one.
-type Controller struct {
-	gains  Gains
-	params physics.Params
-	// tanMaxTilt is math.Tan(gains.MaxTiltRad), the tilt limit's slope,
-	// computed once in New.
-	tanMaxTilt float64
-	mixer      physics.Mixer
+// Law is a cascade's launch constants: its gains and the slope of its
+// tilt limit. Nothing in it changes in flight, so a vehicle holds one law
+// beside the Loops it snapshots, and passes it to every cycle.
+type Law struct {
+	gains      Gains
+	tanMaxTilt float64 // math.Tan(gains.MaxTiltRad)
+}
 
+// NewLaw returns the law of the given gains.
+func NewLaw(gains Gains) Law {
+	return Law{gains: gains, tanMaxTilt: math.Tan(gains.MaxTiltRad)}
+}
+
+// Loops is the evolving part of the cascaded flight controller: its
+// integrators and filters, a reconfigured allocation, and the yaw trig
+// cache. It is a plain value, so copying Loops copies its complete state.
+// Not safe for concurrent use; each vehicle owns one.
+type Loops struct {
 	velPID  PID3
 	ratePID PID3
 
@@ -106,21 +113,16 @@ type Controller struct {
 	cacheYaw, cacheSinYaw, cacheCosYaw float64
 }
 
-// New returns a controller for the given airframe, with loops running
-// every dt seconds.
-func New(gains Gains, params physics.Params, dt float64) *Controller {
-	return &Controller{
-		gains:      gains,
-		params:     params,
-		tanMaxTilt: math.Tan(gains.MaxTiltRad),
-		mixer:      physics.NewMixer(params),
-		velPID: *NewPID3(
+// NewLoops returns loops with the given gains, running every dt seconds.
+func NewLoops(gains Gains, dt float64) Loops {
+	return Loops{
+		velPID: NewPID3(
 			gains.VelP, gains.VelI, mathx.Zero3,
 			mathx.V3(3, 3, 4),  // integral clamp (m/s^2)
 			mathx.V3(8, 8, 12), // acceleration clamp (m/s^2)
 			10, dt,
 		),
-		ratePID: *NewPID3(
+		ratePID: NewPID3(
 			gains.RateP, gains.RateI, gains.RateD,
 			mathx.V3(8, 8, 4),    // integral clamp (rad/s^2)
 			mathx.V3(80, 80, 40), // angular accel clamp (rad/s^2)
@@ -132,38 +134,48 @@ func New(gains Gains, params physics.Params, dt float64) *Controller {
 // SetAllocator installs a copy of (or, with nil, removes) a reconfigured
 // allocation that overrides the healthy mixer when distributing the
 // wrench.
-func (c *Controller) SetAllocator(a *physics.Allocator) {
+func (c *Loops) SetAllocator(a *physics.Allocator) {
 	c.alloc, c.hasAlloc = physics.Allocator{}, a != nil
 	if a != nil {
 		c.alloc = *a
 	}
 }
 
-// Reset clears all integrators (rearm / mode change).
-func (c *Controller) Reset() {
-	c.velPID.Reset()
-	c.ratePID.Reset()
+// Command runs one full cascade cycle of law k on airframe f and returns
+// normalized motor commands. est comes from the EKF; gyroRaw is the raw
+// (possibly fault-corrupted) gyro stream feeding the innermost loop.
+func (c *Loops) Command(k *Law, f *physics.Frame, dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint) physics.Rotors {
+	return c.cascade(k, f, dt, est, gyroRaw, sp, nil)
 }
 
-// Command runs one full cascade cycle and returns normalized motor
-// commands. est comes from the EKF; gyroRaw is the raw (possibly
-// fault-corrupted) gyro stream feeding the innermost loop.
-func (c *Controller) Command(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint) physics.Rotors {
-	return c.cascade(dt, est, gyroRaw, sp, nil)
+// Controller is a standalone cascaded flight controller: Loops flying
+// their own Law and airframe.
+type Controller struct {
+	Loops
+	law   Law
+	frame physics.Frame
 }
 
-// Update is Command that also returns the cycle's intermediate quantities.
+// New returns a controller for the given airframe, with loops running
+// every dt seconds.
+func New(gains Gains, params physics.Params, dt float64) *Controller {
+	return &Controller{Loops: NewLoops(gains, dt), law: NewLaw(gains), frame: physics.NewFrame(params)}
+}
+
+// Update runs one cascade cycle under the controller's own law and
+// airframe, and returns the cycle's intermediate quantities with its
+// commands.
 func (c *Controller) Update(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint) (physics.Rotors, Diag) {
 	var d Diag
-	cmd := c.cascade(dt, est, gyroRaw, sp, &d)
+	cmd := c.cascade(&c.law, &c.frame, dt, est, gyroRaw, sp, &d)
 	return cmd, d
 }
 
 // cascade runs one cycle, filling d in when it is non-nil.
-func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint, d *Diag) physics.Rotors {
+func (c *Loops) cascade(k *Law, f *physics.Frame, dt float64, est Estimate, gyroRaw mathx.Vec3, sp Setpoint, d *Diag) physics.Rotors {
 	// --- Position loop: position error -> velocity setpoint.
 	posErr := sp.Pos.Sub(est.Pos)
-	velSp := posErr.Hadamard(c.gains.PosP).Add(sp.VelFF)
+	velSp := posErr.Hadamard(k.gains.PosP).Add(sp.VelFF)
 	// Horizontal speed limit.
 	cruise := sp.CruiseSpeed
 	if cruise <= 0 {
@@ -185,8 +197,8 @@ func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Se
 
 	// --- Velocity loop: velocity error -> acceleration setpoint.
 	accSp := c.velPID.Update(velSp.Sub(est.Vel), dt)
-	if h := accSp.NormXY(); h > c.gains.MaxAccel {
-		scale := c.gains.MaxAccel / h
+	if h := accSp.NormXY(); h > k.gains.MaxAccel {
+		scale := k.gains.MaxAccel / h
 		accSp.X *= scale
 		accSp.Y *= scale
 	}
@@ -198,15 +210,15 @@ func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Se
 	if fSp.Z > -1 {
 		fSp.Z = -1 // never command a downward or zero thrust vector
 	}
-	fSp = limitTilt(fSp, c.tanMaxTilt)
+	fSp = limitTilt(fSp, k.tanMaxTilt)
 	attSp := c.attitudeFromThrust(fSp, sp.Yaw)
 
 	// Thrust magnitude: project the desired specific force on the CURRENT
 	// body up-axis so tilt transients do not lose altitude. Both vectors
 	// point "up" (negative NED Z), so the projection is positive.
 	bodyUp := est.Att.Rotate(mathx.V3(0, 0, -1))
-	thrustN := c.params.MassKg * max(0.5, fSp.Dot(bodyUp)) // the builtin inlines; same value as math.Max here
-	maxThrust := c.mixer.MaxTotalThrustN() * 0.95
+	thrustN := f.Params.MassKg * max(0.5, fSp.Dot(bodyUp)) // the builtin inlines; same value as math.Max here
+	maxThrust := f.Mixer.MaxTotalThrustN() * 0.95
 	thrustN = mathx.Clamp(thrustN, 0.05*maxThrust, maxThrust)
 
 	// --- Attitude loop: quaternion error -> body rate setpoint.
@@ -215,11 +227,11 @@ func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Se
 		qErr = mathx.Quat{W: -qErr.W, X: -qErr.X, Y: -qErr.Y, Z: -qErr.Z}
 	}
 	attErrVec := mathx.V3(qErr.X, qErr.Y, qErr.Z).Scale(2)
-	rateSp := attErrVec.Hadamard(c.gains.AttP).ClampVec(c.gains.MaxRate)
+	rateSp := attErrVec.Hadamard(k.gains.AttP).ClampVec(k.gains.MaxRate)
 
 	// --- Rate loop on RAW gyro: rate error -> angular accel -> torque.
 	alphaSp := c.ratePID.Update(rateSp.Sub(gyroRaw), dt)
-	torque := alphaSp.Hadamard(c.params.Inertia)
+	torque := alphaSp.Hadamard(f.Params.Inertia)
 
 	if d != nil {
 		*d = Diag{VelSp: velSp, AccSp: accSp, AttSp: attSp, RateSp: rateSp, ThrustN: thrustN, TorqueNm: torque}
@@ -227,7 +239,7 @@ func (c *Controller) cascade(dt float64, est Estimate, gyroRaw mathx.Vec3, sp Se
 	if c.hasAlloc {
 		return c.alloc.Allocate(thrustN, torque)
 	}
-	return c.mixer.Allocate(thrustN, torque)
+	return f.Mixer.Allocate(thrustN, torque)
 }
 
 // limitTilt restricts the thrust vector's angle from vertical, whose
@@ -249,7 +261,7 @@ func limitTilt(f mathx.Vec3, tanMaxTilt float64) mathx.Vec3 {
 
 // attitudeFromThrust builds the attitude whose body -Z axis aligns with
 // the desired thrust direction and whose heading is yaw.
-func (c *Controller) attitudeFromThrust(fSp mathx.Vec3, yaw float64) mathx.Quat {
+func (c *Loops) attitudeFromThrust(fSp mathx.Vec3, yaw float64) mathx.Quat {
 	//lint:allow floatcmp cache key is the exact previous input; any change recomputes
 	if yaw != c.cacheYaw || (c.cacheSinYaw == 0 && c.cacheCosYaw == 0) {
 		c.cacheYaw = yaw

@@ -87,14 +87,14 @@ func TestCommandGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkControllerCommand times one cascade cycle on the tilt-limited
-// first half of goldenCommandInput.
+// BenchmarkControllerCommand times one cascade cycle, as a vehicle runs
+// it, on the tilt-limited first half of goldenCommandInput.
 func BenchmarkControllerCommand(b *testing.B) {
 	ctl := New(DefaultGains(), physics.DefaultParams(), 0.004)
 	est, gyro, sp := goldenCommandInput(3)
 	var sink physics.Rotors
 	for i := 0; i < b.N; i++ {
-		sink = ctl.Command(0.004, est, gyro, sp)
+		sink = ctl.Loops.Command(&ctl.law, &ctl.frame, 0.004, est, gyro, sp)
 	}
 	_ = sink
 }

@@ -29,8 +29,8 @@ type PID struct {
 
 // NewPID returns a PID for a loop running every dt seconds; the derivative
 // term is low-pass filtered at derivCutoffHz.
-func NewPID(kp, ki, kd, intLimit, outLimit, derivCutoffHz, dt float64) *PID {
-	return &PID{
+func NewPID(kp, ki, kd, intLimit, outLimit, derivCutoffHz, dt float64) PID {
+	return PID{
 		Kp: kp, Ki: ki, Kd: kd,
 		IntLimit: intLimit, OutLimit: outLimit,
 		deriv: *mathx.NewDerivative(derivCutoffHz, dt),
@@ -64,11 +64,11 @@ type PID3 struct {
 
 // NewPID3 builds a vector PID with per-axis gains. Gains are given as
 // vectors so the vertical axis can be tuned separately.
-func NewPID3(kp, ki, kd mathx.Vec3, intLimit, outLimit mathx.Vec3, derivCutoffHz, dt float64) *PID3 {
-	return &PID3{
-		x: *NewPID(kp.X, ki.X, kd.X, intLimit.X, outLimit.X, derivCutoffHz, dt),
-		y: *NewPID(kp.Y, ki.Y, kd.Y, intLimit.Y, outLimit.Y, derivCutoffHz, dt),
-		z: *NewPID(kp.Z, ki.Z, kd.Z, intLimit.Z, outLimit.Z, derivCutoffHz, dt),
+func NewPID3(kp, ki, kd mathx.Vec3, intLimit, outLimit mathx.Vec3, derivCutoffHz, dt float64) PID3 {
+	return PID3{
+		x: NewPID(kp.X, ki.X, kd.X, intLimit.X, outLimit.X, derivCutoffHz, dt),
+		y: NewPID(kp.Y, ki.Y, kd.Y, intLimit.Y, outLimit.Y, derivCutoffHz, dt),
+		z: NewPID(kp.Z, ki.Z, kd.Z, intLimit.Z, outLimit.Z, derivCutoffHz, dt),
 	}
 }
 
@@ -79,11 +79,4 @@ func (c *PID3) Update(err mathx.Vec3, dt float64) mathx.Vec3 {
 		Y: c.y.Update(err.Y, dt),
 		Z: c.z.Update(err.Z, dt),
 	}
-}
-
-// Reset clears all three axes.
-func (c *PID3) Reset() {
-	c.x.Reset()
-	c.y.Reset()
-	c.z.Reset()
 }

@@ -258,9 +258,6 @@ func (r *Runner) runAllCached(ctx context.Context, cases []Case) []CaseResult {
 	if r.Obs != nil {
 		r.Obs.Counter("campaign_cache_hits_total").Add(int64(len(hitIdx)))
 		r.Obs.Counter("campaign_cache_misses_total").Add(int64(len(miss)))
-		// Cache hits are finished cases that never ran: the status
-		// endpoint's done count folds them in through this counter.
-		r.Obs.Counter("campaign_cases_cached_total").Add(int64(len(hitIdx)))
 	}
 	if r.Trace != nil && len(hitIdx) > 0 {
 		hits := make([]CaseResult, len(hitIdx))

@@ -63,7 +63,6 @@ type StatusSource struct {
 	start float64
 
 	cases   *obs.Counter
-	cached  *obs.Counter
 	errors  *obs.Counter
 	dropped *obs.Counter
 
@@ -94,7 +93,6 @@ func NewStatusSource(reg *obs.Registry, cfg StatusConfig) *StatusSource {
 		start: cfg.Clock(),
 
 		cases:   reg.Counter("campaign_cases_total"),
-		cached:  reg.Counter("campaign_cases_cached_total"),
 		errors:  reg.Counter("campaign_case_errors_total"),
 		dropped: reg.Counter("campaign_trace_dropped_total"),
 
@@ -118,7 +116,8 @@ func NewStatusSource(reg *obs.Registry, cfg StatusConfig) *StatusSource {
 // and reads zero until the first case lands.
 func (s *StatusSource) Snapshot() Status {
 	run := s.cases.Value()
-	cached := s.cached.Value()
+	// Cache hits are finished cases that never ran: done folds them in.
+	cached := s.cacheHits.Value()
 	done := run + cached
 	st := Status{
 		SpecHash:   s.cfg.SpecHash,
@@ -137,7 +136,7 @@ func (s *StatusSource) Snapshot() Status {
 		TimedOut:  s.timedOut.Value(),
 		Errors:    s.errors.Value(),
 
-		CacheHits:   s.cacheHits.Value(),
+		CacheHits:   cached,
 		CacheMisses: s.cacheMisses.Value(),
 
 		ActiveWorkers: int(s.activeWorkers.Value()),

@@ -58,8 +58,8 @@ func TestDecimationDriftBounded(t *testing.T) {
 	fe := New(cfgExact)
 	fd := New(cfgDecim)
 	const seed = 42
-	re := noisyStationaryFlight(fe, 30, seed)
-	rd := noisyStationaryFlight(fd, 30, seed)
+	re := noisyStationaryFlight(&fe, 30, seed)
+	rd := noisyStationaryFlight(&fd, 30, seed)
 
 	if len(re) != len(rd) || len(re) == 0 {
 		t.Fatalf("fusion counts differ: %d vs %d", len(re), len(rd))
@@ -185,7 +185,7 @@ func TestDecimationSnapshotCarriesWindow(t *testing.T) {
 	for i := 0; i < 6; i++ { // pending = 2 (6 mod 4)
 		f.Predict(stationarySample(float64(i)*dt), dt)
 	}
-	g := *f
+	g := f
 	if g.pending != 2 || g.pending != f.pending {
 		t.Fatalf("pending not copied: %d vs %d", g.pending, f.pending)
 	}

@@ -170,8 +170,8 @@ type Filter struct {
 
 // New returns a filter initialized at rest at the origin with conservative
 // initial uncertainty.
-func New(cfg Config) *Filter {
-	f := &Filter{cfg: cfg}
+func New(cfg Config) Filter {
+	f := Filter{cfg: cfg}
 	f.Reset(State{Att: mathx.QuatIdentity()})
 	return f
 }

@@ -157,10 +157,9 @@ type Observation struct {
 	StuckSensor bool
 }
 
-// Monitor is the failsafe state machine. Not safe for concurrent use.
+// Monitor is the failsafe state machine; its thresholds are a Config
+// passed to every Update. Not safe for concurrent use.
 type Monitor struct {
-	cfg Config
-
 	phase Phase
 	cause Cause
 
@@ -179,9 +178,7 @@ type Monitor struct {
 }
 
 // NewMonitor returns a monitor in the nominal phase.
-func NewMonitor(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg, phase: PhaseNominal}
-}
+func NewMonitor() Monitor { return Monitor{phase: PhaseNominal} }
 
 // Phase returns the current state-machine phase.
 func (m *Monitor) Phase() Phase { return m.phase }
@@ -195,16 +192,16 @@ func (m *Monitor) ActivatedAt() float64 { return m.activatedAt }
 // Switches returns how many redundant-sensor switches were performed.
 func (m *Monitor) Switches() int { return m.switches }
 
-// Update advances the monitor with the latest observation. imus is the
-// redundant set the isolation stage rotates; a nil set disables switching
-// (single-IMU vehicle). Returns the current phase.
-func (m *Monitor) Update(obs Observation, imus *sensors.RedundantIMUs) Phase {
+// Update advances the monitor under cfg with the latest observation. imus
+// is the redundant set the isolation stage rotates; a nil set disables
+// switching (single-IMU vehicle). Returns the current phase.
+func (m *Monitor) Update(cfg *Config, obs Observation, imus *sensors.RedundantIMUs) Phase {
 	t := obs.T
 	if m.phase == PhaseActive {
 		return m.phase
 	}
 
-	anomaly := m.detect(obs)
+	anomaly := m.detect(cfg, obs)
 
 	switch m.phase {
 	case PhaseNominal:
@@ -228,13 +225,13 @@ func (m *Monitor) Update(obs Observation, imus *sensors.RedundantIMUs) Phase {
 		// assumes the fault affects all redundant sensors, so rotation
 		// never actually helps — but it must be attempted, and it is what
 		// makes failsafe take >= 1900 ms.
-		if imus != nil && t-m.lastSwitch >= m.cfg.SwitchIntervalSec && !imus.Exhausted(m.switches) {
+		if imus != nil && t-m.lastSwitch >= cfg.SwitchIntervalSec && !imus.Exhausted(m.switches) {
 			imus.SwitchPrimary()
 			m.switches++
 			m.lastSwitch = t
 		}
 		exhausted := imus == nil || imus.Exhausted(m.switches)
-		if t-m.isolationStart >= m.cfg.IsolationDelaySec && exhausted {
+		if t-m.isolationStart >= cfg.IsolationDelaySec && exhausted {
 			m.phase = PhaseActive
 			m.activatedAt = t
 		}
@@ -244,7 +241,7 @@ func (m *Monitor) Update(obs Observation, imus *sensors.RedundantIMUs) Phase {
 
 // detect evaluates all detection paths and returns the first tripped
 // cause, or CauseNone.
-func (m *Monitor) detect(obs Observation) Cause {
+func (m *Monitor) detect(cfg *Config, obs Observation) Cause {
 	t, imu, health := obs.T, obs.IMU, obs.Health
 	if health.Diverged {
 		return CauseEKFDiverged
@@ -255,7 +252,7 @@ func (m *Monitor) detect(obs Observation) Cause {
 	}
 
 	// Gyro path: explicit threshold with persistence.
-	if imu.Gyro.Norm() > m.cfg.GyroRateThreshold {
+	if imu.Gyro.Norm() > cfg.GyroRateThreshold {
 		if !m.gyroHigh {
 			m.gyroHigh = true
 			m.gyroHighSince = t
@@ -263,13 +260,13 @@ func (m *Monitor) detect(obs Observation) Cause {
 	} else {
 		m.gyroHigh = false
 	}
-	if m.gyroHigh && t-m.gyroHighSince >= m.cfg.GyroPersistSec {
+	if m.gyroHigh && t-m.gyroHighSince >= cfg.GyroPersistSec {
 		return CauseGyroRate
 	}
 
 	// Accel path: no explicit threshold — plausibility vs. the vehicle's
 	// physical capability, with persistence.
-	if imu.Accel.Norm() > m.cfg.AccelPlausible {
+	if imu.Accel.Norm() > cfg.AccelPlausible {
 		if !m.accelHigh {
 			m.accelHigh = true
 			m.accelHighSince = t
@@ -277,15 +274,15 @@ func (m *Monitor) detect(obs Observation) Cause {
 	} else {
 		m.accelHigh = false
 	}
-	if m.accelHigh && t-m.accelHighSince >= m.cfg.AccelPersistSec {
+	if m.accelHigh && t-m.accelHighSince >= cfg.AccelPersistSec {
 		return CauseAccelImplausible
 	}
 
 	// Velocity-envelope path: the navigation solution claims a speed the
 	// airframe cannot physically reach ("vehicle specifications and
 	// airspeed" — the paper's accelerometer detection factors).
-	if m.cfg.VelEnvelopeFactor > 0 && obs.MaxSpeedMS > 0 {
-		if obs.EstVelHorizMS > m.cfg.VelEnvelopeFactor*obs.MaxSpeedMS {
+	if cfg.VelEnvelopeFactor > 0 && obs.MaxSpeedMS > 0 {
+		if obs.EstVelHorizMS > cfg.VelEnvelopeFactor*obs.MaxSpeedMS {
 			if !m.velHigh {
 				m.velHigh = true
 				m.velHighSince = t
@@ -293,33 +290,29 @@ func (m *Monitor) detect(obs Observation) Cause {
 		} else {
 			m.velHigh = false
 		}
-		if m.velHigh && t-m.velHighSince >= m.cfg.VelEnvelopePersistSec {
+		if m.velHigh && t-m.velHighSince >= cfg.VelEnvelopePersistSec {
 			return CauseVelEnvelope
 		}
 	}
 
 	// EKF aiding path: inertial solution rejected by references too long.
-	if m.cfg.GPSRejectSecLimit > 0 && health.GPSRejectSec > m.cfg.GPSRejectSecLimit {
+	if cfg.GPSRejectSecLimit > 0 && health.GPSRejectSec > cfg.GPSRejectSecLimit {
 		return CauseEKFAiding
 	}
-	if m.cfg.BaroRejectSecLimit > 0 && health.BaroRejectSec > m.cfg.BaroRejectSecLimit {
+	if cfg.BaroRejectSecLimit > 0 && health.BaroRejectSec > cfg.BaroRejectSecLimit {
 		return CauseEKFAiding
 	}
 	return CauseNone
 }
 
 // CrashDetector classifies ground impacts from ground-truth physics state,
-// playing the role of the simulation platform's collision monitoring.
+// playing the role of the simulation platform's collision monitoring. The
+// zero value is a detector that has latched nothing; its thresholds are a
+// Config passed to every Update.
 type CrashDetector struct {
-	cfg     Config
 	crashed bool
 	at      float64
 	reason  string
-}
-
-// NewCrashDetector returns a detector with the given thresholds.
-func NewCrashDetector(cfg Config) *CrashDetector {
-	return &CrashDetector{cfg: cfg}
 }
 
 // Crashed reports whether a crash has been latched.
@@ -331,20 +324,20 @@ func (c *CrashDetector) At() float64 { return c.at }
 // Reason returns a human-readable crash classification.
 func (c *CrashDetector) Reason() string { return c.reason }
 
-// Update feeds ground-truth observations: whether the vehicle is on the
-// ground, its touchdown speed, and its tilt. Once latched, a crash is
-// permanent.
-func (c *CrashDetector) Update(t float64, onGround bool, touchdownSpeed float64, tilt float64) {
+// Update feeds ground-truth observations under cfg: whether the vehicle
+// is on the ground, its touchdown speed, and its tilt. Once latched, a
+// crash is permanent.
+func (c *CrashDetector) Update(cfg *Config, t float64, onGround bool, touchdownSpeed float64, tilt float64) {
 	if c.crashed || !onGround {
 		return
 	}
-	if touchdownSpeed > c.cfg.CrashImpactSpeed {
+	if touchdownSpeed > cfg.CrashImpactSpeed {
 		c.crashed = true
 		c.at = t
 		c.reason = "hard impact"
 		return
 	}
-	if tilt > c.cfg.CrashTiltRad {
+	if tilt > cfg.CrashTiltRad {
 		c.crashed = true
 		c.at = t
 		c.reason = "flip-over"

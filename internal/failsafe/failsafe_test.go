@@ -23,20 +23,32 @@ func testIMUSet(t *testing.T) *sensors.RedundantIMUs {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return set
+	return &set
+}
+
+// testMonitor is a monitor flying one fixed Config.
+type testMonitor struct {
+	Monitor
+	cfg Config
+}
+
+func newTestMonitor(cfg Config) *testMonitor { return &testMonitor{NewMonitor(), cfg} }
+
+func (m *testMonitor) update(obs Observation, imus *sensors.RedundantIMUs) Phase {
+	return m.Update(&m.cfg, obs, imus)
 }
 
 // drive feeds the monitor a fixed sample function at 50 Hz over [t0, t1).
-func drive(m *Monitor, set *sensors.RedundantIMUs, t0, t1 float64, f func(float64) sensors.IMUSample, h ekf.Health) Phase {
+func drive(m *testMonitor, set *sensors.RedundantIMUs, t0, t1 float64, f func(float64) sensors.IMUSample, h ekf.Health) Phase {
 	var p Phase
 	for t := t0; t < t1; t += 0.02 {
-		p = m.Update(Observation{T: t, IMU: f(t), Health: h, EstVelHorizMS: 3, MaxSpeedMS: 5}, set)
+		p = m.update(Observation{T: t, IMU: f(t), Health: h, EstVelHorizMS: 3, MaxSpeedMS: 5}, set)
 	}
 	return p
 }
 
 func TestNominalStaysNominal(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	p := drive(m, testIMUSet(t), 0, 30, quietSample, ekf.Health{})
 	if p != PhaseNominal {
 		t.Errorf("phase = %v, want nominal", p)
@@ -47,7 +59,7 @@ func TestNominalStaysNominal(t *testing.T) {
 }
 
 func TestGyroThresholdTripsAfterPersistence(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	set := testIMUSet(t)
 	// Short spike below the persistence window: no isolation.
 	drive(m, set, 0, 0.3, spinningSample, ekf.Health{})
@@ -66,7 +78,7 @@ func TestGyroThresholdTripsAfterPersistence(t *testing.T) {
 
 func TestFailsafeActivatesAfterIsolationDelay(t *testing.T) {
 	cfg := DefaultConfig()
-	m := NewMonitor(cfg)
+	m := newTestMonitor(cfg)
 	set := testIMUSet(t)
 	p := drive(m, set, 0, 10, spinningSample, ekf.Health{})
 	if p != PhaseActive {
@@ -84,7 +96,7 @@ func TestFailsafeActivatesAfterIsolationDelay(t *testing.T) {
 }
 
 func TestRecoveryDuringIsolationStandsDown(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	set := testIMUSet(t)
 	// Trip detection, then recover before the isolation delay elapses:
 	// like a 2-second fault window ending.
@@ -102,7 +114,7 @@ func TestRecoveryDuringIsolationStandsDown(t *testing.T) {
 }
 
 func TestFailsafeLatches(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	set := testIMUSet(t)
 	drive(m, set, 0, 10, spinningSample, ekf.Health{})
 	if m.Phase() != PhaseActive {
@@ -116,7 +128,7 @@ func TestFailsafeLatches(t *testing.T) {
 }
 
 func TestAccelImplausibilityPath(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	full := func(t float64) sensors.IMUSample {
 		return sensors.IMUSample{T: t, Accel: mathx.V3(sensors.AccelRange, 0, 0)}
 	}
@@ -127,7 +139,7 @@ func TestAccelImplausibilityPath(t *testing.T) {
 }
 
 func TestAccelWithinCapabilityDoesNotTrip(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	brisk := func(t float64) sensors.IMUSample {
 		return sensors.IMUSample{T: t, Accel: mathx.V3(5, 5, -15)} // aggressive but plausible
 	}
@@ -137,7 +149,7 @@ func TestAccelWithinCapabilityDoesNotTrip(t *testing.T) {
 }
 
 func TestEKFAidingPath(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	h := ekf.Health{GPSRejectSec: 7.0}
 	if p := drive(m, testIMUSet(t), 0, 0.1, quietSample, h); p != PhaseIsolating {
 		t.Errorf("phase = %v, want isolating on GPS rejection", p)
@@ -148,18 +160,18 @@ func TestEKFAidingPath(t *testing.T) {
 }
 
 func TestEKFDivergencePathImmediate(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
-	p := m.Update(Observation{T: 1, IMU: quietSample(1), Health: ekf.Health{Diverged: true}}, nil)
+	m := newTestMonitor(DefaultConfig())
+	p := m.update(Observation{T: 1, IMU: quietSample(1), Health: ekf.Health{Diverged: true}}, nil)
 	if p != PhaseIsolating || m.Cause() != CauseEKFDiverged {
 		t.Errorf("phase=%v cause=%v", p, m.Cause())
 	}
 }
 
 func TestNilIMUSetStillActivates(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	var p Phase
 	for tm := 0.0; tm < 10; tm += 0.02 {
-		p = m.Update(Observation{T: tm, IMU: spinningSample(tm)}, nil)
+		p = m.update(Observation{T: tm, IMU: spinningSample(tm)}, nil)
 	}
 	if p != PhaseActive {
 		t.Errorf("single-IMU vehicle never activated failsafe: %v", p)
@@ -167,21 +179,21 @@ func TestNilIMUSetStillActivates(t *testing.T) {
 }
 
 func TestVelocityEnvelopePath(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	set := testIMUSet(t)
 	// Estimated ground speed of 20 m/s on a 5 m/s airframe: impossible.
 	// Detection needs VelEnvelopePersistSec (1 s); stop before the
 	// isolation stage (1.9 s more) completes.
 	var p Phase
 	for tm := 0.0; tm < 2.5; tm += 0.02 {
-		p = m.Update(Observation{T: tm, IMU: quietSample(tm), EstVelHorizMS: 20, MaxSpeedMS: 5}, set)
+		p = m.update(Observation{T: tm, IMU: quietSample(tm), EstVelHorizMS: 20, MaxSpeedMS: 5}, set)
 	}
 	if p != PhaseIsolating || m.Cause() != CauseVelEnvelope {
 		t.Errorf("phase=%v cause=%v, want isolating/velocity-envelope", p, m.Cause())
 	}
 	// Continuing past the isolation delay activates failsafe.
 	for tm := 2.5; tm < 5; tm += 0.02 {
-		p = m.Update(Observation{T: tm, IMU: quietSample(tm), EstVelHorizMS: 20, MaxSpeedMS: 5}, set)
+		p = m.update(Observation{T: tm, IMU: quietSample(tm), EstVelHorizMS: 20, MaxSpeedMS: 5}, set)
 	}
 	if p != PhaseActive {
 		t.Errorf("phase after isolation = %v, want active", p)
@@ -189,20 +201,20 @@ func TestVelocityEnvelopePath(t *testing.T) {
 }
 
 func TestStuckSensorPath(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	// The stuck flag arrives pre-debounced from the mitigation guard:
 	// isolation starts on the first observation carrying it.
-	p := m.Update(Observation{T: 1, IMU: quietSample(1), StuckSensor: true}, nil)
+	p := m.update(Observation{T: 1, IMU: quietSample(1), StuckSensor: true}, nil)
 	if p != PhaseIsolating || m.Cause() != CauseStuckSensor {
 		t.Errorf("phase=%v cause=%v, want isolating/stuck-sensor", p, m.Cause())
 	}
 }
 
 func TestVelocityEnvelopeIgnoresPlausibleSpeed(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := newTestMonitor(DefaultConfig())
 	set := testIMUSet(t)
 	for tm := 0.0; tm < 5; tm += 0.02 {
-		if p := m.Update(Observation{T: tm, IMU: quietSample(tm), EstVelHorizMS: 7, MaxSpeedMS: 5}, set); p != PhaseNominal {
+		if p := m.update(Observation{T: tm, IMU: quietSample(tm), EstVelHorizMS: 7, MaxSpeedMS: 5}, set); p != PhaseNominal {
 			t.Fatalf("modest overspeed tripped envelope: %v", p)
 		}
 	}
@@ -211,44 +223,48 @@ func TestVelocityEnvelopeIgnoresPlausibleSpeed(t *testing.T) {
 func TestConfigurableGyroThreshold(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GyroRateThreshold = mathx.Deg2Rad(200) // raised threshold
-	m := NewMonitor(cfg)
+	m := newTestMonitor(cfg)
 	if p := drive(m, testIMUSet(t), 0, 5, spinningSample, ekf.Health{}); p != PhaseNominal {
 		t.Errorf("120 deg/s tripped a 200 deg/s threshold: %v", p)
 	}
 }
 
 func TestCrashDetectorHardImpact(t *testing.T) {
-	c := NewCrashDetector(DefaultConfig())
-	c.Update(10, false, 0, 0) // airborne: nothing
+	var c CrashDetector
+	cfg := DefaultConfig()
+	c.Update(&cfg, 10, false, 0, 0) // airborne: nothing
 	if c.Crashed() {
 		t.Fatal("airborne crash")
 	}
-	c.Update(11, true, 8.0, 0) // 8 m/s touchdown
+	c.Update(&cfg, 11, true, 8.0, 0) // 8 m/s touchdown
 	if !c.Crashed() || c.Reason() != "hard impact" || c.At() != 11 {
 		t.Errorf("crashed=%v reason=%q at=%v", c.Crashed(), c.Reason(), c.At())
 	}
 }
 
 func TestCrashDetectorFlipOver(t *testing.T) {
-	c := NewCrashDetector(DefaultConfig())
-	c.Update(5, true, 1.0, mathx.Deg2Rad(90))
+	var c CrashDetector
+	cfg := DefaultConfig()
+	c.Update(&cfg, 5, true, 1.0, mathx.Deg2Rad(90))
 	if !c.Crashed() || c.Reason() != "flip-over" {
 		t.Errorf("crashed=%v reason=%q", c.Crashed(), c.Reason())
 	}
 }
 
 func TestCrashDetectorGentleLandingOK(t *testing.T) {
-	c := NewCrashDetector(DefaultConfig())
-	c.Update(100, true, 0.8, 0.05)
+	var c CrashDetector
+	cfg := DefaultConfig()
+	c.Update(&cfg, 100, true, 0.8, 0.05)
 	if c.Crashed() {
 		t.Error("gentle landing classified as crash")
 	}
 }
 
 func TestCrashLatches(t *testing.T) {
-	c := NewCrashDetector(DefaultConfig())
-	c.Update(5, true, 9, 0)
-	c.Update(6, true, 0, 0) // settled afterwards
+	var c CrashDetector
+	cfg := DefaultConfig()
+	c.Update(&cfg, 5, true, 9, 0)
+	c.Update(&cfg, 6, true, 0, 0) // settled afterwards
 	if !c.Crashed() || c.At() != 5 {
 		t.Error("crash latch lost")
 	}

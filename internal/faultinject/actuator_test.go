@@ -13,7 +13,7 @@ func mkActuator(t *testing.T, in Injection) *Injector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return j
+	return &j
 }
 
 func actuatorInjection(p Primitive, rotor int) Injection {

@@ -352,11 +352,11 @@ type Injector struct {
 }
 
 // New returns an injector for the given experiment description.
-func New(inj Injection) (*Injector, error) {
+func New(inj Injection) (Injector, error) {
 	if err := inj.Validate(); err != nil {
-		return nil, err
+		return Injector{}, err
 	}
-	return &Injector{
+	return Injector{
 		inj:      inj,
 		rng:      *mathx.NewRand(inj.Seed),
 		startSec: inj.Start.Seconds(),

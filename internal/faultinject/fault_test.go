@@ -19,7 +19,7 @@ func mkInjector(t *testing.T, p Primitive, target Target) *Injector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return j
+	return &j
 }
 
 func sample(t float64) sensors.IMUSample {
@@ -227,7 +227,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return j
+		return &j
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 100; i++ {

@@ -25,8 +25,8 @@ type Config struct {
 	// rate is ~8-12 rad/s; the sensor range is 35 rad/s.
 	GyroClampRad float64
 	// MedianWindow enables the per-axis spike-median filter when >= 3
-	// (odd; even values are rounded up). It removes isolated outliers
-	// at the cost of half-a-window delay.
+	// (odd; even values are rounded up; at most 5). It removes isolated
+	// outliers at the cost of half-a-window delay.
 	MedianWindow int
 	// StuckWindow enables the stuck-output guard when >= 2: that many
 	// identical consecutive samples on any sensor raise StuckDetected.
@@ -162,11 +162,11 @@ type Pipeline struct {
 }
 
 // NewPipeline builds a pipeline for the configuration.
-func NewPipeline(cfg Config) (*Pipeline, error) {
+func NewPipeline(cfg Config) (Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Pipeline{}, err
 	}
-	p := &Pipeline{cfg: cfg}
+	p := Pipeline{cfg: cfg}
 	if w := cfg.MedianWindow; w >= 3 {
 		if w%2 == 0 {
 			w++
@@ -231,8 +231,10 @@ func (p *Pipeline) StuckDetected() bool {
 	return p.stuckAccel.latched || p.stuckGyro.latched
 }
 
-// maxMedianWindow is the largest median window Validate admits.
-const maxMedianWindow = 63
+// maxMedianWindow is the largest median window Validate admits, the
+// largest any configuration flies (DefaultConfig's 5). Every vehicle
+// state carries six windows of this length.
+const maxMedianWindow = 5
 
 // medianFilter is a fixed-window per-axis running median over the first
 // window slots of buf.
@@ -251,7 +253,7 @@ func (m *medianFilter) push(x float64, scratch *[maxMedianWindow]float64) float6
 	if m.filled < m.window {
 		m.filled++
 	}
-	// Insertion into a small sorted scratch slice: windows are <= 63, so
+	// Insertion into a small sorted scratch slice: windows are <= 5, so
 	// this beats heap bookkeeping and allocates nothing.
 	sorted := scratch[:0]
 	for i := 0; i < m.filled; i++ {

@@ -23,6 +23,10 @@ func TestConfigValidate(t *testing.T) {
 		{"zero_disabled", Config{}, true},
 		{"default", DefaultConfig(), true},
 		{"neg_clamp", Config{GyroClampRad: -1}, false},
+		{"window_5", Config{MedianWindow: 5}, true},
+		{"window_4_rounds_up_to_5", Config{MedianWindow: 4}, true},
+		{"window_6_rounds_up_to_7", Config{MedianWindow: 6}, false},
+		{"window_7", Config{MedianWindow: 7}, false},
 		{"huge_window", Config{MedianWindow: 100}, false},
 		{"neg_stuck", Config{StuckWindow: -1}, false},
 	}
@@ -205,16 +209,16 @@ func TestStuckGuardOneRepeatedSensorSuffices(t *testing.T) {
 // input values and lies between the window min and max.
 func TestMedianWithinInputRange(t *testing.T) {
 	f := func(values []float64) bool {
-		m := medianFilter{window: 7}
+		m := medianFilter{window: 5}
 		var scratch [maxMedianWindow]float64
-		window := make([]float64, 0, 7)
+		window := make([]float64, 0, 5)
 		for _, v := range values {
 			if v != v { // NaN breaks ordering; real sensors never emit it
 				v = 0
 			}
 			out := m.push(v, &scratch)
 			window = append(window, v)
-			if len(window) > 7 {
+			if len(window) > 5 {
 				window = window[1:]
 			}
 			lo, hi := minMax(window)
@@ -231,11 +235,11 @@ func TestMedianWithinInputRange(t *testing.T) {
 
 // Property: for a full window, push returns the true median.
 func TestMedianMatchesSort(t *testing.T) {
-	f := func(raw [7]float64) bool {
-		m := medianFilter{window: 7}
+	f := func(raw [5]float64) bool {
+		m := medianFilter{window: 5}
 		var scratch [maxMedianWindow]float64
 		var out float64
-		vals := make([]float64, 0, 7)
+		vals := make([]float64, 0, 5)
 		for _, v := range raw {
 			if v != v {
 				v = 0
@@ -245,7 +249,7 @@ func TestMedianMatchesSort(t *testing.T) {
 		}
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)
-		return out == sorted[3]
+		return out == sorted[2]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

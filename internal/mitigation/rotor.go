@@ -35,12 +35,12 @@ type RotorMonitor struct {
 // NewRotorMonitor builds a monitor for an n-rotor airframe whose motors
 // have time constant motorTau, observed every dt seconds (the control
 // cycle). cfg supplies the window and tolerance.
-func NewRotorMonitor(cfg Config, n int, motorTau, dt float64) *RotorMonitor {
+func NewRotorMonitor(cfg Config, n int, motorTau, dt float64) RotorMonitor {
 	tol := cfg.RotorFDITol
 	if tol <= 0 {
 		tol = DefaultRotorFDITol
 	}
-	return &RotorMonitor{
+	return RotorMonitor{
 		n:      n,
 		window: cfg.RotorFDIWindow,
 		tol:    tol,

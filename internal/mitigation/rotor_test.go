@@ -13,8 +13,8 @@ const (
 )
 
 func testMonitor(window int) *RotorMonitor {
-	cfg := Config{RotorFDIWindow: window, RotorFDITol: 0.15}
-	return NewRotorMonitor(cfg, 4, testTau, testDt)
+	m := NewRotorMonitor(Config{RotorFDIWindow: window, RotorFDITol: 0.15}, 4, testTau, testDt)
+	return &m
 }
 
 // motorModel integrates the body's first-order motor lag exactly like the

@@ -27,7 +27,7 @@ func TestMotorsOffEnergyDecays(t *testing.T) {
 	s.Omega = mathx.V3(2, -1, 0.5)
 	b.SetState(s)
 	b.SetMotorCommands(physics.Rotors{})
-	p := b.Params()
+	p := b.Params
 	energy := func(st physics.State) float64 {
 		kin := 0.5 * p.MassKg * st.Vel.NormSq()
 		rot := 0.5 * (p.Inertia.X*st.Omega.X*st.Omega.X +
@@ -57,7 +57,7 @@ func TestTerminalVelocity(t *testing.T) {
 	for i := 0; i < 10000; i++ { // 20 s
 		b.Step(0.002)
 	}
-	p := b.Params()
+	p := b.Params
 	want := p.MassKg * physics.Gravity / p.LinDragCoeff.Z
 	if got := b.State().Vel.Z; math.Abs(got-want) > 0.05*want {
 		t.Errorf("terminal velocity = %v, want ~%v", got, want)

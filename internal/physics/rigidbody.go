@@ -117,13 +117,23 @@ func (m *Mixer) Allocate(thrustN float64, torque mathx.Vec3) Rotors {
 	return cmd
 }
 
-// Body simulates one multirotor rigid body. It is a plain value holding
-// its wind process, so copying a Body copies its complete dynamic state.
-type Body struct {
-	params Params
-	mixer  Mixer
-	state  State
-	wind   Wind
+// Frame is an airframe's launch constants: its parameters and the mixer
+// built from them. Nothing in it changes in flight, so a vehicle holds
+// one frame beside the Motion it snapshots, and passes it to every step.
+type Frame struct {
+	Params Params
+	Mixer  Mixer
+}
+
+// NewFrame returns the frame of p, which the caller has validated.
+func NewFrame(p Params) Frame { return Frame{Params: p, Mixer: NewMixer(p)} }
+
+// Motion is the evolving part of one multirotor rigid body: its state,
+// wind process and rotor commands. It is a plain value, so copying a
+// Motion copies its complete dynamic state.
+type Motion struct {
+	state State
+	wind  Wind
 
 	cmd Rotors // latest normalized rotor commands
 
@@ -138,6 +148,24 @@ type Body struct {
 	wasAirborne       bool
 }
 
+// NewMotion returns a motion at rest on the ground at the world origin,
+// flying in wind.
+func NewMotion(wind Wind) Motion {
+	return Motion{
+		state: State{Att: mathx.QuatIdentity()},
+		wind:  wind,
+		// On the ground gravity is cancelled by the surface: an ideal
+		// accelerometer reads +1g along body -Z (specific force up).
+		lastSpecificForce: mathx.V3(0, 0, -Gravity),
+	}
+}
+
+// Body is a standalone rigid body: a Motion flying in its own Frame.
+type Body struct {
+	Frame
+	Motion
+}
+
 // NewBody returns a body at rest on the ground at the world origin, flying
 // in a copy of wind (calm when nil).
 func NewBody(p Params, wind *Wind) (*Body, error) {
@@ -147,34 +175,21 @@ func NewBody(p Params, wind *Wind) (*Body, error) {
 	if wind == nil {
 		wind = CalmWind()
 	}
-	return &Body{
-		params: p,
-		mixer:  NewMixer(p),
-		state: State{
-			Att: mathx.QuatIdentity(),
-		},
-		wind: *wind,
-		// On the ground gravity is cancelled by the surface: an ideal
-		// accelerometer reads +1g along body -Z (specific force up).
-		lastSpecificForce: mathx.V3(0, 0, -Gravity),
-	}, nil
+	return &Body{Frame: NewFrame(p), Motion: NewMotion(*wind)}, nil
 }
 
-// Params returns the airframe parameters.
-func (b *Body) Params() Params { return b.params }
-
-// Mixer returns the shared geometry mixer.
-func (b *Body) Mixer() Mixer { return b.mixer }
+// Step advances the body by dt seconds in its own frame.
+func (b *Body) Step(dt float64) { b.Motion.Step(&b.Frame, dt) }
 
 // State returns a copy of the current rigid-body state.
-func (b *Body) State() State { return b.state }
+func (b *Motion) State() State { return b.state }
 
 // SetState overrides the body state (tests and scenario setup).
-func (b *Body) SetState(s State) { b.state = s }
+func (b *Motion) SetState(s State) { b.state = s }
 
 // SetMotorCommands sets the normalized rotor commands in [0, 1]; values
 // outside the range are clamped.
-func (b *Body) SetMotorCommands(cmd Rotors) {
+func (b *Motion) SetMotorCommands(cmd Rotors) {
 	for i := range cmd {
 		b.cmd[i] = mathx.Clamp(cmd[i], 0, 1)
 	}
@@ -182,47 +197,47 @@ func (b *Body) SetMotorCommands(cmd Rotors) {
 
 // MotorCommands returns the latest normalized rotor commands — the value
 // actuator fault forking seeds a stuck rotor from.
-func (b *Body) MotorCommands() Rotors { return b.cmd }
+func (b *Motion) MotorCommands() Rotors { return b.cmd }
 
 // RotorStates returns the lagged normalized rotor thrust states, the
 // quantity a per-rotor FDI monitor compares against its expected model.
-func (b *Body) RotorStates() Rotors { return b.state.Rotor }
+func (b *Motion) RotorStates() Rotors { return b.state.Rotor }
 
 // SpecificForce returns the body-frame specific force (m/s^2) from the last
 // step — the quantity an ideal accelerometer measures.
-func (b *Body) SpecificForce() mathx.Vec3 { return b.lastSpecificForce }
+func (b *Motion) SpecificForce() mathx.Vec3 { return b.lastSpecificForce }
 
 // AngularRate returns the true body angular rate — the quantity an ideal
 // gyroscope measures.
-func (b *Body) AngularRate() mathx.Vec3 { return b.state.Omega }
+func (b *Motion) AngularRate() mathx.Vec3 { return b.state.Omega }
 
 // Airspeed returns the magnitude of air-relative velocity from the last step.
-func (b *Body) Airspeed() float64 { return b.lastAirspeed }
+func (b *Motion) Airspeed() float64 { return b.lastAirspeed }
 
 // TouchdownSpeed returns the total speed at the most recent transition from
 // airborne to ground contact, or 0 if the vehicle has not touched down.
 // The crash detector uses it to distinguish a landing from an impact.
-func (b *Body) TouchdownSpeed() float64 { return b.touchdownSpeed }
+func (b *Motion) TouchdownSpeed() float64 { return b.touchdownSpeed }
 
-// Step advances the simulation by dt seconds using semi-implicit Euler with
-// exact quaternion and motor-lag integration. dt must be positive and small
-// relative to the vehicle dynamics (<= 5 ms recommended). It is literally
-// StepWind followed by StepWithWind — the split the batch runner uses to
-// advance one shared wind process and feed its gust into every lockstep
-// fork (the OU gust is a pure function of time, independent of body state,
-// so the deviates are shareable).
-func (b *Body) Step(dt float64) {
-	b.StepWithWind(dt, b.wind.Step(dt))
+// Step advances the motion by dt seconds in frame f using semi-implicit
+// Euler with exact quaternion and motor-lag integration. dt must be
+// positive and small relative to the vehicle dynamics (<= 5 ms
+// recommended). It is literally StepWind followed by StepWithWind — the
+// split the batch runner uses to advance one shared wind process and feed
+// its gust into every lockstep fork (the OU gust is a pure function of
+// time, independent of body state, so the deviates are shareable).
+func (b *Motion) Step(f *Frame, dt float64) {
+	b.StepWithWind(f, dt, b.wind.Step(dt))
 }
 
 // StepWind advances only the body's wind process by dt and returns the
 // world-frame wind velocity, consuming exactly the deviates Step would.
-func (b *Body) StepWind(dt float64) mathx.Vec3 { return b.wind.Step(dt) }
+func (b *Motion) StepWind(dt float64) mathx.Vec3 { return b.wind.Step(dt) }
 
 // StepWithWind is Step with an externally advanced wind sample: identical
 // dynamics, no draw from the body's own wind process.
-func (b *Body) StepWithWind(dt float64, windNED mathx.Vec3) {
-	p := &b.params
+func (b *Motion) StepWithWind(f *Frame, dt float64, windNED mathx.Vec3) {
+	p := &f.Params
 	s := &b.state
 
 	// Motor first-order lag, integrated exactly.
@@ -233,13 +248,13 @@ func (b *Body) StepWithWind(dt float64, windNED mathx.Vec3) {
 	}
 	lag := b.lag
 	var rotorThrust Rotors
-	for i := 0; i < b.mixer.n; i++ {
+	for i := 0; i < f.Mixer.n; i++ {
 		// A rotor commanded to 0 would park on a subnormal tail; flush
 		// it to 0, which every consumer absorbs bit for bit.
 		s.Rotor[i] = mathx.FlushSubnormal(s.Rotor[i] + (b.cmd[i]-s.Rotor[i])*lag)
 		rotorThrust[i] = s.Rotor[i] * p.MaxThrustPerRotorN
 	}
-	thrustN, torque := b.mixer.Forward(rotorThrust)
+	thrustN, torque := f.Mixer.Forward(rotorThrust)
 
 	// Aerodynamic drag against air-relative velocity, in the body frame.
 	airRelWorld := s.Vel.Sub(windNED)

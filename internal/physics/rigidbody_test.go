@@ -63,7 +63,7 @@ func TestHoverThrustFraction(t *testing.T) {
 
 func TestHoverIsNearEquilibrium(t *testing.T) {
 	b := newTestBody(t)
-	hover := b.Params().HoverThrustFraction()
+	hover := b.Params.HoverThrustFraction()
 	// Start airborne with rotors pre-spun to hover.
 	s := b.State()
 	s.Pos.Z = -20
@@ -114,7 +114,7 @@ func TestDifferentialThrustRolls(t *testing.T) {
 	s := b.State()
 	s.Pos.Z = -50
 	b.SetState(s)
-	hover := b.Params().HoverThrustFraction()
+	hover := b.Params.HoverThrustFraction()
 	// More thrust on the right side (+Y rotors 0 and 3) rolls negative X.
 	b.SetMotorCommands(Rotors{hover + 0.1, hover - 0.1, hover - 0.1, hover + 0.1})
 	for i := 0; i < 100; i++ {
@@ -130,7 +130,7 @@ func TestYawTorqueFromRotorPairs(t *testing.T) {
 	s := b.State()
 	s.Pos.Z = -50
 	b.SetState(s)
-	hover := b.Params().HoverThrustFraction()
+	hover := b.Params.HoverThrustFraction()
 	// Speeding up the +yaw pair (rotors 2,3) must yaw positively.
 	b.SetMotorCommands(Rotors{hover - 0.05, hover - 0.05, hover + 0.05, hover + 0.05})
 	for i := 0; i < 100; i++ {

@@ -108,6 +108,6 @@ func BenchmarkBodyStepRotorOff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body.SetState(settled)
-		body.StepWithWind(dt, wind)
+		body.StepWithWind(&body.Frame, dt, wind)
 	}
 }

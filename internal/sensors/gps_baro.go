@@ -24,8 +24,8 @@ type GPS struct {
 
 // NewGPS returns a receiver model drawing from a copy of rng; a nil rng
 // yields an ideal sensor.
-func NewGPS(spec GPSSpec, rng *mathx.Rand) *GPS {
-	g := &GPS{spec: spec, tick: NewTicker(spec.RateHz)}
+func NewGPS(spec GPSSpec, rng *mathx.Rand) GPS {
+	g := GPS{spec: spec, tick: NewTicker(spec.RateHz)}
 	if rng != nil {
 		g.rng, g.noisy = *rng, true
 	}
@@ -93,8 +93,8 @@ type Baro struct {
 
 // NewBaro returns a barometer drawing from a copy of rng, its constant
 // bias drawn once from it; a nil rng yields an ideal sensor.
-func NewBaro(spec BaroSpec, rng *mathx.Rand) *Baro {
-	b := &Baro{spec: spec, tick: NewTicker(spec.RateHz)}
+func NewBaro(spec BaroSpec, rng *mathx.Rand) Baro {
+	b := Baro{spec: spec, tick: NewTicker(spec.RateHz)}
 	if rng != nil {
 		b.rng, b.noisy = *rng, true
 		b.bias = b.rng.NormFloat64() * spec.BiasStdM
@@ -166,8 +166,8 @@ func DefaultMagSpec() MagSpec {
 
 // NewMag returns a magnetometer drawing from a copy of rng, its constant
 // bias drawn once from it; a nil rng yields an ideal sensor.
-func NewMag(spec MagSpec, rng *mathx.Rand) *Mag {
-	m := &Mag{spec: spec, tick: NewTicker(spec.RateHz)}
+func NewMag(spec MagSpec, rng *mathx.Rand) Mag {
+	m := Mag{spec: spec, tick: NewTicker(spec.RateHz)}
 	if rng != nil {
 		m.rng, m.noisy = *rng, true
 		m.bias = m.rng.NormFloat64() * spec.BiasStd

@@ -32,11 +32,11 @@ type IMU struct {
 // NewIMU returns an IMU drawing from a copy of rng, its biases drawn once
 // from it. A nil rng yields an ideal (noise- and bias-free) sensor for
 // deterministic tests.
-func NewIMU(spec IMUSpec, rng *mathx.Rand) (*IMU, error) {
+func NewIMU(spec IMUSpec, rng *mathx.Rand) (IMU, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return IMU{}, err
 	}
-	imu := &IMU{spec: spec, tick: NewTicker(spec.RateHz)}
+	imu := IMU{spec: spec, tick: NewTicker(spec.RateHz)}
 	if rng != nil {
 		imu.rng, imu.noisy = *rng, true
 		imu.accelBias = randVec(&imu.rng, spec.AccelBiasStd)
@@ -123,24 +123,23 @@ type RedundantIMUs struct {
 
 // NewRedundantIMUs creates n IMUs (1 <= n <= MaxIMUs; n < 1 means 1)
 // seeded from rng.
-func NewRedundantIMUs(n int, spec IMUSpec, rng *mathx.Rand) (*RedundantIMUs, error) {
+func NewRedundantIMUs(n int, spec IMUSpec, rng *mathx.Rand) (RedundantIMUs, error) {
 	if n < 1 {
 		n = 1
 	}
 	if n > MaxIMUs {
-		return nil, fmt.Errorf("sensors: %d IMU units, at most %d", n, MaxIMUs)
+		return RedundantIMUs{}, fmt.Errorf("sensors: %d IMU units, at most %d", n, MaxIMUs)
 	}
-	r := &RedundantIMUs{n: n}
+	r := RedundantIMUs{n: n}
 	for i := 0; i < n; i++ {
 		var unitRng *mathx.Rand
 		if rng != nil {
 			unitRng = rng.Child()
 		}
-		u, err := NewIMU(spec, unitRng)
-		if err != nil {
-			return nil, err
+		var err error
+		if r.units[i], err = NewIMU(spec, unitRng); err != nil {
+			return RedundantIMUs{}, err
 		}
-		r.units[i] = *u
 	}
 	return r, nil
 }

@@ -372,7 +372,7 @@ func TestEnvDrawsWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return imus
+		return &imus
 	}
 	ref := newIMUs()
 	var want [][]sensors.IMUNoise // want[k]: the units' k-th draw set

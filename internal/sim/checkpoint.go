@@ -67,18 +67,16 @@ func (c *Checkpoint) ForkWithInjection(inj *faultinject.Injection, obs Observer)
 	if err != nil || inj == nil {
 		return v, err
 	}
-	j, err := faultinject.New(*inj)
-	if err != nil {
+	if v.s.injector, err = faultinject.New(*inj); err != nil {
 		return nil, err
 	}
 	if inj.SensorTarget() {
 		if v.s.haveIMU {
-			j.SeedFreeze(v.s.lastClean)
+			v.s.injector.SeedFreeze(v.s.lastClean)
 		}
 	} else {
-		j.SeedStuck(v.s.body.MotorCommands())
+		v.s.injector.SeedStuck(v.s.body.MotorCommands())
 	}
-	v.s.injector = *j
 	return v, nil
 }
 

@@ -5,9 +5,13 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
+	"uavres/internal/control"
+	"uavres/internal/failsafe"
 	"uavres/internal/faultinject"
 	"uavres/internal/mission"
+	"uavres/internal/physics"
 )
 
 // sameResult compares two Results for bit-identity (no tolerances: a fork
@@ -280,13 +284,34 @@ func TestForkRejectsInvalid(t *testing.T) {
 // when the state holds no reference at any depth: no pointer, slice, map,
 // func, chan or interface. Strings are immutable, and mission.Mission's
 // route is read-only and already shared by every fork through
-// Checkpoint.m. The test also names every Vehicle field outside the state
-// with the reason it may stay there: a new mutable field must either go
-// into vehicleState or be argued here.
+// Checkpoint.m. The state holds only what evolves: no launch constant
+// (airframe, mixer, gains, failsafe thresholds) at any depth, which the
+// shell holds once instead, and the whole state fits in maxStateBytes,
+// since every checkpoint and fork copies it. The test also names every
+// Vehicle field outside the state with the reason it may stay there: a new
+// mutable field must either go into vehicleState or be argued here.
 func TestVehicleStateIsOneValue(t *testing.T) {
+	const maxStateBytes = 12000
+	if size := unsafe.Sizeof(vehicleState{}); size > maxStateBytes {
+		typ := reflect.TypeOf(vehicleState{})
+		for i := 0; i < typ.NumField(); i++ {
+			t.Logf("%-14s %6d B", typ.Field(i).Name, typ.Field(i).Type.Size())
+		}
+		t.Errorf("vehicleState is %d B, want <= %d", size, maxStateBytes)
+	}
 	missionType := reflect.TypeOf(mission.Mission{})
+	constants := map[reflect.Type]bool{
+		reflect.TypeOf(physics.Params{}):  true,
+		reflect.TypeOf(physics.Mixer{}):   true,
+		reflect.TypeOf(control.Gains{}):   true,
+		reflect.TypeOf(failsafe.Config{}): true,
+	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
+		if constants[typ] {
+			t.Errorf("%s is a launch constant (%s): every snapshot would copy it; the shell holds it", path, typ)
+			return
+		}
 		switch typ.Kind() {
 		case reflect.Array:
 			walk(path+"[i]", typ.Elem())
@@ -310,6 +335,8 @@ func TestVehicleStateIsOneValue(t *testing.T) {
 		{"obs", "the telemetry observer, fixed at construction"},
 		{"s", "the state itself"},
 		{"traj", "append-only: a checkpoint keeps traj[:n:n], so a fork's first append reallocates"},
+		{"frame", "the airframe and its mixer, built from cfg; the reconfigured allocation, which changes in flight, is in the controller's state"},
+		{"law", "the controller's gains and tilt slope, built from cfg"},
 		{"steps", "derived from cfg"},
 		{"imuDt", "derived from cfg"},
 		{"votePersist", "derived from cfg"},

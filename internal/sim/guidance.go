@@ -21,9 +21,8 @@ const (
 // guidance turns a mission plan into controller setpoints — the simulated
 // counterpart of PX4's navigator/commander pairing.
 type guidance struct {
-	mission mission.Mission
-	phase   flightPhase
-	wpIdx   int
+	phase flightPhase
+	wpIdx int
 
 	climbRate   float64
 	descendRate float64
@@ -35,9 +34,8 @@ type guidance struct {
 	haveYaw     bool
 }
 
-func newGuidance(m mission.Mission) guidance {
+func newGuidance() guidance {
 	return guidance{
-		mission:     m,
 		phase:       phaseTakeoff,
 		climbRate:   1.5,
 		descendRate: 1.0,
@@ -52,8 +50,8 @@ func (g *guidance) waypointsReached() int { return g.reached }
 func (g *guidance) done() bool { return g.phase == phaseDone }
 
 // acceptRadius is the waypoint acceptance distance for the mission's speed.
-func (g *guidance) acceptRadius() float64 {
-	return math.Max(2, g.mission.CruiseSpeedMS*1.2)
+func acceptRadius(m *mission.Mission) float64 {
+	return math.Max(2, m.CruiseSpeedMS*1.2)
 }
 
 // legYaw returns the bearing of the active leg, which is also the heading
@@ -61,18 +59,18 @@ func (g *guidance) acceptRadius() float64 {
 // course aiding a valid reference). Near and past the final waypoint the
 // bearing is held rather than recomputed — a bearing derived from a
 // sub-meter vector is noise and would spin the heading setpoint.
-func (g *guidance) legYaw(estPos mathx.Vec3) float64 {
+func (g *guidance) legYaw(m *mission.Mission, estPos mathx.Vec3) float64 {
 	var target mathx.Vec3
-	if g.wpIdx < len(g.mission.Waypoints) {
-		target = g.mission.Waypoints[g.wpIdx]
+	if g.wpIdx < len(m.Waypoints) {
+		target = m.Waypoints[g.wpIdx]
 	} else {
 		if g.haveYaw {
 			return g.holdYaw
 		}
-		target = g.mission.Waypoints[len(g.mission.Waypoints)-1]
+		target = m.Waypoints[len(m.Waypoints)-1]
 	}
 	d := target.Sub(estPos)
-	if d.NormXY() < math.Max(3, g.acceptRadius()) {
+	if d.NormXY() < math.Max(3, acceptRadius(m)) {
 		if g.haveYaw {
 			return g.holdYaw
 		}
@@ -85,12 +83,11 @@ func (g *guidance) legYaw(estPos mathx.Vec3) float64 {
 	return g.holdYaw
 }
 
-// update advances the executor and returns the current setpoint. estPos is
-// the EKF position (guidance has no truth access); onGroundTruth and t
-// feed the landing/disarm transition, which on real vehicles comes from
-// land-detector logic.
-func (g *guidance) update(t float64, estPos mathx.Vec3, estSpeed float64, onGroundTruth bool) control.Setpoint {
-	m := g.mission
+// update advances the executor through mission m and returns the current
+// setpoint. estPos is the EKF position (guidance has no truth access);
+// onGroundTruth and t feed the landing/disarm transition, which on real
+// vehicles comes from land-detector logic.
+func (g *guidance) update(m *mission.Mission, t float64, estPos mathx.Vec3, estSpeed float64, onGroundTruth bool) control.Setpoint {
 	cruiseAlt := -m.AltitudeM
 
 	switch g.phase {
@@ -100,18 +97,18 @@ func (g *guidance) update(t float64, estPos mathx.Vec3, estSpeed float64, onGrou
 			g.phase = phaseCruise
 		}
 		return control.Setpoint{
-			Pos: target, Yaw: g.legYaw(estPos),
+			Pos: target, Yaw: g.legYaw(m, estPos),
 			CruiseSpeed: m.CruiseSpeedMS, MaxClimb: g.climbRate,
 		}
 
 	case phaseCruise:
 		wp := m.Waypoints[g.wpIdx]
-		if estPos.DistXY(wp) < g.acceptRadius() {
+		if estPos.DistXY(wp) < acceptRadius(m) {
 			g.reached++
 			g.wpIdx++
 			if g.wpIdx >= len(m.Waypoints) {
 				g.phase = phaseLand
-				return g.update(t, estPos, estSpeed, onGroundTruth)
+				return g.update(m, t, estPos, estSpeed, onGroundTruth)
 			}
 			wp = m.Waypoints[g.wpIdx]
 		}
@@ -120,7 +117,7 @@ func (g *guidance) update(t float64, estPos mathx.Vec3, estSpeed float64, onGrou
 		// converges to the path only as the waypoint nears, leaving
 		// corner-cut cross-track errors standing for hundreds of meters.
 		return control.Setpoint{
-			Pos: g.legTarget(estPos, wp), Yaw: g.legYaw(estPos),
+			Pos: g.legTarget(m, estPos, wp), Yaw: g.legYaw(m, estPos),
 			CruiseSpeed: m.CruiseSpeedMS, MaxClimb: g.climbRate, MaxDescend: g.descendRate,
 		}
 
@@ -140,7 +137,7 @@ func (g *guidance) update(t float64, estPos mathx.Vec3, estSpeed float64, onGrou
 			g.landedSince = -1
 		}
 		return control.Setpoint{
-			Pos: target, Yaw: g.legYaw(estPos),
+			Pos: target, Yaw: g.legYaw(m, estPos),
 			CruiseSpeed: 1.5, MaxDescend: g.descendRate,
 		}
 
@@ -152,12 +149,12 @@ func (g *guidance) update(t float64, estPos mathx.Vec3, estSpeed float64, onGrou
 
 // legTarget projects the vehicle onto the active leg and returns a
 // lookahead point along it — straight-line path following.
-func (g *guidance) legTarget(estPos, wp mathx.Vec3) mathx.Vec3 {
+func (g *guidance) legTarget(m *mission.Mission, estPos, wp mathx.Vec3) mathx.Vec3 {
 	var from mathx.Vec3
 	if g.wpIdx == 0 {
-		from = mathx.V3(g.mission.Start.X, g.mission.Start.Y, -g.mission.AltitudeM)
+		from = mathx.V3(m.Start.X, m.Start.Y, -m.AltitudeM)
 	} else {
-		from = g.mission.Waypoints[g.wpIdx-1]
+		from = m.Waypoints[g.wpIdx-1]
 	}
 	leg := wp.Sub(from)
 	legLen := leg.Norm()
@@ -166,7 +163,7 @@ func (g *guidance) legTarget(estPos, wp mathx.Vec3) mathx.Vec3 {
 	}
 	dir := leg.Scale(1 / legLen)
 	along := estPos.Sub(from).Dot(dir)
-	lookahead := math.Max(6, g.mission.CruiseSpeedMS*2.5)
+	lookahead := math.Max(6, m.CruiseSpeedMS*2.5)
 	along = mathx.Clamp(along+lookahead, 0, legLen)
 	return from.Add(dir.Scale(along))
 }

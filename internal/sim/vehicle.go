@@ -70,6 +70,10 @@ type Vehicle struct {
 	// keeping traj[:n:n]: a fork's first append reallocates.
 	traj []TrajPoint
 
+	// Launch constants the state's components run by, built from cfg.
+	frame physics.Frame // the airframe the body flies and the controller drives
+	law   control.Law
+
 	// Derived constants (from cfg, mission and injection).
 	steps         int
 	imuDt         float64
@@ -103,9 +107,11 @@ type Vehicle struct {
 // vehicleState is every mutable part of a Vehicle, held by value: no
 // pointer, slice, map, func, chan or interface inside (strings and the
 // read-only mission route aside), so a copy shares nothing with its
-// source. A checkpoint is a copy of it, and a fork copies it back.
+// source. A checkpoint is a copy of it, and a fork copies it back. The
+// launch constants its components run by (frame, law, cfg.Failsafe and
+// the mission m) stay in the shell and are passed to each step.
 type vehicleState struct {
-	body     physics.Body
+	body     physics.Motion
 	imus     sensors.RedundantIMUs
 	gps      sensors.GPS
 	baro     sensors.Baro
@@ -114,7 +120,7 @@ type vehicleState struct {
 	filter   ekf.Filter
 	mitigate mitigation.Pipeline
 	rotorMon mitigation.RotorMonitor // in use when rotor FDI is enabled
-	ctl      control.Controller
+	ctl      control.Loops
 	monitor  failsafe.Monitor
 	crash    failsafe.CrashDetector
 	guide    guidance
@@ -169,6 +175,8 @@ func newShell(cfg Config, m mission.Mission, inj *faultinject.Injection, obs Obs
 		m:             m,
 		inj:           inj,
 		obs:           obs,
+		frame:         physics.NewFrame(cfg.Airframe),
+		law:           control.NewLaw(cfg.Gains),
 		steps:         int(cfg.MaxSimTime / cfg.PhysicsDt),
 		imuDt:         1 / cfg.IMUSpec.RateHz,
 		votePersist:   cfg.VotePersistSamples,
@@ -196,13 +204,15 @@ func newShell(cfg Config, m mission.Mission, inj *faultinject.Injection, obs Obs
 	return v, nil
 }
 
-// NewVehicle assembles a vehicle at mission start. inj is nil for a gold
-// run; obs may be nil.
+// NewVehicle assembles a vehicle at mission start, building each
+// component in place in its state. inj is nil for a gold run; obs may be
+// nil.
 func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs Observer) (*Vehicle, error) {
 	v, err := newShell(cfg, m, inj, obs)
 	if err != nil {
 		return nil, err
 	}
+	s := &v.s
 
 	// The root environment stream carries the campaign's RNG policy; every
 	// derived per-component stream inherits it via Child. The seed
@@ -213,70 +223,45 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 
 	// Environment: wind direction drawn from the run seed.
 	dir := rng.Float64() * 2 * math.Pi
-	wind := physics.NewWind(
+	s.body = physics.NewMotion(*physics.NewWind(
 		windFromSeed(cfg, mathx.V3(math.Cos(dir), math.Sin(dir), 0)),
 		cfg.WindGustStd, 2.0,
 		rng.Child(),
-	)
+	))
+	s.body.SetState(physics.State{Pos: m.Start, Att: mathx.QuatIdentity()})
 
-	body, err := physics.NewBody(cfg.Airframe, wind)
-	if err != nil {
+	if s.imus, err = sensors.NewRedundantIMUs(cfg.IMUCount, cfg.IMUSpec, rng.Child()); err != nil {
 		return nil, err
 	}
-	body.SetState(physics.State{Pos: m.Start, Att: mathx.QuatIdentity()})
+	s.gps = sensors.NewGPS(cfg.GPSSpec, rng.Child())
+	s.baro = sensors.NewBaro(cfg.BaroSpec, rng.Child())
+	s.mag = sensors.NewMag(cfg.MagSpec, rng.Child())
 
-	imus, err := sensors.NewRedundantIMUs(cfg.IMUCount, cfg.IMUSpec, rng.Child())
-	if err != nil {
+	s.filter = ekf.New(cfg.EKF)
+	s.filter.Reset(ekf.State{Att: mathx.QuatIdentity(), Pos: m.Start})
+	if s.mitigate, err = mitigation.NewPipeline(cfg.Mitigation); err != nil {
 		return nil, err
 	}
-	gps := sensors.NewGPS(cfg.GPSSpec, rng.Child())
-	baro := sensors.NewBaro(cfg.BaroSpec, rng.Child())
-	mag := sensors.NewMag(cfg.MagSpec, rng.Child())
-
-	filter := ekf.New(cfg.EKF)
-	filter.Reset(ekf.State{Att: mathx.QuatIdentity(), Pos: m.Start})
-
-	mitigate, err := mitigation.NewPipeline(cfg.Mitigation)
-	if err != nil {
+	if s.tracker, err = bubble.NewTracker(m, cfg.RiskR, cfg.TrackingInterval); err != nil {
 		return nil, err
-	}
-
-	tracker, err := bubble.NewTracker(m, cfg.RiskR, cfg.TrackingInterval)
-	if err != nil {
-		return nil, err
-	}
-
-	v.s = vehicleState{
-		body:     *body,
-		imus:     *imus,
-		gps:      *gps,
-		baro:     *baro,
-		mag:      *mag,
-		filter:   *filter,
-		mitigate: *mitigate,
-		ctl:      *control.New(cfg.Gains, cfg.Airframe, v.imuDt),
-		monitor:  *failsafe.NewMonitor(cfg.Failsafe),
-		crash:    *failsafe.NewCrashDetector(cfg.Failsafe),
-		guide:    newGuidance(m),
-		tracker:  *tracker,
-		rec:      newRecorder(),
-
-		monitorTick: sensors.NewTicker(50),
-		gravityTick: sensors.NewTicker(25),
-		guideTick:   sensors.NewTicker(50),
-		prevEstPos:  m.Start,
 	}
 	if inj != nil {
-		injector, err := faultinject.New(*inj)
-		if err != nil {
+		if s.injector, err = faultinject.New(*inj); err != nil {
 			return nil, err
 		}
-		v.s.injector = *injector
 	}
 	if cfg.Mitigation.RotorFDIEnabled() {
-		v.s.rotorMon = *mitigation.NewRotorMonitor(
+		s.rotorMon = mitigation.NewRotorMonitor(
 			cfg.Mitigation, cfg.Airframe.Layout.Rotors(), cfg.Airframe.MotorTau, v.imuDt)
 	}
+	s.ctl = control.NewLoops(cfg.Gains, v.imuDt)
+	s.monitor = failsafe.NewMonitor()
+	s.guide = newGuidance()
+	s.rec = newRecorder()
+	s.monitorTick = sensors.NewTicker(50)
+	s.gravityTick = sensors.NewTicker(25)
+	s.guideTick = sensors.NewTicker(50)
+	s.prevEstPos = m.Start
 	if cfg.RecordTrajectory {
 		interval := cfg.TrackingInterval
 		if interval <= 0 {
@@ -285,7 +270,7 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 		v.traj = make([]TrajPoint, 0, int(cfg.MaxSimTime/interval)+1)
 	}
 	// On the pad the controller needs an initial setpoint.
-	v.s.sp = v.s.guide.update(0, m.Start, 0, true)
+	s.sp = s.guide.update(&v.m, 0, m.Start, 0, true)
 	return v, nil
 }
 
@@ -510,7 +495,7 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 		if cfg.ShieldRateLoop {
 			rateFeedback = clean.Gyro // ablation: control path protected
 		}
-		cmd := v.s.ctl.Command(v.imuDt, control.Estimate{Att: est.Att, Vel: est.Vel, Pos: est.Pos}, rateFeedback, v.s.sp)
+		cmd := v.s.ctl.Command(&v.law, &v.frame, v.imuDt, control.Estimate{Att: est.Att, Vel: est.Vel, Pos: est.Pos}, rateFeedback, v.s.sp)
 		if v.cfg.Mitigation.RotorFDIEnabled() {
 			// FDI compares what the controller intends against what the
 			// rotors measurably did; the fault acts between the two.
@@ -588,7 +573,7 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 			StuckSensor:   v.s.mitigate.StuckDetected(),
 		}
 		v.s.rec.onTilt(mathx.Rad2Deg(bst.Att.TiltAngle()))
-		if v.s.monitor.Update(fobs, &v.s.imus) == failsafe.PhaseActive {
+		if v.s.monitor.Update(&cfg.Failsafe, fobs, &v.s.imus) == failsafe.PhaseActive {
 			// Flight termination: record and stop.
 			v.s.failsafeCause = v.s.monitor.Cause().String()
 			v.end(t, OutcomeFailsafe, obs.EventFailsafe, v.s.failsafeCause)
@@ -598,7 +583,7 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 			v.s.beenAir = true
 		}
 		if v.s.beenAir {
-			v.s.crash.Update(t, bst.OnGround(), v.s.body.TouchdownSpeed(), bst.Att.TiltAngle())
+			v.s.crash.Update(&cfg.Failsafe, t, bst.OnGround(), v.s.body.TouchdownSpeed(), bst.Att.TiltAngle())
 			if v.s.crash.Crashed() {
 				v.s.crashReason = v.s.crash.Reason()
 				v.end(t, OutcomeCrash, obs.EventCrash, v.s.crashReason)
@@ -616,7 +601,7 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 
 	// --- Guidance (50 Hz).
 	if guideDue {
-		v.s.sp = v.s.guide.update(t, est.Pos, est.Vel.Norm(), bst.OnGround())
+		v.s.sp = v.s.guide.update(&v.m, t, est.Pos, est.Vel.Norm(), bst.OnGround())
 		v.s.rec.onPhase(t, v.s.guide.phase)
 		if v.s.guide.done() {
 			v.end(t, OutcomeCompleted, obs.EventComplete, "")
@@ -661,9 +646,9 @@ func (v *Vehicle) stepEnv(env *envDraws) error {
 	}
 
 	if env == nil {
-		v.s.body.Step(cfg.PhysicsDt)
+		v.s.body.Step(&v.frame, cfg.PhysicsDt)
 	} else {
-		v.s.body.StepWithWind(cfg.PhysicsDt, env.wind)
+		v.s.body.StepWithWind(&v.frame, cfg.PhysicsDt, env.wind)
 	}
 	v.s.step++
 	return nil
@@ -688,7 +673,7 @@ func (v *Vehicle) onRotorCondemned(t float64) {
 		return
 	}
 	w := v.s.rotorMon.Weights(v.cfg.Airframe.Layout, v.cfg.Mitigation.OppositeDerate)
-	a, err := v.s.body.Mixer().ReconfiguredAllocator(w)
+	a, err := v.frame.Mixer.ReconfiguredAllocator(w)
 	if err != nil {
 		a = nil
 	}
