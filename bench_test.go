@@ -23,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"uavres/internal/core"
 	"uavres/internal/faultinject"
 	"uavres/internal/lint"
 	"uavres/internal/mathx"
@@ -237,7 +236,7 @@ func BenchmarkUavlint(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks outside the sim tick (RNG policy, obs, live status) ---
+// --- Micro-benchmarks outside the sim tick (RNG policy, obs) ---
 
 // BenchmarkMicroNormFloat64Ziggurat measures one normal deviate under the
 // 128-layer ziggurat sampler (inside-rectangle fast path ~98% of draws).
@@ -288,24 +287,6 @@ func BenchmarkMicroObsSpanStartEnd(b *testing.B) {
 		if tr.Len() >= 1<<16 {
 			tr.Reset()
 			root = tr.Start("campaign", 0)
-		}
-	}
-}
-
-// BenchmarkMicroCoreStatusSnapshot measures one live-status render: the
-// cost each /status request (and SSE tick) puts on a running campaign.
-func BenchmarkMicroCoreStatusSnapshot(b *testing.B) {
-	reg := obs.NewRegistry()
-	src := core.NewStatusSource(reg, core.StatusConfig{
-		Total: 850, RunnerMode: "batch", BatchWidth: 32, Workers: 8,
-	})
-	reg.Counter("campaign_cases_total").Add(425)
-	reg.Histogram("campaign_case_seconds", nil).Observe(0.2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if st := src.Snapshot(); st.CasesTotal != 850 {
-			b.Fatal("bad snapshot")
 		}
 	}
 }

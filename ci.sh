@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full CI gate: build, vet, a gofmt check over the tracked Go files, a
-# check that no internal/ package links net, simulation-aware lint,
+# check that neither internal/ nor cmd/campaign links net,
+# simulation-aware lint,
 # tests (the per-package AllocsPerRun guards among them pin every
 # sim-tick kernel at 0 allocs/op; internal/paperdata flies the 850-case
 # paper campaign and byte-compares its report with the committed
@@ -16,7 +17,7 @@
 # completed results file must simulate zero cases (its cache reports 0
 # misses), cmd/report over it must render verdicts without the
 # paper-grid shape checks, the observability surface (trace-event
-# export, live status endpoint, black-box dumps) must produce valid,
+# export, black-box dumps) must produce valid,
 # loadable artifacts, a gyro-threshold variants campaign must match its
 # straight-through run bit for bit with a distinct fingerprint per case
 # and differing outcomes across variants, a multi-start campaign whose forks come off two
@@ -26,7 +27,9 @@
 # matrix's mission-1 octo-x slice (rotor FDI and reconfigured allocation)
 # must match their straight-through runs bit for bit, campaign -store
 # must replay a warm grid from the result store and simulate only the
-# new cells of a wider one, and a uavsim black-box dump must load in replay and export its trajectory.
+# new cells of a wider one, two runs of one spec with the same flags
+# must write byte-identical results files, and a uavsim black-box dump
+# must load in replay and export its trajectory.
 # Short fuzz passes cover the results-file decoder, the spec decoder and
 # compiler, the -select expression parser and the selection it makes
 # (against the pre-compilation reference predicate), fork-versus-straight
@@ -45,8 +48,9 @@ go vet ./...
 # Formatting: tracked files only, so module caches under .bench_build/
 # are never scanned.
 test -z "$(gofmt -l $(git ls-files '*.go'))"
-# The library links no network code; only cmd/campaign serves HTTP.
+# Neither the library nor the campaign command links network code.
 test -z "$(go list -deps ./internal/... | grep -E '^net(/|$)')"
+test -z "$(go list -deps ./cmd/campaign | grep -E '^net(/|$)')"
 # Simulation-aware lint over the whole module, stale suppressions
 # included; the machine-readable report lands next to the other CI
 # artifacts. goroutinespawn inside the suite enforces that sim-critical
@@ -229,10 +233,6 @@ if [ -z "$(outcome "$tmpdir/uavsim.log")" ] || [ "$(outcome "$tmpdir/uavsim.log"
 	echo "ci: replay reports outcome '$(outcome "$tmpdir/replay.log")', uavsim '$(outcome "$tmpdir/uavsim.log")'" >&2
 	exit 1
 fi
-# Live status endpoint: mid-run 200 with well-formed JSON plus the SSE
-# stream, driven by the package test against the real handler stack.
-go test -run 'TestStatusEndpointMidRun' ./cmd/campaign/
-
 # Content-addressed store smoke, all through campaign -store: the mini
 # grid into a fresh store simulates all 5 cases; a rerun replays all 5
 # from the store, zero simulate, and its results file bit-compares equal
@@ -248,6 +248,10 @@ grep -q 'store .*: 5 hits, 0 misses' "$tmpdir/store_warm.log"
 grep -q 'campaign_cache_hits_total' "$tmpdir/store_metrics.json"
 grep -q 'store_objects' "$tmpdir/store_metrics.json"
 go run ./cmd/campaign -spec examples/specs/mini-grid.json -q -out "$tmpdir/direct.json"
+# Results stream in case order: the same spec and flags write the same
+# file byte for byte.
+go run ./cmd/campaign -spec examples/specs/mini-grid.json -q -out "$tmpdir/direct_again.json"
+cmp "$tmpdir/direct.json" "$tmpdir/direct_again.json"
 go run ./cmd/campaign -compare-results "$tmpdir/store_warm.json,$tmpdir/direct.json"
 go run ./cmd/campaign -spec examples/specs/mini-grid-wide.json -q \
 	-out "$tmpdir/store_wide.json" -store "$tmpdir/store" | tee "$tmpdir/store_wide.log"

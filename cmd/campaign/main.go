@@ -4,9 +4,10 @@
 // 4 durations plus 10 gold runs (850 cases). On the paper grid it prints
 // how many of the paper's shape checks hold; cmd/report renders the
 // tables and per-case verdicts from the results file. Results stream to
-// JSON as cases finish, each stamped with a content hash, so an
-// interrupted or partially re-configured campaign resumes with -resume
-// by executing only the missing or invalidated cases.
+// JSON in case order as cases finish, each stamped with a content hash,
+// so one campaign always writes the same bytes, and an interrupted or
+// partially re-configured campaign resumes with -resume by executing
+// only the missing or invalidated cases.
 //
 // Usage:
 //
@@ -22,7 +23,7 @@
 //	campaign -compare-results a.json,b.json
 //	campaign [-metrics-out metrics.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	campaign -validate-metrics metrics.json
-//	campaign [-trace-out trace.json] [-status-addr :8080] [-blackbox-dir out/blackbox]
+//	campaign [-trace-out trace.json] [-blackbox-dir out/blackbox]
 //	campaign -validate-trace trace.json
 //
 // With -store, fingerprint-stored cases replay from the
@@ -88,7 +89,6 @@ func run() int {
 		memprofile      = flag.String("memprofile", "", "write a heap profile to this path")
 		traceOut        = flag.String("trace-out", "", "write the campaign span tree as Chrome/Perfetto trace-event JSON to this path")
 		validateTrace   = flag.String("validate-trace", "", "validate a trace-event JSON file and exit (CI schema gate)")
-		statusAddr      = flag.String("status-addr", "", "serve live status (/status JSON + /status/stream SSE), /metrics, and pprof on this address while the campaign runs")
 		blackboxDir     = flag.String("blackbox-dir", "", "write a black-box dump per crash/violation case into this directory (load with replay -blackbox)")
 	)
 	var selectors []spec.Selector
@@ -322,32 +322,14 @@ func run() int {
 		runner.TraceRoot = traceRoot
 	}
 
-	// Live status endpoint: snapshot + SSE over the same registry the
-	// runner updates, plus /metrics and pprof. Binds (and fails) now.
-	if *statusAddr != "" {
-		src := core.NewStatusSource(reg, core.StatusConfig{
-			Total:      len(cases),
-			SpecHash:   hdr.SpecHash,
-			RNGPolicy:  hdr.RNGPolicy,
-			RunnerMode: hdr.RunnerMode,
-			BatchWidth: hdr.BatchWidth,
-			Workers:    hdr.Workers,
-			Clock:      clock,
-		})
-		closeStatus, err := serveStatus(*statusAddr, reg, src)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer closeStatus()
-	}
-
-	// Stream results to disk as cases finish: the runner strips the heavy
-	// per-case payloads from its retained slice once the writer owns them,
-	// bounding resident memory at the in-flight cases. Cache hits (the
-	// prior file's results on resume) stream first, so the file stays
-	// complete. The black-box dumper shares the same OnResult hook — it
-	// needs the full Diagnostics block, which only exists before the strip.
+	// Stream results to disk in case order as cases finish: the runner
+	// holds a finished case until every earlier one is written, then
+	// strips its heavy payloads once the writer owns them. Cache hits
+	// (the prior file's results on resume) take their own places among
+	// the fresh results, so a resumed file equals an uninterrupted one
+	// byte for byte. The black-box dumper shares the same OnResult hook —
+	// it needs the full Diagnostics block, which only exists before the
+	// strip.
 	var (
 		stream    *core.ResultsFileWriter
 		streamErr error

@@ -439,6 +439,58 @@ func TestRunnerCancelFromOnResult(t *testing.T) {
 	}
 }
 
+// TestRunnerStreamsWaitingResultsOnCancel: results stream in input
+// order, so a case that finishes ahead of an earlier one waits; when the
+// run is cancelled, the waiting results are still streamed, in order,
+// and the cases that never ran are skipped. Here the gold runs, listed
+// after the chain's cases, fly first, and the run is cancelled as the
+// first of them completes.
+func TestRunnerStreamsWaitingResultsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner()
+	r.Missions = shortScenario()
+	r.Workers = 1
+	r.Batch = false // one case per unit: gold runs first, then the chain
+	var streamed []string
+	r.OnResult = func(res CaseResult) { streamed = append(streamed, res.Case.ID) }
+	var progress []int
+	r.Progress = func(done, _ int) {
+		progress = append(progress, done)
+		cancel()
+	}
+	mk := func(p faultinject.Primitive) *faultinject.Injection {
+		return &faultinject.Injection{Primitive: p, Target: faultinject.TargetGyro,
+			Start: 20 * time.Second, Duration: 2 * time.Second, Seed: int64(p)}
+	}
+	cases := []Case{
+		{ID: "freeze", MissionID: 1, Seed: 3, Injection: mk(faultinject.Freeze)},
+		{ID: "zeros", MissionID: 1, Seed: 3, Injection: mk(faultinject.Zeros)},
+		{ID: "gold-a", MissionID: 1, Seed: 3},
+		{ID: "gold-b", MissionID: 1, Seed: 4},
+	}
+	results := r.RunAll(ctx, cases)
+	var ran []string
+	for _, res := range results {
+		switch res.Err {
+		case "":
+			ran = append(ran, res.Case.ID)
+		case "cancelled":
+		default:
+			t.Errorf("%s: %s", res.Case.ID, res.Err)
+		}
+	}
+	if len(ran) == 0 || ran[0] != "gold-a" || results[0].Err != "cancelled" || results[1].Err != "cancelled" {
+		t.Fatalf("ran %v; want gold-a first and the chain's cases cancelled", ran)
+	}
+	if !reflect.DeepEqual(streamed, ran) {
+		t.Errorf("streamed %v, want the finished cases in input order %v", streamed, ran)
+	}
+	if len(progress) != len(ran) || progress[0] != 1 {
+		t.Errorf("progress %v, want one call per finished case", progress)
+	}
+}
+
 func TestSortByID(t *testing.T) {
 	rs := []CaseResult{{Case: Case{ID: "b"}}, {Case: Case{ID: "a"}}}
 	SortByID(rs)

@@ -122,6 +122,99 @@ func TestResumeRunsOnlyMissingCases(t *testing.T) {
 	}
 }
 
+// TestResumeIsByteIdentical: a results file cut right after its header,
+// between two elements or inside an element resumes to the very bytes of
+// the uninterrupted run. The cases are listed in reverse of the order the
+// runner schedules them, so a file written in completion order, or one
+// that streams its cache hits ahead of the fresh results, would differ.
+func TestResumeIsByteIdentical(t *testing.T) {
+	var cases []Case
+	for _, sec := range []int{20, 17, 14, 11, 8} {
+		id := fmt.Sprintf("gyro-freeze@%ds", sec)
+		cases = append(cases, Case{ID: id, Hash: "h-" + id, MissionID: 1, Seed: 41,
+			Injection: &faultinject.Injection{
+				Primitive: faultinject.Freeze, Target: faultinject.TargetGyro,
+				Start: time.Duration(sec) * time.Second, Duration: 2 * time.Second, Seed: int64(sec),
+			}})
+	}
+	cases = append(cases, Case{ID: "gold", Hash: "h-gold", MissionID: 1, Seed: 41})
+
+	// run streams the campaign into path, resuming from prior when the
+	// run has a cache.
+	run := func(path string, cache ResultCache) {
+		r := NewRunner()
+		r.Missions = shortScenario()
+		r.Workers = 2
+		r.BatchWidth = 2
+		r.Cache = cache
+		w, err := NewResultsFileWriter(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteHeader(r.ResultsHeader("resume-bytes")); err != nil {
+			t.Fatal(err)
+		}
+		r.OnResult = func(res CaseResult) {
+			if err := w.Write(res); err != nil {
+				t.Error(err)
+			}
+		}
+		r.RunAll(context.Background(), cases)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.json")
+	run(full, nil)
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Element k (the header is element 0) ends where the comma before
+	// element k+1 begins.
+	var ends []int
+	for i := 0; ; {
+		j := bytes.Index(want[i:], []byte("\n,"))
+		if j < 0 {
+			break
+		}
+		i += j + 1
+		ends = append(ends, i)
+	}
+	if len(ends) != len(cases) {
+		t.Fatalf("full file has %d element boundaries, want %d", len(ends), len(cases))
+	}
+
+	for _, cut := range []struct {
+		name string
+		at   int
+	}{
+		{"header-end", ends[0]},
+		{"between-elements", ends[3]},
+		{"mid-element", (ends[3] + ends[4]) / 2},
+	} {
+		path := filepath.Join(dir, cut.name+".json")
+		if err := os.WriteFile(path, want[:cut.at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, prior, _, err := LoadPartialResultsFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", cut.name, err)
+		}
+		run(path, NewMemoryCache(prior))
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: resumed file (%d bytes, %d prior results) differs from the uninterrupted run (%d bytes)",
+				cut.name, len(got), len(prior), len(want))
+		}
+	}
+}
+
 // completedPrior records every case as a clean completed result, the
 // shape a finished results file resumes from.
 func completedPrior(cases []Case) []CaseResult {

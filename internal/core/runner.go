@@ -28,16 +28,21 @@ type Runner struct {
 	// Missions indexes the scenario by mission ID; nil means the
 	// Valencia scenario.
 	Missions []mission.Mission
-	// Progress, if non-nil, is called after every completed case with
-	// (done, total). Calls are serialized.
+	// Progress, if non-nil, is called after every completed case (a
+	// cache hit completes before any case runs) with (done, total).
+	// Calls are serialized.
 	Progress func(done, total int)
 	// OnResult, if non-nil, receives every finished case's FULL result in
-	// completion order; calls are serialized (same lock as Progress). When
-	// set, the runner strips the bulky per-case payloads (Trajectory,
-	// Diagnostics) from the results slice it retains and returns, so a
-	// streaming consumer bounds resident memory at O(workers) in-flight
-	// cases instead of O(cases) — the aggregate tables only read the flat
-	// outcome fields that remain.
+	// input order; calls are serialized (same lock as Progress). A case
+	// that finishes before an earlier one waits, payload and all, until
+	// every earlier case has been emitted; on return, including after
+	// cancellation, the finished cases still waiting are emitted in order
+	// and the cases that never ran are skipped. Once a result is emitted,
+	// the runner strips its bulky payloads (Trajectory, Diagnostics) from
+	// the results slice it retains and returns, so resident memory is
+	// bounded by the out-of-order window of finished cases rather than
+	// O(cases) — the aggregate tables only read the flat outcome fields
+	// that remain.
 	OnResult func(CaseResult)
 	// Checkpoint enables checkpoint-and-fork execution: the faulted cases
 	// sharing a mission, environment seed, airframe, variant, injection
@@ -90,10 +95,12 @@ type Runner struct {
 	// case whose fingerprint (Case.Hash) resolves to a stored result is
 	// returned as a cache hit — counted in campaign_cache_hits_total and
 	// marked with a cache-hit case span — and every freshly simulated
-	// result is offered back via Store. Like OnResult, the cache is a
-	// streaming consumer: when it is set the runner strips the bulky
-	// per-case payloads from the results slice it retains (the cache and
-	// any OnResult consumer own the full payloads).
+	// result is offered back via Store as it finishes. A hit takes its
+	// own place in the input order OnResult sees. Like OnResult, the
+	// cache is a streaming consumer: when it is set the runner strips the
+	// bulky per-case payloads from the results slice it retains once each
+	// is emitted (the cache and any OnResult consumer own the full
+	// payloads).
 	Cache ResultCache
 }
 
@@ -132,12 +139,6 @@ type runnerMetrics struct {
 	// checkpointSeconds is the time the feed loop spends flying chains.
 	checkpointSeconds *obs.Gauge
 	runSeconds        *obs.Gauge
-
-	// activeWorkers/activeBatches are live concurrency levels for the
-	// status endpoint: workers currently executing a unit, and units
-	// currently inside a lockstep batch run.
-	activeWorkers *obs.Gauge
-	activeBatches *obs.Gauge
 }
 
 func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
@@ -159,9 +160,6 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 		caseSeconds:       reg.Histogram("campaign_case_seconds", caseSecondsBounds),
 		checkpointSeconds: reg.Gauge("campaign_checkpoint_stage_seconds"),
 		runSeconds:        reg.Gauge("campaign_run_stage_seconds"),
-
-		activeWorkers: reg.Gauge("campaign_active_workers"),
-		activeBatches: reg.Gauge("campaign_active_batches"),
 	}
 }
 
@@ -227,84 +225,118 @@ func (r *Runner) missionByID(id int) (mission.Mission, error) {
 // With a Cache wired, cases whose fingerprints are already stored are
 // returned as cache hits without simulating; only the misses run.
 func (r *Runner) RunAll(ctx context.Context, cases []Case) []CaseResult {
-	if r.Cache != nil {
-		return r.runAllCached(ctx, cases)
+	out := &resultOrder{
+		results:  make([]CaseResult, len(cases)),
+		finished: make([]bool, len(cases)),
+		onResult: r.OnResult,
+		progress: r.Progress,
+		cache:    r.Cache,
+		strip:    r.OnResult != nil || r.Cache != nil,
 	}
-	return r.runAll(ctx, cases)
+	run, pos := cases, []int(nil)
+	if r.Cache != nil {
+		run, pos = r.replayHits(cases, out)
+	}
+	r.runAll(ctx, run, pos, out)
+	out.flush()
+	// Cases never scheduled (cancelled) are marked explicitly.
+	for i, ok := range out.finished {
+		if !ok {
+			out.results[i] = CaseResult{Case: cases[i], Err: "cancelled"}
+		}
+	}
+	return out.results
 }
 
-// runAllCached partitions the cases against the cache, replays the hits
-// through the usual streaming/progress/trace surfaces, and delegates the
-// misses to the plain path with a Store hook on every fresh result.
-func (r *Runner) runAllCached(ctx context.Context, cases []Case) []CaseResult {
-	results := make([]CaseResult, len(cases))
-	var (
-		hitIdx  []int
-		miss    []Case
-		missIdx []int
-	)
+// resultOrder collects finished results and hands them to OnResult in
+// input order, so the results stream, and a results file written from
+// it, does not depend on scheduling. A result that finishes before an
+// earlier case waits in results with its full payload until every
+// earlier case has been emitted; once emitted, its bulky payload is
+// stripped when a streaming consumer owns it. Progress counts
+// completions, not emissions.
+type resultOrder struct {
+	mu       sync.Mutex
+	results  []CaseResult
+	finished []bool
+	next     int // the first case not yet emitted
+	done     int // cases finished so far
+	onResult func(CaseResult)
+	progress func(done, total int)
+	cache    ResultCache
+	strip    bool
+}
+
+// finish records case i's result: a fresh one is offered to the cache,
+// every result now at the head of the input order is emitted, and the
+// completion is reported to Progress.
+func (o *resultOrder) finish(i int, res CaseResult, fresh bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if fresh && o.cache != nil && res.Err == "" && res.Case.Hash != "" {
+		o.cache.Store(res)
+	}
+	o.results[i], o.finished[i] = res, true
+	o.emit(false)
+	o.done++
+	if o.progress != nil {
+		o.progress(o.done, len(o.results))
+	}
+}
+
+// flush emits every finished result still waiting, in order, passing
+// over the cases that never ran.
+func (o *resultOrder) flush() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.emit(true)
+}
+
+// emit hands the finished results from next on to OnResult, stopping at
+// the first unfinished case or, with skipUnfinished, passing over it.
+func (o *resultOrder) emit(skipUnfinished bool) {
+	for ; o.next < len(o.results); o.next++ {
+		if !o.finished[o.next] {
+			if skipUnfinished {
+				continue
+			}
+			return
+		}
+		res := &o.results[o.next]
+		if o.onResult != nil {
+			o.onResult(*res)
+		}
+		if o.strip {
+			res.Result.Trajectory = nil
+			res.Result.Diagnostics = nil
+		}
+	}
+}
+
+// replayHits finishes every case whose fingerprint resolves to a clean
+// stored result and returns the misses with their input positions.
+func (r *Runner) replayHits(cases []Case, out *resultOrder) (miss []Case, pos []int) {
+	var hits []CaseResult
 	for i, c := range cases {
 		if c.Hash != "" {
 			if res, ok := r.Cache.Lookup(c.Hash); ok &&
 				res.Case.ID == c.ID && res.Case.Hash == c.Hash && res.Err == "" {
-				results[i] = res
-				hitIdx = append(hitIdx, i)
+				if r.Trace != nil {
+					hits = append(hits, res)
+				}
+				out.finish(i, res, false)
 				continue
 			}
 		}
 		miss = append(miss, c)
-		missIdx = append(missIdx, i)
+		pos = append(pos, i)
 	}
 	if r.Obs != nil {
-		r.Obs.Counter("campaign_cache_hits_total").Add(int64(len(hitIdx)))
+		r.Obs.Counter("campaign_cache_hits_total").Add(int64(len(cases) - len(miss)))
 		r.Obs.Counter("campaign_cache_misses_total").Add(int64(len(miss)))
 	}
-	if r.Trace != nil && len(hitIdx) > 0 {
-		hits := make([]CaseResult, len(hitIdx))
-		for j, i := range hitIdx {
-			hits[j] = results[i]
-		}
-		markCachedCases(r.Trace, r.TraceRoot, hits)
-	}
-	// Hits flow through the streaming consumer and the progress callback
-	// first — in input order — so a results file stays complete and the
-	// done/total contract covers the whole campaign.
-	done := 0
-	for _, i := range hitIdx {
-		if r.OnResult != nil {
-			r.OnResult(results[i])
-		}
-		done++
-		if r.Progress != nil {
-			r.Progress(done, len(cases))
-		}
-		// The cache (and any OnResult consumer) owns the heavy payloads;
-		// the retained slice keeps only the flat outcome fields, exactly
-		// like the fresh-result path below.
-		results[i].Result.Trajectory = nil
-		results[i].Result.Diagnostics = nil
-	}
-
-	sub := *r
-	sub.Cache = nil
-	if r.Progress != nil {
-		base, total := done, len(cases)
-		sub.Progress = func(d, _ int) { r.Progress(base+d, total) }
-	}
-	orig := r.OnResult
-	sub.OnResult = func(res CaseResult) {
-		if res.Err == "" && res.Case.Hash != "" {
-			r.Cache.Store(res)
-		}
-		if orig != nil {
-			orig(res)
-		}
-	}
-	subResults := sub.runAll(ctx, miss)
-	for j, i := range missIdx {
-		results[i] = subResults[j]
-	}
-	return results
+	markCachedCases(r.Trace, r.TraceRoot, hits)
+	return miss, pos
 }
 
 // poolSize is the worker count RunAll schedules over before clamping to
@@ -316,8 +348,10 @@ func (r *Runner) poolSize() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runAll is the cache-free execution path.
-func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
+// runAll simulates cases over the worker pool and finishes each result
+// in out at its input position: pos[i] for cases[i], or i when pos is
+// nil.
+func (r *Runner) runAll(ctx context.Context, cases []Case, pos []int, out *resultOrder) {
 	workers := r.poolSize()
 	if workers > len(cases) {
 		workers = len(cases)
@@ -331,27 +365,17 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 		metrics = newRunnerMetrics(r.Obs)
 	}
 
-	results := make([]CaseResult, len(cases))
 	units, chainOf := r.workUnits(cases)
 	unitCh := make(chan workUnit)
 
 	runStart := r.now()
 	runSpan := r.Trace.Start("stage:run", r.TraceRoot)
-	var (
-		wg       sync.WaitGroup
-		doneMu   sync.Mutex
-		doneObs  int
-		progress = r.Progress
-		onResult = r.OnResult
-	)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for unit := range unitCh {
-				if metrics != nil {
-					metrics.activeWorkers.Add(1)
-				}
 				unitStart := r.now()
 				unitResults, forked, batched := r.runUnit(cases, unit, metrics)
 				// Per-case wall time: the batch steps its forks
@@ -363,27 +387,10 @@ func (r *Runner) runAll(ctx context.Context, cases []Case) []CaseResult {
 					if metrics != nil && batched[j] {
 						metrics.batched.Inc()
 					}
-					if progress != nil || onResult != nil {
-						doneMu.Lock()
-						if onResult != nil {
-							onResult(res)
-						}
-						if progress != nil {
-							doneObs++
-							progress(doneObs, len(cases))
-						}
-						doneMu.Unlock()
+					if pos != nil {
+						idx = pos[idx]
 					}
-					if onResult != nil {
-						// The streaming consumer owns the heavy payloads
-						// now; keep only the flat outcome fields resident.
-						res.Result.Trajectory = nil
-						res.Result.Diagnostics = nil
-					}
-					results[idx] = res
-				}
-				if metrics != nil {
-					metrics.activeWorkers.Add(-1)
+					out.finish(idx, res, true)
 				}
 			}
 		}()
@@ -417,14 +424,6 @@ feed:
 		metrics.checkpointSeconds.Set(flySeconds)
 		metrics.runSeconds.Set(r.now() - runStart)
 	}
-
-	// Cases never scheduled (cancelled) are marked explicitly.
-	for i := range results {
-		if results[i].Case.ID == "" {
-			results[i] = CaseResult{Case: cases[i], Err: "cancelled"}
-		}
-	}
-	return results
 }
 
 // envKey identifies a flight environment: the cases of one mission,
@@ -724,7 +723,7 @@ func (r *Runner) runUnit(cases []Case, unit workUnit, metrics *runnerMetrics) (r
 			members = append(members, j)
 		}
 	}
-	if len(members) > 1 && r.runBatch(cases, unit, members, results, metrics) {
+	if len(members) > 1 && r.runBatch(cases, unit, members, results) {
 		for _, j := range members {
 			forked[j], batched[j] = unit.joins[j].fork, true
 		}
@@ -755,7 +754,7 @@ func (r *Runner) runUnit(cases []Case, unit workUnit, metrics *runnerMetrics) (r
 // forks, or the root when none does. A forked member's case span sits
 // under the batch span; a member that joined at launch has its case span
 // at the root.
-func (r *Runner) runBatch(cases []Case, unit workUnit, members []int, results []CaseResult, metrics *runnerMetrics) bool {
+func (r *Runner) runBatch(cases []Case, unit workUnit, members []int, results []CaseResult) bool {
 	tr := r.Trace
 	parent, forks := r.TraceRoot, false
 	cps := make([]*sim.Checkpoint, len(members))
@@ -771,16 +770,10 @@ func (r *Runner) runBatch(cases []Case, unit workUnit, members []int, results []
 	span := tr.Start("batch", parent,
 		obs.StrAttr("first", cases[unit.idx[members[0]]].ID),
 		obs.NumAttr("cases", float64(len(members))))
-	if metrics != nil {
-		metrics.activeBatches.Add(1)
-	}
 	b, err := sim.NewBatch(cps, injs)
 	var simResults []sim.Result
 	if err == nil {
 		simResults, err = b.Run()
-	}
-	if metrics != nil {
-		metrics.activeBatches.Add(-1)
 	}
 	if err != nil {
 		for k, j := range members {

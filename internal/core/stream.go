@@ -14,8 +14,9 @@ import (
 // array, element by element, so a campaign can persist each case as it
 // finishes instead of accumulating all of them in memory first. It is the
 // one results writer; LoadPartialResults is the one reader. Wire Write
-// into Runner.OnResult to bound resident memory at the in-flight cases
-// (see Runner.OnResult).
+// into Runner.OnResult, which emits in case order, so one campaign
+// always writes the same bytes and resident memory stays bounded by the
+// cases finished out of order (see Runner.OnResult).
 //
 // Write and Close must be called from one goroutine at a time —
 // Runner.OnResult already serializes its calls.

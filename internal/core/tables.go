@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"uavres/internal/faultinject"
 )
 
 // RenderTableII renders the paper's Table II: average summary of all
@@ -65,7 +67,7 @@ func RenderFaultModel() string {
 	var b strings.Builder
 	b.WriteString("TABLE I: Fault Model for IMUs Used in Drones.\n")
 	fmt.Fprintf(&b, "%-22s %-22s %-14s %s\n", "Fault", "Represented by", "Targets", "References")
-	for _, fc := range Registry() {
+	for _, fc := range faultinject.Registry() {
 		prims := make([]string, 0, len(fc.Primitives))
 		for _, p := range fc.Primitives {
 			prims = append(prims, p.String())
@@ -79,7 +81,3 @@ func RenderFaultModel() string {
 	}
 	return b.String()
 }
-
-// Registry re-exports the fault model for table rendering without forcing
-// callers through the faultinject package.
-var Registry = registryFunc

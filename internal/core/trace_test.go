@@ -175,91 +175,6 @@ func TestMarkCachedCases(t *testing.T) {
 	}
 }
 
-// TestStatusSourceSnapshot: after a full run the status must reconcile
-// with the results, and a fresh source must report an idle campaign.
-func TestStatusSourceSnapshot(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := NewRunner()
-	r.Missions = shortScenario()
-	r.Workers = 2
-	r.Obs = reg
-	r.Clock = tickClock()
-	cases := batchCases()
-	for i := range cases {
-		cases[i].Hash = "h-" + cases[i].ID
-	}
-	// The first two cases come from the cache: done without running.
-	var prior []CaseResult
-	for _, c := range cases[:2] {
-		prior = append(prior, CaseResult{Case: c, Result: sim.Result{Outcome: sim.OutcomeCompleted}})
-	}
-	r.Cache = NewMemoryCache(prior)
-	src := NewStatusSource(reg, StatusConfig{
-		Total:      len(cases),
-		SpecHash:   "abc",
-		RunnerMode: "batch",
-		BatchWidth: DefaultBatchWidth,
-		Workers:    2,
-		Clock:      tickClock(),
-	})
-
-	idle := src.Snapshot()
-	if idle.CasesDone != 0 || idle.Done || idle.ETASeconds != 0 {
-		t.Errorf("idle snapshot not idle: %+v", idle)
-	}
-
-	results := r.RunAll(context.Background(), cases)
-
-	st := src.Snapshot()
-	if st.CasesDone != int64(len(results)) || st.CasesCached != 2 {
-		t.Errorf("done=%d cached=%d, want %d/2", st.CasesDone, st.CasesCached, len(results))
-	}
-	if !st.Done {
-		t.Errorf("status not done: %+v", st)
-	}
-	if st.ETASeconds != 0 {
-		t.Errorf("finished campaign has ETA %v", st.ETASeconds)
-	}
-	if st.MeanCaseSeconds <= 0 {
-		t.Errorf("mean case seconds = %v, want > 0 with a ticking clock", st.MeanCaseSeconds)
-	}
-	// Outcome counters cover simulated cases; hits are not re-counted.
-	var completed int64
-	for _, res := range results[2:] {
-		if res.Err == "" && res.Result.Outcome.Completed() {
-			completed++
-		}
-	}
-	if st.Completed != completed {
-		t.Errorf("status completed = %d, results say %d", st.Completed, completed)
-	}
-	if st.SpecHash != "abc" || st.RunnerMode != "batch" || st.Workers != 2 {
-		t.Errorf("static fields lost: %+v", st)
-	}
-	if st.ActiveWorkers != 0 || st.ActiveBatches != 0 {
-		t.Errorf("active gauges nonzero after run: %+v", st)
-	}
-}
-
-// TestStatusSnapshotAllocFree pins one live-status render — the cost each
-// /status request and SSE tick puts on a running campaign — at zero
-// allocations per op.
-func TestStatusSnapshotAllocFree(t *testing.T) {
-	reg := obs.NewRegistry()
-	src := NewStatusSource(reg, StatusConfig{
-		Total: 850, RunnerMode: "batch", BatchWidth: DefaultBatchWidth, Workers: 8,
-	})
-	reg.Counter("campaign_cases_total").Add(425)
-	reg.Histogram("campaign_case_seconds", nil).Observe(0.2)
-	if n := testing.AllocsPerRun(100, func() {
-		if st := src.Snapshot(); st.CasesTotal != 850 {
-			t.Fatal("bad snapshot")
-		}
-	}); n != 0 {
-		t.Errorf("StatusSource.Snapshot allocates %v per op, want 0", n)
-	}
-}
-
 // TestRunnerTraceEnvironmentBatchShape pins where an environment batch's
 // spans sit: the batch under its first chain's prefix span, a forked
 // case under the batch, and the gold run, which joined at launch, at the

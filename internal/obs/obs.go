@@ -6,8 +6,9 @@
 // The package is dependency-free (standard library only, no other
 // internal packages) so every layer of the stack — sim, ekf, core and the
 // cmd/ entry points — can instrument itself without import cycles.
-// Exposition formats are Prometheus text (WritePrometheus) and a JSON
-// snapshot document (WriteJSON / ValidateSnapshotJSON).
+// The registry has one exposition format, a JSON snapshot document
+// (WriteJSON / ValidateSnapshotJSON), which cmd/campaign -metrics-out
+// writes at the end of a run.
 //
 // Time never comes from the host clock here: library code receives a
 // Clock value and cmd/ entry points decide whether it is wall time or a

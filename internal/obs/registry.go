@@ -135,19 +135,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the gauge by delta (CAS loop; negative deltas allowed).
-// Paired Add(1)/Add(-1) calls make a gauge a concurrency level, e.g.
-// campaign_active_workers.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Max raises the gauge to v if v is larger (running maximum).
 func (g *Gauge) Max(v float64) {
 	for {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -107,7 +106,7 @@ func TestConcurrentInstruments(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			_ = r.Snapshot()
 			var buf bytes.Buffer
-			_ = r.WritePrometheus(&buf)
+			_ = r.WriteJSON(&buf)
 		}
 	}()
 	wg.Wait()
@@ -137,35 +136,5 @@ func TestHotPathAllocationFree(t *testing.T) {
 		h.Observe(0.05)
 	}); n != 0 {
 		t.Errorf("hot path allocates %.1f per op, want 0", n)
-	}
-}
-
-func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("frames_in").Add(3)
-	r.Gauge("subs.active").Set(2) // '.' must be sanitized
-	h := r.Histogram("case_seconds", []float64{0.5, 1})
-	h.Observe(0.2)
-	h.Observe(0.7)
-	h.Observe(9)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, w := range []string{
-		"# TYPE frames_in counter\nframes_in 3\n",
-		"# TYPE subs_active gauge\nsubs_active 2\n",
-		"# TYPE case_seconds histogram\n",
-		"case_seconds_bucket{le=\"0.5\"} 1\n",
-		"case_seconds_bucket{le=\"1\"} 2\n",
-		"case_seconds_bucket{le=\"+Inf\"} 3\n",
-		"case_seconds_sum 9.9\n",
-		"case_seconds_count 3\n",
-	} {
-		if !strings.Contains(out, w) {
-			t.Errorf("exposition missing %q:\n%s", w, out)
-		}
 	}
 }

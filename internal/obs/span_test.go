@@ -239,13 +239,3 @@ func TestSpanStartEndZeroAlloc(t *testing.T) {
 		t.Errorf("Start/End allocates %.1f allocs/op, want 0", allocs)
 	}
 }
-
-func TestGaugeAdd(t *testing.T) {
-	var g Gauge
-	g.Add(2)
-	g.Add(3.5)
-	g.Add(-1.5)
-	if got := g.Value(); got != 4 {
-		t.Errorf("gauge = %v, want 4", got)
-	}
-}
