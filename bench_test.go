@@ -25,7 +25,6 @@ import (
 
 	"uavres/internal/faultinject"
 	"uavres/internal/lint"
-	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/mitigation"
 	"uavres/internal/obs"
@@ -236,18 +235,7 @@ func BenchmarkUavlint(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks outside the sim tick (RNG policy, obs) ---
-
-// BenchmarkMicroNormFloat64Ziggurat measures one normal deviate under the
-// 128-layer ziggurat sampler (inside-rectangle fast path ~98% of draws).
-func BenchmarkMicroNormFloat64Ziggurat(b *testing.B) {
-	r := mathx.NewRandPolicy(1, mathx.NormZiggurat)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.NormFloat64()
-	}
-}
+// --- Micro-benchmarks outside the sim tick (obs) ---
 
 // BenchmarkMicroObsCounterInc measures one resolved-counter increment,
 // the per-update cost of the campaign runner's and daemon's registry

@@ -11,7 +11,7 @@
 # one-iteration smoke of the root micro-benchmarks, the
 # campaign benchmark's own vet and tests (it compiles against this tree
 # and its traced mini-grid test runs every benchsuite/micro body), spec
-# validation for the shipped example campaign specs, and end-to-end
+# validation for every shipped example campaign spec, and end-to-end
 # smokes: a mini spec-driven campaign must emit a metrics snapshot that
 # passes the schema validator, re-running it with -resume over the
 # completed results file must simulate zero cases (its cache reports 0
@@ -23,7 +23,9 @@
 # and differing outcomes across variants, a multi-start campaign whose forks come off two
 # prefix chains and whose cases, gold run included, all batch in one
 # flight environment must match its straight-through and scalar-fork
-# runs bit for bit, the hexa actuator mini-spec and the redundancy
+# runs bit for bit, the primary-scope spec's mission-5 gyro slice
+# (redundancy voting switches the primary IMU) must match its scalar-fork
+# run bit for bit, the hexa actuator mini-spec and the redundancy
 # matrix's mission-1 octo-x slice (rotor FDI and reconfigured allocation)
 # must match their straight-through runs bit for bit, campaign -store
 # must replay a warm grid from the result store and simulate only the
@@ -95,16 +97,11 @@ go test -run XXX -fuzz FuzzOpenIndex -fuzztime 10s ./internal/store/
 # and every accepted dump survives a write and reload unchanged.
 go test -run XXX -fuzz FuzzLoadBlackbox -fuzztime 10s ./internal/blackbox/
 
-# Example campaign specs stay loadable and compilable.
-go run ./cmd/campaign -validate-spec examples/specs/paper-850.json
-go run ./cmd/campaign -validate-spec examples/specs/redundancy-ablation.json
-go run ./cmd/campaign -validate-spec examples/specs/mini-grid.json
-go run ./cmd/campaign -validate-spec examples/specs/mini-grid-wide.json
-go run ./cmd/campaign -validate-spec examples/specs/redundancy-matrix.json
-go run ./cmd/campaign -validate-spec examples/specs/mini-hexa-actuator.json
-go run ./cmd/campaign -validate-spec examples/specs/mini-starts.json
-go run ./cmd/campaign -validate-spec examples/specs/start-sweep.json
-go run ./cmd/campaign -validate-spec examples/specs/gyro-threshold-variants.json
+# Every example campaign spec stays loadable and compilable.
+go build -o "$tmpdir/campaign" ./cmd/campaign
+for f in examples/specs/*.json; do
+	"$tmpdir/campaign" -validate-spec "$f"
+done
 
 # Variants smoke: the gyro-threshold spec flies the same grid (Gyro
 # Noise for 10 s and 30 s on every mission, plus gold runs) under four
@@ -199,12 +196,14 @@ fi
 go run ./cmd/campaign -select mission=1,target=gyro -q -out "$tmpdir/results_scalar.json" -batch=false
 go run ./cmd/campaign -compare-results "$tmpdir/results.json,$tmpdir/results_scalar.json"
 
-# Primary-switch smoke: under primary scope, redundancy voting switches
-# mission 5's primary IMU mid-flight. Those forks stay in the lockstep
-# batch and read the shared IMU draws by count; they must still match
-# scalar forks bit for bit.
-go run ./cmd/campaign -scope primary -select mission=5,target=gyro -q -out "$tmpdir/primary.json"
-go run ./cmd/campaign -scope primary -select mission=5,target=gyro -q -out "$tmpdir/primary_scalar.json" -batch=false
+# Primary-switch smoke: under the primary-scope spec (the paper grid
+# with faults on IMU unit 0 only), redundancy voting switches mission 5's
+# primary IMU mid-flight. Those forks stay in the lockstep batch and read
+# the shared IMU draws by count; they must still match scalar forks bit
+# for bit.
+primary="-spec examples/specs/primary-scope.json -select mission=5,target=gyro -q"
+go run ./cmd/campaign $primary -out "$tmpdir/primary.json"
+go run ./cmd/campaign $primary -out "$tmpdir/primary_scalar.json" -batch=false
 go run ./cmd/campaign -compare-results "$tmpdir/primary.json,$tmpdir/primary_scalar.json"
 
 # Tracing + black-box smoke: mission 1's accelerometer cases include

@@ -11,20 +11,22 @@
 //
 // Usage:
 //
-//	campaign [-workers N] [-seed S] [-out results.json] [-checkpoint=false]
+//	campaign [-workers N] [-seed S] [-out results.json] [-checkpoint=false] [-batch=false]
 //	campaign -spec examples/specs/paper-850.json
 //	campaign -select mission=4,target=gyro -select "id=m07-*freeze*"
 //	campaign -resume -out results.json
 //	campaign -store out/store
 //	campaign -validate-spec examples/specs/paper-850.json
 //	campaign -print-spec
-//	campaign [-cov-decim K] [-cov-settle SEC] [-scope all|primary]
-//	campaign [-rng polar|ziggurat] [-batch=false] [-batch-width N]
 //	campaign -compare-results a.json,b.json
 //	campaign [-metrics-out metrics.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	campaign -validate-metrics metrics.json
 //	campaign [-trace-out trace.json] [-blackbox-dir out/blackbox]
 //	campaign -validate-trace trace.json
+//
+// Simulation settings (fault scope, EKF covariance decimation, failsafe
+// thresholds) live in the spec's matrix and overrides blocks; the CLI
+// sets only the seed and the case selection of a spec.
 //
 // With -store, fingerprint-stored cases replay from the
 // content-addressed result store instead of simulating, and fresh
@@ -49,12 +51,9 @@ import (
 
 	"uavres/internal/blackbox"
 	"uavres/internal/core"
-	"uavres/internal/ekf"
-	"uavres/internal/mathx"
 	"uavres/internal/mission"
 	"uavres/internal/obs"
 	"uavres/internal/paperdata"
-	"uavres/internal/sim"
 	"uavres/internal/spec"
 	"uavres/internal/store"
 )
@@ -72,12 +71,7 @@ func run() int {
 		storeDir   = flag.String("store", "", "content-addressed result store directory: fingerprint-stored cases return as cache hits, fresh results are stored back")
 		resume     = flag.Bool("resume", false, "load the -out results file and run only the missing, stale, or errored cases")
 		checkpoint = flag.Bool("checkpoint", true, "share pre-injection prefixes between cases (checkpoint-and-fork; false = simulate every case straight through)")
-		scope      = flag.String("scope", "all", "fault scope: all (paper assumption: every redundant IMU) | primary (unit 0 only — redundancy ablation)")
-		covDecim   = flag.Int("cov-decim", ekf.DefaultConfig().CovarianceDecimation, "EKF covariance decimation factor k: propagate covariance every k-th predict (1 = exact per-step path; faulted flights keep the exact path from launch through the fault window + settle margin)")
-		covSettle  = flag.Float64("cov-settle", sim.DefaultConfig().CovSettleSec, "seconds of full-rate covariance propagation kept after a fault window closes before decimation engages (only meaningful with -cov-decim > 1)")
-		rngPolicy  = flag.String("rng", "", "environment RNG policy: polar (the default sampler) | ziggurat (overrides the spec's rng_policy when set explicitly; the injector stream stays polar either way)")
 		batch      = flag.Bool("batch", true, "step each flight environment's cases in lockstep batches (false = one scalar fork or straight run per case)")
-		batchWidth = flag.Int("batch-width", 0, "max cases per lockstep batch (0 = the built-in default)")
 		printSpec  = flag.Bool("print-spec", false, "print the effective campaign spec as JSON and exit")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 
@@ -191,7 +185,7 @@ func run() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	s, err := effectiveSpec(*specPath, *seed, explicit["seed"], *scope, explicit["scope"], selectors)
+	s, err := effectiveSpec(*specPath, *seed, explicit["seed"], selectors)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		return 1
@@ -224,33 +218,14 @@ func run() int {
 	start := time.Now()
 	clock := func() float64 { return time.Since(start).Seconds() }
 
-	if *covDecim < 1 {
-		fmt.Fprintf(os.Stderr, "campaign: -cov-decim %d < 1\n", *covDecim)
-		return 1
-	}
-	if _, err := mathx.ParseNormPolicy(*rngPolicy); err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: -rng: %v\n", err)
-		return 1
-	}
 	reg := obs.NewRegistry()
 	runner := core.NewRunner()
 	runner.Workers = *workers
 	runner.Checkpoint = *checkpoint
 	runner.Batch = *batch
-	runner.BatchWidth = *batchWidth
 	runner.Obs = reg
 	runner.Clock = clock
-	// Config overrides layer: spec first, explicit CLI flags last.
 	s.Overrides.Apply(&runner.Config)
-	if explicit["cov-decim"] || s.Overrides.CovDecimation == nil {
-		runner.Config.EKF.CovarianceDecimation = *covDecim
-	}
-	if explicit["cov-settle"] || s.Overrides.CovSettleSec == nil {
-		runner.Config.CovSettleSec = *covSettle
-	}
-	if explicit["rng"] || s.Overrides.RNGPolicy == nil {
-		runner.Config.RNGPolicy = *rngPolicy
-	}
 
 	// Every case is stamped with its content hash under the final
 	// effective config — the cache key -resume and -store compare.
@@ -481,11 +456,10 @@ func run() int {
 
 // effectiveSpec assembles the spec a campaign runs: the file at path, or
 // the built-in paper spec, with the CLI seed (when set, or always for the
-// built-in spec), scope (when set) and selectors folded in. A spec with
-// no scope compiles as all-units, so an unset -scope leaves the spec, and
-// its hash, as written. The selectors AND with the spec's select list, so
-// Compile prunes for both, and -print-spec prints the very plan that runs.
-func effectiveSpec(path string, seed int64, seedSet bool, scope string, scopeSet bool, selectors []spec.Selector) (spec.CampaignSpec, error) {
+// built-in spec) and selectors folded in. The selectors AND with the
+// spec's select list, so Compile prunes for both, and -print-spec prints
+// the very plan that runs.
+func effectiveSpec(path string, seed int64, seedSet bool, selectors []spec.Selector) (spec.CampaignSpec, error) {
 	s := spec.Paper(seed)
 	if path != "" {
 		var err error
@@ -495,9 +469,6 @@ func effectiveSpec(path string, seed int64, seedSet bool, scope string, scopeSet
 		if seedSet {
 			s.Seed = seed
 		}
-	}
-	if scopeSet {
-		s.Matrix.Scope = scope
 	}
 	var err error
 	s.Select, err = spec.AndSelectors(s.Select, selectors)

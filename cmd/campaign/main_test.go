@@ -22,7 +22,7 @@ func TestPrintedSpecIsTheRunPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := effectiveSpec(path, 1, false, "all", false, []spec.Selector{cli})
+	run, err := effectiveSpec(path, 1, false, []spec.Selector{cli})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPrintedSpecIsTheRunPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := effectiveSpec(path, 1, false, "all", false, nil)
+	base, err := effectiveSpec(path, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,6 @@ func caseIDs(t *testing.T, s spec.CampaignSpec, sels []spec.Selector) []string {
 // TestRunHashIsTheSpecHash: with no flag but the spec, a run's results
 // header carries the hash of the spec file as written (the hash
 // -validate-spec prints), and the built-in run the hash of spec.Paper.
-// An unset -scope must not write its default into the spec.
 func TestRunHashIsTheSpecHash(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/specs/*.json")
 	if err != nil || len(paths) == 0 {
@@ -80,7 +79,7 @@ func TestRunHashIsTheSpecHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := effectiveSpec(path, 1, false, "all", false, nil)
+		run, err := effectiveSpec(path, 1, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +87,7 @@ func TestRunHashIsTheSpecHash(t *testing.T) {
 			t.Errorf("%s: run header hash %s, spec file hash %s", filepath.Base(path), got, want)
 		}
 	}
-	run, err := effectiveSpec("", 2, false, "all", false, nil)
+	run, err := effectiveSpec("", 2, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func testBatchMatchesScalar(t *testing.T, cases []Case) {
 		r.Missions = shortScenario()
 		r.Workers = 4
 		r.Batch = batch
-		r.BatchWidth = width
+		r.batchWidth = width
 		return r.RunAll(context.Background(), cases)
 	}
 

@@ -145,7 +145,7 @@ func TestResumeIsByteIdentical(t *testing.T) {
 		r := NewRunner()
 		r.Missions = shortScenario()
 		r.Workers = 2
-		r.BatchWidth = 2
+		r.batchWidth = 2
 		r.Cache = cache
 		w, err := NewResultsFileWriter(path)
 		if err != nil {

@@ -57,23 +57,23 @@ type Runner struct {
 	Checkpoint bool
 	// Batch additionally steps the cases of one flight environment (one
 	// mission, environment seed, airframe and variant) in lockstep
-	// (sim.Batch), in chunks of up to BatchWidth cases in join order: one
-	// donor vehicle draws the shared environment noise once per tick for
-	// all of them, across chains, families and starts. A chain case joins
-	// from its chain's snapshot on the tick the donor reaches its start;
-	// any other case joins at launch from a fresh snapshot of its own
-	// vehicle. This eliminates the dominant per-case NormFloat64 cost.
+	// (sim.Batch), in chunks of up to DefaultBatchWidth cases in join
+	// order: one donor vehicle draws the shared environment noise once per
+	// tick for all of them, across chains, families and starts. A chain
+	// case joins from its chain's snapshot on the tick the donor reaches
+	// its start; any other case joins at launch from a fresh snapshot of
+	// its own vehicle. This eliminates the dominant per-case NormFloat64
+	// cost.
 	// Outcomes stay bit-identical to straight runs (sim.TestBatchBitIdentical,
 	// sim.TestBatchAcrossStartsBitIdentical,
 	// sim.TestBatchAcrossPrefixesBitIdentical). Requires Checkpoint; a
 	// one-case chunk forks scalar or runs straight, and a failed batch
 	// falls back to that case by case.
 	Batch bool
-	// BatchWidth caps how many cases share one lockstep batch; <= 0 means
-	// DefaultBatchWidth. Wider batches amortize the donor's draw cost over
-	// more cases at the price of more resident vehicles and snapshots per
-	// worker.
-	BatchWidth int
+	// batchWidth caps how many cases share one lockstep batch; <= 0 means
+	// DefaultBatchWidth. In-package tests narrow it to split small chains
+	// across chunks.
+	batchWidth int
 	// Obs, if non-nil, receives campaign-level metrics: case and outcome
 	// counters, fork/prefix accounting, and per-case/per-stage wall-clock
 	// timing. Nil disables instrumentation entirely.
@@ -194,11 +194,18 @@ func (m *runnerMetrics) observeCase(res CaseResult, forked bool, seconds float64
 	}
 }
 
-// DefaultBatchWidth is the lockstep batch cap when Runner.BatchWidth is
-// unset: wide enough to amortize the donor's draw cost to ~3% per fork,
-// small enough that a worker's resident set of forks and the snapshots
-// they join from stays modest.
+// DefaultBatchWidth is the lockstep batch cap: wide enough to amortize
+// the donor's draw cost to ~3% per fork, small enough that a worker's
+// resident set of forks and the snapshots they join from stays modest.
 const DefaultBatchWidth = 32
+
+// width is the lockstep batch cap in effect.
+func (r *Runner) width() int {
+	if r.batchWidth <= 0 {
+		return DefaultBatchWidth
+	}
+	return r.batchWidth
+}
 
 // NewRunner returns a runner with the default campaign configuration.
 func NewRunner() *Runner {
@@ -526,7 +533,7 @@ type join struct {
 // them with each case's chain (nil for a case in none). A batching
 // runner groups the cases by flight environment, in sorted key order,
 // and cuts each group, in join order (a chain case at its start, any
-// other case at launch), into chunks of up to BatchWidth cases to step
+// other case at launch), into chunks of up to width() cases to step
 // in lockstep; a chunk may span chains and starts. Otherwise every case
 // is its own unit: first the cases outside any chain (gold runs,
 // immediate injections, a key with a single case, or every case when
@@ -542,10 +549,7 @@ func (r *Runner) workUnits(cases []Case) ([]workUnit, []*chain) {
 	}
 	width := 1
 	if r.Checkpoint && r.Batch {
-		width = r.BatchWidth
-		if width <= 0 {
-			width = DefaultBatchWidth
-		}
+		width = r.width()
 		groups = envGroups(cases)
 	} else {
 		var lone [][]int

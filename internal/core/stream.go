@@ -45,7 +45,10 @@ func NewResultsWriter(w io.Writer) *ResultsWriter {
 type ResultsHeader struct {
 	// SpecHash identifies the compiled campaign (spec.CampaignSpec.Hash).
 	SpecHash string `json:"spec_hash,omitempty"`
-	// RNGPolicy is the environment sampler name ("polar" or "ziggurat").
+	// RNGPolicy is the environment sampler name. A campaign writes
+	// "polar", the one sampler; files that name another still load. It
+	// stays because the campaign benchmark (benchsuite/) compiles against
+	// it.
 	RNGPolicy string `json:"rng_policy"`
 	// RunnerMode is "batch" (lockstep fork batches), "scalar" (one fork
 	// or straight run per case) or "straight" (no checkpoints: every case
@@ -61,12 +64,9 @@ type ResultsHeader struct {
 // to lead with: the RNG policy, the runner mode and batch width, and
 // the worker pool size. specHash identifies the compiled campaign.
 func (r *Runner) ResultsHeader(specHash string) ResultsHeader {
-	// An unknown policy is already an error for every case it would
-	// simulate (sim.Config validation), so the header need not repeat it.
-	pol, _ := mathx.ParseNormPolicy(r.Config.RNGPolicy)
 	h := ResultsHeader{
 		SpecHash:   specHash,
-		RNGPolicy:  pol.String(),
+		RNGPolicy:  mathx.NormPolar.String(),
 		RunnerMode: "scalar",
 		Workers:    r.poolSize(),
 	}
@@ -76,10 +76,7 @@ func (r *Runner) ResultsHeader(specHash string) ResultsHeader {
 		h.RunnerMode = "straight"
 	case r.Batch:
 		h.RunnerMode = "batch"
-		h.BatchWidth = r.BatchWidth
-		if h.BatchWidth <= 0 {
-			h.BatchWidth = DefaultBatchWidth
-		}
+		h.BatchWidth = r.width()
 	}
 	return h
 }

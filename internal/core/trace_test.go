@@ -27,7 +27,7 @@ func tracedRun(t *testing.T, batch bool, workers int) (*obs.Tracer, []CaseResult
 	r.Missions = shortScenario()
 	r.Workers = workers
 	r.Batch = batch
-	r.BatchWidth = 8 // split the 21-case prefix group into several chunks
+	r.batchWidth = 8 // split the 21-case prefix group into several chunks
 	r.Clock = tickClock()
 	r.Trace = obs.NewTracer(tickClock(), 256)
 	r.TraceRoot = r.Trace.Start("campaign", 0, obs.StrAttr("spec", "test"))

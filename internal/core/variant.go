@@ -22,10 +22,6 @@ type Overrides struct {
 	CovSettleSec *float64 `json:"cov_settle_sec,omitempty"`
 	// RedundancyVoting toggles cross-IMU consistency voting.
 	RedundancyVoting *bool `json:"redundancy_voting,omitempty"`
-	// RNGPolicy selects the environment normal-deviate sampler: "polar"
-	// (default, bit-compatible with recorded campaigns) or "ziggurat"
-	// (see mathx.ParseNormPolicy).
-	RNGPolicy *string `json:"rng_policy,omitempty"`
 	// RotorReconfig, when true, arms the per-rotor FDI monitor and the
 	// reconfiguring control allocator (mitigation.RotorDefaults) — the
 	// mitigation actuator faults need. Omitted or false leaves the legacy
@@ -38,19 +34,11 @@ func (o Overrides) Validate() error {
 	if o.CovDecimation != nil && *o.CovDecimation < 1 {
 		return fmt.Errorf("cov_decimation %d < 1", *o.CovDecimation)
 	}
-	if o.RNGPolicy != nil {
-		if _, err := mathx.ParseNormPolicy(*o.RNGPolicy); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // Apply folds the overrides into a simulation config.
 func (o Overrides) Apply(cfg *sim.Config) {
-	if o.RNGPolicy != nil {
-		cfg.RNGPolicy = *o.RNGPolicy
-	}
 	if o.GyroThresholdDegS != nil {
 		cfg.Failsafe.GyroRateThreshold = mathx.Deg2Rad(*o.GyroThresholdDegS)
 	}

@@ -5,42 +5,24 @@ import (
 	"math"
 )
 
-// NormPolicy names the normal-deviate algorithm a Rand uses. Child
-// streams inherit it, so one policy choice at the campaign level governs
-// every derived noise stream.
+// NormPolicy names a normal-deviate algorithm. Polar is the only one;
+// the type, NormPolar, ParseNormPolicy and NewRandPolicy stay because the
+// campaign benchmark (benchsuite/) compiles against them.
 type NormPolicy uint8
 
-const (
-	// NormPolar is the Marsaglia polar method — the default, kept
-	// bit-compatible with every previously recorded campaign.
-	NormPolar NormPolicy = iota
-	// NormZiggurat is a 128-layer ziggurat (Marsaglia-Tsang layout,
-	// Doornik-style float tables computed at init): most draws cost one
-	// uniform, one table compare, and one multiply — no Log or Sqrt on
-	// the fast path — at the price of a different (equally valid)
-	// deviate stream.
-	NormZiggurat
-)
+// NormPolar is the Marsaglia polar method, the one sampler.
+const NormPolar NormPolicy = 0
 
-// String names the policy as specs and bench metadata spell it.
-func (p NormPolicy) String() string {
-	if p == NormZiggurat {
-		return "ziggurat"
-	}
-	return "polar"
-}
+// String names the policy as specs and results headers spell it.
+func (NormPolicy) String() string { return "polar" }
 
-// ParseNormPolicy resolves a spec/flag spelling of a policy. The empty
-// string means the default (polar), so configs can omit the knob.
+// ParseNormPolicy resolves a spelling of the sampler: the empty string
+// and "polar" name it; anything else is an error.
 func ParseNormPolicy(s string) (NormPolicy, error) {
-	switch s {
-	case "", "polar":
-		return NormPolar, nil
-	case "ziggurat":
-		return NormZiggurat, nil
-	default:
-		return NormPolar, fmt.Errorf("mathx: unknown RNG policy %q (want polar or ziggurat)", s)
+	if s != "" && s != "polar" {
+		return NormPolar, fmt.Errorf("mathx: unknown RNG policy %q (want polar)", s)
 	}
+	return NormPolar, nil
 }
 
 // Rand is a small, fast PRNG (splitmix64 core) exposing the method
@@ -56,31 +38,24 @@ type Rand struct {
 	s         uint64
 	spare     float64 // cached second deviate from the polar method
 	haveSpare bool
-	policy    NormPolicy
 }
 
-// NewRand returns a generator seeded with seed using the default polar
-// normal policy. Distinct seeds yield streams that are effectively
-// independent (splitmix64's increment is a full-period odd constant).
+// NewRand returns a generator seeded with seed. Distinct seeds yield
+// streams that are effectively independent (splitmix64's increment is a
+// full-period odd constant).
 func NewRand(seed int64) *Rand {
 	return &Rand{s: uint64(seed)}
 }
 
-// NewRandPolicy returns a generator seeded with seed whose NormFloat64
-// uses the given policy. NewRandPolicy(seed, NormPolar) is NewRand(seed).
-func NewRandPolicy(seed int64, p NormPolicy) *Rand {
-	return &Rand{s: uint64(seed), policy: p}
-}
+// NewRandPolicy is NewRand(seed); polar is the only policy. It stays
+// because the campaign benchmark (benchsuite/) compiles against it.
+func NewRandPolicy(seed int64, _ NormPolicy) *Rand { return NewRand(seed) }
 
-// Policy returns the generator's normal-deviate policy.
-func (r *Rand) Policy() NormPolicy { return r.policy }
-
-// Child derives a new stream seeded from this one, inheriting the policy.
-// The seed derivation (Int63) is identical to the historical
-// NewRand(rng.Int63()) idiom, so polar-policy children are bit-compatible
-// with every recorded campaign.
+// Child derives a new stream seeded from this one. The seed derivation
+// (Int63) is identical to the historical NewRand(rng.Int63()) idiom, so
+// children are bit-compatible with every recorded campaign.
 func (r *Rand) Child() *Rand {
-	return NewRandPolicy(r.Int63(), r.policy)
+	return NewRand(r.Int63())
 }
 
 // next advances the splitmix64 state and returns the next 64-bit output.
@@ -104,15 +79,10 @@ func (r *Rand) Float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a standard normal deviate using the generator's
-// policy: the Marsaglia polar method by default, or the ziggurat when the
-// stream was built with NormZiggurat. The polar method's second deviate is
-// cached in the generator, so a copy continues exactly; the ziggurat holds
-// no extra state beyond the uniform stream.
+// NormFloat64 returns a standard normal deviate by the Marsaglia polar
+// method. Its second deviate is cached in the generator, so a copy
+// continues exactly.
 func (r *Rand) NormFloat64() float64 {
-	if r.policy == NormZiggurat {
-		return r.zigNormFloat64()
-	}
 	if r.haveSpare {
 		r.haveSpare = false
 		return r.spare
@@ -129,76 +99,5 @@ func (r *Rand) NormFloat64() float64 {
 		r.spare = v * f
 		r.haveSpare = true
 		return u * f
-	}
-}
-
-// Ziggurat tables for the standard normal, 128 layers. zigX[i] is layer
-// i's right edge (zigX[0] is the base layer's virtual width V/f(R), which
-// makes the rectangle test below uniform across layers); zigRatio[i] =
-// zigX[i+1]/zigX[i] is the precomputed inside-rectangle threshold. The
-// tables are deterministic constants; computing them at init keeps the
-// source readable without 128-entry literal blocks.
-const (
-	zigLayers = 128
-	// zigTailR is the base-layer split point r: beyond it the tail is
-	// sampled exactly; V is the equal area of every layer.
-	zigTailR = 3.442619855899
-	zigV     = 9.91256303526217e-3
-)
-
-var (
-	zigX     [zigLayers + 1]float64
-	zigRatio [zigLayers]float64
-)
-
-func init() {
-	f := math.Exp(-0.5 * zigTailR * zigTailR)
-	zigX[0] = zigV / f
-	zigX[1] = zigTailR
-	zigX[zigLayers] = 0
-	for i := 2; i < zigLayers; i++ {
-		zigX[i] = math.Sqrt(-2 * math.Log(zigV/zigX[i-1]+f))
-		f = math.Exp(-0.5 * zigX[i] * zigX[i])
-	}
-	for i := 0; i < zigLayers; i++ {
-		zigRatio[i] = zigX[i+1] / zigX[i]
-	}
-}
-
-// zigNormFloat64 draws one deviate via the ziggurat: pick a layer and a
-// signed uniform; inside the layer's rectangle the draw is done, otherwise
-// fall through to the exact tail (layer 0) or the wedge rejection test.
-func (r *Rand) zigNormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		i := r.next() & (zigLayers - 1)
-		if math.Abs(u) < zigRatio[i] {
-			return u * zigX[i]
-		}
-		if i == 0 {
-			return r.zigTail(u < 0)
-		}
-		x := u * zigX[i]
-		f0 := math.Exp(-0.5 * (zigX[i]*zigX[i] - x*x))
-		f1 := math.Exp(-0.5 * (zigX[i+1]*zigX[i+1] - x*x))
-		if f1+r.Float64()*(f0-f1) < 1.0 {
-			return x
-		}
-	}
-}
-
-// zigTail samples the normal tail beyond zigTailR exactly (Marsaglia's
-// method). A zero uniform yields -Inf intermediates that simply fail the
-// acceptance test, so the loop is total.
-func (r *Rand) zigTail(negative bool) float64 {
-	for {
-		x := math.Log(r.Float64()) / zigTailR // x <= 0
-		y := math.Log(r.Float64())
-		if -2*y >= x*x {
-			if negative {
-				return x - zigTailR
-			}
-			return zigTailR - x
-		}
 	}
 }

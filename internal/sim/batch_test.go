@@ -400,77 +400,3 @@ func TestEnvDrawsWindow(t *testing.T) {
 		t.Errorf("set 4 before the donor's first set 5: got a draw %v, want an error", set)
 	}
 }
-
-// TestBatchZigguratPolicy runs the batch under the non-default RNG policy:
-// the run must complete, be deterministic, and stay bit-identical to the
-// scalar path under the same policy (the equivalence proof is
-// policy-independent).
-func TestBatchZigguratPolicy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RecordTrajectory = true
-	cfg.RNGPolicy = "ziggurat"
-	m := shortMission()
-	const startSec = 20.0
-
-	injs := []*faultinject.Injection{
-		{Primitive: faultinject.Noise, Target: faultinject.TargetGyro,
-			Start: time.Duration(startSec) * time.Second, Duration: 5 * time.Second, Seed: 9},
-		{Primitive: faultinject.Zeros, Target: faultinject.TargetAccel,
-			Start: time.Duration(startSec) * time.Second, Duration: 5 * time.Second, Seed: 9},
-	}
-
-	prefix, err := NewVehicle(cfg, m, injs[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix.RunUntil(startSec)
-	results, _ := runBatch(t, slices.Repeat([]*Checkpoint{prefix.Snapshot()}, len(injs)), injs)
-
-	for i, inj := range injs {
-		straight, err := Run(cfg, m, inj, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "ziggurat "+inj.Label(), straight, results[i])
-
-		// Determinism: a second straight run reproduces the first.
-		again, err := Run(cfg, m, inj, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "ziggurat repeat "+inj.Label(), straight, again)
-	}
-}
-
-// TestZigguratPolicyChangesStream sanity-checks that the policy knob is
-// actually wired through: the same case under polar and ziggurat must not
-// produce identical trajectories (the noise streams differ).
-func TestZigguratPolicyChangesStream(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RecordTrajectory = true
-	m := shortMission()
-	polar, err := Run(cfg, m, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RNGPolicy = "ziggurat"
-	zig, err := Run(cfg, m, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(polar.Trajectory) == 0 || len(zig.Trajectory) == 0 {
-		t.Fatal("missing trajectories")
-	}
-	same := len(polar.Trajectory) == len(zig.Trajectory)
-	if same {
-		for i := range polar.Trajectory {
-			if polar.Trajectory[i] != zig.Trajectory[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("polar and ziggurat runs produced identical trajectories; policy not wired through")
-	}
-}

@@ -27,11 +27,10 @@ type Config struct {
 	// Seed drives environment randomness (wind, sensor noise). The fault
 	// injector has its own seed inside the Injection.
 	Seed int64
-	// RNGPolicy names the normal-deviate sampler for every environment
-	// noise stream: "" or "polar" (the default, bit-compatible with all
-	// recorded campaigns) or "ziggurat" (see mathx.ParseNormPolicy). The
-	// fault injector's own stream stays polar regardless, so an
-	// injection's deviates are policy-invariant.
+	// RNGPolicy names the normal-deviate sampler: "" or "polar", the only
+	// one (mathx.ParseNormPolicy). It stays because the campaign benchmark
+	// (benchsuite/) compiles against it, and because it is part of every
+	// case fingerprint's config bytes.
 	RNGPolicy string
 
 	// WindMeanMS and WindGustStd parameterize the wind model; the mean

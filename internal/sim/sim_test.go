@@ -330,6 +330,7 @@ func TestConfigValidate(t *testing.T) {
 		{"too_many_imus", func(c *Config) { c.IMUCount = sensors.MaxIMUs + 1 }},
 		{"bad_airframe", func(c *Config) { c.Airframe.MassKg = 0 }},
 		{"bad_imuspec", func(c *Config) { c.IMUSpec.RateHz = 0 }},
+		{"rng_ziggurat", func(c *Config) { c.RNGPolicy = "ziggurat" }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

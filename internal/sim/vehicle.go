@@ -214,12 +214,9 @@ func NewVehicle(cfg Config, m mission.Mission, inj *faultinject.Injection, obs O
 	}
 	s := &v.s
 
-	// The root environment stream carries the campaign's RNG policy; every
-	// derived per-component stream inherits it via Child. The seed
-	// derivation is bit-identical to the historical NewRand(rng.Int63())
-	// chain, so polar-policy runs reproduce every recorded campaign.
-	pol, _ := mathx.ParseNormPolicy(cfg.RNGPolicy) // already validated above
-	rng := mathx.NewRandPolicy(cfg.Seed, pol)
+	// The root environment stream; every per-component stream derives
+	// from it via Child.
+	rng := mathx.NewRand(cfg.Seed)
 
 	// Environment: wind direction drawn from the run seed.
 	dir := rng.Float64() * 2 * math.Pi

@@ -80,7 +80,6 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 func intp(v int) *int         { return &v }
 func boolp(v bool) *bool      { return &v }
 func f64p(v float64) *float64 { return &v }
-func strp(v string) *string   { return &v }
 
 func TestCompileMissionSubsetAndGoldOff(t *testing.T) {
 	s := Paper(1)
@@ -177,14 +176,10 @@ func TestOverridesApply(t *testing.T) {
 		CovDecimation:     intp(1),
 		CovSettleSec:      f64p(3),
 		RedundancyVoting:  boolp(false),
-		RNGPolicy:         strp("ziggurat"),
 	}
 	o.Apply(&cfg)
 	if cfg.RiskR != 2.5 || cfg.EKF.CovarianceDecimation != 1 || cfg.CovSettleSec != 3 || cfg.RedundancyVoting {
 		t.Errorf("overrides not applied: %+v", cfg)
-	}
-	if cfg.RNGPolicy != "ziggurat" {
-		t.Errorf("rng policy override not applied: %q", cfg.RNGPolicy)
 	}
 	def := sim.DefaultConfig()
 	if cfg.Failsafe.GyroRateThreshold <= def.Failsafe.GyroRateThreshold {
@@ -195,22 +190,6 @@ func TestOverridesApply(t *testing.T) {
 	core.Overrides{}.Apply(&clean)
 	if !reflect.DeepEqual(clean, def) {
 		t.Error("zero overrides mutated the config")
-	}
-}
-
-// TestRNGPolicyValidated: an unknown sampler name must fail spec
-// validation loudly, and the valid names must pass.
-func TestRNGPolicyValidated(t *testing.T) {
-	s := Paper(1)
-	s.Overrides.RNGPolicy = strp("box-muller")
-	if _, err := s.Compile(nil); err == nil {
-		t.Fatal("unknown rng policy accepted")
-	}
-	for _, name := range []string{"polar", "ziggurat"} {
-		s.Overrides.RNGPolicy = strp(name)
-		if _, err := s.Compile(nil); err != nil {
-			t.Fatalf("%s rejected: %v", name, err)
-		}
 	}
 }
 
@@ -247,6 +226,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"unknown field": `{"version": 1, "bogus": true}`,
 		"wrong version": `{"version": 99}`,
 		"seeds block":   `{"version": 1, "seeds": {"kind": "affine"}}`,
+		"rng policy":    `{"version": 1, "overrides": {"rng_policy": "polar"}}`,
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("%s: Parse accepted %s", name, bad)
