@@ -167,9 +167,10 @@ func TestRunnerOnResultStreams(t *testing.T) {
 
 // TestRunnerDecimationOutcomeEquivalence is the miniature version of the
 // campaign-level gate: every case outcome under decimated covariance
-// propagation (k=4, the default) must be identical to the exact per-step
-// path (k=1) — the fault-window full-rate override plus the settle margin
-// make decimation invisible to the verdict.
+// propagation (the default cap, windows closed by the fusions) must be
+// identical to the exact per-step path (k=1) — the fault-window full-rate
+// override plus the settle margin make decimation invisible to the
+// verdict.
 func TestRunnerDecimationOutcomeEquivalence(t *testing.T) {
 	run := func(k int) []CaseResult {
 		r := NewRunner()
@@ -178,8 +179,9 @@ func TestRunnerDecimationOutcomeEquivalence(t *testing.T) {
 		r.Config.EKF.CovarianceDecimation = k
 		return r.RunAll(context.Background(), progressCases())
 	}
+	k := sim.DefaultConfig().EKF.CovarianceDecimation
 	exact := run(1)
-	decim := run(4)
+	decim := run(k)
 	for i := range exact {
 		e, d := exact[i], decim[i]
 		if e.Err != d.Err {
@@ -190,8 +192,8 @@ func TestRunnerDecimationOutcomeEquivalence(t *testing.T) {
 			e.Result.OuterViolations != d.Result.OuterViolations ||
 			e.Result.FailsafeCause != d.Result.FailsafeCause ||
 			e.Result.CrashReason != d.Result.CrashReason {
-			t.Errorf("%s: outcome differs between k=1 and k=4:\n exact %+v\n decim %+v",
-				e.Case.ID, e.Result, d.Result)
+			t.Errorf("%s: outcome differs between k=1 and k=%d:\n exact %+v\n decim %+v",
+				e.Case.ID, k, e.Result, d.Result)
 		}
 	}
 }

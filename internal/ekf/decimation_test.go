@@ -44,16 +44,16 @@ func noisyStationaryFlight(f *Filter, secs float64, seed int64) (ratios []float6
 	return ratios
 }
 
-// TestDecimationDriftBounded is the tentpole's accuracy gate: decimated
-// covariance propagation (k=4) must track the exact per-step path — the
-// innovation test ratios (NEES per scalar channel, gate-normalized) and
-// the covariance itself may only drift by a small bounded amount over a
-// long aided flight.
+// TestDecimationDriftBounded is the accuracy gate of the decimated path:
+// covariance propagation at the default cap, its windows closed by the
+// 25 Hz fusions, must track the exact per-step path — the innovation test
+// ratios (NEES per scalar channel, gate-normalized) and the covariance
+// itself may only drift by a small bounded amount over a long aided
+// flight.
 func TestDecimationDriftBounded(t *testing.T) {
 	cfgExact := DefaultConfig()
 	cfgExact.CovarianceDecimation = 1
 	cfgDecim := DefaultConfig()
-	cfgDecim.CovarianceDecimation = 4
 
 	fe := New(cfgExact)
 	fd := New(cfgDecim)
@@ -93,14 +93,13 @@ func TestDecimationDriftBounded(t *testing.T) {
 }
 
 // TestDecimationCovarianceMatchesFullRateAtFlush: with no aiding at all,
-// the decimated covariance at a flush boundary must closely match the
-// per-step path (the only difference is the scaled-Q interleave, which is
-// second order in the window length).
+// only the cap closes windows, and the decimated covariance at a flush
+// boundary must closely match the per-step path (the only difference is
+// the scaled-Q interleave, which is second order in the window length).
 func TestDecimationCovarianceMatchesFullRateAtFlush(t *testing.T) {
 	cfgExact := DefaultConfig()
 	cfgExact.CovarianceDecimation = 1
 	cfgDecim := DefaultConfig()
-	cfgDecim.CovarianceDecimation = 4
 	fe := New(cfgExact)
 	fd := New(cfgDecim)
 
@@ -109,7 +108,7 @@ func TestDecimationCovarianceMatchesFullRateAtFlush(t *testing.T) {
 		Accel: mathx.V3(0.4, -0.2, -physics.Gravity+0.1),
 		Gyro:  mathx.V3(0.05, -0.03, 0.02),
 	}
-	for i := 0; i < 1000; i++ { // 4 s, 250 flush windows
+	for i := 0; i < 1000; i++ { // 4 s: 40 windows at the default cap of 25
 		tm := float64(i) * dt
 		s := sample
 		s.T = tm
@@ -124,80 +123,98 @@ func TestDecimationCovarianceMatchesFullRateAtFlush(t *testing.T) {
 	}
 }
 
-// TestDecimationPhaseAndForcing exercises the window bookkeeping: the
-// pending counter, flush-on-read, and the fault-window full-rate override.
+// TestDecimationPhaseAndForcing exercises the window bookkeeping: a
+// window stays open across predicts until a covariance read closes it
+// (every consumer of P is one) or the cap does, and the fault-window
+// full-rate override bypasses it.
 func TestDecimationPhaseAndForcing(t *testing.T) {
-	f := New(DefaultConfig()) // k=4
+	f := New(DefaultConfig())
+	k := f.cfg.CovarianceDecimation
 	const dt = 0.004
 	step := func(n int) {
 		for i := 0; i < n; i++ {
 			f.Predict(stationarySample(float64(i)*dt), dt)
 		}
 	}
-
-	step(3)
-	if f.pending != 3 {
-		t.Fatalf("pending after 3 predicts = %d, want 3", f.pending)
+	want := func(what string, pending int, flushes int64) {
+		t.Helper()
+		if f.pending != pending || f.flushes != flushes {
+			t.Fatalf("%s: pending %d flushes %d, want %d and %d", what, f.pending, f.flushes, pending, flushes)
+		}
 	}
+
+	// With no read, only the cap closes the window.
+	step(k - 1)
+	want("one predict short of the cap", k-1, 0)
 	step(1)
-	if f.pending != 0 {
-		t.Fatalf("pending after flush boundary = %d, want 0", f.pending)
+	want("at the cap", 0, 1)
+
+	// Each consumer of P closes the open window before it reads.
+	reads := []struct {
+		name string
+		read func()
+	}{
+		{"Covariance", func() { _ = f.Covariance(idxPos) }},
+		{"AttitudeStd", func() { _ = f.AttitudeStd() }},
+		{"FuseBaro", func() { f.FuseBaro(sensors.BaroSample{T: 1, AltM: 0}) }},
+		{"FuseGravity", func() { f.FuseGravity(stationarySample(1)) }},
+		{"FuseMag", func() { f.FuseMag(sensors.MagSample{T: 1}) }},
+		{"FuseGPS", func() { f.FuseGPS(sensors.GPSSample{T: 1, Valid: true}) }},
+		{"NotifySensorSwitch", f.NotifySensorSwitch},
+	}
+	flushes := f.flushes
+	for _, r := range reads {
+		step(2)
+		want(r.name+" window", 2, flushes)
+		r.read()
+		flushes++
+		want("after "+r.name, 0, flushes)
+		// Reading again with no predict in between finds no window.
+		r.read()
+		want("second "+r.name, 0, flushes)
 	}
 
-	step(2)
-	if f.pending != 2 {
-		t.Fatalf("pending mid-window = %d, want 2", f.pending)
-	}
-	// Reading the covariance flushes the window.
-	_ = f.Covariance(idxPos)
-	if f.pending != 0 {
-		t.Fatalf("Covariance read must flush; pending = %d", f.pending)
-	}
-
-	// Forcing full rate flushes and keeps the exact path step-by-step.
+	// Forcing full rate closes the window and keeps the exact path
+	// step-by-step, where nothing accumulates and nothing is flushed.
 	step(2)
 	f.SetCovarianceFullRate(true)
-	if f.pending != 0 {
-		t.Fatalf("entering full rate must flush; pending = %d", f.pending)
-	}
-	step(5)
-	if f.pending != 0 {
-		t.Fatalf("full-rate predicts must not accumulate; pending = %d", f.pending)
-	}
+	flushes++
+	want("entering full rate", 0, flushes)
+	step(k + 5)
+	want("full-rate predicts", 0, flushes)
 	f.SetCovarianceFullRate(false)
 	step(2)
-	if f.pending != 2 {
-		t.Fatalf("decimation must resume after release; pending = %d", f.pending)
-	}
-
-	// A measurement update flushes before fusing.
-	f.FuseBaro(sensors.BaroSample{T: 1, AltM: 0})
-	if f.pending != 0 {
-		t.Fatalf("fusion must flush; pending = %d", f.pending)
-	}
+	want("released", 2, flushes)
 }
 
 // TestDecimationSnapshotCarriesWindow: the mid-window accumulator must
 // ride a copy of the filter so forked runs resume bit-identically.
 func TestDecimationSnapshotCarriesWindow(t *testing.T) {
 	f := New(DefaultConfig())
+	k := f.cfg.CovarianceDecimation
 	const dt = 0.004
-	for i := 0; i < 6; i++ { // pending = 2 (6 mod 4)
+	n := k + 2 // the cap closed one window; 2 predicts are pending
+	for i := 0; i < n; i++ {
 		f.Predict(stationarySample(float64(i)*dt), dt)
 	}
 	g := f
-	if g.pending != 2 || g.pending != f.pending {
-		t.Fatalf("pending not copied: %d vs %d", g.pending, f.pending)
+	if g.pending != 2 || g.pending != f.pending || g.flushes != 1 || g.flushes != f.flushes {
+		t.Fatalf("window not copied: pending %d vs %d, flushes %d vs %d", g.pending, f.pending, g.flushes, f.flushes)
 	}
 	if g.acc != f.acc {
 		t.Fatalf("transition accumulator not copied")
 	}
 
-	// Continuing both must stay bit-identical.
-	for i := 6; i < 20; i++ {
+	// Continuing both, across a read and the next cap, must stay
+	// bit-identical.
+	for i := n; i < n+2*k; i++ {
 		s := stationarySample(float64(i) * dt)
 		f.Predict(s, dt)
 		g.Predict(s, dt)
+		if i == n+3 {
+			f.FuseBaro(sensors.BaroSample{T: s.T})
+			g.FuseBaro(sensors.BaroSample{T: s.T})
+		}
 	}
 	if f.p != g.p {
 		t.Fatalf("covariance diverged after copy")
@@ -205,13 +222,16 @@ func TestDecimationSnapshotCarriesWindow(t *testing.T) {
 	if f.st != g.st {
 		t.Fatalf("state diverged after copy")
 	}
+	if f.flushes != g.flushes {
+		t.Fatalf("flush counts diverged after copy: %d vs %d", f.flushes, g.flushes)
+	}
 }
 
 // TestPredictAllocFree pins the predict hot path at zero allocations per
 // op, on both the decimated and the exact covariance path (alloc
 // regression guard; the campaign runs this 250 times per sim-second).
 func TestPredictAllocFree(t *testing.T) {
-	for _, k := range []int{1, 4} {
+	for _, k := range []int{1, DefaultConfig().CovarianceDecimation} {
 		cfg := DefaultConfig()
 		cfg.CovarianceDecimation = k
 		f := New(cfg)

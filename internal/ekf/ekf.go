@@ -60,18 +60,22 @@ type Config struct {
 	// Zero disables resets.
 	GPSResetSec  float64
 	BaroResetSec float64
-	// CovarianceDecimation is the covariance-path decimation factor k.
-	// The nominal (strapdown) state advances on every Predict, while the
-	// error-state covariance accumulates the compounded k-step transition
-	// and applies one P ← Φ P Φᵀ + Q per k-th predict — the split PX4's
-	// EKF2 makes between high-rate strapdown integration and decimated
-	// covariance prediction. Values <= 1 keep the exact per-step path.
-	// The accumulated transition is flushed before any consumer touches
-	// the covariance (measurement updates, resets, variance queries), so
-	// fusion never sees covariance older than the last flush point.
-	// SetCovarianceFullRate forces the exact path while a caller-defined
-	// condition holds (the simulator uses it to keep faulted flights exact
-	// from launch until the fault response settles).
+	// CovarianceDecimation caps the covariance window, in predicts. The
+	// nominal (strapdown) state advances on every Predict, while the
+	// error-state covariance accumulates the compounded transition of the
+	// open window and applies one P ← Φ P Φᵀ + Q when the window closes —
+	// the split PX4's EKF2 makes between high-rate strapdown integration
+	// and decimated covariance prediction. A window closes at the next
+	// consumer of P (a measurement update, a reset, a variance query), so
+	// fusion never sees stale covariance and the fusion cadence sets the
+	// window length: at the default sensor rates the 25 Hz baro and
+	// gravity fusions close a benign flight's windows within about 10
+	// predicts. The cap is only a backstop for a flight where no fusion
+	// arrives; at the default of 25 it never binds in the paper campaign.
+	// Values <= 1 keep the exact per-step path. SetCovarianceFullRate
+	// forces the exact path while a caller-defined condition holds (the
+	// simulator uses it to keep faulted flights exact from launch until
+	// the fault response settles).
 	CovarianceDecimation int
 }
 
@@ -93,7 +97,7 @@ func DefaultConfig() Config {
 		CourseMinSpeed:       1.5,
 		GPSResetSec:          5.0,
 		BaroResetSec:         5.0,
-		CovarianceDecimation: 4,
+		CovarianceDecimation: 25,
 	}
 }
 
@@ -166,6 +170,7 @@ type Filter struct {
 	covFull bool       // full-rate forced (fault window + settle)
 	pending int        // predicts accumulated since the last flush
 	acc     transition // compounded transition over the pending steps
+	flushes int64      // windows applied to P since New (a diagnostic)
 }
 
 // New returns a filter initialized at rest at the origin with conservative
@@ -220,6 +225,12 @@ func (f *Filter) AttitudeStd() float64 {
 	return math.Sqrt(v)
 }
 
+// CovarianceFlushes returns how many decimated covariance windows have
+// been applied to P since New: the count of dense transition kernels the
+// decimated path has run, the exact regression signal for its cost.
+// Exact per-step propagation is not counted.
+func (f *Filter) CovarianceFlushes() int64 { return f.flushes }
+
 // SetCovarianceFullRate forces (true) or releases (false) full-rate
 // covariance propagation regardless of CovarianceDecimation. The vehicle
 // drives this from the fault-injection schedule: during an active
@@ -261,6 +272,7 @@ func (f *Filter) flushCovariance() {
 	f.p.clampDiag(1e-12, 1e8)
 	f.acc.reset()
 	f.pending = 0
+	f.flushes++
 }
 
 // NotifySensorSwitch tells the filter its IMU source just changed
@@ -355,8 +367,9 @@ func (f *Filter) Predict(s sensors.IMUSample, dt float64) {
 		a[i][i] += 1
 	}
 
-	// Decimated path: fold this step's F into the window transition and
-	// flush every k-th step. Covariance consumers flush earlier on demand.
+	// Decimated path: fold this step's F into the window transition. The
+	// next covariance consumer closes the window; the cap closes a window
+	// no consumer reached within k steps.
 	if k := f.cfg.CovarianceDecimation; k > 1 && !f.covFull {
 		f.acc.compose(&a, &b, &c, dt)
 		f.pending++

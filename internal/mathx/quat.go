@@ -28,9 +28,9 @@ func quatFromAxisNorm(axis Vec3, n, angle float64) Quat {
 	if n == 0 {
 		return QuatIdentity()
 	}
-	// Sincos shares one argument reduction between the two values and is
-	// bit-identical to separate Sin/Cos calls (same kernel polynomials).
-	sinHalf, cosHalf := math.Sincos(angle / 2)
+	// sincos is math.Sincos bit for bit, inline for the small half angles
+	// attitude integration takes.
+	sinHalf, cosHalf := sincos(angle / 2)
 	s := sinHalf / n
 	return Quat{W: cosHalf, X: axis.X * s, Y: axis.Y * s, Z: axis.Z * s}
 }
